@@ -25,7 +25,6 @@ from .phantom import (
 )
 from .xform import (
     RadonProfile,
-    XRayDatum,
     directional_derivative_xray,
     line_transform,
     radon_profile,
@@ -35,9 +34,12 @@ from .xform import (
 from .hilbert import (
     Profile1D,
     derivative,
+    derivative_rows,
     hilbert_pv_direct,
+    hilbert_rows,
     hilbert_spectral,
     sample_cubic,
+    sample_rows,
 )
 from .inversion import (
     BRANCH_CLASSICAL,
@@ -54,15 +56,11 @@ from .inversion import (
     build_radon_dataset,
     calibrate_normalization,
     grangeat_convert,
-    invert_classical_radon,
-    invert_radon,
-    invert_xray,
     lemma9_diagnostic,
     make_phantom_xray_data,
+    phantom_data,
     read_volume,
-    reconstruct_volume_classical,
-    reconstruct_volume_radon,
-    reconstruct_volume_xray,
+    reconstruct,
     write_volume,
 )
 

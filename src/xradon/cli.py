@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -17,7 +18,6 @@ import numpy as np
 
 from . import inversion, phantom as ph_mod, xform
 from .geometry import VolumeGrid, fibonacci_sphere
-from .hilbert import derivative
 
 
 @dataclass(frozen=True)
@@ -39,12 +39,12 @@ class RunConfig:
     seed: int = 0
 
     def validate(self):
+        for f in fields(self):
+            if type(f.default) is float and not math.isfinite(getattr(self, f.name)):
+                raise CliError(f"config field {f.name} must be finite")
         if self.branch not in inversion.BRANCHES:
             raise CliError(f"unknown branch {self.branch!r}")
-        for name in ("nodes", "s_count", "vol_dims", "points"):
-            if getattr(self, name) <= 0:
-                raise CliError(f"config field {name} must be positive")
-        for name in ("diff_step", "band"):
+        for name in ("nodes", "s_count", "vol_dims", "points", "diff_step", "band"):
             if getattr(self, name) <= 0:
                 raise CliError(f"config field {name} must be positive")
         if self.s_max <= self.s_min or self.vol_max <= self.vol_min:
@@ -55,6 +55,18 @@ class CliError(Exception):
     """User-facing failure; message names the violated precondition."""
 
 
+def _typed(name, value):
+    """A config-file value of the type of the field's default (an int is taken as a float)."""
+    expected = type(getattr(RunConfig, name))
+    if expected is float and type(value) is int:
+        return float(value)
+    if type(value) is not expected:
+        raise CliError(
+            f"config field {name} must be {expected.__name__}, got {type(value).__name__} {value!r}"
+        )
+    return value
+
+
 def load_config(args):
     cfg = RunConfig()
     if args.config:
@@ -63,11 +75,15 @@ def load_config(args):
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError(f"unreadable config file {args.config}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise CliError(
+                f"config file {args.config} must hold a JSON object, got {type(raw).__name__}"
+            )
         known = {f.name for f in fields(RunConfig)}
         unknown = set(raw) - known
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}")
-        cfg = replace(cfg, **raw)
+        cfg = replace(cfg, **{name: _typed(name, value) for name, value in raw.items()})
     overrides = {
         f.name: getattr(args, f.name)
         for f in fields(RunConfig)
@@ -187,26 +203,14 @@ def cmd_forward(args):
 
 
 def _reconstruct(ph, cfg):
-    quad = fibonacci_sphere(cfg.nodes)
-    grid = _volume_grid(cfg)
-    if cfg.branch == inversion.BRANCH_XRAY:
-        rcfg = inversion.ReconstructionConfig(
-            quad, cfg.diff_step, cfg.normalization, inversion.BRANCH_XRAY
-        )
-        vol = inversion.reconstruct_volume_xray(
-            inversion.make_phantom_xray_data(ph), grid, rcfg
-        )
-        return vol, rcfg
-    data = inversion.build_radon_dataset(ph, quad, cfg.s_min, cfg.s_max, cfg.s_count)
-    if cfg.branch == inversion.BRANCH_RADON:
-        rcfg = inversion.ReconstructionConfig(
-            quad, cfg.diff_step, cfg.normalization, inversion.BRANCH_RADON
-        )
-        return inversion.reconstruct_volume_radon(data, grid, rcfg), rcfg
+    # The classical branch has its constant built in; record 1.0 for it.
+    normalization = 1.0 if cfg.branch == inversion.BRANCH_CLASSICAL else cfg.normalization
     rcfg = inversion.ReconstructionConfig(
-        quad, cfg.diff_step, 1.0, inversion.BRANCH_CLASSICAL
+        fibonacci_sphere(cfg.nodes), cfg.diff_step, normalization, cfg.branch
     )
-    return inversion.reconstruct_volume_classical(data, grid, quad), rcfg
+    data = inversion.phantom_data(ph, rcfg, (cfg.s_min, cfg.s_max), cfg.s_count)
+    grid = _volume_grid(cfg)
+    return grid.with_samples(inversion.reconstruct(data, rcfg, grid.points())), rcfg
 
 
 def _metrics(ph, vol):
@@ -280,12 +284,9 @@ def cmd_check(args):
         pts = inversion.sample_ball_points(rng, 20, ph.support_radius / 4.0)
         with open(out.path("lemma9.csv"), "w", encoding="utf-8", newline="\n") as fh:
             fh.write("x1,x2,x3,left,right,ratio,difference\n")
-            for p in pts:
-                rep = inversion.lemma9_diagnostic(ph, p, quad)
-                fh.write(
-                    f"{p[0]:.17g},{p[1]:.17g},{p[2]:.17g},"
-                    f"{rep.left:.17g},{rep.right:.17g},{rep.ratio:.17g},{rep.difference:.17g}\n"
-                )
+            rep = inversion.lemma9_diagnostic(ph, pts, quad)
+            for row in np.column_stack((pts, rep.left, rep.right, rep.ratio, rep.difference)):
+                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
     except Exception:
         out.discard()
         raise

@@ -18,15 +18,6 @@ GOLDEN_RATIO = (1.0 + np.sqrt(5.0)) / 2.0
 _UNIT_TOL = 1e-9
 
 
-def normalize(v):
-    """Return v / |v| as a float array."""
-    v = np.asarray(v, dtype=float)
-    nrm = np.linalg.norm(v)
-    if nrm == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return v / nrm
-
-
 def as_direction(v, tol=_UNIT_TOL):
     """Validate and return a unit 3-vector.
 

@@ -57,34 +57,42 @@ class Profile1D:
 
 
 def _check_decay(values):
-    peak = float(np.max(np.abs(values)))
-    if peak == 0.0:
-        return
-    edge = max(abs(float(values[0])), abs(float(values[-1])))
-    if edge > DECAY_TOL * peak:
+    """Reject any row of `values` (samples along the last axis) not decaying at its ends."""
+    values = np.asarray(values)
+    peak = np.max(np.abs(values), axis=-1)
+    edge = np.maximum(np.abs(values[..., 0]), np.abs(values[..., -1]))
+    bad = edge > DECAY_TOL * peak
+    if np.any(bad):
+        ratio = float(np.max(edge[bad] / peak[bad]))
         raise ValueError(
-            f"profile does not decay at the grid ends (edge/peak = {edge / peak:.3g}); "
+            f"profile does not decay at the grid ends (edge/peak = {ratio:.3g}); "
             "the PV integral would be corrupted by wrap-around"
         )
 
 
-def hilbert_spectral(p, pad_factor=PAD_FACTOR):
-    """Hilbert transform via the -i*sgn(frequency) multiplier.
+def hilbert_rows(values, pad_factor=PAD_FACTOR):
+    """Hilbert transform of each row of `values` (samples along the last axis).
 
-    The profile is zero-padded by `pad_factor` before the FFT and the
-    result is truncated back to the original grid.  The input must
-    decay at both ends (see DECAY_TOL).
+    Each row is zero-padded to `pad_factor` times its length before one
+    batched FFT, multiplied by -i*sgn(frequency) and truncated back to
+    the original grid.  Every row must decay at both ends (see
+    DECAY_TOL).  The result does not depend on the grid spacing.
     """
-    _check_decay(p.values)
-    n = p.count
+    values = np.asarray(values, dtype=float)
+    _check_decay(values)
+    n = values.shape[-1]
     m = sfft.next_fast_len(pad_factor * n)
     left = (m - n) // 2
-    buf = np.zeros(m)
-    buf[left:left + n] = p.values
-    spectrum = sfft.fft(buf)
-    multiplier = -1j * np.sign(sfft.fftfreq(m))
-    filtered = sfft.ifft(spectrum * multiplier).real
-    return p.with_values(filtered[left:left + n])
+    buf = np.zeros(values.shape[:-1] + (m,))
+    buf[..., left:left + n] = values
+    spectrum = sfft.fft(buf, axis=-1)
+    spectrum *= -1j * np.sign(sfft.fftfreq(m))
+    return sfft.ifft(spectrum, axis=-1).real[..., left:left + n].copy()
+
+
+def hilbert_spectral(p, pad_factor=PAD_FACTOR):
+    """Hilbert transform of a profile via the -i*sgn(frequency) multiplier (see hilbert_rows)."""
+    return p.with_values(hilbert_rows(p.values, pad_factor))
 
 
 def hilbert_pv_direct(p):
@@ -119,43 +127,59 @@ def hilbert_pv_direct(p):
     return Profile1D(p.s_min + h, p.s_max - h, values)
 
 
-def derivative(p):
-    """First derivative on the same grid.
+def derivative_rows(values, spacing):
+    """First derivative of each row of `values` on its own grid of the given spacing.
 
     Fourth-order central differences in the interior, second-order
     central at the penultimate points and second-order one-sided at the
     boundaries.
     """
-    v = p.values
-    h = p.spacing
+    v = np.asarray(values, dtype=float)
+    h = spacing
     d = np.empty_like(v)
-    d[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
-    d[1] = (v[2] - v[0]) / (2.0 * h)
-    d[-2] = (v[-1] - v[-3]) / (2.0 * h)
-    d[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-    d[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    return p.with_values(d)
+    d[..., 2:-2] = (v[..., :-4] - 8.0 * v[..., 1:-3] + 8.0 * v[..., 3:-1] - v[..., 4:]) / (12.0 * h)
+    d[..., 1] = (v[..., 2] - v[..., 0]) / (2.0 * h)
+    d[..., -2] = (v[..., -1] - v[..., -3]) / (2.0 * h)
+    d[..., 0] = (-3.0 * v[..., 0] + 4.0 * v[..., 1] - v[..., 2]) / (2.0 * h)
+    d[..., -1] = (3.0 * v[..., -1] - 4.0 * v[..., -2] + v[..., -3]) / (2.0 * h)
+    return d
+
+
+def derivative(p):
+    """First derivative of a profile on the same grid (see derivative_rows)."""
+    return p.with_values(derivative_rows(p.values, p.spacing))
+
+
+def sample_rows(values, s_min, s_max, s):
+    """Evaluate row k of `values` at the offsets s[k] by 4-point Lagrange interpolation.
+
+    `values` has shape (K, S): K profiles sampled on one uniform grid
+    over [s_min, s_max].  `s` has shape (K, Q); the result has shape
+    (K, Q).  Offsets outside [s_min, s_max] are rejected.
+    """
+    values = np.asarray(values, dtype=float)
+    s = np.asarray(s, dtype=float)
+    rows, count = values.shape
+    eps = 1e-9 * max(abs(s_min), abs(s_max), 1.0)
+    if np.any(s < s_min - eps) or np.any(s > s_max + eps):
+        raise ValueError("query offset outside the profile range")
+    h = (s_max - s_min) / (count - 1)
+    t = (s - s_min) / h
+    base = np.clip(np.floor(t).astype(np.intp) - 1, 0, count - 4)
+    u = t - base
+    index = base + count * np.arange(rows)[:, None]
+    v = values.reshape(-1)
+    # One Lagrange term at a time, so that a block holds few temporaries.
+    um1, um2, um3 = u - 1.0, u - 2.0, u - 3.0
+    out = -um1 * um2 * um3 / 6.0 * v[index]
+    out += u * um2 * um3 / 2.0 * v[index + 1]
+    out += -u * um1 * um3 / 2.0 * v[index + 2]
+    out += u * um1 * um2 / 6.0 * v[index + 3]
+    return out
 
 
 def sample_cubic(p, s):
-    """Evaluate the profile at arbitrary offsets by 4-point Lagrange interpolation.
-
-    Offsets outside [s_min, s_max] are rejected.
-    """
+    """Evaluate the profile at offsets of any shape (see sample_rows); a scalar gives a float."""
     s = np.asarray(s, dtype=float)
-    scalar = s.ndim == 0
-    s = np.atleast_1d(s)
-    eps = 1e-9 * max(abs(p.s_min), abs(p.s_max), 1.0)
-    if np.any(s < p.s_min - eps) or np.any(s > p.s_max + eps):
-        raise ValueError("query offset outside the profile range")
-    h = p.spacing
-    t = (s - p.s_min) / h
-    base = np.clip(np.floor(t).astype(int) - 1, 0, p.count - 4)
-    u = t - base
-    v = p.values
-    w0 = -(u - 1.0) * (u - 2.0) * (u - 3.0) / 6.0
-    w1 = u * (u - 2.0) * (u - 3.0) / 2.0
-    w2 = -u * (u - 1.0) * (u - 3.0) / 2.0
-    w3 = u * (u - 1.0) * (u - 2.0) / 6.0
-    out = w0 * v[base] + w1 * v[base + 1] + w2 * v[base + 2] + w3 * v[base + 3]
-    return float(out[0]) if scalar else out
+    out = sample_rows(p.values[None, :], p.s_min, p.s_max, s.reshape(1, -1))
+    return float(out[0, 0]) if s.ndim == 0 else out.reshape(s.shape)

@@ -42,8 +42,12 @@ class Primitive:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown primitive kind {self.kind!r}")
         center = np.asarray(self.center, dtype=float).reshape(3)
-        if not self.scale > 0.0:
-            raise ValueError("primitive scale must be positive")
+        if not np.all(np.isfinite(center)):
+            raise ValueError("primitive center must be finite")
+        if not (np.isfinite(self.scale) and self.scale > 0.0):
+            raise ValueError("primitive scale must be positive and finite")
+        if not np.isfinite(self.amplitude):
+            raise ValueError("primitive amplitude must be finite")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "scale", float(self.scale))
         object.__setattr__(self, "amplitude", float(self.amplitude))
@@ -64,6 +68,8 @@ class Phantom:
     def __post_init__(self):
         prims = tuple(self.primitives)
         radius = float(self.support_radius)
+        if not np.isfinite(radius):
+            raise ValueError("support radius must be finite")
         for prim in prims:
             reach = float(np.linalg.norm(prim.center)) + 6.0 * prim.scale
             if reach > radius + 1e-12:

@@ -18,24 +18,6 @@ from .hilbert import Profile1D
 
 
 @dataclass(frozen=True)
-class XRayDatum:
-    """One divergent-beam measurement: source point, direction, value."""
-
-    x: np.ndarray
-    n: np.ndarray
-    value: float
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float).reshape(3)
-        n = as_direction(self.n)
-        if not np.isfinite(self.value):
-            raise ValueError("x-ray value must be finite")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "value", float(self.value))
-
-
-@dataclass(frozen=True)
 class RadonProfile:
     """Sampled plane-integral profile s -> Rf(n, s) for one plane normal n."""
 
@@ -55,9 +37,6 @@ class RadonProfile:
     @property
     def count(self):
         return self.values.size
-
-    def profile(self):
-        return Profile1D(self.s_min, self.s_max, self.values)
 
     def s_grid(self):
         return np.linspace(self.s_min, self.s_max, self.count)
@@ -175,11 +154,17 @@ def write_profile_csv(path, rp):
 
 
 def read_profile_csv(path):
+    """Read a RadonProfile written by write_profile_csv; a malformed file raises ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    if lines[0] != "n1,n2,n3" or lines[2] != "s,value":
+    if len(lines) < 4 or lines[0] != "n1,n2,n3" or lines[2] != "s,value":
         raise ValueError(f"{path}: not a radon profile CSV")
-    n = np.array([float(v) for v in lines[1].split(",")])
-    rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[3:]])
-    s = rows[:, 0]
-    return RadonProfile(n=n, s_min=float(s[0]), s_max=float(s[-1]), values=rows[:, 1])
+    try:
+        n = np.array([float(v) for v in lines[1].split(",")])
+        rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[3:]])
+        if rows.ndim != 2 or rows.shape[1] != 2:
+            raise ValueError("expected s,value rows")
+        s = rows[:, 0]
+        return RadonProfile(n=n, s_min=float(s[0]), s_max=float(s[-1]), values=rows[:, 1])
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed radon profile CSV: {exc}") from exc

@@ -69,7 +69,8 @@ def test_criterion_3_xray_branch_reconstruction(unit_gaussian, quad2000):
     grid = xr.cube_grid(3.0, 33)
     cfg = inv.ReconstructionConfig(quad2000, diff_step=1e-4,
                                    normalization=inv.XRAY_BRANCH_CONSTANT)
-    vol = inv.reconstruct_volume_xray(inv.make_phantom_xray_data(unit_gaussian), grid, cfg)
+    data = inv.make_phantom_xray_data(unit_gaussian)
+    vol = grid.with_samples(inv.reconstruct(data, cfg, grid.points()))
     truth = xr.evaluate(unit_gaussian, grid.points())
     rel_l2 = float(np.linalg.norm(vol.samples - truth) / np.linalg.norm(truth))
     elapsed = time.time() - start
@@ -158,7 +159,8 @@ def test_criterion_6_hilbert_module():
 def test_criterion_7_classical_radon_oracle(unit_gaussian, quad2000, gauss_dataset):
     start = time.time()
     grid = xr.cube_grid(3.0, 33)
-    vol = inv.reconstruct_volume_classical(gauss_dataset, grid, quad2000)
+    cfg = inv.ReconstructionConfig(quad2000, normalization=1.0, branch=inv.BRANCH_CLASSICAL)
+    vol = grid.with_samples(inv.reconstruct(gauss_dataset, cfg, grid.points()))
     truth = xr.evaluate(unit_gaussian, grid.points())
     rel_l2 = float(np.linalg.norm(vol.samples - truth) / np.linalg.norm(truth))
     elapsed = time.time() - start
@@ -168,21 +170,18 @@ def test_criterion_7_classical_radon_oracle(unit_gaussian, quad2000, gauss_datas
 
 def test_criterion_8_equivalence_diagnostic(unit_gaussian, quad2000):
     start = time.time()
-    rep0 = inv.lemma9_diagnostic(unit_gaussian, (0.0, 0.0, 0.0), quad2000)
-    left_err = abs(rep0.left - 4.0 * np.pi * np.sqrt(np.pi))
+    rep0 = inv.lemma9_diagnostic(unit_gaussian, np.zeros((1, 3)), quad2000)
+    left_err = abs(rep0.left[0] - 4.0 * np.pi * np.sqrt(np.pi))
     rng = np.random.default_rng(108)
     pts = inv.sample_ball_points(rng, 20, 1.5)
-    ratios = []
-    for x in pts:
-        rep = inv.lemma9_diagnostic(unit_gaussian, x, quad2000)
-        ratios.append(rep.ratio)
+    ratios = list(inv.lemma9_diagnostic(unit_gaussian, pts, quad2000).ratio)
     elapsed = time.time() - start
     finite = [r for r in ratios if np.isfinite(r)]
     ok = left_err < 1e-3 and len(ratios) >= 20
     report(
         8,
         ok,
-        f"left side at origin {rep0.left:.6f} (analytic 4 pi sqrt(pi), err {left_err:.2e}); "
+        f"left side at origin {rep0.left[0]:.6f} (analytic 4 pi sqrt(pi), err {left_err:.2e}); "
         f"measured left/right ratio over 20 points: median {np.median(finite):.3g} "
         f"(reported, not asserted); {elapsed:.1f}s",
     )

@@ -133,6 +133,48 @@ class TestInvert:
         assert run("invert", "--config", str(cfg), "--outdir", str(tmp_path / "o")) == 1
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("[1, 2]", "JSON object"),
+            ('"nodes"', "JSON object"),
+            ('{"nodes": "abc"}', "nodes"),
+            ('{"nodes": 2.5}', "nodes"),
+            ('{"vol_dims": true}', "vol_dims"),
+            ('{"s_min": "x"}', "s_min"),
+            ('{"branch": 3}', "branch"),
+            ('{"phantom": null}', "phantom"),
+            ('{"normalization": NaN}', "normalization"),
+            ('{"diff_step": Infinity}', "diff_step"),
+        ],
+    )
+    def test_rejects_bad_config(self, tmp_path, phantom_file, capsys, text, named):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        outdir = tmp_path / "o"
+        rc = run(
+            "invert", "--config", str(cfg), "--phantom", str(phantom_file),
+            "--nodes", "20", "--vol-dims", "5", "--outdir", str(outdir),
+        )
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert named in err
+        assert "Traceback" not in err
+        assert not outdir.exists()
+
+    def test_integer_for_float_field(self, tmp_path, phantom_file):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"vol_min": -3, "vol_max": 3}))
+        outdir = tmp_path / "o"
+        assert run(
+            "invert", "--config", str(cfg), "--phantom", str(phantom_file),
+            "--nodes", "20", "--vol-dims", "5", "--outdir", str(outdir),
+        ) == 0
+        meta = json.loads((outdir / "volume.json").read_text())
+        assert meta["origin"] == [-3.0, -3.0, -3.0]
+
+
 class TestCheck:
     def test_outputs_and_determinism(self, tmp_path, phantom_file):
         args = ["check", "--phantom", str(phantom_file), "--nodes", "500", "--seed", "1"]
@@ -170,6 +212,25 @@ class TestErrorHandling:
     def test_invalid_branch_flag(self, tmp_path, phantom_file):
         with pytest.raises(SystemExit):
             run("invert", "--phantom", str(phantom_file), "--branch", "bogus")
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            "support_radius nan\ngaussian 0 0 0 1 1\n",
+            "gaussian 0 0 0 1 nan\n",
+            "gaussian 0 0 0 1 inf\n",
+        ],
+    )
+    def test_non_finite_phantom_rejected(self, tmp_path, capsys, record):
+        ph = tmp_path / "ph.txt"
+        ph.write_text(record)
+        outdir = tmp_path / "o"
+        assert run(
+            "invert", "--phantom", str(ph), "--nodes", "20", "--vol-dims", "5",
+            "--outdir", str(outdir),
+        ) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not outdir.exists() or os.listdir(outdir) == []
 
     def test_failed_run_removes_partial_outputs(self, tmp_path):
         ph = tmp_path / "bad.txt"

@@ -4,9 +4,12 @@ import pytest
 from xradon.hilbert import (
     Profile1D,
     derivative,
+    derivative_rows,
     hilbert_pv_direct,
+    hilbert_rows,
     hilbert_spectral,
     sample_cubic,
+    sample_rows,
 )
 
 
@@ -144,3 +147,39 @@ class TestSampleCubic:
         p = Profile1D(-1.0, 1.0, np.zeros(16))
         with pytest.raises(ValueError):
             sample_cubic(p, 1.5)
+
+
+class TestRows:
+    """The row functions on a stack of profiles agree with the per-profile calls."""
+
+    @pytest.fixture()
+    def stack(self):
+        s = np.linspace(-10.0, 10.0, 401)
+        return np.stack([np.exp(-(s**2)), 2.0 * np.exp(-((s - 1.0) ** 2)), np.zeros(s.size)])
+
+    def test_hilbert_rows_match_profiles(self, stack):
+        rows = hilbert_rows(stack)
+        for row, values in zip(rows, stack):
+            expected = hilbert_spectral(Profile1D(-10.0, 10.0, values)).values
+            assert np.max(np.abs(row - expected)) <= 1e-15
+
+    def test_derivative_rows_match_profiles(self, stack):
+        rows = derivative_rows(stack, 20.0 / 400)
+        for row, values in zip(rows, stack):
+            assert np.array_equal(row, derivative(Profile1D(-10.0, 10.0, values)).values)
+
+    def test_sample_rows_match_profiles(self, stack):
+        q = np.array([[-1.5, 0.25, 9.9], [0.0, 1.0, -10.0], [3.0, 3.0, 3.0]])
+        rows = sample_rows(stack, -10.0, 10.0, q)
+        for row, values, offsets in zip(rows, stack, q):
+            assert np.array_equal(row, sample_cubic(Profile1D(-10.0, 10.0, values), offsets))
+
+    def test_decay_checked_per_row(self, stack):
+        bad = stack.copy()
+        bad[1, -1] = 1.0
+        with pytest.raises(ValueError, match="does not decay"):
+            hilbert_rows(bad)
+
+    def test_sample_rows_rejects_out_of_range(self, stack):
+        with pytest.raises(ValueError):
+            sample_rows(stack, -10.0, 10.0, np.full((3, 1), 10.5))

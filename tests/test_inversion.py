@@ -11,15 +11,35 @@ def xray_cfg(quad2000):
     return inv.ReconstructionConfig(quad2000)
 
 
+@pytest.fixture(scope="module")
+def classical_cfg(quad2000):
+    return inv.ReconstructionConfig(quad2000, normalization=1.0, branch=inv.BRANCH_CLASSICAL)
+
+
+def at(data, cfg, x):
+    """Reconstruction at a single point."""
+    return float(inv.reconstruct(data, cfg, np.reshape(x, (1, 3)))[0])
+
+
+def lemma9_at(ph, x, quadrature):
+    """Lemma-9 report at a single point, as scalars."""
+    rep = inv.lemma9_diagnostic(ph, np.reshape(x, (1, 3)), quadrature)
+    return inv.Lemma9Report(*(float(v[0]) for v in (rep.left, rep.right, rep.ratio, rep.difference)))
+
+
+def zero_dataset(quadrature):
+    return inv.RadonDataset(quadrature.nodes, -4.0, 4.0, np.zeros((quadrature.count, 64)))
+
+
 class TestInvertXray:
     def test_unit_gaussian_at_origin(self, unit_gaussian, xray_cfg):
         data = inv.make_phantom_xray_data(unit_gaussian)
-        val = inv.invert_xray(data, xray_cfg, (0.0, 0.0, 0.0))
+        val = at(data, xray_cfg, (0.0, 0.0, 0.0))
         assert abs(val - 1.0) < 1e-3
 
     def test_zero_phantom(self, xray_cfg):
         data = inv.make_phantom_xray_data(xr.Phantom((), 1.0))
-        assert inv.invert_xray(data, xray_cfg, (0.0, 0.0, 0.0)) == 0.0
+        assert at(data, xray_cfg, (0.0, 0.0, 0.0)) == 0.0
 
     def test_two_gaussians(self, xray_cfg):
         ph = xr.Phantom(
@@ -29,13 +49,13 @@ class TestInvertXray:
             ),
             7.0,
         )
-        val = inv.invert_xray(inv.make_phantom_xray_data(ph), xray_cfg, (1.0, 0.0, 0.0))
+        val = at(inv.make_phantom_xray_data(ph), xray_cfg, (1.0, 0.0, 0.0))
         assert abs(val - (1.0 + np.exp(-4.0))) < 2e-3
 
     def test_branch_mismatch_rejected(self, unit_gaussian, quad2000):
         cfg = inv.ReconstructionConfig(quad2000, branch=inv.BRANCH_RADON)
         with pytest.raises(ValueError):
-            inv.invert_xray(inv.make_phantom_xray_data(unit_gaussian), cfg, (0, 0, 0))
+            at(inv.make_phantom_xray_data(unit_gaussian), cfg, (0, 0, 0))
 
     def test_pointwise_integrand_identity(self, unit_gaussian, quad2000):
         # strong form: each node contributes -density(x) up to O(h^2)
@@ -57,46 +77,38 @@ class TestInvertXray:
         rng = np.random.default_rng(17)
         for _ in range(5):
             x = rng.uniform(-1.0, 1.0, size=3)
-            a = inv.invert_xray(inv.make_phantom_xray_data(base), cfg, x)
-            b = inv.invert_xray(inv.make_phantom_xray_data(moved), cfg, x + shift)
+            a = at(inv.make_phantom_xray_data(base), cfg, x)
+            b = at(inv.make_phantom_xray_data(moved), cfg, x + shift)
             assert abs(a - b) < 1e-3
 
     def test_linearity_in_data(self, unit_gaussian, xray_cfg):
         data = inv.make_phantom_xray_data(unit_gaussian)
         doubled = lambda pts, dirs: 2.0 * data(pts, dirs)
         x = (0.4, 0.1, -0.2)
-        a = inv.invert_xray(data, xray_cfg, x)
-        b = inv.invert_xray(doubled, xray_cfg, x)
+        a = at(data, xray_cfg, x)
+        b = at(doubled, xray_cfg, x)
         assert abs(b - 2.0 * a) < 1e-12
 
 
 class TestInvertRadon:
     def test_zero_dataset(self, quad2000):
-        profiles = tuple(
-            xr.RadonProfile(n, -4.0, 4.0, np.zeros(64)) for n in quad2000.nodes
-        )
-        data = inv.RadonDataset(profiles)
         cfg = inv.ReconstructionConfig(quad2000, branch=inv.BRANCH_RADON)
-        assert inv.invert_radon(data, cfg, (0.0, 0.0, 0.0)) == 0.0
+        assert at(zero_dataset(quad2000), cfg, (0.0, 0.0, 0.0)) == 0.0
 
     def test_linearity(self, quad2000, gauss_dataset):
         cfg = inv.ReconstructionConfig(quad2000, branch=inv.BRANCH_RADON)
-        doubled = inv.RadonDataset(
-            tuple(
-                xr.RadonProfile(p.n, p.s_min, p.s_max, 2.0 * p.values)
-                for p in gauss_dataset.profiles
-            )
-        )
+        d = gauss_dataset
+        doubled = inv.RadonDataset(d.nodes, d.s_min, d.s_max, 2.0 * d.values)
         x = (0.3, 0.0, 0.1)
-        a = inv.invert_radon(gauss_dataset, cfg, x)
-        b = inv.invert_radon(doubled, cfg, x)
+        a = at(gauss_dataset, cfg, x)
+        b = at(doubled, cfg, x)
         assert abs(b - 2.0 * a) < 1e-12 * max(1.0, abs(a))
 
     def test_diagnostic_against_oracle(self, unit_gaussian, quad2000, gauss_dataset):
         # measured, not asserted: the cylindrical branch reports a scale
         # relative to the density; record that it runs and is finite
         cfg = inv.ReconstructionConfig(quad2000, branch=inv.BRANCH_RADON)
-        val = inv.invert_radon(gauss_dataset, cfg, (0.0, 0.0, 0.0))
+        val = at(gauss_dataset, cfg, (0.0, 0.0, 0.0))
         truth = xr.evaluate(unit_gaussian, (0.0, 0.0, 0.0))
         assert np.isfinite(val)
         assert truth == 1.0
@@ -104,39 +116,147 @@ class TestInvertRadon:
     def test_out_of_range_point_rejected(self, quad2000, gauss_dataset):
         cfg = inv.ReconstructionConfig(quad2000, branch=inv.BRANCH_RADON)
         with pytest.raises(ValueError):
-            inv.invert_radon(gauss_dataset, cfg, (20.0, 0.0, 0.0))
+            at(gauss_dataset, cfg, (20.0, 0.0, 0.0))
 
     def test_dataset_count_mismatch(self, quad2000, gauss_dataset):
         small = xr.fibonacci_sphere(10)
         cfg = inv.ReconstructionConfig(small, branch=inv.BRANCH_RADON)
         with pytest.raises(ValueError):
-            inv.invert_radon(gauss_dataset, cfg, (0.0, 0.0, 0.0))
+            at(gauss_dataset, cfg, (0.0, 0.0, 0.0))
 
 
 class TestClassicalRadon:
-    def test_unit_gaussian_center(self, quad2000, gauss_dataset):
-        val = inv.invert_classical_radon(gauss_dataset, (0.0, 0.0, 0.0), quad2000)
+    def test_unit_gaussian_center(self, classical_cfg, gauss_dataset):
+        val = at(gauss_dataset, classical_cfg, (0.0, 0.0, 0.0))
         assert abs(val - 1.0) < 1e-3
 
-    def test_unit_gaussian_offset(self, quad2000, gauss_dataset):
-        val = inv.invert_classical_radon(gauss_dataset, (1.0, 0.0, 0.0), quad2000)
+    def test_unit_gaussian_offset(self, classical_cfg, gauss_dataset):
+        val = at(gauss_dataset, classical_cfg, (1.0, 0.0, 0.0))
         assert abs(val - np.exp(-1.0)) < 1e-3
 
-    def test_zero_dataset(self, quad2000):
-        profiles = tuple(
-            xr.RadonProfile(n, -4.0, 4.0, np.zeros(64)) for n in quad2000.nodes
-        )
-        assert inv.invert_classical_radon(inv.RadonDataset(profiles), (0, 0, 0), quad2000) == 0.0
+    def test_zero_dataset(self, quad2000, classical_cfg):
+        assert at(zero_dataset(quad2000), classical_cfg, (0, 0, 0)) == 0.0
 
-    def test_agrees_with_xray_branch(self, unit_gaussian, quad2000, gauss_dataset):
+    def test_agrees_with_xray_branch(self, unit_gaussian, quad2000, gauss_dataset, classical_cfg):
         cfg = inv.ReconstructionConfig(quad2000)
         data = inv.make_phantom_xray_data(unit_gaussian)
         rng = np.random.default_rng(23)
         pts = inv.sample_ball_points(rng, 50, 1.5)
-        for x in pts:
-            a = inv.invert_xray(data, cfg, x)
-            b = inv.invert_classical_radon(gauss_dataset, x, quad2000)
-            assert abs(a - b) < 5e-3
+        a = inv.reconstruct(data, cfg, pts)
+        b = inv.reconstruct(gauss_dataset, classical_cfg, pts)
+        assert np.max(np.abs(a - b)) < 5e-3
+
+
+class TestBatchReconstruction:
+    """A batch of points spanning several node blocks against single points and per-node loops."""
+
+    @pytest.fixture(scope="class")
+    def quad(self):
+        return xr.fibonacci_sphere(500)
+
+    @pytest.fixture(scope="class")
+    def batch(self, quad):
+        # enough points that the quadrature splits into at least 3 node blocks
+        count = 3 * inv.ROWS // quad.count + 1
+        assert (inv.ROWS // count) * 3 <= quad.count
+        return inv.sample_ball_points(np.random.default_rng(31), count, 1.5)
+
+    @pytest.fixture(scope="class")
+    def dataset(self, unit_gaussian, quad):
+        return inv.build_radon_dataset(unit_gaussian, quad, -8.0, 8.0, 401)
+
+    def branch_data(self, branch, unit_gaussian, dataset):
+        if branch == inv.BRANCH_XRAY:
+            return inv.make_phantom_xray_data(unit_gaussian)
+        return dataset
+
+    @pytest.mark.parametrize("branch", inv.BRANCHES)
+    def test_batch_matches_single_points(self, branch, quad, batch, unit_gaussian, dataset):
+        cfg = inv.ReconstructionConfig(quad, branch=branch)
+        data = self.branch_data(branch, unit_gaussian, dataset)
+        batched = inv.reconstruct(data, cfg, batch)
+        single = np.array([at(data, cfg, x) for x in batch])
+        assert batched.shape == (len(batch),)
+        assert np.max(np.abs(batched - single)) <= 1e-14 * np.max(np.abs(single))
+
+    @pytest.mark.parametrize("branch", inv.BRANCHES)
+    def test_matches_per_node_loop(self, branch, quad, batch, unit_gaussian, dataset):
+        cfg = inv.ReconstructionConfig(quad, branch=branch)
+        data = self.branch_data(branch, unit_gaussian, dataset)
+        h = cfg.diff_step
+        for x in batch[:3]:
+            total = 0.0
+            for k, (node, weight) in enumerate(zip(quad.nodes, quad.weights)):
+                if branch == inv.BRANCH_XRAY:
+                    fwd = data((x + h * node)[None, :], node[None, :])[0]
+                    bwd = data((x - h * node)[None, :], node[None, :])[0]
+                    total += weight * (fwd - bwd) / (2.0 * h)
+                    continue
+                p = xr.Profile1D(dataset.s_min, dataset.s_max, dataset.values[k])
+                if branch == inv.BRANCH_RADON:
+                    filtered = xr.derivative(xr.hilbert_spectral(p))
+                else:
+                    filtered = xr.derivative(xr.derivative(p))
+                total += weight * xr.sample_cubic(filtered, float(np.dot(node, x)))
+            scale = {
+                inv.BRANCH_XRAY: cfg.normalization,
+                inv.BRANCH_RADON: cfg.normalization * inv.RADON_BRANCH_FACTOR,
+                inv.BRANCH_CLASSICAL: inv.CLASSICAL_RADON_CONSTANT,
+            }[branch]
+            expected = scale * total
+            assert abs(at(data, cfg, x) - expected) <= 1e-12 * max(abs(expected), 1e-3)
+
+    def test_lemma9_batch_matches_single_points(self, quad, batch, unit_gaussian):
+        rep = inv.lemma9_diagnostic(unit_gaussian, batch, quad)
+        # The right side nearly cancels, so both sides are compared on the
+        # scale of the left one, the size of the integrands; the ratio
+        # inherits the right side's relative error.
+        tol = 1e-14 * np.max(np.abs(rep.left))
+        for i, x in enumerate(batch[::10]):
+            one = lemma9_at(unit_gaussian, x, quad)
+            j = 10 * i
+            assert abs(rep.left[j] - one.left) <= tol
+            assert abs(rep.right[j] - one.right) <= tol
+            assert abs(rep.difference[j] - one.difference) <= 2.0 * tol
+            assert abs(rep.ratio[j] - one.ratio) <= 2.0 * tol / abs(one.right) * abs(one.ratio)
+
+    def test_rejects_bad_point_shape(self, unit_gaussian, xray_cfg):
+        with pytest.raises(ValueError, match="shape"):
+            inv.reconstruct(inv.make_phantom_xray_data(unit_gaussian), xray_cfg, (0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("branch", inv.BRANCHES)
+    def test_empty_batch(self, branch, quad, unit_gaussian, dataset):
+        cfg = inv.ReconstructionConfig(quad, branch=branch)
+        data = self.branch_data(branch, unit_gaussian, dataset)
+        assert inv.reconstruct(data, cfg, np.zeros((0, 3))).shape == (0,)
+
+    def test_xray_branch_rejects_dataset(self, xray_cfg, gauss_dataset):
+        with pytest.raises(ValueError):
+            at(gauss_dataset, xray_cfg, (0.0, 0.0, 0.0))
+
+
+class TestRadonDataset:
+    def test_rows_equal_profiles(self, unit_gaussian):
+        q = xr.fibonacci_sphere(20)
+        data = inv.build_radon_dataset(unit_gaussian, q, -6.0, 6.0, 101)
+        assert data.values.shape == (20, 101)
+        for node, row in zip(q.nodes, data.values):
+            assert np.array_equal(row, xr.radon_profile(unit_gaussian, node, -6.0, 6.0, 101).values)
+
+    @pytest.mark.parametrize(
+        "nodes, s_min, s_max, values",
+        [
+            (np.eye(3), -1.0, 1.0, np.full((3, 16), np.nan)),
+            (np.eye(3), -1.0, 1.0, np.zeros((3, 7))),
+            (np.eye(3), 1.0, 1.0, np.zeros((3, 16))),
+            (2.0 * np.eye(3), -1.0, 1.0, np.zeros((3, 16))),
+            (np.eye(3), -1.0, 1.0, np.zeros((2, 16))),
+            (np.zeros((0, 3)), -1.0, 1.0, np.zeros((0, 16))),
+        ],
+    )
+    def test_rejects_invalid(self, nodes, s_min, s_max, values):
+        with pytest.raises(ValueError):
+            inv.RadonDataset(nodes, s_min, s_max, values)
 
 
 class TestGrangeatConvert:
@@ -179,27 +299,27 @@ class TestGrangeatConvert:
 
 class TestLemma9Diagnostic:
     def test_zero_phantom(self, quad2000):
-        rep = inv.lemma9_diagnostic(xr.Phantom((), 1.0), (0.0, 0.0, 0.0), quad2000)
+        rep = lemma9_at(xr.Phantom((), 1.0), (0.0, 0.0, 0.0), quad2000)
         assert rep.left == 0.0 and rep.right == 0.0
         assert np.isnan(rep.ratio)
 
     def test_left_side_analytic(self, unit_gaussian, quad2000):
-        rep = inv.lemma9_diagnostic(unit_gaussian, (0.0, 0.0, 0.0), quad2000)
+        rep = lemma9_at(unit_gaussian, (0.0, 0.0, 0.0), quad2000)
         assert abs(rep.left - 4.0 * np.pi * np.sqrt(np.pi)) < 1e-3
 
     def test_homogeneity(self, quad2000):
         ph1 = xr.gaussian_phantom(amplitude=1.0)
         ph3 = xr.gaussian_phantom(amplitude=3.0)
         x = (0.8, 0.1, -0.2)
-        a = inv.lemma9_diagnostic(ph1, x, quad2000)
-        b = inv.lemma9_diagnostic(ph3, x, quad2000)
+        a = lemma9_at(ph1, x, quad2000)
+        b = lemma9_at(ph3, x, quad2000)
         assert abs(b.left - 3.0 * a.left) < 1e-9
         assert abs(b.right - 3.0 * a.right) < 1e-9
 
     def test_rejects_ball_phantom(self, quad2000):
         ball = xr.Phantom((xr.Primitive(xr.BALL, (0, 0, 0), 1.0, 1.0),), 6.0)
         with pytest.raises(ValueError):
-            inv.lemma9_diagnostic(ball, (0, 0, 0), quad2000)
+            lemma9_at(ball, (0, 0, 0), quad2000)
 
 
 class TestCalibrateNormalization:
@@ -223,8 +343,8 @@ class TestCalibrateNormalization:
         # reconstruction with the fitted scale is unchanged
         x = (0.3, 0.2, 0.0)
         unit_cfg = inv.ReconstructionConfig(quad2000, normalization=1.0)
-        a = base.scale * inv.invert_xray(data, unit_cfg, x)
-        b = scaled.scale * inv.invert_xray(doubled, unit_cfg, x)
+        a = base.scale * at(data, unit_cfg, x)
+        b = scaled.scale * at(doubled, unit_cfg, x)
         assert abs(a - b) < 1e-6
 
     def test_zero_phantom_rejected(self, quad2000):

@@ -184,3 +184,21 @@ class TestPhantomFiles:
     def test_parse_rejects_bad_field_count(self):
         with pytest.raises(ValueError):
             phm.parse_phantom("gaussian 0 0 0 1\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "support_radius nan\ngaussian 0 0 0 1 1\n",
+            "support_radius inf\ngaussian 0 0 0 1 1\n",
+            "gaussian 0 0 0 1 nan\n",
+            "gaussian 0 0 0 1 inf\n",
+            "gaussian nan 0 0 1 1\n",
+            "support_radius 7\ngaussian 0 0 0 nan 1\n",
+            "support_radius 7\nball 0 0 0 inf 1\n",
+        ],
+    )
+    def test_load_rejects_non_finite(self, tmp_path, text):
+        path = tmp_path / "ph.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="finite"):
+            xr.load_phantom(path)

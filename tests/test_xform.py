@@ -165,6 +165,26 @@ class TestCsvIO:
         assert np.allclose(back.values, rp.values)
         assert back.s_min == rp.s_min and back.s_max == rp.s_max
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "n1,n2,n3\n",
+            "n1,n2,n3\n0,0,1\ns,value\n",
+            "n1,n2,n3\n0,0,1\ns,value\n0,1\n0.5,x\n",
+            "n1,n2,n3\n0,0\ns,value\n" + "".join(f"{i},0\n" for i in range(8)),
+            "n1,n2,n3\n0,0,1\ns,value\n" + "".join(f"{i},0,0\n" for i in range(8)),
+            "n1,n2,n3\n0,0,1\ns,value\n0,0\n1,0\n",
+        ],
+    )
+    def test_read_profile_rejects_malformed(self, tmp_path, text):
+        from xradon.xform import read_profile_csv
+
+        path = tmp_path / "bad_profile.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="bad_profile.csv"):
+            read_profile_csv(path)
+
     def test_xray_csv_header(self, unit_gaussian, tmp_path):
         from xradon.xform import write_xray_csv
 
