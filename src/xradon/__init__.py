@@ -21,6 +21,7 @@ from .phantom import (
     load_phantom,
     plane_integral,
     rasterize,
+    ray_differences,
     save_phantom,
 )
 from .xform import (
@@ -57,6 +58,7 @@ from .inversion import (
     calibrate_normalization,
     grangeat_convert,
     lemma9_diagnostic,
+    lift_xray_data,
     make_phantom_xray_data,
     phantom_data,
     read_volume,

@@ -70,10 +70,10 @@ class ReconstructionConfig:
     branch: str = BRANCH_XRAY
 
     def __post_init__(self):
-        if not self.diff_step > 0.0:
-            raise ValueError("diff_step must be positive")
-        if self.normalization == 0.0:
-            raise ValueError("normalization must be nonzero")
+        if not (np.isfinite(self.diff_step) and self.diff_step > 0.0):
+            raise ValueError(f"diff_step must be positive and finite, got {self.diff_step!r}")
+        if not (np.isfinite(self.normalization) and self.normalization != 0.0):
+            raise ValueError(f"normalization must be nonzero and finite, got {self.normalization!r}")
         if self.branch not in BRANCHES:
             raise ValueError(f"unknown branch {self.branch!r}")
 
@@ -141,7 +141,11 @@ def _check_dataset(data, quadrature):
 
 
 def make_phantom_xray_data(ph):
-    """Batched divergent-beam data callable backed by the analytic phantom."""
+    """Batched divergent-beam data callable (x, n) backed by the analytic phantom.
+
+    This is the ray form grangeat_convert reads; lift_xray_data turns it
+    into the form the xray branch of reconstruct reads.
+    """
 
     def ph_data(points, directions):
         return ph_mod.halfline_integral(ph, points, directions)
@@ -149,11 +153,35 @@ def make_phantom_xray_data(ph):
     return ph_data
 
 
+def lift_xray_data(xdata):
+    """The ray-difference form read by the xray branch, from divergent-beam data.
+
+    xdata(x, n) takes (K, 3) arrays to (K,) values.  The result is
+    data(points, h) -> diff(nodes), with diff giving the (B, P) array of
+    xdata(x + h n, n) - xdata(x - h n, n); it calls xdata twice per node
+    block.  This is the path for non-analytic data and the reference for
+    the closed form phantom.ray_differences.
+    """
+
+    def data(points, h):
+        def diff(nodes):
+            n = _rays(points, nodes)[1]
+            step = h * nodes[:, None, :]
+            fwd = np.asarray(xdata((points + step).reshape(-1, 3), n), dtype=float)
+            bwd = np.asarray(xdata((points - step).reshape(-1, 3), n), dtype=float)
+            return (fwd - bwd).reshape(nodes.shape[0], -1)
+
+        return diff
+
+    return data
+
+
 def phantom_data(ph, cfg, s_range=None, s_count=1025):
-    """The analytic input of cfg.branch: an x-ray data callable, or a RadonDataset
-    on s_range (default: the support radius plus 2 on each side)."""
+    """The analytic input of cfg.branch: closed-form ray differences
+    (phantom.ray_differences), or a RadonDataset on s_range (default: the
+    support radius plus 2 on each side)."""
     if cfg.branch == BRANCH_XRAY:
-        return make_phantom_xray_data(ph)
+        return lambda points, h: ph_mod.ray_differences(ph, points, h)
     radius = ph.support_radius + 2.0
     s_min, s_max = s_range or (-radius, radius)
     return build_radon_dataset(ph, cfg.quadrature, s_min, s_max, s_count)
@@ -213,10 +241,11 @@ def _backproject(filtered, data, quadrature, points):
 def reconstruct(data, cfg, points):
     """Reconstruct the density at a (P, 3) batch of points with cfg.branch; returns (P,).
 
-    xray: `data` is batched divergent-beam data ph_data(points, directions)
-    taking (K, 3) arrays to (K,) values; the result is normalization *
-    sum_k w_k * n_k . grad_x Xf(x, n_k), by a central difference of step
-    diff_step.  radon: `data` is a RadonDataset on the quadrature nodes;
+    xray: `data(points, diff_step)` returns diff(nodes), the (B, P) ray
+    differences Xf(x + h n, n) - Xf(x - h n, n) with h = diff_step (see
+    phantom_data, and lift_xray_data for (x, n) data); the result is
+    normalization * sum_k w_k * n_k . grad_x Xf(x, n_k), by that central
+    difference.  radon: `data` is a RadonDataset on the quadrature nodes;
     the result is normalization * sum_k w_k * (-2*pi) * d/ds (H Rf)(n_k, s)
     at s = x . n_k, by cubic interpolation in s.  classical_radon: the
     textbook inversion -(1/(8*pi^2)) * sum_k w_k * d^2/ds^2 Rf(n_k, x . n_k);
@@ -228,18 +257,13 @@ def reconstruct(data, cfg, points):
         if not callable(data):
             raise ValueError(f"the xray branch needs a data callable, got {type(data).__name__}")
         h = cfg.diff_step
-        # Written out rather than through _sphere_sum: fwd and bwd then live
-        # until the next block's replace them, which keeps the heap from being
-        # trimmed and refaulted for every node (an xray volume measured 10-20%
-        # slower through the closure).
-        acc = np.zeros(points.shape[0])
-        for block in _blocks(quad.count, points.shape[0]):
-            nodes = quad.nodes[block]
-            n = _rays(points, nodes)[1]
-            step = h * nodes[:, None, :]
-            fwd = np.asarray(data((points + step).reshape(-1, 3), n), dtype=float)
-            bwd = np.asarray(data((points - step).reshape(-1, 3), n), dtype=float)
-            acc += quad.weights[block] @ (fwd - bwd).reshape(nodes.shape[0], -1)
+        diff = data(points, h)
+        if not callable(diff):
+            raise ValueError(
+                "xray data(points, h) must return a diff(nodes) callable; "
+                "lift (x, n) ray data with lift_xray_data"
+            )
+        acc = _sphere_sum(quad, points, lambda block, nodes: diff(nodes))
         return cfg.normalization * acc / (2.0 * h)
     _check_dataset(data, quad)
     acc = _backproject(_filter(data, _BRANCH_FILTERS[cfg.branch]), data, quad, points)
@@ -359,9 +383,9 @@ def calibrate_normalization(
     minimizing sum |c * raw(x) - density(x)|^2 together with the RMS
     residual of the fit.
 
-    `data` optionally overrides the phantom-derived input: a batched
-    x-ray callable for the xray branch, or a RadonDataset for the
-    radon branches.
+    `data` optionally overrides the phantom-derived input: ray-difference
+    data (see reconstruct and lift_xray_data) for the xray branch, or a
+    RadonDataset for the radon branches.
     """
     if sampling_radius is None:
         sampling_radius = ph.support_radius / 4.0

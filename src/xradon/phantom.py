@@ -141,6 +141,81 @@ def halfline_integral(ph, x, n):
     return out if out.ndim else float(out)
 
 
+def ray_differences(ph, points, h):
+    """Central-difference ray data Xf(x + h n, n) - Xf(x - h n, n) at a batch of points.
+
+    points has shape (P, 3).  Returns diff(nodes), which takes a (B, 3)
+    array of unit directions to the (B, P) differences.  Along a ray,
+    d^2 = |x - c|^2 - p^2 with p = n.(x - c) is the same at both ends of
+    the step, so per primitive (width or radius a, amplitude A):
+    Gaussian A * a * (sqrt(pi)/2) * exp(-d^2/a^2) * [erfc((p+h)/a) - erfc((p-h)/a)],
+    ball A * [chord(p + h) - chord(p - h)], chord(q) the length ahead of
+    the point at offset q along the ray.  This equals the difference of two
+    halfline_integral calls up to rounding.
+
+    |x - c|^2 is computed once here.  Each diff call forms n . x once for
+    all primitives and writes its temporaries into buffers sized by the
+    largest block seen, so the array it returns is overwritten by the next
+    call.
+    """
+    points = np.asarray(points, dtype=float)
+    r2 = [np.sum((points - prim.center) ** 2, axis=1) for prim in ph.primitives]
+    bufs = None
+
+    def diff(nodes):
+        nonlocal bufs
+        nodes = np.asarray(nodes, dtype=float)
+        rows = nodes.shape[0]
+        if bufs is None or bufs.shape[1] < rows:
+            bufs = np.empty((6, rows, points.shape[0]))
+        out, nx, p, e, u, v = bufs[:, :rows]
+        # n . x term by term, not by a matrix product: BLAS rounds a product
+        # differently for different block shapes, and the 1/(2h) of the
+        # central difference would carry that into the reconstruction.
+        np.multiply(nodes[:, :1], points[:, 0], out=nx)
+        for i in (1, 2):
+            np.multiply(nodes[:, i : i + 1], points[:, i], out=u)
+            nx += u
+        out.fill(0.0)
+        for prim, rr in zip(ph.primitives, r2):
+            a = prim.scale
+            np.subtract(nx, np.sum(nodes * prim.center, axis=1)[:, None], out=p)
+            np.multiply(p, p, out=e)
+            np.subtract(rr, e, out=e)
+            np.maximum(e, 0.0, out=e)  # d^2
+            if prim.kind == GAUSSIAN:
+                np.divide(e, -(a**2), out=e)
+                np.exp(e, out=e)
+                np.add(p, h, out=u)
+                np.divide(u, a, out=u)
+                erfc(u, out=u)
+                np.subtract(p, h, out=v)
+                np.divide(v, a, out=v)
+                erfc(v, out=v)
+                u -= v
+                u *= e
+                u *= prim.amplitude * a * (SQRT_PI / 2.0)
+                out += u
+                continue
+            np.subtract(a * a, e, out=e)
+            np.maximum(e, 0.0, out=e)
+            np.sqrt(e, out=e)  # half chord of the ray's line, 0 off the ball
+            for sign in (1.0, -1.0):
+                # chord(q) = max(root - q, 0) - max(-(root + q), 0) at q = p +- h
+                np.add(p, sign * h, out=u)
+                np.subtract(e, u, out=v)
+                np.maximum(v, 0.0, out=v)
+                np.add(e, u, out=u)
+                np.negative(u, out=u)
+                np.maximum(u, 0.0, out=u)
+                v -= u
+                v *= sign * prim.amplitude
+                out += v
+        return out
+
+    return diff
+
+
 def line_integral(ph, x, n):
     """Full-line integral through x in direction n, by its own closed form."""
     x = np.asarray(x, dtype=float)

@@ -69,7 +69,7 @@ def test_criterion_3_xray_branch_reconstruction(unit_gaussian, quad2000):
     grid = xr.cube_grid(3.0, 33)
     cfg = inv.ReconstructionConfig(quad2000, diff_step=1e-4,
                                    normalization=inv.XRAY_BRANCH_CONSTANT)
-    data = inv.make_phantom_xray_data(unit_gaussian)
+    data = inv.phantom_data(unit_gaussian, cfg)
     vol = grid.with_samples(inv.reconstruct(data, cfg, grid.points()))
     truth = xr.evaluate(unit_gaussian, grid.points())
     rel_l2 = float(np.linalg.norm(vol.samples - truth) / np.linalg.norm(truth))

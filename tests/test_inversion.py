@@ -27,18 +27,23 @@ def lemma9_at(ph, x, quadrature):
     return inv.Lemma9Report(*(float(v[0]) for v in (rep.left, rep.right, rep.ratio, rep.difference)))
 
 
+def lifted(ph):
+    """The phantom's ray data (x, n) lifted into the xray branch's ray-difference form."""
+    return inv.lift_xray_data(inv.make_phantom_xray_data(ph))
+
+
 def zero_dataset(quadrature):
     return inv.RadonDataset(quadrature.nodes, -4.0, 4.0, np.zeros((quadrature.count, 64)))
 
 
 class TestInvertXray:
     def test_unit_gaussian_at_origin(self, unit_gaussian, xray_cfg):
-        data = inv.make_phantom_xray_data(unit_gaussian)
+        data = inv.phantom_data(unit_gaussian, xray_cfg)
         val = at(data, xray_cfg, (0.0, 0.0, 0.0))
         assert abs(val - 1.0) < 1e-3
 
     def test_zero_phantom(self, xray_cfg):
-        data = inv.make_phantom_xray_data(xr.Phantom((), 1.0))
+        data = inv.phantom_data(xr.Phantom((), 1.0), xray_cfg)
         assert at(data, xray_cfg, (0.0, 0.0, 0.0)) == 0.0
 
     def test_two_gaussians(self, xray_cfg):
@@ -49,7 +54,7 @@ class TestInvertXray:
             ),
             7.0,
         )
-        val = at(inv.make_phantom_xray_data(ph), xray_cfg, (1.0, 0.0, 0.0))
+        val = at(inv.phantom_data(ph, xray_cfg), xray_cfg, (1.0, 0.0, 0.0))
         assert abs(val - (1.0 + np.exp(-4.0))) < 2e-3
 
     def test_branch_mismatch_rejected(self, unit_gaussian, quad2000):
@@ -62,11 +67,9 @@ class TestInvertXray:
         rng = np.random.default_rng(5)
         x = rng.uniform(-1.0, 1.0, size=3)
         h = 1e-4
-        data = inv.make_phantom_xray_data(unit_gaussian)
+        diff = lifted(unit_gaussian)(x[None, :], h)
         nodes = quad2000.nodes[::100]
-        fwd = data(x[None, :] + h * nodes, nodes)
-        bwd = data(x[None, :] - h * nodes, nodes)
-        deriv = (fwd - bwd) / (2 * h)
+        deriv = diff(nodes)[:, 0] / (2 * h)
         assert np.max(np.abs(deriv + xr.evaluate(unit_gaussian, x))) < 1e-5
 
     def test_shift_equivariance(self, quad2000):
@@ -77,16 +80,16 @@ class TestInvertXray:
         rng = np.random.default_rng(17)
         for _ in range(5):
             x = rng.uniform(-1.0, 1.0, size=3)
-            a = at(inv.make_phantom_xray_data(base), cfg, x)
-            b = at(inv.make_phantom_xray_data(moved), cfg, x + shift)
+            a = at(inv.phantom_data(base, cfg), cfg, x)
+            b = at(inv.phantom_data(moved, cfg), cfg, x + shift)
             assert abs(a - b) < 1e-3
 
     def test_linearity_in_data(self, unit_gaussian, xray_cfg):
-        data = inv.make_phantom_xray_data(unit_gaussian)
-        doubled = lambda pts, dirs: 2.0 * data(pts, dirs)
+        xdata = inv.make_phantom_xray_data(unit_gaussian)
+        doubled = lambda pts, dirs: 2.0 * xdata(pts, dirs)
         x = (0.4, 0.1, -0.2)
-        a = at(data, xray_cfg, x)
-        b = at(doubled, xray_cfg, x)
+        a = at(inv.lift_xray_data(xdata), xray_cfg, x)
+        b = at(inv.lift_xray_data(doubled), xray_cfg, x)
         assert abs(b - 2.0 * a) < 1e-12
 
 
@@ -139,7 +142,7 @@ class TestClassicalRadon:
 
     def test_agrees_with_xray_branch(self, unit_gaussian, quad2000, gauss_dataset, classical_cfg):
         cfg = inv.ReconstructionConfig(quad2000)
-        data = inv.make_phantom_xray_data(unit_gaussian)
+        data = inv.phantom_data(unit_gaussian, cfg)
         rng = np.random.default_rng(23)
         pts = inv.sample_ball_points(rng, 50, 1.5)
         a = inv.reconstruct(data, cfg, pts)
@@ -165,15 +168,15 @@ class TestBatchReconstruction:
     def dataset(self, unit_gaussian, quad):
         return inv.build_radon_dataset(unit_gaussian, quad, -8.0, 8.0, 401)
 
-    def branch_data(self, branch, unit_gaussian, dataset):
-        if branch == inv.BRANCH_XRAY:
-            return inv.make_phantom_xray_data(unit_gaussian)
+    def branch_data(self, cfg, unit_gaussian, dataset):
+        if cfg.branch == inv.BRANCH_XRAY:
+            return inv.phantom_data(unit_gaussian, cfg)
         return dataset
 
     @pytest.mark.parametrize("branch", inv.BRANCHES)
     def test_batch_matches_single_points(self, branch, quad, batch, unit_gaussian, dataset):
         cfg = inv.ReconstructionConfig(quad, branch=branch)
-        data = self.branch_data(branch, unit_gaussian, dataset)
+        data = self.branch_data(cfg, unit_gaussian, dataset)
         batched = inv.reconstruct(data, cfg, batch)
         single = np.array([at(data, cfg, x) for x in batch])
         assert batched.shape == (len(batch),)
@@ -182,15 +185,14 @@ class TestBatchReconstruction:
     @pytest.mark.parametrize("branch", inv.BRANCHES)
     def test_matches_per_node_loop(self, branch, quad, batch, unit_gaussian, dataset):
         cfg = inv.ReconstructionConfig(quad, branch=branch)
-        data = self.branch_data(branch, unit_gaussian, dataset)
+        data = self.branch_data(cfg, unit_gaussian, dataset)
         h = cfg.diff_step
         for x in batch[:3]:
             total = 0.0
+            diff = lifted(unit_gaussian)(x[None, :], h)
             for k, (node, weight) in enumerate(zip(quad.nodes, quad.weights)):
                 if branch == inv.BRANCH_XRAY:
-                    fwd = data((x + h * node)[None, :], node[None, :])[0]
-                    bwd = data((x - h * node)[None, :], node[None, :])[0]
-                    total += weight * (fwd - bwd) / (2.0 * h)
+                    total += weight * diff(node[None, :])[0, 0] / (2.0 * h)
                     continue
                 p = xr.Profile1D(dataset.s_min, dataset.s_max, dataset.values[k])
                 if branch == inv.BRANCH_RADON:
@@ -205,6 +207,32 @@ class TestBatchReconstruction:
             }[branch]
             expected = scale * total
             assert abs(at(data, cfg, x) - expected) <= 1e-12 * max(abs(expected), 1e-3)
+
+    @pytest.mark.parametrize("phantom", ["unit", "two"])
+    def test_fused_xray_matches_lifted_reference(self, phantom, quad, batch, unit_gaussian):
+        # the batch takes full node blocks and a shorter last one
+        step = inv.ROWS // len(batch)
+        assert quad.count // step >= 3 and quad.count % step != 0
+        ph = unit_gaussian if phantom == "unit" else xr.Phantom(
+            (
+                xr.Primitive(xr.GAUSSIAN, (0.5, 0.0, 0.2), 0.8, 1.0),
+                xr.Primitive(xr.GAUSSIAN, (-0.7, 0.3, 0.0), 0.6, -0.5),
+            ),
+            6.0,
+        )
+        cfg = inv.ReconstructionConfig(quad)
+        fused = inv.reconstruct(inv.phantom_data(ph, cfg), cfg, batch)
+        ref = inv.reconstruct(lifted(ph), cfg, batch)
+        assert np.max(np.abs(fused - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_second_call_leaves_first_result(self, quad, batch, unit_gaussian):
+        cfg = inv.ReconstructionConfig(quad)
+        data = inv.phantom_data(unit_gaussian, cfg)
+        first = inv.reconstruct(data, cfg, batch)
+        kept = first.copy()
+        second = inv.reconstruct(data, cfg, 0.5 * batch)
+        assert np.array_equal(first, kept)
+        assert not np.shares_memory(first, second)
 
     def test_lemma9_batch_matches_single_points(self, quad, batch, unit_gaussian):
         rep = inv.lemma9_diagnostic(unit_gaussian, batch, quad)
@@ -222,17 +250,21 @@ class TestBatchReconstruction:
 
     def test_rejects_bad_point_shape(self, unit_gaussian, xray_cfg):
         with pytest.raises(ValueError, match="shape"):
-            inv.reconstruct(inv.make_phantom_xray_data(unit_gaussian), xray_cfg, (0.0, 0.0, 0.0))
+            inv.reconstruct(inv.phantom_data(unit_gaussian, xray_cfg), xray_cfg, (0.0, 0.0, 0.0))
 
     @pytest.mark.parametrize("branch", inv.BRANCHES)
     def test_empty_batch(self, branch, quad, unit_gaussian, dataset):
         cfg = inv.ReconstructionConfig(quad, branch=branch)
-        data = self.branch_data(branch, unit_gaussian, dataset)
+        data = self.branch_data(cfg, unit_gaussian, dataset)
         assert inv.reconstruct(data, cfg, np.zeros((0, 3))).shape == (0,)
 
     def test_xray_branch_rejects_dataset(self, xray_cfg, gauss_dataset):
         with pytest.raises(ValueError):
             at(gauss_dataset, xray_cfg, (0.0, 0.0, 0.0))
+
+    def test_xray_branch_rejects_ray_callable(self, xray_cfg, unit_gaussian):
+        with pytest.raises(ValueError, match="lift_xray_data"):
+            at(inv.make_phantom_xray_data(unit_gaussian), xray_cfg, (0.0, 0.0, 0.0))
 
 
 class TestRadonDataset:
@@ -336,8 +368,9 @@ class TestCalibrateNormalization:
     def test_prescaled_data_halves_scale(self, unit_gaussian, quad2000):
         cfg = inv.ReconstructionConfig(quad2000)
         base = inv.calibrate_normalization(unit_gaussian, cfg)
-        data = inv.make_phantom_xray_data(unit_gaussian)
-        doubled = lambda pts, dirs: 2.0 * data(pts, dirs)
+        xdata = inv.make_phantom_xray_data(unit_gaussian)
+        data = inv.lift_xray_data(xdata)
+        doubled = inv.lift_xray_data(lambda pts, dirs: 2.0 * xdata(pts, dirs))
         scaled = inv.calibrate_normalization(unit_gaussian, cfg, data=doubled)
         assert abs(scaled.scale - base.scale / 2.0) < 1e-9
         # reconstruction with the fitted scale is unchanged
@@ -364,6 +397,20 @@ class TestReconstructionConfig:
     def test_rejects_unknown_branch(self, quad2000):
         with pytest.raises(ValueError):
             inv.ReconstructionConfig(quad2000, branch="fourier")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("diff_step", np.inf),
+            ("diff_step", np.nan),
+            ("normalization", np.nan),
+            ("normalization", np.inf),
+            ("normalization", -np.inf),
+        ],
+    )
+    def test_rejects_non_finite(self, quad2000, field, value):
+        with pytest.raises(ValueError, match=field):
+            inv.ReconstructionConfig(quad2000, **{field: value})
 
 
 class TestVolumeIO:

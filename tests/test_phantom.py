@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import xradon as xr
 from xradon import phantom as phm
@@ -72,6 +74,163 @@ class TestHalflineIntegral:
         n /= np.linalg.norm(n)
         numeric = ray_march_density(unit_gaussian, x, n, step=1e-3)
         assert abs(numeric - xr.halfline_integral(unit_gaussian, x, n)) < 1e-5
+
+
+# Fixed example sequence: the properties run the same cases on every run.
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+KINDS = st.sampled_from((xr.GAUSSIAN, xr.BALL))
+STEPS = st.floats(-6.0, np.log10(0.5)).map(lambda e: 10.0**e)  # h from 1e-6 to 0.5
+
+
+@st.composite
+def unit_vectors(draw):
+    v = np.array(draw(st.tuples(*(st.floats(-1.0, 1.0),) * 3)))
+    norm = np.linalg.norm(v)
+    assume(norm > 0.1)
+    return v / norm
+
+
+@st.composite
+def phantoms(draw, kinds=KINDS):
+    prims = [
+        xr.Primitive(
+            draw(kinds),
+            draw(st.tuples(*(st.floats(-1.0, 1.0),) * 3)),
+            draw(st.floats(0.3, 1.2)),
+            draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(0.1, 2.0)),
+        )
+        for _ in range(draw(st.integers(1, 2)))
+    ]
+    return xr.Phantom(tuple(prims), phm.min_support_radius(prims))
+
+
+def integrand_scale(ph):
+    """The largest half-line integral of any primitive, summed over primitives."""
+    return sum(
+        abs(p.amplitude) * p.scale * (SQRT_PI if p.kind == xr.GAUSSIAN else 2.0)
+        for p in ph.primitives
+    )
+
+
+def halfline_differences(ph, points, nodes, h):
+    """(B, P) reference: two halfline_integral calls per ray."""
+    x = points[None, :, :]
+    n = nodes[:, None, :]
+    return xr.halfline_integral(ph, x + h * n, n) - xr.halfline_integral(ph, x - h * n, n)
+
+
+def well_conditioned(ph, points, nodes, h):
+    """(B, P) mask of rays the reference resolves to 1e-12.
+
+    Near a ball's tangent the chord is the square root of a cancelling
+    difference a^2 - d^2, and the reference recomputes d^2 at each end of the
+    step, so its rounding is amplified there; exact tangents are checked on
+    exactly representable rays instead.
+    """
+    keep = np.ones((len(nodes), len(points)), dtype=bool)
+    for prim in ph.primitives:
+        if prim.kind != xr.BALL:
+            continue
+        rel = points - prim.center
+        p = nodes @ rel.T
+        r2 = np.sum(rel * rel, axis=1)
+        d2 = r2 - p * p
+        keep &= np.abs(prim.scale**2 - d2) > 1e-2 * (r2 + (np.abs(p) + h) ** 2)
+    return keep
+
+
+class TestRayDifferences:
+    """The fused closed form against two halfline_integral calls and a midpoint rule."""
+
+    @PROPERTY
+    @given(
+        ph=phantoms(),
+        nodes=st.lists(unit_vectors(), min_size=1, max_size=4),
+        dirs=st.lists(unit_vectors(), min_size=1, max_size=4),
+        radii=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+        h=STEPS,
+        outside=st.booleans(),
+    )
+    def test_matches_halfline_difference(self, ph, nodes, dirs, radii, h, outside):
+        # points inside the support ball, or between it and 2 beyond it
+        R = ph.support_radius
+        r = R + 2.0 * np.array(radii[: len(dirs)]) if outside else R * np.array(radii[: len(dirs)])
+        points = r[:, None] * np.array(dirs)
+        nodes = np.array(nodes)
+        fused = phm.ray_differences(ph, points, h)(nodes)
+        ref = halfline_differences(ph, points, nodes, h)
+        keep = well_conditioned(ph, points, nodes, h)
+        assert fused.shape == (len(nodes), len(points))
+        assert np.all(np.abs(fused - ref)[keep] <= 1e-12 * integrand_scale(ph))
+
+    @PROPERTY
+    @given(ph=phantoms(), n=unit_vectors(), ts=st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=4), h=STEPS)
+    def test_rays_through_centre(self, ph, n, ts, h):
+        # every ray runs along n through the first primitive's centre: d^2 = 0
+        points = ph.primitives[0].center + np.array(ts)[:, None] * n
+        fused = phm.ray_differences(ph, points, h)(n[None, :])
+        ref = halfline_differences(ph, points, n[None, :], h)
+        keep = well_conditioned(ph, points, n[None, :], h)
+        assert np.all(np.abs(fused - ref)[keep] <= 1e-12 * integrand_scale(ph))
+
+    @PROPERTY
+    @given(
+        c=st.tuples(*(st.integers(-8, 8),) * 3),
+        radius=st.integers(4, 16),
+        axes=st.permutations((0, 1, 2)),
+        signs=st.tuples(st.sampled_from((-1.0, 1.0)), st.sampled_from((-1.0, 1.0))),
+        ts=st.lists(st.integers(-48, 48), min_size=1, max_size=4),
+        level=st.integers(1, 20),
+    )
+    def test_rays_tangent_to_ball(self, c, radius, axes, signs, ts, level):
+        # dyadic geometry, exact in floating point: each ray runs along
+        # axis i at distance a from the centre, touching the ball at one point
+        a = radius / 16.0
+        centre = np.array(c) / 8.0
+        ball = xr.Phantom((xr.Primitive(xr.BALL, centre, a, 1.5),), 8.0)
+        i, j = axes[0], axes[1]
+        n = np.zeros(3)
+        n[i] = signs[0]
+        points = np.tile(centre, (len(ts), 1))
+        points[:, j] += signs[1] * a
+        points[:, i] += np.array(ts) / 16.0
+        h = 2.0**-level  # 0.5 down to 9.5e-7
+        fused = phm.ray_differences(ball, points, h)(n[None, :])
+        ref = halfline_differences(ball, points, n[None, :], h)
+        assert np.all(fused == 0.0)
+        assert np.all(np.abs(fused - ref) <= 1e-12 * integrand_scale(ball))
+
+    @PROPERTY
+    @given(
+        ph=phantoms(kinds=st.just(xr.GAUSSIAN)),
+        n=unit_vectors(),
+        x=st.tuples(*(st.floats(-3.0, 3.0),) * 3),
+        h=STEPS,
+    )
+    def test_gaussian_midpoint_rule(self, ph, n, x, h):
+        # -int_{-h}^{h} f(x + t n) dt by a composite midpoint rule whose
+        # error is at most (2h)^3 / (24 M^2) * max|f''|, max|f''| <= sum 2|A|/a^2
+        m = 2000
+        x = np.array(x)
+        t = -h + (np.arange(m) + 0.5) * (2.0 * h / m)
+        midpoint = -np.sum(xr.evaluate(ph, x + t[:, None] * n)) * (2.0 * h / m)
+        curvature = sum(2.0 * abs(p.amplitude) / p.scale**2 for p in ph.primitives)
+        bound = (2.0 * h) ** 3 / (24.0 * m * m) * curvature + 1e-13 * integrand_scale(ph)
+        fused = phm.ray_differences(ph, x[None, :], h)(n[None, :])[0, 0]
+        assert abs(fused - midpoint) <= bound
+
+    def test_buffers_follow_block_size(self, unit_gaussian):
+        # blocks of 5, 2 and 7 nodes: a shorter block uses a leading slice, a
+        # longer one new buffers; each result equals a fresh call's
+        points = xr.fibonacci_sphere(30).nodes * 0.7
+        nodes = xr.fibonacci_sphere(14).nodes
+        diff = phm.ray_differences(unit_gaussian, points, 1e-3)
+        for block in (slice(0, 5), slice(5, 7), slice(7, 14)):
+            got = diff(nodes[block]).copy()
+            fresh = phm.ray_differences(unit_gaussian, points, 1e-3)(nodes[block])
+            assert got.shape == (block.stop - block.start, 30)
+            assert np.array_equal(got, fresh)
 
 
 class TestPlaneIntegral:
