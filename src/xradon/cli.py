@@ -112,24 +112,44 @@ def _volume_grid(cfg):
 
 
 class _OutputSet:
-    """Tracks written files so a failed command leaves no partial outputs."""
+    """The output files of one command, moved into place only if all are written.
+
+    path(name) hands out a temporary name in outdir.  Leaving the `with`
+    block normally moves every file to its own name with os.replace; an
+    exception removes the temporary files and any already moved, so a
+    failed or killed command leaves no partial output under a final name.
+    """
 
     def __init__(self, outdir):
         self.outdir = outdir
-        self.written = []
+        self.pending = []  # (temporary path, final path)
+        self.moved = []
         os.makedirs(outdir, exist_ok=True)
 
     def path(self, name):
-        p = os.path.join(self.outdir, name)
-        self.written.append(p)
-        return p
+        final = os.path.join(self.outdir, name)
+        temp = os.path.join(self.outdir, f".{name}.{os.getpid()}.tmp")
+        self.pending.append((temp, final))
+        return temp
 
-    def discard(self):
-        for p in self.written:
-            try:
-                os.remove(p)
-            except OSError:
-                pass
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        complete = False
+        try:
+            if exc_type is None:
+                for temp, final in self.pending:
+                    os.replace(temp, final)
+                    self.moved.append(final)
+                complete = True
+        finally:
+            if not complete:
+                for p in [temp for temp, _ in self.pending] + self.moved:
+                    try:
+                        os.remove(p)
+                    except OSError:
+                        pass
 
 
 def _write_manifest(out, cfg, files):
@@ -175,30 +195,22 @@ def cmd_forward(args):
     cfg = load_config(args)
     ph = _load_phantom(cfg)
     quad = fibonacci_sphere(cfg.nodes)
-    out = _OutputSet(cfg.outdir)
-    try:
-        files = []
+    with _OutputSet(cfg.outdir) as out:
         if cfg.branch == inversion.BRANCH_XRAY:
             rng = np.random.default_rng(cfg.seed)
             pts = inversion.sample_ball_points(rng, cfg.points, ph.support_radius / 4.0)
-            xs = np.repeat(pts, quad.count, axis=0)
-            ns = np.tile(quad.nodes, (cfg.points, 1))
-            values = ph_mod.halfline_integral(ph, xs, ns)
-            name = "xray.csv"
-            xform.write_xray_csv(out.path(name), xs, ns, values)
-            files.append(name)
+            values = ph_mod.halfline_integral(ph, pts[:, None, :], quad.nodes)
+            files = ["xray.csv"]
+            xform.write_xray_csv(out.path(files[0]), pts, quad.nodes, values)
         else:
+            data = inversion.build_radon_dataset(ph, quad, cfg.s_min, cfg.s_max, cfg.s_count)
             width = len(str(quad.count - 1))
-            for k, node in enumerate(quad.nodes):
-                rp = xform.radon_profile(ph, node, cfg.s_min, cfg.s_max, cfg.s_count)
-                name = f"profile_{k:0{width}d}.csv"
-                xform.write_profile_csv(out.path(name), rp)
-                files.append(name)
+            files = [f"profile_{k:0{width}d}.csv" for k in range(quad.count)]
+            xform.write_profiles_csv(
+                [out.path(name) for name in files], data.nodes, data.s_min, data.s_max, data.values
+            )
         _write_manifest(out, cfg, files)
-    except Exception:
-        out.discard()
-        raise
-    print(f"wrote {len(out.written)} files to {cfg.outdir}")
+    print(f"wrote {len(files) + 1} files to {cfg.outdir}")
     return 0
 
 
@@ -230,8 +242,7 @@ def _metrics(ph, vol):
 def cmd_invert(args):
     cfg = load_config(args)
     ph = _load_phantom(cfg)
-    out = _OutputSet(cfg.outdir)
-    try:
+    with _OutputSet(cfg.outdir) as out:
         vol, rcfg = _reconstruct(ph, cfg)
         inversion.write_volume(
             out.path("volume.raw"),
@@ -251,9 +262,6 @@ def cmd_invert(args):
         with open(out.path("metrics.csv"), "w", encoding="utf-8", newline="\n") as fh:
             fh.write("rel_l2,max_err,fitted_scale\n")
             fh.write(f"{rel_l2:.17g},{max_err:.17g},{fitted:.17g}\n")
-    except Exception:
-        out.discard()
-        raise
     print(f"branch={cfg.branch} rel_l2={rel_l2:.6g} max_err={max_err:.6g}")
     return 0
 
@@ -264,8 +272,7 @@ def cmd_check(args):
     if not ph.is_smooth:
         raise CliError("check requires a smooth (gaussian-only) phantom")
     quad = fibonacci_sphere(cfg.nodes)
-    out = _OutputSet(cfg.outdir)
-    try:
+    with _OutputSet(cfg.outdir) as out:
         xdata = inversion.make_phantom_xray_data(ph)
         n = np.array([1.0, 0.0, 0.0])
         sweep = np.linspace(-2.0, 2.0, 41)
@@ -287,9 +294,6 @@ def cmd_check(args):
             rep = inversion.lemma9_diagnostic(ph, pts, quad)
             for row in np.column_stack((pts, rep.left, rep.right, rep.ratio, rep.difference)):
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    except Exception:
-        out.discard()
-        raise
     print(f"wrote checks to {cfg.outdir}")
     return 0
 
@@ -302,8 +306,7 @@ def cmd_calibrate(args):
         quad, cfg.diff_step, cfg.normalization, cfg.branch
     )
     cal = inversion.calibrate_normalization(ph, rcfg, seed=cfg.seed + 1)
-    out = _OutputSet(cfg.outdir)
-    try:
+    with _OutputSet(cfg.outdir) as out:
         result = {
             "branch": cfg.branch,
             "scale": cal.scale,
@@ -313,9 +316,6 @@ def cmd_calibrate(args):
         with open(out.path("calibration.json"), "w", encoding="utf-8", newline="\n") as fh:
             json.dump(result, fh, sort_keys=True, indent=2)
             fh.write("\n")
-    except Exception:
-        out.discard()
-        raise
     print(f"branch={cfg.branch} scale={cal.scale:.8g} residual={cal.residual:.4g}")
     return 0
 

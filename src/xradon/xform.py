@@ -56,15 +56,13 @@ def directional_derivative_xray(ph, x, n, h=1e-4):
     """Central difference of the x-ray data along its own direction.
 
     [X(x + h n, n) - X(x - h n, n)] / (2 h); for smooth densities this
-    equals -density(x) up to O(h^2).
+    equals -density(x) up to O(h^2).  The difference is taken in closed
+    form (phantom.ray_difference_rows), so a ray tangent to a ball gives
+    exactly 0.
     """
     if not h > 0.0:
         raise ValueError("step h must be positive")
-    x = np.asarray(x, dtype=float)
-    n = np.asarray(n, dtype=float)
-    fwd = ph_mod.halfline_integral(ph, x + h * n, n)
-    bwd = ph_mod.halfline_integral(ph, x - h * n, n)
-    return (fwd - bwd) / (2.0 * h)
+    return ph_mod.ray_difference_rows(ph, x, n, h) / (2.0 * h)
 
 
 def radon_profile(ph, n, s_min, s_max, count):
@@ -125,32 +123,67 @@ def xray_numeric(vol, x, n, step):
 
 
 # --- CSV export -------------------------------------------------------------
+#
+# Every number is written as %.17g, which round-trips a float64 exactly, so
+# read_profile_csv returns the written arrays bit for bit.  The writers
+# format each distinct number once and fill a template per point or profile
+# with one %-format over that row's values, converted to Python floats one
+# row at a time so the whole array never exists as float objects.
 
 
-def write_xray_csv(path, xs, ns, values):
-    """Batch x-ray data export: columns x1,x2,x3,n1,n2,n3,value."""
-    xs = np.asarray(xs, dtype=float)
-    ns = np.asarray(ns, dtype=float)
+def _triples(rows):
+    return ["%.17g,%.17g,%.17g" % tuple(r) for r in rows.tolist()]
+
+
+def write_xray_csv(path, points, nodes, values):
+    """X-ray data on every (point, node) pair: columns x1,x2,x3,n1,n2,n3,value.
+
+    points has shape (P, 3), nodes (K, 3) and values (P, K), values[i, k]
+    being the transform at points[i] along nodes[k].  Rows are point-major:
+    the K nodes of the first point, then those of the next.
+    """
+    points = np.asarray(points, dtype=float)
+    nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
-    if xs.shape != ns.shape or xs.shape[:-1] != values.shape or xs.shape[-1] != 3:
+    if (
+        points.ndim != 2
+        or points.shape[1] != 3
+        or nodes.ndim != 2
+        or nodes.shape[1] != 3
+        or values.shape != (points.shape[0], nodes.shape[0])
+    ):
         raise ValueError("inconsistent x-ray batch shapes")
+    # Joined with "x1,x2,x3,", the leading "" puts the point before each row.
+    tails = [""] + [f"{n},%.17g\n" for n in _triples(nodes)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("x1,x2,x3,n1,n2,n3,value\n")
-        for p, d, v in zip(xs, ns, values):
-            fh.write(
-                f"{p[0]:.17g},{p[1]:.17g},{p[2]:.17g},"
-                f"{d[0]:.17g},{d[1]:.17g},{d[2]:.17g},{v:.17g}\n"
-            )
+        for x, row in zip(_triples(points), values):
+            fh.write(f"{x},".join(tails) % tuple(row.tolist()))
+
+
+def write_profiles_csv(paths, nodes, s_min, s_max, values):
+    """Radon profiles, one file each: normal header, then s,value rows.
+
+    values has shape (K, S), row k sampled at S equally spaced offsets
+    from s_min to s_max and written to paths[k] with normal nodes[k].
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if nodes.ndim != 2 or nodes.shape[1] != 3 or values.ndim != 2 or values.shape[0] != nodes.shape[0]:
+        raise ValueError("inconsistent profile dataset shapes")
+    if len(paths) != nodes.shape[0]:
+        raise ValueError(f"{len(paths)} paths for {nodes.shape[0]} profiles")
+    s = np.linspace(s_min, s_max, values.shape[1])
+    rows = "".join("%.17g,%%.17g\n" % v for v in s.tolist())
+    for path, n, row in zip(paths, _triples(nodes), values):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(f"n1,n2,n3\n{n}\ns,value\n")
+            fh.write(rows % tuple(row.tolist()))
 
 
 def write_profile_csv(path, rp):
-    """RadonProfile export: normal header, then s,value rows."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("n1,n2,n3\n")
-        fh.write(f"{rp.n[0]:.17g},{rp.n[1]:.17g},{rp.n[2]:.17g}\n")
-        fh.write("s,value\n")
-        for s, v in zip(rp.s_grid(), rp.values):
-            fh.write(f"{s:.17g},{v:.17g}\n")
+    """RadonProfile export, the one-profile case of write_profiles_csv."""
+    write_profiles_csv([path], rp.n[None], rp.s_min, rp.s_max, rp.values[None])
 
 
 def read_profile_csv(path):
@@ -161,8 +194,9 @@ def read_profile_csv(path):
         raise ValueError(f"{path}: not a radon profile CSV")
     try:
         n = np.array([float(v) for v in lines[1].split(",")])
-        rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[3:]])
-        if rows.ndim != 2 or rows.shape[1] != 2:
+        # comments=None: a "#" in a row is a parse error, not a comment.
+        rows = np.loadtxt(lines[3:], delimiter=",", ndmin=2, comments=None)
+        if rows.shape[1] != 2:
             raise ValueError("expected s,value rows")
         s = rows[:, 0]
         return RadonProfile(n=n, s_min=float(s[0]), s_max=float(s[-1]), values=rows[:, 1])

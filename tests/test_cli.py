@@ -238,3 +238,45 @@ class TestErrorHandling:
         outdir = tmp_path / "o"
         assert run("forward", "--phantom", str(ph), "--outdir", str(outdir)) == 1
         assert not outdir.exists() or os.listdir(outdir) == []
+
+    def test_failed_forward_leaves_no_profiles(self, tmp_path, phantom_file, monkeypatch, capsys):
+        from xradon import xform
+
+        write = xform.write_profiles_csv
+
+        def fail_after_three(paths, nodes, s_min, s_max, values):
+            write(paths[:3], nodes[:3], s_min, s_max, values[:3])
+            raise OSError("disk full after 3 profiles")
+
+        monkeypatch.setattr(xform, "write_profiles_csv", fail_after_three)
+        args = [
+            "forward", "--phantom", str(phantom_file), "--branch", "radon",
+            "--nodes", "20", "--s-count", "32", "--outdir", str(tmp_path / "fwd"),
+        ]
+        assert run(*args) == 1
+        assert "disk full" in capsys.readouterr().err
+        assert os.listdir(tmp_path / "fwd") == []
+        monkeypatch.setattr(xform, "write_profiles_csv", write)
+        assert run(*args) == 0
+        names = sorted(os.listdir(tmp_path / "fwd"))
+        assert names == ["manifest.json"] + [f"profile_{k:02d}.csv" for k in range(20)]
+
+    def test_failed_move_removes_moved_outputs(self, tmp_path, phantom_file, monkeypatch):
+        import xradon.cli
+
+        replace, moved = os.replace, []
+
+        def fail_third_move(src, dst):
+            if len(moved) == 2:
+                raise OSError("no space for the third move")
+            replace(src, dst)
+            moved.append(dst)
+
+        monkeypatch.setattr(xradon.cli.os, "replace", fail_third_move)
+        outdir = tmp_path / "fwd"
+        assert run(
+            "forward", "--phantom", str(phantom_file), "--branch", "radon",
+            "--nodes", "5", "--s-count", "32", "--outdir", str(outdir),
+        ) == 1
+        assert len(moved) == 2
+        assert os.listdir(outdir) == []

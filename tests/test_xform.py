@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import xradon as xr
 from xradon import phantom as phm
+from xradon.xform import read_profile_csv, write_profile_csv, write_profiles_csv, write_xray_csv
 from conftest import ray_march_density
 
 SQRT_PI = np.sqrt(np.pi)
@@ -141,6 +144,32 @@ class TestDirectionalDerivative:
         with pytest.raises(ValueError):
             xr.directional_derivative_xray(unit_gaussian, (0, 0, 0), (1, 0, 0), 0.0)
 
+    @pytest.mark.parametrize("t, h", [(-0.5, 0.1), (-0.75, 0.01), (-2.0, 0.1), (-0.375, 0.3)])
+    def test_tangent_to_ball_is_exact_zero(self, t, h):
+        # Dyadic geometry: the ray from (1, t, 0) along y touches the unit
+        # ball at (1, 0, 0), and d^2 = 1 + t^2 - t^2 = 1 is exact, so the
+        # chord is 0 at both ends of the step.  Two separate half-line
+        # integrals at (1, t +- h, 0) round d^2 differently and do not cancel.
+        ball = xr.Phantom((xr.Primitive(xr.BALL, (0.0, 0.0, 0.0), 1.0, 1.0),), 6.0)
+        assert xr.directional_derivative_xray(ball, (1.0, t, 0.0), (0.0, 1.0, 0.0), h) == 0.0
+
+    def test_rows_match_single_rays(self):
+        ph = xr.Phantom(
+            (
+                xr.Primitive(xr.GAUSSIAN, (0.2, 0.0, -0.1), 0.8, 1.3),
+                xr.Primitive(xr.BALL, (-0.5, 0.4, 0.0), 0.7, 0.9),
+            ),
+            6.0,
+        )
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-1.5, 1.5, size=(4, 6, 3))
+        n = rng.normal(size=(6, 3))
+        n /= np.linalg.norm(n, axis=1)[:, None]
+        rows = xr.directional_derivative_xray(ph, x, n, 1e-3)
+        assert rows.shape == (4, 6)
+        for i, j in np.ndindex(4, 6):
+            assert rows[i, j] == xr.directional_derivative_xray(ph, x[i, j], n[j], 1e-3)
+
 
 class TestTransportIdentity:
     def test_residual_at_random_states(self, unit_gaussian):
@@ -153,17 +182,73 @@ class TestTransportIdentity:
             assert abs(lhs + xr.evaluate(unit_gaussian, x)) < 1e-5
 
 
+# The per-row writers the product-form and dataset writers replaced; the new
+# writers must produce the same bytes.
+def per_row_xray_csv(path, xs, ns, values):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("x1,x2,x3,n1,n2,n3,value\n")
+        for p, d, v in zip(xs, ns, values):
+            fh.write(
+                f"{p[0]:.17g},{p[1]:.17g},{p[2]:.17g},"
+                f"{d[0]:.17g},{d[1]:.17g},{d[2]:.17g},{v:.17g}\n"
+            )
+
+
+def per_row_profile_csv(path, rp):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("n1,n2,n3\n")
+        fh.write(f"{rp.n[0]:.17g},{rp.n[1]:.17g},{rp.n[2]:.17g}\n")
+        fh.write("s,value\n")
+        for s, v in zip(rp.s_grid(), rp.values):
+            fh.write(f"{s:.17g},{v:.17g}\n")
+
+
+# Signed zero, the smallest subnormal, the largest double, integer-valued floats.
+EDGE_VALUES = np.array(
+    [-0.0, 5e-324, 1.7976931348623157e308, 3.0, -2.0, 0.1, -1e-300, 12345678901234567.0, 1.0]
+)
+EDGE_NODES = np.array([[1.0, 0.0, -0.0], [-0.0, -1.0, 0.0], [0.6, 0.8, 0.0], [0.0, -0.0, 1.0]])
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def profiles(draw):
+    v = np.array(draw(st.tuples(*(st.floats(-1.0, 1.0),) * 3)))
+    assume(np.linalg.norm(v) > 0.1)
+    # + 0.0 turns -0.0 into 0.0: the first grid sample, 0 * step + s_min, is
+    # +0.0 for s_min = -0.0, so that sign cannot round-trip.
+    s_min = draw(st.floats(-1e6, 1e6)) + 0.0
+    s_max = s_min + draw(st.floats(1e-300, 1e6))
+    assume(s_max > s_min)
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=8, max_size=40))
+    return xr.RadonProfile(v / np.linalg.norm(v), s_min, s_max, np.array(values))
+
+
+def bits(a):
+    return np.asarray(a, dtype="<f8").tobytes()
+
+
 class TestCsvIO:
     def test_profile_round_trip(self, unit_gaussian, tmp_path):
         rp = xr.radon_profile(unit_gaussian, (0, 0, 1), -4.0, 4.0, 33)
         path = tmp_path / "profile.csv"
-        from xradon.xform import read_profile_csv, write_profile_csv
 
         write_profile_csv(path, rp)
         back = read_profile_csv(path)
         assert np.array_equal(back.n, rp.n)
-        assert np.allclose(back.values, rp.values)
+        assert np.array_equal(back.values, rp.values)
         assert back.s_min == rp.s_min and back.s_max == rp.s_max
+
+    @given(rp=profiles())
+    @PROPERTY
+    def test_round_trip_is_bitwise(self, tmp_path_factory, rp):
+        path = tmp_path_factory.mktemp("round_trip") / "profile.csv"
+        write_profile_csv(path, rp)
+        back = read_profile_csv(path)
+        assert bits(back.n) == bits(rp.n)
+        assert bits([back.s_min, back.s_max]) == bits([rp.s_min, rp.s_max])
+        assert bits(back.values) == bits(rp.values)
 
     @pytest.mark.parametrize(
         "text",
@@ -175,24 +260,50 @@ class TestCsvIO:
             "n1,n2,n3\n0,0\ns,value\n" + "".join(f"{i},0\n" for i in range(8)),
             "n1,n2,n3\n0,0,1\ns,value\n" + "".join(f"{i},0,0\n" for i in range(8)),
             "n1,n2,n3\n0,0,1\ns,value\n0,0\n1,0\n",
+            "n1,n2,n3\n0,0,1\ns,value\n" + "".join(f"{i},0\n" for i in range(8)) + "8,0 # comment\n",
+            "n1,n2,n3\n0,0,1\ns,value\n# comment\n" + "".join(f"{i},0\n" for i in range(8)),
         ],
     )
     def test_read_profile_rejects_malformed(self, tmp_path, text):
-        from xradon.xform import read_profile_csv
-
         path = tmp_path / "bad_profile.csv"
         path.write_text(text)
         with pytest.raises(ValueError, match="bad_profile.csv"):
             read_profile_csv(path)
 
     def test_xray_csv_header(self, unit_gaussian, tmp_path):
-        from xradon.xform import write_xray_csv
-
-        xs = np.zeros((2, 3))
-        ns = np.array([[1.0, 0, 0], [0, 1.0, 0]])
-        vals = xr.halfline_integral(unit_gaussian, xs, ns)
+        points = np.zeros((1, 3))
+        nodes = np.array([[1.0, 0, 0], [0, 1.0, 0]])
+        vals = xr.halfline_integral(unit_gaussian, points[:, None, :], nodes)
         path = tmp_path / "xray.csv"
-        write_xray_csv(path, xs, ns, vals)
+        write_xray_csv(path, points, nodes, vals)
         lines = path.read_text().splitlines()
         assert lines[0] == "x1,x2,x3,n1,n2,n3,value"
         assert len(lines) == 3
+
+    def test_xray_csv_matches_per_row_writer(self, tmp_path):
+        points = np.array([EDGE_VALUES[:3], EDGE_VALUES[3:6], EDGE_VALUES[6:]])
+        values = np.concatenate((EDGE_VALUES, -EDGE_VALUES[:3])).reshape(3, 4)
+        write_xray_csv(tmp_path / "new.csv", points, EDGE_NODES, values)
+        per_row_xray_csv(
+            tmp_path / "old.csv", np.repeat(points, 4, axis=0), np.tile(EDGE_NODES, (3, 1)), values.ravel()
+        )
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("s_min, s_max", [(-4.0, 4.0), (0.0, 4e-323), (-1e300, 0.5)])
+    def test_profile_csv_matches_per_row_writer(self, tmp_path, s_min, s_max):
+        values = np.stack([EDGE_VALUES, -EDGE_VALUES[::-1], EDGE_VALUES[::2].repeat(2)[:9], np.arange(9.0)])
+        paths = [tmp_path / f"new_{k}.csv" for k in range(4)]
+        write_profiles_csv(paths, EDGE_NODES, s_min, s_max, values)
+        for k, path in enumerate(paths):
+            rp = xr.RadonProfile(EDGE_NODES[k], s_min, s_max, values[k])
+            per_row_profile_csv(tmp_path / "old.csv", rp)
+            write_profile_csv(tmp_path / "one.csv", rp)
+            old = (tmp_path / "old.csv").read_bytes()
+            assert path.read_bytes() == old
+            assert (tmp_path / "one.csv").read_bytes() == old
+
+    def test_writers_reject_inconsistent_shapes(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_xray_csv(tmp_path / "x.csv", np.zeros((2, 3)), EDGE_NODES, np.zeros((4, 2)))
+        with pytest.raises(ValueError):
+            write_profiles_csv([tmp_path / "p.csv"], EDGE_NODES, -1.0, 1.0, np.zeros((4, 9)))
