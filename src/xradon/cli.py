@@ -59,7 +59,10 @@ def _typed(name, value):
     """A config-file value of the type of the field's default (an int is taken as a float)."""
     expected = type(getattr(RunConfig, name))
     if expected is float and type(value) is int:
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise CliError(f"config field {name} must be finite, got an integer too large for a float") from None
     if type(value) is not expected:
         raise CliError(
             f"config field {name} must be {expected.__name__}, got {type(value).__name__} {value!r}"
@@ -73,7 +76,7 @@ def load_config(args):
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON, or an over-long integer
             raise CliError(f"unreadable config file {args.config}: {exc}") from exc
         if not isinstance(raw, dict):
             raise CliError(

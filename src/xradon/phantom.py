@@ -11,9 +11,11 @@ Two primitive kinds are supported:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import hermite
 from scipy.special import erfc
 
 from .geometry import VolumeGrid, as_direction
@@ -148,18 +150,21 @@ def ray_differences(ph, points, h):
     array of unit directions to the (B, P) differences.  Along a ray,
     d^2 = |x - c|^2 - p^2 with p = n.(x - c) is the same at both ends of
     the step, so per primitive (width or radius a, amplitude A):
-    Gaussian A * a * (sqrt(pi)/2) * exp(-d^2/a^2) * [erfc((p+h)/a) - erfc((p-h)/a)],
+    Gaussian -A * exp(-d^2/a^2) * int_{-h}^{h} exp(-(p + t)^2/a^2) dt, summed
+    as a short series in p^2 (see _gaussian_series) or, outside its bound,
+    A * a * (sqrt(pi)/2) * exp(-d^2/a^2) * [erfc((p+h)/a) - erfc((p-h)/a)];
     ball A * [chord(p + h) - chord(p - h)], chord(q) the length ahead of
     the point at offset q along the ray.  This equals the difference of two
     halfline_integral calls up to rounding.
 
-    |x - c|^2 is computed once here.  Each diff call forms n . x once for
-    all primitives and writes its temporaries into buffers sized by the
-    largest block seen, so the array it returns is overwritten by the next
-    call.
+    |x - c|^2, or for the series form exp(-|x - c|^2/a^2), is computed
+    once here.  Each diff call forms n . x once for all primitives and
+    writes its temporaries into buffers sized by the largest block seen, so
+    the array it returns is overwritten by the next call.
     """
     points = np.asarray(points, dtype=float)
     r2 = [np.sum((points - prim.center) ** 2, axis=1) for prim in ph.primitives]
+    series = [_gaussian_series(prim, rr, h) for prim, rr in zip(ph.primitives, r2)]
     bufs = None
 
     def diff(nodes):
@@ -177,12 +182,9 @@ def ray_differences(ph, points, h):
             np.multiply(nodes[:, i : i + 1], points[:, i], out=u)
             nx += u
         out.fill(0.0)
-        for prim, rr in zip(ph.primitives, r2):
+        for prim, rr, ser in zip(ph.primitives, r2, series):
             np.subtract(nx, np.sum(nodes * prim.center, axis=1)[:, None], out=p)
-            np.multiply(p, p, out=e)
-            np.subtract(rr, e, out=e)
-            np.maximum(e, 0.0, out=e)  # d^2
-            _add_difference(prim, p, e, h, out, u, v)
+            _add_difference(prim, p, rr, h, ser, out, e, u, v)
         return out
 
     return diff
@@ -193,29 +195,88 @@ def ray_difference_rows(ph, x, n, h):
 
     The closed form of ray_differences, with d^2 shared by both ends of
     the step, for rays given as (x, n) rows rather than as every
-    (node, point) pair.
+    (node, point) pair; all rows form one batch.
     """
     x = np.asarray(x, dtype=float)
     n = np.asarray(n, dtype=float)
     shape = np.broadcast_shapes(x.shape, n.shape)[:-1]
     out = np.zeros(shape)
-    u, v = np.empty(shape), np.empty(shape)
+    e, u, v = np.empty(shape), np.empty(shape), np.empty(shape)
     for prim in ph.primitives:
         rel = x - prim.center
         p = np.broadcast_to(np.sum(rel * n, axis=-1), shape)
-        e = np.empty(shape)
-        np.subtract(np.sum(rel * rel, axis=-1), p * p, out=e)
-        np.maximum(e, 0.0, out=e)  # d^2
-        _add_difference(prim, p, e, h, out, u, v)
+        r2 = np.asarray(np.sum(rel * rel, axis=-1))  # an array even for one ray
+        _add_difference(prim, p, r2, h, _gaussian_series(prim, r2, h), out, e, u, v)
     return out if out.ndim else float(out)
 
 
-def _add_difference(prim, p, e, h, out, u, v):
+# Series form of a Gaussian's ray difference.  With u = p/a, delta = h/a and
+# d^2 + p^2 = |x - c|^2, the Gaussian's difference is exactly
+#   D = -A a exp(-|x - c|^2/a^2) int_{-delta}^{delta} exp(-2 u s - s^2) ds
+#     = -2 h A exp(-|x - c|^2/a^2) sum_m H_2m(u) delta^2m / (2m + 1)!
+# by the Hermite generating function exp(2 u s - s^2) = sum_k H_k(u) s^k / k!
+# (odd k integrate to 0): 1 + (2u^2 - 1) delta^2/3 + (4u^4 - 12u^2 + 3) delta^4/30 + ...
+# Truncation bound: |H_k(u)|/k! is at most the s^k coefficient of
+# exp(2|u| s + s^2), which Cauchy's estimate on |s| = 1/w, w = max(1, |u|),
+# bounds by exp(2|u|/w + 1/w^2) w^k <= e^3 w^k.  So with t = delta * w term m
+# is at most e^3 t^2m / (2m + 1), and the terms after m = M sum to at most
+#   e^3 t^(2M+2) / ((2M + 3) (1 - t^2))
+# of the leading term 2 h |A| exp(-|x - c|^2/a^2).  Since |u| <= |x - c|/a,
+# t = delta * max(1, max |x - c|/a) bounds every ray of a point batch.  The
+# smallest M >= 1 whose bound is at most SERIES_TOL is used; if M = SERIES_MAX_ORDER
+# (t up to about 0.0236) is not enough, the erfc form is used instead.
+SERIES_TOL = 1e-16
+SERIES_MAX_ORDER = 4
+
+
+def _gaussian_series(prim, r2, h):
+    """The series form for points at squared distances r2 from a Gaussian's centre.
+
+    Returns (coeffs, scale): the difference is scale * sum_j coeffs[j] * p^2j,
+    with scale = exp(-r2/a^2) written over r2, which the series form does not
+    read again.  Returns None, leaving r2 as it is, for a ball or when the
+    truncation bound above exceeds SERIES_TOL at every order.
+    """
+    if prim.kind != GAUSSIAN:
+        return None
+    a = prim.scale
+    delta = h / a
+    t = abs(delta) * max(1.0, float(np.sqrt(np.max(r2, initial=0.0))) / a)
+    for order in range(1, SERIES_MAX_ORDER + 1):
+        if t < 1.0 and np.e**3 * t ** (2 * order + 2) <= SERIES_TOL * (2 * order + 3) * (1.0 - t * t):
+            break
+    else:
+        return None
+    # sum_m H_2m(p/a) delta^2m / (2m+1)!, regrouped by powers of (p/a)^2
+    coeffs = np.zeros(order + 1)
+    for m in range(order + 1):
+        herm = hermite.herm2poly([0.0] * (2 * m) + [1.0])[::2]
+        coeffs[: m + 1] += herm * (delta ** (2 * m) / math.factorial(2 * m + 1))
+    coeffs *= -2.0 * h * prim.amplitude / (a * a) ** np.arange(order + 1)
+    np.divide(r2, -(a * a), out=r2)
+    return coeffs, np.exp(r2, out=r2)
+
+
+def _add_difference(prim, p, r2, h, series, out, e, u, v):
     """Add one primitive's ray difference at offsets p +- h to out.
 
-    e holds d^2 on entry and is overwritten; u and v are scratch arrays of
-    out's shape.
+    r2 is |x - c|^2 (not read by the series form) and series the result of
+    _gaussian_series; e, u and v are scratch arrays of out's shape.
     """
+    np.multiply(p, p, out=e)
+    if series is not None:
+        # Horner in p^2; no transcendental call per ray
+        coeffs, scale = series
+        np.multiply(e, coeffs[-1], out=u)
+        for c in coeffs[-2:0:-1]:
+            u += c
+            u *= e
+        u += coeffs[0]
+        u *= scale
+        out += u
+        return
+    np.subtract(r2, e, out=e)
+    np.maximum(e, 0.0, out=e)  # d^2
     a = prim.scale
     if prim.kind == GAUSSIAN:
         np.divide(e, -(a**2), out=e)

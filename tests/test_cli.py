@@ -1,10 +1,15 @@
+import argparse
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from xradon.cli import main
+from xradon.cli import CliError, RunConfig, load_config, main
+from xradon.inversion import BRANCHES
 
 
 def run(*argv):
@@ -133,7 +138,40 @@ class TestInvert:
         assert run("invert", "--config", str(cfg), "--outdir", str(tmp_path / "o")) == 1
 
 
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=8)
+    | st.sampled_from(BRANCHES)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+CONFIG_KEYS = st.sampled_from([f.name for f in fields(RunConfig)]) | st.text(max_size=8)
+
+
 class TestConfigValidation:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(raw=st.dictionaries(CONFIG_KEYS, st.integers(10**308, 10**400) | JSON_SCALARS | JSON_VALUES, max_size=6))
+    def test_load_config_fuzz(self, tmp_path_factory, raw):
+        # any JSON object gives a valid RunConfig holding its values, or a
+        # CliError; never another exception
+        path = tmp_path_factory.getbasetemp() / "fuzz.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        try:
+            cfg = load_config(argparse.Namespace(config=str(path)))
+        except CliError:
+            return
+        assert isinstance(cfg, RunConfig)
+        cfg.validate()
+        for name, value in raw.items():
+            kept = float(value) if type(getattr(RunConfig, name)) is float else value
+            assert getattr(cfg, name) == kept
+
     @pytest.mark.parametrize(
         "text, named",
         [
@@ -147,6 +185,8 @@ class TestConfigValidation:
             ('{"phantom": null}', "phantom"),
             ('{"normalization": NaN}', "normalization"),
             ('{"diff_step": Infinity}', "diff_step"),
+            pytest.param('{"s_max": 1' + "0" * 400 + "}", "s_max", id="float-field-int-overflow"),
+            pytest.param('{"nodes": ' + "1" * 5000 + "}", "unreadable config", id="int-over-digit-limit"),
         ],
     )
     def test_rejects_bad_config(self, tmp_path, phantom_file, capsys, text, named):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import erfc
 
 import xradon as xr
 from xradon import phantom as phm
@@ -140,6 +141,62 @@ def well_conditioned(ph, points, nodes, h):
     return keep
 
 
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+
+
+def gauss_legendre_differences(ph, points, nodes, h):
+    """(B, P) reference for Gaussian phantoms: -A e^(-d^2/a^2) int_{-h}^{h} e^(-(p+t)^2/a^2) dt
+    by 12-point Gauss-Legendre, with d = |(x - c) x n| (no cancelling r^2 - p^2)."""
+    out = np.zeros((len(nodes), len(points)))
+    for prim in ph.primitives:
+        rel = points[None, :, :] - prim.center
+        n = nodes[:, None, :]
+        p = np.sum(rel * n, axis=-1)
+        d2 = np.sum(np.cross(rel, n) ** 2, axis=-1)
+        t = h * GL_NODES
+        inner = h * np.sum(GL_WEIGHTS * np.exp(-((p[..., None] + t) ** 2) / prim.scale**2), axis=-1)
+        out -= prim.amplitude * np.exp(-d2 / prim.scale**2) * inner
+    return out
+
+
+def series_taken(prim, points, h):
+    """Whether the documented truncation bound selects the series form for this batch."""
+    a = prim.scale
+    w = max(1.0, float(np.max(np.linalg.norm(points - prim.center, axis=1), initial=0.0)) / a)
+    t = h / a * w
+    return t < 1.0 and any(
+        np.e**3 * t ** (2 * m + 2) / ((2 * m + 3) * (1.0 - t * t)) <= phm.SERIES_TOL
+        for m in range(1, phm.SERIES_MAX_ORDER + 1)
+    )
+
+
+def series_reach():
+    """The largest t = (h/a) max(1, max|x - c|/a) for which the series form is taken."""
+    unit = xr.gaussian_phantom().primitives[0]
+    lo, hi = 0.0, 0.5
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if series_taken(unit, np.zeros((1, 3)), mid) else (lo, mid)
+    return lo
+
+
+def series_bound(ph, h):
+    """The series form's error allowance: 1e-14 of 2h sum|A|."""
+    return 1e-14 * 2.0 * h * sum(abs(p.amplitude) for p in ph.primitives)
+
+
+def erfc_calls(monkeypatch):
+    """Count the kernel's erfc calls."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return erfc(*args, **kwargs)
+
+    monkeypatch.setattr(phm, "erfc", counting)
+    return calls
+
+
 class TestRayDifferences:
     """The fused closed form against two halfline_integral calls and a midpoint rule."""
 
@@ -219,6 +276,80 @@ class TestRayDifferences:
         bound = (2.0 * h) ** 3 / (24.0 * m * m) * curvature + 1e-13 * integrand_scale(ph)
         fused = phm.ray_differences(ph, x[None, :], h)(n[None, :])[0, 0]
         assert abs(fused - midpoint) <= bound
+
+    @PROPERTY
+    @given(
+        ph=phantoms(kinds=st.just(xr.GAUSSIAN)),
+        nodes=st.lists(unit_vectors(), min_size=1, max_size=4),
+        dirs=st.lists(unit_vectors(), min_size=1, max_size=4),
+        radii=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+        delta=st.floats(-5.0, -1.0).map(lambda e: 10.0**e),
+    )
+    def test_matches_gauss_legendre(self, ph, nodes, dirs, radii, delta):
+        # h = delta * (smallest width): delta from 1e-5 to 0.1 for that primitive
+        h = delta * min(p.scale for p in ph.primitives)
+        points = ph.support_radius * np.array(radii[: len(dirs)])[:, None] * np.array(dirs)
+        nodes = np.array(nodes)
+        # each primitive on its own: 1e-14 of 2h|A| where it takes the series form
+        for prim in ph.primitives:
+            one = xr.Phantom((prim,), ph.support_radius)
+            fused = phm.ray_differences(one, points, h)(nodes)
+            ref = gauss_legendre_differences(one, points, nodes, h)
+            bound = series_bound(one, h) if series_taken(prim, points, h) else 1e-12 * integrand_scale(one)
+            assert np.all(np.abs(fused - ref) <= bound)
+
+    def test_series_resolves_cancellation(self, unit_gaussian):
+        # p/a < 0: erfc((p +- h)/a) are both near 2, and their difference
+        # loses about 1e-12 of 2h|A| to rounding; the series form does not
+        h = 1e-4
+        points = np.array([[-0.5, 0.3, 0.2], [-1.7, 0.1, -0.4], [-0.05, 0.0, 0.0]])
+        nodes = np.array([[1.0, 0.0, 0.0], [0.6, 0.8, 0.0]])
+        assert np.all(nodes @ points.T < 0.0)
+        fused = phm.ray_differences(unit_gaussian, points, h)(nodes)
+        ref = gauss_legendre_differences(unit_gaussian, points, nodes, h)
+        assert np.all(np.abs(fused - ref) <= series_bound(unit_gaussian, h))
+
+    @pytest.mark.parametrize("side, erfc_per_block", [(0.999, 0), (1.001, 2)])
+    def test_switch_at_series_bound(self, monkeypatch, side, erfc_per_block):
+        # points within one width of the centre, so t = h/a; h just inside
+        # and just outside the series bound
+        ph = xr.Phantom((xr.Primitive(xr.GAUSSIAN, (0.2, -0.1, 0.3), 0.5, -1.4),), 6.0)
+        h = side * series_reach() * 0.5
+        points = ph.primitives[0].center + 0.5 * xr.fibonacci_sphere(9).nodes * np.linspace(0.0, 1.0, 9)[:, None]
+        nodes = xr.fibonacci_sphere(7).nodes
+        calls = erfc_calls(monkeypatch)
+        fused = phm.ray_differences(ph, points, h)(nodes)
+        assert len(calls) == erfc_per_block
+        ref = gauss_legendre_differences(ph, points, nodes, h)
+        bound = series_bound(ph, h) if erfc_per_block == 0 else 1e-12 * integrand_scale(ph)
+        assert np.all(np.abs(fused - ref) <= bound)
+
+    def test_mixed_near_and_far_points(self, monkeypatch):
+        # the narrow Gaussian's far points push its batch out of the series
+        # bound, the wide one's stay inside; each primitive keeps its own form
+        narrow = xr.Primitive(xr.GAUSSIAN, (0.5, 0.0, 0.0), 0.3, 1.2)
+        wide = xr.Primitive(xr.GAUSSIAN, (-0.5, 0.2, 0.0), 1.1, -0.7)
+        ph = xr.Phantom((narrow, wide), 8.0)
+        h = 2e-3
+        near = narrow.center + 0.1 * xr.fibonacci_sphere(6).nodes
+        far = 4.0 * xr.fibonacci_sphere(5).nodes
+        points = np.vstack([near, far])
+        assert not series_taken(narrow, points, h) and series_taken(narrow, near, h)
+        assert series_taken(wide, points, h)
+        nodes = xr.fibonacci_sphere(8).nodes
+        calls = erfc_calls(monkeypatch)
+        fused = phm.ray_differences(ph, points, h)(nodes)
+        assert len(calls) == 2
+        ref = gauss_legendre_differences(ph, points, nodes, h)
+        assert np.all(np.abs(fused - ref) <= 1e-12 * integrand_scale(ph))
+        near_only = phm.ray_differences(ph, near, h)(nodes)
+        assert len(calls) == 2
+        assert np.all(np.abs(near_only - ref[:, : len(near)]) <= series_bound(ph, h))
+
+    def test_empty_batches(self, unit_gaussian):
+        nodes = xr.fibonacci_sphere(3).nodes
+        assert phm.ray_differences(unit_gaussian, np.zeros((0, 3)), 1e-4)(nodes).shape == (3, 0)
+        assert phm.ray_difference_rows(unit_gaussian, np.zeros((0, 3)), nodes[0], 1e-4).shape == (0,)
 
     def test_buffers_follow_block_size(self, unit_gaussian):
         # blocks of 5, 2 and 7 nodes: a shorter block uses a leading slice, a
@@ -331,6 +462,32 @@ class TestPhantomFiles:
             assert a.kind == b.kind
             assert np.array_equal(a.center, b.center)
             assert a.scale == b.scale and a.amplitude == b.amplitude
+
+    @PROPERTY
+    @given(
+        prims=st.lists(
+            st.tuples(
+                KINDS,
+                st.tuples(*(st.floats(-1e100, 1e100),) * 3),
+                st.floats(5e-324, 1e100),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            max_size=3,
+        ),
+        margin=st.floats(0.0, 1e100),
+    )
+    def test_format_parse_round_trip_is_bitwise(self, prims, margin):
+        prims = [xr.Primitive(*p) for p in prims]
+        ph = xr.Phantom(tuple(prims), phm.min_support_radius(prims) + margin)
+        text = phm.format_phantom(ph)
+        back = phm.parse_phantom(text)
+        assert np.float64(back.support_radius).tobytes() == np.float64(ph.support_radius).tobytes()
+        assert len(back.primitives) == len(ph.primitives)
+        for a, b in zip(back.primitives, ph.primitives):
+            assert a.kind == b.kind
+            assert a.center.tobytes() == b.center.tobytes()
+            assert np.array([a.scale, a.amplitude]).tobytes() == np.array([b.scale, b.amplitude]).tobytes()
+        assert phm.format_phantom(back) == text
 
     def test_parse_comments_and_default_radius(self):
         ph = phm.parse_phantom("# comment\ngaussian 0 0 0 1 1\n")
