@@ -27,7 +27,6 @@ from .phantom import (
 from .xform import (
     RadonProfile,
     directional_derivative_xray,
-    line_transform,
     radon_profile,
     xray,
     xray_numeric,

@@ -121,12 +121,19 @@ class _OutputSet:
     block normally moves every file to its own name with os.replace; an
     exception removes the temporary files and any already moved, so a
     failed or killed command leaves no partial output under a final name.
+    A failure also removes the directories made for outdir, if left empty;
+    an outdir that existed before is kept.
     """
 
     def __init__(self, outdir):
         self.outdir = outdir
         self.pending = []  # (temporary path, final path)
         self.moved = []
+        self.created = []  # outdir and its missing parents, innermost first
+        d = os.path.abspath(outdir)
+        while not os.path.exists(d):
+            self.created.append(d)
+            d = os.path.dirname(d)
         os.makedirs(outdir, exist_ok=True)
 
     def path(self, name):
@@ -153,6 +160,11 @@ class _OutputSet:
                         os.remove(p)
                     except OSError:
                         pass
+                for d in self.created:
+                    try:
+                        os.rmdir(d)
+                    except OSError:  # not empty: something else wrote there
+                        break
 
 
 def _write_manifest(out, cfg, files):

@@ -9,8 +9,9 @@ Three branches are implemented:
   makes any alternative convention measurable.
 * ``radon``: spherical average of -2*pi times the derivative of the
   Hilbert-filtered plane-integral profiles, evaluated at s = x . n.
-  Reported against the oracles as a diagnostic (see
-  ``calibrate_normalization``), not asserted pointwise.
+  With unit normalization it reconstructs -16*pi^3 * I^1 f, where
+  I^1 = (-Laplacian)^(-1/2) is the Riesz potential, not f itself; the
+  tests assert that target pointwise.
 * ``classical_radon``: the textbook second-derivative inversion
   f(x) = -(1/(8*pi^2)) * integral_{S^2} d^2/ds^2 Rf(n, s)|_{s = x.n} dn,
   the independent oracle used to cross-validate the other branches.
@@ -29,8 +30,7 @@ import numpy as np
 
 from . import phantom as ph_mod
 from .geometry import SphereQuadrature, VolumeGrid, as_direction
-from .hilbert import PAD_FACTOR, derivative_rows, hilbert_rows, sample_rows
-from .xform import line_transform
+from .hilbert import derivative_rows, hilbert_rows, sample_rows
 
 BRANCH_XRAY = "xray"
 BRANCH_RADON = "radon"
@@ -47,10 +47,12 @@ CLASSICAL_RADON_CONSTANT = -1.0 / (8.0 * np.pi**2)
 RADON_BRANCH_FACTOR = -2.0 * np.pi
 
 # Rows of work per block: a block of B quadrature nodes evaluated at P
-# points holds B = max(1, ROWS // P) nodes, and profile filtering takes
-# max(1, ROWS // (PAD_FACTOR * S)) rows of S samples at a time.  This
-# bounds the temporaries of a block to a few MB; a large volume gets one
-# node per block.
+# points holds B = max(1, ROWS // P) nodes, or max(1, ROWS // max(P, 4 S))
+# when backprojecting profiles of S samples (their four (B, S - 1) cubic
+# tables), and profile filtering takes max(1, ROWS // (2 S)) rows of S
+# samples at a time (the Hilbert kernel's FFT length).  This bounds the
+# temporaries of a block to a few MB; a large volume gets one node per
+# block.
 ROWS = 16384
 
 
@@ -121,11 +123,9 @@ class RadonDataset:
 
 
 def build_radon_dataset(ph, quadrature, s_min, s_max, count):
-    """Analytic plane-integral profiles for every quadrature node."""
+    """Analytic plane-integral profiles for every quadrature node (phantom.plane_integral_rows)."""
     s = np.linspace(s_min, s_max, int(count))
-    values = np.empty((quadrature.count, s.size))
-    for k, node in enumerate(quadrature.nodes):
-        values[k] = ph_mod.plane_integral(ph, node, s)
+    values = ph_mod.plane_integral_rows(ph, quadrature.nodes, s)
     return RadonDataset(quadrature.nodes, s_min, s_max, values)
 
 
@@ -202,11 +202,12 @@ def _rays(points, nodes):
     return x, n
 
 
-def _sphere_sum(quadrature, points, integrand):
+def _sphere_sum(quadrature, points, integrand, width=0):
     """sum_k w_k * integrand at every point; integrand(block, nodes) gives the (B, P)
-    values for the nodes quadrature.nodes[block]."""
+    values for the nodes quadrature.nodes[block].  A block's rows are sized on
+    max(P, width)."""
     acc = np.zeros(points.shape[0])
-    for block in _blocks(quadrature.count, points.shape[0]):
+    for block in _blocks(quadrature.count, max(points.shape[0], width)):
         acc += quadrature.weights[block] @ integrand(block, quadrature.nodes[block])
     return acc
 
@@ -217,7 +218,7 @@ def _filter(data, op, out=None):
     out=data.values filters a dataset that nothing else uses in place.
     """
     out = np.empty_like(data.values) if out is None else out
-    for block in _blocks(data.count, PAD_FACTOR * data.values.shape[1]):
+    for block in _blocks(data.count, 2 * data.values.shape[1]):
         out[block] = op(data.values[block], data.spacing)
     return out
 
@@ -235,7 +236,7 @@ def _backproject(filtered, data, quadrature, points):
     def integrand(block, nodes):
         return sample_rows(filtered[block], data.s_min, data.s_max, nodes @ points.T)
 
-    return _sphere_sum(quadrature, points, integrand)
+    return _sphere_sum(quadrature, points, integrand, 4 * filtered.shape[1])
 
 
 def reconstruct(data, cfg, points):
@@ -324,7 +325,8 @@ class Lemma9Report:
 def lemma9_diagnostic(ph, points, quadrature, s_count=1025):
     """Compare the spherical averages of the two reconstruction integrands at a batch of points.
 
-    left  = integral over directions of the full-line transform at x;
+    left  = integral over directions of the full-line integral at x
+            (phantom.line_integral);
     right = -2*pi times the integral over directions of the
             Hilbert-filtered plane-integral profile at s = x . n.
 
@@ -338,7 +340,7 @@ def lemma9_diagnostic(ph, points, quadrature, s_count=1025):
     points = _as_points(points)
 
     def line_values(block, nodes):
-        return line_transform(ph, *_rays(points, nodes)).reshape(nodes.shape[0], -1)
+        return ph_mod.line_integral(ph, *_rays(points, nodes)).reshape(nodes.shape[0], -1)
 
     left = _sphere_sum(quadrature, points, line_values)
     radius = ph.support_radius + 2.0

@@ -336,16 +336,41 @@ def plane_integral(ph, n, s):
     """
     n = as_direction(n)
     s = np.asarray(s, dtype=float)
-    out = np.zeros(s.shape)
+    out = plane_integral_rows(ph, n[None, :], s.reshape(-1)).reshape(s.shape)
+    return out if out.ndim else float(out)
+
+
+def plane_integral_rows(ph, nodes, s):
+    """plane_integral for K normals on one offset grid: the (K, S) array of
+    Rf(nodes[k], s[j]), for nodes of shape (K, 3) and s of shape (S,).
+
+    One (K, S) pass per primitive, in a buffer reused across primitives;
+    n.c is taken per normal by np.dot, so every row is the same arithmetic
+    as the one-normal case.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    s = np.asarray(s, dtype=float)
+    if nodes.ndim != 2 or nodes.shape[1] != 3 or s.ndim != 1:
+        raise ValueError("plane_integral_rows needs nodes (K, 3) and offsets (S,)")
+    out = np.zeros((nodes.shape[0], s.size))
+    buf = np.empty_like(out)
     for prim in ph.primitives:
-        offset = s - float(np.dot(n, prim.center))
+        nc = np.array([float(np.dot(n, prim.center)) for n in nodes])
+        offset = np.subtract(s, nc[:, None], out=buf)
         a = prim.scale
         if prim.kind == GAUSSIAN:
-            out = out + prim.amplitude * a * a * np.pi * np.exp(-(offset**2) / a**2)
+            term = np.square(offset, out=buf)
+            np.negative(term, out=term)
+            term /= a**2
+            np.exp(term, out=term)
+            term *= prim.amplitude * a * a * np.pi
         else:
-            disc = a * a - offset * offset
-            out = out + prim.amplitude * np.pi * np.maximum(disc, 0.0)
-    return out if out.ndim else float(out)
+            term = np.square(offset, out=buf)
+            np.subtract(a * a, term, out=term)
+            np.maximum(term, 0.0, out=term)
+            term *= prim.amplitude * np.pi
+        out += term
+    return out
 
 
 def coverage_radius(ph, tail=1e-6):

@@ -1,4 +1,4 @@
-"""Forward operators: divergent-beam X-ray, full-line and planar Radon transforms.
+"""Forward operators: divergent-beam X-ray and planar Radon transforms.
 
 Analytic paths delegate to the phantom closed forms; the numeric path
 ray-marches a sampled volume with trilinear interpolation so the same
@@ -45,11 +45,6 @@ class RadonProfile:
 def xray(ph, x, n):
     """Divergent-beam transform: integral of the density over t >= 0 from x along n."""
     return ph_mod.halfline_integral(ph, x, n)
-
-
-def line_transform(ph, x, n):
-    """Full-line transform, the sum of the two opposite half-line integrals."""
-    return ph_mod.halfline_integral(ph, x, n) + ph_mod.halfline_integral(ph, x, -np.asarray(n, dtype=float))
 
 
 def directional_derivative_xray(ph, x, n, h=1e-4):

@@ -37,7 +37,7 @@ def test_criterion_1_forward_oracle_exactness(unit_gaussian):
         n /= np.linalg.norm(n)
         errs.append(abs(ray_march_density(unit_gaussian, x, n) - xr.xray(unit_gaussian, x, n)))
         full = ray_march_density(unit_gaussian, x, n) + ray_march_density(unit_gaussian, x, -n)
-        errs.append(abs(full - xr.line_transform(unit_gaussian, x, n)))
+        errs.append(abs(full - xr.line_integral(unit_gaussian, x, n)))
     for s in (-1.0, 0.0, 0.7):
         n = np.array([0.0, 0.6, 0.8])
         errs.append(abs(plane_march_density(unit_gaussian, n, s) - xr.plane_integral(unit_gaussian, n, s)))

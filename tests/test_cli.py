@@ -279,6 +279,24 @@ class TestErrorHandling:
         assert run("forward", "--phantom", str(ph), "--outdir", str(outdir)) == 1
         assert not outdir.exists() or os.listdir(outdir) == []
 
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_failed_command_removes_new_outdir(self, tmp_path, phantom_file, capsys, depth):
+        top = tmp_path / "new"
+        outdir = top.joinpath(*["d"] * (depth - 1))
+        assert run("invert", "--phantom", str(phantom_file), "--nodes", "1", "--outdir", str(outdir)) == 1
+        assert "count >= 2" in capsys.readouterr().err
+        assert not top.exists()
+        assert sorted(os.listdir(tmp_path)) == ["ph.txt"]
+
+    def test_failed_command_keeps_existing_outdir(self, tmp_path, phantom_file):
+        outdir = tmp_path / "old"
+        outdir.mkdir()
+        assert run("invert", "--phantom", str(phantom_file), "--nodes", "1", "--outdir", str(outdir)) == 1
+        assert outdir.is_dir() and os.listdir(outdir) == []
+        nested = outdir / "a" / "b"
+        assert run("invert", "--phantom", str(phantom_file), "--nodes", "1", "--outdir", str(nested)) == 1
+        assert outdir.is_dir() and os.listdir(outdir) == []
+
     def test_failed_forward_leaves_no_profiles(self, tmp_path, phantom_file, monkeypatch, capsys):
         from xradon import xform
 
@@ -295,7 +313,7 @@ class TestErrorHandling:
         ]
         assert run(*args) == 1
         assert "disk full" in capsys.readouterr().err
-        assert os.listdir(tmp_path / "fwd") == []
+        assert not (tmp_path / "fwd").exists()
         monkeypatch.setattr(xform, "write_profiles_csv", write)
         assert run(*args) == 0
         names = sorted(os.listdir(tmp_path / "fwd"))
@@ -319,4 +337,4 @@ class TestErrorHandling:
             "--nodes", "5", "--s-count", "32", "--outdir", str(outdir),
         ) == 1
         assert len(moved) == 2
-        assert os.listdir(outdir) == []
+        assert not outdir.exists()

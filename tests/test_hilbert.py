@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.special import dawsn
 
 from xradon.hilbert import (
     Profile1D,
@@ -11,6 +14,35 @@ from xradon.hilbert import (
     sample_cubic,
     sample_rows,
 )
+
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def lagrange_rows(values, s_min, s_max, s):
+    """Reference for sample_rows: the 4-point Lagrange form, one term per sample."""
+    rows, count = values.shape
+    h = (s_max - s_min) / (count - 1)
+    t = (s - s_min) / h
+    base = np.clip(np.floor(t).astype(np.intp) - 1, 0, count - 4)
+    u = t - base
+    v = values[np.arange(rows)[:, None, None], base[..., None] + np.arange(4)]
+    return (
+        -(u - 1) * (u - 2) * (u - 3) / 6.0 * v[..., 0]
+        + u * (u - 2) * (u - 3) / 2.0 * v[..., 1]
+        - u * (u - 1) * (u - 3) / 2.0 * v[..., 2]
+        + u * (u - 1) * (u - 2) / 6.0 * v[..., 3]
+    )
+
+
+def hilbert_direct(row):
+    """Reference for hilbert_rows: the linear convolution with h[k] = 2/(pi k), k odd."""
+    n = row.size
+    k = np.arange(-(n - 1), n)
+    h = np.zeros(k.size)
+    odd = k % 2 == 1
+    h[odd] = 2.0 / (np.pi * k[odd])
+    return np.convolve(row, h)[n - 1:2 * n - 1]
 
 
 def lorentzian_profile(count=4097, extent=40.0):
@@ -60,6 +92,34 @@ class TestHilbertSpectral:
         p = Profile1D(-extent, extent, np.exp(-(s**2)))
         hh = hilbert_spectral(hilbert_spectral(p))
         assert np.max(np.abs(hh.values + p.values)) < 1e-4
+
+
+class TestBandLimitedKernel:
+    def test_gaussian_gives_dawson(self):
+        # H[exp(-s^2)] = (2/sqrt(pi)) D(s), D the Dawson function
+        s = np.linspace(-8.0, 8.0, 801)
+        err = np.max(np.abs(hilbert_rows(np.exp(-(s**2))) - 2.0 / np.sqrt(np.pi) * dawsn(s)))
+        assert err <= 1e-13
+
+    @PROPERTY
+    @given(
+        count=st.integers(8, 600),
+        rows=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(count=8, rows=1, seed=0)  # FFT length 15 = 2 * 8 - 1, no slack
+    @example(count=13, rows=2, seed=1)  # 25 = 2 * 13 - 1
+    @example(count=41, rows=1, seed=2)  # 81 = 2 * 41 - 1
+    @example(count=10, rows=1, seed=3)  # 18 = 2 * 10 - 2 would wrap the odd lag 9
+    def test_equals_direct_convolution(self, count, rows, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(rows, count))
+        # small but nonzero ends, within DECAY_TOL, so that the longest lags count
+        interior = np.max(np.abs(values[:, 1:-1]), axis=1, keepdims=True)
+        values[:, [0, -1]] = 1e-4 * interior * rng.uniform(-1.0, 1.0, size=(rows, 2))
+        expected = np.array([hilbert_direct(row) for row in values])
+        err = np.max(np.abs(hilbert_rows(values) - expected))
+        assert err <= 1e-13 * np.max(np.abs(expected))
 
 
 class TestHilbertPvDirect:
@@ -183,3 +243,28 @@ class TestRows:
     def test_sample_rows_rejects_out_of_range(self, stack):
         with pytest.raises(ValueError):
             sample_rows(stack, -10.0, 10.0, np.full((3, 1), 10.5))
+
+    @PROPERTY
+    @given(
+        count=st.integers(8, 200),
+        rows=st.integers(1, 3),
+        span=st.tuples(st.floats(-50.0, 50.0), st.floats(1e-3, 100.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_tables_match_lagrange(self, count, rows, span, seed):
+        s_min, length = span
+        s_max = s_min + length
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(rows, count)) * 10.0 ** rng.uniform(-3, 3, size=(rows, 1))
+        h = (s_max - s_min) / (count - 1)
+        # random offsets, the grid ends, samples, and the clipped first and last intervals
+        t = np.concatenate([
+            rng.uniform(0.0, count - 1, size=20),
+            [0.0, count - 1.0, 1.0, count - 2.0, 2.0, count - 3.0],
+            rng.uniform(0.0, 1.0, size=4),
+            rng.uniform(count - 2.0, count - 1.0, size=4),
+        ])
+        s = np.clip(s_min + t * h, s_min, s_max)
+        q = np.broadcast_to(s, (rows, s.size))
+        err = np.max(np.abs(sample_rows(values, s_min, s_max, q) - lagrange_rows(values, s_min, s_max, q)))
+        assert err <= 1e-13 * np.max(np.abs(values))

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.special import dawsn
 
 import xradon as xr
 from xradon import inversion as inv
@@ -30,6 +33,21 @@ def lemma9_at(ph, x, quadrature):
 def lifted(ph):
     """The phantom's ray data (x, n) lifted into the xray branch's ray-difference form."""
     return inv.lift_xray_data(inv.make_phantom_xray_data(ph))
+
+
+def riesz_potential(ph, points):
+    """I^1 f = (-Laplacian)^(-1/2) f = (1/(2 pi^2)) int f(y) / |x - y|^2 dy of a Gaussian
+    phantom: A a^2 D(r/a) / (sqrt(pi) r) per primitive, r = |x - c|, D the Dawson
+    function, with the limit A a / sqrt(pi) at r = 0."""
+    out = np.zeros(len(points))
+    for prim in ph.primitives:
+        a = prim.scale
+        r = np.linalg.norm(points - prim.center, axis=1)
+        safe = np.where(r > 0.0, r, 1.0)
+        out += prim.amplitude * np.where(
+            r > 0.0, a * a * dawsn(safe / a) / (np.sqrt(np.pi) * safe), a / np.sqrt(np.pi)
+        )
+    return out
 
 
 def zero_dataset(quadrature):
@@ -115,6 +133,22 @@ class TestInvertRadon:
         truth = xr.evaluate(unit_gaussian, (0.0, 0.0, 0.0))
         assert np.isfinite(val)
         assert truth == 1.0
+
+    def test_matches_riesz_potential(self, quad2000):
+        # with unit normalization the branch reconstructs -16 pi^3 I^1 f
+        ph = xr.Phantom(
+            (
+                xr.Primitive(xr.GAUSSIAN, (1.0, 0.0, 0.0), 1.0, 1.0),
+                xr.Primitive(xr.GAUSSIAN, (-1.0, 0.0, 0.0), 1.0, 1.0),
+            ),
+            7.0,
+        )
+        cfg = inv.ReconstructionConfig(quad2000, normalization=1.0, branch=inv.BRANCH_RADON)
+        data = inv.build_radon_dataset(ph, quad2000, -8.0, 8.0, 801)
+        pts = inv.sample_ball_points(np.random.default_rng(3), 200, 2.5)
+        target = -16.0 * np.pi**3 * riesz_potential(ph, pts)
+        rec = inv.reconstruct(data, cfg, pts)
+        assert np.linalg.norm(rec - target) <= 1e-4 * np.linalg.norm(target)
 
     def test_out_of_range_point_rejected(self, quad2000, gauss_dataset):
         cfg = inv.ReconstructionConfig(quad2000, branch=inv.BRANCH_RADON)
@@ -257,6 +291,22 @@ class TestBatchReconstruction:
         cfg = inv.ReconstructionConfig(quad, branch=branch)
         data = self.branch_data(cfg, unit_gaussian, dataset)
         assert inv.reconstruct(data, cfg, np.zeros((0, 3))).shape == (0,)
+
+    def test_backprojection_memory_is_bounded(self, unit_gaussian):
+        # the cubic tables of a node block stay within ROWS: all 300 rows at
+        # once would add about 9.8 MB
+        quad = xr.fibonacci_sphere(300)
+        data = inv.build_radon_dataset(unit_gaussian, quad, -8.0, 8.0, 1025)
+        points = inv.sample_ball_points(np.random.default_rng(7), 50, 1.5)
+        cfg = inv.ReconstructionConfig(quad, branch=inv.BRANCH_RADON)
+        tracemalloc.start()
+        try:
+            inv.reconstruct(data, cfg, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the filtered rows are one more copy of the dataset
+        assert peak < data.values.nbytes + 2**20
 
     def test_xray_branch_rejects_dataset(self, xray_cfg, gauss_dataset):
         with pytest.raises(ValueError):

@@ -32,17 +32,17 @@ class TestXray:
 
 class TestLineTransform:
     def test_gaussian_center(self, unit_gaussian):
-        assert abs(xr.line_transform(unit_gaussian, (0, 0, 0), (1, 0, 0)) - SQRT_PI) < 1e-12
+        assert abs(xr.line_integral(unit_gaussian, (0, 0, 0), (1, 0, 0)) - SQRT_PI) < 1e-12
 
     def test_ball_diameter(self):
         ball = xr.Phantom((xr.Primitive(xr.BALL, (0, 0, 0), 1.0, 1.0),), 6.0)
-        assert abs(xr.line_transform(ball, (0, 0, 0), (0, 0, 1)) - 2.0) < 1e-12
+        assert abs(xr.line_integral(ball, (0, 0, 0), (0, 0, 1)) - 2.0) < 1e-12
 
     def test_direction_symmetry_exact(self, unit_gaussian):
         x = np.array([0.3, -0.7, 0.2])
         n = np.array([0.48, 0.6, 0.64])
         n /= np.linalg.norm(n)
-        assert xr.line_transform(unit_gaussian, x, n) == xr.line_transform(unit_gaussian, x, -n)
+        assert xr.line_integral(unit_gaussian, x, n) == xr.line_integral(unit_gaussian, x, -n)
 
     def test_matches_numeric_full_line(self, unit_gaussian, gauss_volume):
         n = np.array([0.6, 0.8, 0.0])
@@ -50,7 +50,7 @@ class TestLineTransform:
         numeric = xr.xray_numeric(gauss_volume, x, n, 1e-2) + xr.xray_numeric(
             gauss_volume, x, -n, 1e-2
         )
-        assert abs(numeric - xr.line_transform(unit_gaussian, x, n)) < 2e-3
+        assert abs(numeric - xr.line_integral(unit_gaussian, x, n)) < 2e-3
 
 
 class TestXrayNumeric:
