@@ -7,7 +7,6 @@ from .geometry import (
     cube_grid,
     fibonacci_sphere,
     make_frame,
-    sphere_integrate,
 )
 from .phantom import (
     BALL,
@@ -28,7 +27,6 @@ from .xform import (
     RadonProfile,
     directional_derivative_xray,
     radon_profile,
-    xray,
     xray_numeric,
 )
 from .hilbert import (
@@ -55,6 +53,8 @@ from .inversion import (
     ReconstructionConfig,
     build_radon_dataset,
     calibrate_normalization,
+    calibration_points,
+    fit_scale,
     grangeat_convert,
     lemma9_diagnostic,
     lift_xray_data,

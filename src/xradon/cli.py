@@ -8,6 +8,7 @@ field of RunConfig; command-line flags win over the file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -229,15 +230,21 @@ def cmd_forward(args):
     return 0
 
 
-def _reconstruct(ph, cfg):
-    # The classical branch has its constant built in; record 1.0 for it.
-    normalization = 1.0 if cfg.branch == inversion.BRANCH_CLASSICAL else cfg.normalization
-    rcfg = inversion.ReconstructionConfig(
-        fibonacci_sphere(cfg.nodes), cfg.diff_step, normalization, cfg.branch
-    )
-    data = inversion.phantom_data(ph, rcfg, (cfg.s_min, cfg.s_max), cfg.s_count)
-    grid = _volume_grid(cfg)
-    return grid.with_samples(inversion.reconstruct(data, rcfg, grid.points())), rcfg
+def _calibration_radius(ph, cfg):
+    """Radius of the ball of invert's calibration points: support_radius / 4, and
+    for the radon branches at most min(-s_min, s_max), so that every offset
+    x . n of a calibration point lies on the s-grid."""
+    radius = ph.support_radius / 4.0
+    if cfg.branch == inversion.BRANCH_XRAY:
+        return radius
+    bound = min(-cfg.s_min, cfg.s_max)
+    if bound <= 0.0:
+        raise CliError(
+            f"invert --branch {cfg.branch} needs s_min < 0 < s_max "
+            f"(the s-grid must contain the offsets of its calibration points about the origin), "
+            f"got s_min={cfg.s_min:g}, s_max={cfg.s_max:g}"
+        )
+    return min(radius, bound)
 
 
 def _metrics(ph, vol):
@@ -255,24 +262,36 @@ def _metrics(ph, vol):
 
 
 def cmd_invert(args):
+    """Reconstruct the volume and the seeded calibration points in one pass over one
+    dataset; fitted_scale fits the points' unit-normalized values to the density."""
     cfg = load_config(args)
     ph = _load_phantom(cfg)
+    cal_points = inversion.calibration_points(_calibration_radius(ph, cfg), seed=cfg.seed + 1)
+    # The classical branch has its constant built in; record 1.0 for it.
+    normalization = 1.0 if cfg.branch == inversion.BRANCH_CLASSICAL else cfg.normalization
+    rcfg = inversion.ReconstructionConfig(
+        fibonacci_sphere(cfg.nodes), cfg.diff_step, normalization, cfg.branch
+    )
+    grid = _volume_grid(cfg)
     with _OutputSet(cfg.outdir) as out:
-        vol, rcfg = _reconstruct(ph, cfg)
+        data = inversion.phantom_data(ph, rcfg, (cfg.s_min, cfg.s_max), cfg.s_count)
+        voxels = grid.points()
+        values = inversion.reconstruct(data, rcfg, np.concatenate((voxels, cal_points)))
+        vol = grid.with_samples(values[: len(voxels)])
         inversion.write_volume(
             out.path("volume.raw"),
             out.path("volume.json"),
             vol,
             branch=cfg.branch,
-            normalization=rcfg.normalization,
+            normalization=normalization,
             quadrature_count=cfg.nodes,
             diff_step=cfg.diff_step,
         )
         rel_l2, max_err = _metrics(ph, vol)
+        raw = values[len(voxels):] / normalization
         try:
-            cal = inversion.calibrate_normalization(ph, rcfg, seed=cfg.seed + 1)
-            fitted = cal.scale
-        except ValueError:
+            fitted = inversion.fit_scale(raw, ph_mod.evaluate(ph, cal_points)).scale
+        except ValueError:  # an identically zero reconstruction
             fitted = float("nan")
         with open(out.path("metrics.csv"), "w", encoding="utf-8", newline="\n") as fh:
             fh.write("rel_l2,max_err,fitted_scale\n")
@@ -335,7 +354,14 @@ def cmd_calibrate(args):
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once per process.
+
+    A subcommand is stored by name (args.command); main looks up its
+    cmd_* function when it runs, so a function replaced on this module
+    later (a profiler's wrapper, a test's stub) is the one called.
+    """
     parser = argparse.ArgumentParser(
         prog="xradon",
         description="Analytic X-ray / Radon transform toolkit",
@@ -345,7 +371,6 @@ def build_parser():
     gen = sub.add_parser("phantom-gen", help="write a preset phantom file")
     gen.add_argument("--out", required=True)
     gen.add_argument("--preset", default="unit-gaussian")
-    gen.set_defaults(func=cmd_phantom_gen)
 
     def add_run_flags(p):
         p.add_argument("--config", help="JSON config file (flags win)")
@@ -365,24 +390,22 @@ def build_parser():
         p.add_argument("--outdir")
         p.add_argument("--seed", type=int)
 
-    for name, func, help_text in (
-        ("forward", cmd_forward, "write forward data (x-ray CSV or Radon profiles)"),
-        ("invert", cmd_invert, "reconstruct a volume and report metrics"),
-        ("check", cmd_check, "Grangeat sweep and spherical-average diagnostic"),
-        ("calibrate", cmd_calibrate, "fit the normalization constant"),
+    for name, help_text in (
+        ("forward", "write forward data (x-ray CSV or Radon profiles)"),
+        ("invert", "reconstruct a volume and report metrics"),
+        ("check", "Grangeat sweep and spherical-average diagnostic"),
+        ("calibrate", "fit the normalization constant"),
     ):
-        p = sub.add_parser(name, help=help_text)
-        add_run_flags(p)
-        p.set_defaults(func=func)
+        add_run_flags(sub.add_parser(name, help=help_text))
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

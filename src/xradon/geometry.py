@@ -129,30 +129,6 @@ def fibonacci_sphere(count):
     return SphereQuadrature(nodes=nodes, weights=weights)
 
 
-def sphere_integrate(quadrature, f):
-    """Integrate a function of direction over the sphere.
-
-    Parameters
-    ----------
-    quadrature : SphereQuadrature
-    f : callable or ndarray
-        Either a callable taking a unit 3-vector, or precomputed node
-        values of shape (count,).
-
-    Returns
-    -------
-    float
-        sum_k w_k f(n_k), accumulated in fixed node order.
-    """
-    if callable(f):
-        values = np.array([f(node) for node in quadrature.nodes], dtype=float)
-    else:
-        values = np.asarray(f, dtype=float)
-        if values.shape != (quadrature.count,):
-            raise ValueError("value array length must match node count")
-    return float(np.dot(quadrature.weights, values))
-
-
 @dataclass(frozen=True)
 class VolumeGrid:
     """Uniform 3D scalar field.

@@ -369,6 +369,22 @@ def sample_ball_points(rng, count, radius):
     return directions * radii[:, None]
 
 
+def calibration_points(radius, seed, num_points=50):
+    """The seeded calibration batch: num_points uniform in the ball of the given
+    radius about the origin, from default_rng(seed)."""
+    return sample_ball_points(np.random.default_rng(seed), num_points, radius)
+
+
+def fit_scale(raw, truth):
+    """The scalar c minimizing sum |c * raw - truth|^2, with the RMS residual of the fit."""
+    denom = float(np.dot(raw, raw))
+    if denom == 0.0:
+        raise ValueError("raw reconstruction is identically zero; cannot calibrate")
+    scale = float(np.dot(raw, truth)) / denom
+    residual = float(np.sqrt(np.mean((scale * raw - truth) ** 2)))
+    return CalibrationResult(scale=scale, residual=residual)
+
+
 def calibrate_normalization(
     ph,
     cfg,
@@ -380,10 +396,9 @@ def calibrate_normalization(
     """Least-squares scalar matching raw reconstructions to the phantom density.
 
     Runs the configured branch with unit normalization (the classical
-    branch keeps its built-in constant), evaluates it at `num_points`
-    seeded random points inside the phantom, and returns the scalar c
-    minimizing sum |c * raw(x) - density(x)|^2 together with the RMS
-    residual of the fit.
+    branch keeps its built-in constant) at the calibration points
+    (calibration_points; radius support_radius / 4 unless given) and
+    fits it to the phantom density there (fit_scale).
 
     `data` optionally overrides the phantom-derived input: ray-difference
     data (see reconstruct and lift_xray_data) for the xray branch, or a
@@ -391,19 +406,11 @@ def calibrate_normalization(
     """
     if sampling_radius is None:
         sampling_radius = ph.support_radius / 4.0
-    rng = np.random.default_rng(seed)
-    points = sample_ball_points(rng, num_points, sampling_radius)
-    truth = ph_mod.evaluate(ph, points)
+    points = calibration_points(sampling_radius, seed, num_points)
     if data is None:
         data = phantom_data(ph, cfg)
     raw = reconstruct(data, replace(cfg, normalization=1.0), points)
-
-    denom = float(np.dot(raw, raw))
-    if denom == 0.0:
-        raise ValueError("raw reconstruction is identically zero; cannot calibrate")
-    scale = float(np.dot(raw, truth)) / denom
-    residual = float(np.sqrt(np.mean((scale * raw - truth) ** 2)))
-    return CalibrationResult(scale=scale, residual=residual)
+    return fit_scale(raw, ph_mod.evaluate(ph, points))
 
 
 # --- reconstructed volume persistence ---------------------------------------

@@ -42,11 +42,6 @@ class RadonProfile:
         return np.linspace(self.s_min, self.s_max, self.count)
 
 
-def xray(ph, x, n):
-    """Divergent-beam transform: integral of the density over t >= 0 from x along n."""
-    return ph_mod.halfline_integral(ph, x, n)
-
-
 def directional_derivative_xray(ph, x, n, h=1e-4):
     """Central difference of the x-ray data along its own direction.
 

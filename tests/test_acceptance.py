@@ -35,7 +35,7 @@ def test_criterion_1_forward_oracle_exactness(unit_gaussian):
         x = rng.uniform(-1.0, 1.0, size=3)
         n = rng.normal(size=3)
         n /= np.linalg.norm(n)
-        errs.append(abs(ray_march_density(unit_gaussian, x, n) - xr.xray(unit_gaussian, x, n)))
+        errs.append(abs(ray_march_density(unit_gaussian, x, n) - xr.halfline_integral(unit_gaussian, x, n)))
         full = ray_march_density(unit_gaussian, x, n) + ray_march_density(unit_gaussian, x, -n)
         errs.append(abs(full - xr.line_integral(unit_gaussian, x, n)))
     for s in (-1.0, 0.0, 0.7):

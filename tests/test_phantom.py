@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -413,6 +415,39 @@ class TestLinearity:
             - xr.plane_integral(unit_gaussian, n, 0.3)
             - xr.plane_integral(ball, n, 0.3)
         ) < 1e-12
+
+    @PROPERTY
+    @given(
+        ph=phantoms(),
+        coeffs=st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=2),
+        points=st.lists(st.tuples(*(st.floats(-3.0, 3.0),) * 3), min_size=1, max_size=4),
+        nodes=st.lists(unit_vectors(), min_size=1, max_size=4),
+        h=STEPS,
+    )
+    def test_linear_in_amplitude(self, ph, coeffs, points, nodes, h):
+        # F(sum_i c_i A_i prim_i) = sum_i c_i F(A_i prim_i) for the half-line
+        # integral, the plane-integral rows and the ray differences
+        points = np.array(points)
+        nodes = np.array(nodes)
+        s = np.linspace(-3.0, 3.0, 13)
+        coeffs = coeffs[: len(ph.primitives)]
+        scaled = xr.Phantom(
+            tuple(replace(p, amplitude=c * p.amplitude) for p, c in zip(ph.primitives, coeffs)),
+            ph.support_radius,
+        )
+        alone = [xr.Phantom((p,), ph.support_radius) for p in ph.primitives]
+        weight = sum(abs(c * p.amplitude) for p, c in zip(ph.primitives, coeffs))
+        a = max(p.scale for p in ph.primitives)
+        transforms = (
+            # (F, a bound per unit amplitude on |F| or, for the differences, on
+            # the half-line integrals whose difference they are)
+            (lambda q: xr.halfline_integral(q, points[None, :, :], nodes[:, None, :]), 2.0 * a),
+            (lambda q: phm.plane_integral_rows(q, nodes, s), np.pi * a * a),
+            (lambda q: xr.ray_differences(q, points, h)(nodes), 2.0 * a),
+        )
+        for transform, bound in transforms:
+            expected = sum(c * transform(q) for q, c in zip(alone, coeffs))
+            assert np.max(np.abs(transform(scaled) - expected)) <= 1e-14 * bound * weight
 
 
 class TestRasterize:

@@ -19,14 +19,16 @@ def gauss_volume(unit_gaussian):
 
 
 class TestXray:
+    """The divergent-beam transform, phantom.halfline_integral."""
+
     def test_from_center(self, unit_gaussian):
-        assert abs(xr.xray(unit_gaussian, (0, 0, 0), (0, 1, 0)) - SQRT_PI / 2) < 1e-12
+        assert abs(xr.halfline_integral(unit_gaussian, (0, 0, 0), (0, 1, 0)) - SQRT_PI / 2) < 1e-12
 
     def test_pointing_away(self, unit_gaussian):
-        assert xr.xray(unit_gaussian, (0, 0, 10), (0, 0, 1)) < 1e-15
+        assert xr.halfline_integral(unit_gaussian, (0, 0, 10), (0, 0, 1)) < 1e-15
 
     def test_offset_perpendicular(self, unit_gaussian):
-        val = xr.xray(unit_gaussian, (1, 0, 0), (0, 1, 0))
+        val = xr.halfline_integral(unit_gaussian, (1, 0, 0), (0, 1, 0))
         assert abs(val - (SQRT_PI / 2) * np.exp(-1.0)) < 1e-12
 
 
@@ -86,7 +88,7 @@ class TestXrayNumeric:
         vol = grid.with_samples(xr.evaluate(unit_gaussian, grid.points()))
         x0 = np.array([0.5, 0.0, 0.0])
         n = np.array([1.0, 0.0, 0.0])
-        exact = xr.xray(unit_gaussian, x0, n)
+        exact = xr.halfline_integral(unit_gaussian, x0, n)
         errs = [abs(xr.xray_numeric(vol, x0, n, step) - exact) for step in (4e-2, 2e-2, 1e-2)]
         order = math.log(errs[0] / errs[2]) / math.log(4.0)
         assert order >= 1.8
