@@ -1,12 +1,10 @@
 """Analytic X-ray / Radon transform toolkit with dual inversion branches."""
 
 from .geometry import (
-    Frame,
     SphereQuadrature,
     VolumeGrid,
     cube_grid,
     fibonacci_sphere,
-    make_frame,
 )
 from .phantom import (
     BALL,
@@ -26,17 +24,12 @@ from .phantom import (
 from .xform import (
     RadonProfile,
     directional_derivative_xray,
-    radon_profile,
     xray_numeric,
 )
 from .hilbert import (
-    Profile1D,
-    derivative,
     derivative_rows,
     hilbert_pv_direct,
     hilbert_rows,
-    hilbert_spectral,
-    sample_cubic,
     sample_rows,
 )
 from .inversion import (

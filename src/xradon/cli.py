@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -19,6 +20,7 @@ import numpy as np
 
 from . import inversion, phantom as ph_mod, xform
 from .geometry import VolumeGrid, fibonacci_sphere
+from .hilbert import offsets_on_grid
 
 
 @dataclass(frozen=True)
@@ -247,6 +249,20 @@ def _calibration_radius(ph, cfg):
     return min(radius, bound)
 
 
+def _check_volume_offsets(cfg, grid, nodes):
+    """For the radon branches, every offset x . n of a voxel must lie on the s-grid
+    (hilbert.offsets_on_grid); x . n is linear in x, so its extremes are at the corners."""
+    if cfg.branch == inversion.BRANCH_XRAY:
+        return
+    offsets = nodes @ np.array(list(itertools.product(*zip(grid.origin, grid.upper)))).T
+    if not offsets_on_grid(offsets.min(), offsets.max(), cfg.s_min, cfg.s_max):
+        raise CliError(
+            f"invert --branch {cfg.branch}: the volume --vol-min {cfg.vol_min:g} --vol-max {cfg.vol_max:g} "
+            f"reaches plane offsets x . n from {offsets.min():.6g} to {offsets.max():.6g}, beyond the "
+            f"s-grid --s-min {cfg.s_min:g} --s-max {cfg.s_max:g}; widen the s-grid or shrink the volume"
+        )
+
+
 def _metrics(ph, vol):
     """Relative L2 / max error against the analytic density, support interior only."""
     pts = vol.points()
@@ -266,13 +282,19 @@ def cmd_invert(args):
     dataset; fitted_scale fits the points' unit-normalized values to the density."""
     cfg = load_config(args)
     ph = _load_phantom(cfg)
+    # The classical branch has its constant built in: it takes no normalization, records 1.0.
+    if cfg.branch == inversion.BRANCH_CLASSICAL and cfg.normalization != RunConfig.normalization:
+        raise CliError(
+            f"invert --branch {cfg.branch} has its constant -1/(8 pi^2) built in and takes no "
+            f"--normalization; got {cfg.normalization!r}, leave it at the default {RunConfig.normalization!r}"
+        )
     cal_points = inversion.calibration_points(_calibration_radius(ph, cfg), seed=cfg.seed + 1)
-    # The classical branch has its constant built in; record 1.0 for it.
     normalization = 1.0 if cfg.branch == inversion.BRANCH_CLASSICAL else cfg.normalization
     rcfg = inversion.ReconstructionConfig(
         fibonacci_sphere(cfg.nodes), cfg.diff_step, normalization, cfg.branch
     )
     grid = _volume_grid(cfg)
+    _check_volume_offsets(cfg, grid, rcfg.quadrature.nodes)
     with _OutputSet(cfg.outdir) as out:
         data = inversion.phantom_data(ph, rcfg, (cfg.s_min, cfg.s_max), cfg.s_count)
         voxels = grid.points()

@@ -1,4 +1,4 @@
-"""Unit directions, orthogonal frames, spherical quadrature and Cartesian volume grids.
+"""Unit directions, spherical quadrature and Cartesian volume grids.
 
 Shared geometric substrate for the forward transforms and the
 reconstruction formulas.  Directions are plain numpy unit vectors of
@@ -31,36 +31,6 @@ def as_direction(v, tol=_UNIT_TOL):
     if abs(nrm - 1.0) > tol:
         raise ValueError(f"direction norm {nrm!r} deviates from 1 by more than {tol}")
     return v
-
-
-@dataclass(frozen=True)
-class Frame:
-    """A unit direction together with one perpendicular unit direction."""
-
-    n: np.ndarray
-    n_perp: np.ndarray
-
-    def __post_init__(self):
-        n = as_direction(self.n, tol=1e-12)
-        p = as_direction(self.n_perp, tol=1e-12)
-        if abs(float(np.dot(n, p))) > 1e-12:
-            raise ValueError("frame vectors are not orthogonal")
-
-
-def make_frame(n):
-    """Build a deterministic orthogonal frame for a unit direction.
-
-    The perpendicular is obtained by the smallest-component rule: take
-    the coordinate axis e_k with minimal |n . e_k| and project out the
-    component along n.  Equal inputs give bitwise-equal outputs.
-    """
-    n = as_direction(n)
-    k = int(np.argmin(np.abs(n)))
-    e = np.zeros(3)
-    e[k] = 1.0
-    perp = e - n[k] * n
-    perp = perp / np.linalg.norm(perp)
-    return Frame(n=n, n_perp=perp)
 
 
 @dataclass(frozen=True)

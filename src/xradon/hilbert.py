@@ -10,8 +10,6 @@ singularity-subtracted quadrature — so each validates the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy import fft as sfft
@@ -20,41 +18,6 @@ from scipy import fft as sfft
 # non-decaying; the samples beyond the grid, taken as zero, would then
 # corrupt the PV integral.
 DECAY_TOL = 1e-3
-
-
-@dataclass(frozen=True)
-class Profile1D:
-    """Function samples on a uniform grid over [s_min, s_max]."""
-
-    s_min: float
-    s_max: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float).reshape(-1)
-        if values.size < 8:
-            raise ValueError("Profile1D requires at least 8 samples")
-        if not self.s_max > self.s_min:
-            raise ValueError("require s_max > s_min")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("profile values must be finite")
-        object.__setattr__(self, "s_min", float(self.s_min))
-        object.__setattr__(self, "s_max", float(self.s_max))
-        object.__setattr__(self, "values", values)
-
-    @property
-    def count(self):
-        return self.values.size
-
-    @property
-    def spacing(self):
-        return (self.s_max - self.s_min) / (self.count - 1)
-
-    def grid(self):
-        return np.linspace(self.s_min, self.s_max, self.count)
-
-    def with_values(self, values):
-        return Profile1D(self.s_min, self.s_max, values)
 
 
 def _check_decay(values):
@@ -109,26 +72,22 @@ def hilbert_rows(values):
     return sfft.irfft(spectrum, n=m, axis=-1)[..., :n].copy()
 
 
-def hilbert_spectral(p):
-    """Hilbert transform of a profile by the band-limited kernel (see hilbert_rows)."""
-    return p.with_values(hilbert_rows(p.values))
+def hilbert_pv_direct(values, s_min, s_max):
+    """Hilbert transform of one row by direct singularity-subtracted quadrature.
 
-
-def hilbert_pv_direct(p):
-    """Hilbert transform by direct singularity-subtracted quadrature.
-
-    Uses the decomposition
+    `values` holds S samples on a uniform grid over [s_min, s_max].  Uses
+    the decomposition
         pi * Hf(s) = int (f(sigma) - f(s)) / (s - sigma) d sigma
                      + f(s) * ln((s - s_min) / (s_max - s)),
     with the first term regular (its value at sigma = s is -f'(s)) and
     evaluated by the trapezoid rule.  The logarithmic end-correction
-    diverges at the grid endpoints, so the result is returned on the
-    interior grid (count - 2 samples).
+    diverges at the grid endpoints, so the result is the S - 2 samples
+    on the interior grid, s_min + h .. s_max - h for the grid spacing h.
     """
-    _check_decay(p.values)
-    s = p.grid()
-    f = p.values
-    h = p.spacing
+    f = np.asarray(values, dtype=float).reshape(-1)
+    _check_decay(f)
+    s = np.linspace(s_min, s_max, f.size)
+    h = (s_max - s_min) / (f.size - 1)
     targets = s[1:-1]
     ft = f[1:-1]
     # integrand g(sigma) = (f(sigma) - f(s)) / (s - sigma), rows = targets
@@ -141,9 +100,8 @@ def hilbert_pv_direct(p):
     idx = np.arange(targets.size)
     g[idx, idx + 1] = -fprime
     trap = h * (np.sum(g, axis=1) - 0.5 * (g[:, 0] + g[:, -1]))
-    correction = ft * np.log((targets - p.s_min) / (p.s_max - targets))
-    values = (trap + correction) / np.pi
-    return Profile1D(p.s_min + h, p.s_max - h, values)
+    correction = ft * np.log((targets - s_min) / (s_max - targets))
+    return (trap + correction) / np.pi
 
 
 def derivative_rows(values, spacing):
@@ -162,11 +120,6 @@ def derivative_rows(values, spacing):
     d[..., 0] = (-3.0 * v[..., 0] + 4.0 * v[..., 1] - v[..., 2]) / (2.0 * h)
     d[..., -1] = (3.0 * v[..., -1] - 4.0 * v[..., -2] + v[..., -3]) / (2.0 * h)
     return d
-
-
-def derivative(p):
-    """First derivative of a profile on the same grid (see derivative_rows)."""
-    return p.with_values(derivative_rows(p.values, p.spacing))
 
 
 # Rows: the stencil values v[j-1], v[j], v[j+1], v[j+2] of interval j;
@@ -206,20 +159,26 @@ def _cubic_coefficients(v):
     return c
 
 
+def offsets_on_grid(lo, hi, s_min, s_max):
+    """Whether the offsets from lo to hi lie on [s_min, s_max], with a slack of
+    1e-9 of the larger of |s_min|, |s_max| and 1 for the rounding in x . n."""
+    eps = 1e-9 * max(abs(s_min), abs(s_max), 1.0)
+    return lo >= s_min - eps and hi <= s_max + eps
+
+
 def sample_rows(values, s_min, s_max, s):
     """Evaluate row k of `values` at the offsets s[k] by 4-point Lagrange interpolation.
 
     `values` has shape (K, S): K profiles sampled on one uniform grid
     over [s_min, s_max].  `s` has shape (K, Q); the result has shape
-    (K, Q).  Offsets outside [s_min, s_max] are rejected.  The
+    (K, Q).  Offsets off the grid (offsets_on_grid) are rejected.  The
     interpolant is evaluated from per-interval cubic coefficients
     (_cubic_coefficients), four (K, S - 1) tables built from `values`.
     """
     values = np.asarray(values, dtype=float)
     s = np.asarray(s, dtype=float)
     rows, count = values.shape
-    eps = 1e-9 * max(abs(s_min), abs(s_max), 1.0)
-    if s.size and not (s.min() >= s_min - eps and s.max() <= s_max + eps):
+    if s.size and not offsets_on_grid(s.min(), s.max(), s_min, s_max):
         raise ValueError("query offset outside the profile range")
     h = (s_max - s_min) / (count - 1)
     w = s - s_min
@@ -235,10 +194,3 @@ def sample_rows(values, s_min, s_max, s):
         out *= w
         out += np.take(c[m], index)
     return out
-
-
-def sample_cubic(p, s):
-    """Evaluate the profile at offsets of any shape (see sample_rows); a scalar gives a float."""
-    s = np.asarray(s, dtype=float)
-    out = sample_rows(p.values[None, :], p.s_min, p.s_max, s.reshape(1, -1))
-    return float(out[0, 0]) if s.ndim == 0 else out.reshape(s.shape)

@@ -14,12 +14,16 @@ from scipy.ndimage import map_coordinates
 
 from . import phantom as ph_mod
 from .geometry import as_direction
-from .hilbert import Profile1D
+from .inversion import RadonDataset
 
 
 @dataclass(frozen=True)
 class RadonProfile:
-    """Sampled plane-integral profile s -> Rf(n, s) for one plane normal n."""
+    """Sampled plane-integral profile s -> Rf(n, s) for one plane normal n.
+
+    The one-row case of inversion.RadonDataset, whose checks it makes: a
+    unit normal, at least 8 finite samples and s_max > s_min.
+    """
 
     n: np.ndarray
     s_min: float
@@ -27,19 +31,12 @@ class RadonProfile:
     values: np.ndarray
 
     def __post_init__(self):
-        n = as_direction(self.n)
-        profile = Profile1D(self.s_min, self.s_max, self.values)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "s_min", profile.s_min)
-        object.__setattr__(self, "s_max", profile.s_max)
-        object.__setattr__(self, "values", profile.values)
-
-    @property
-    def count(self):
-        return self.values.size
-
-    def s_grid(self):
-        return np.linspace(self.s_min, self.s_max, self.count)
+        n, values = np.asarray(self.n, dtype=float), np.asarray(self.values, dtype=float)
+        data = RadonDataset(n[None], self.s_min, self.s_max, values.reshape(1, -1))
+        object.__setattr__(self, "n", data.nodes[0])
+        object.__setattr__(self, "s_min", data.s_min)
+        object.__setattr__(self, "s_max", data.s_max)
+        object.__setattr__(self, "values", data.values[0])
 
 
 def directional_derivative_xray(ph, x, n, h=1e-4):
@@ -53,17 +50,6 @@ def directional_derivative_xray(ph, x, n, h=1e-4):
     if not h > 0.0:
         raise ValueError("step h must be positive")
     return ph_mod.ray_difference_rows(ph, x, n, h) / (2.0 * h)
-
-
-def radon_profile(ph, n, s_min, s_max, count):
-    """Plane integrals on a uniform offset grid for one plane normal."""
-    count = int(count)
-    if count < 2:
-        raise ValueError("radon_profile requires count >= 2")
-    n = as_direction(n)
-    s = np.linspace(s_min, s_max, count)
-    values = ph_mod.plane_integral(ph, n, s)
-    return RadonProfile(n=n, s_min=s_min, s_max=s_max, values=values)
 
 
 def _ray_box_range(origin, upper, x, n):
@@ -171,13 +157,8 @@ def write_profiles_csv(paths, nodes, s_min, s_max, values):
             fh.write(rows % tuple(row.tolist()))
 
 
-def write_profile_csv(path, rp):
-    """RadonProfile export, the one-profile case of write_profiles_csv."""
-    write_profiles_csv([path], rp.n[None], rp.s_min, rp.s_max, rp.values[None])
-
-
 def read_profile_csv(path):
-    """Read a RadonProfile written by write_profile_csv; a malformed file raises ValueError."""
+    """One file of write_profiles_csv as a RadonProfile; a malformed file raises ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if len(lines) < 4 or lines[0] != "n1,n2,n3" or lines[2] != "s,value":

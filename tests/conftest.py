@@ -35,8 +35,10 @@ def ray_march_density(ph, x, n, step=1e-3, t_max=None):
 def plane_march_density(ph, n, s, half_width=6.0, step=2e-2):
     """Independent 2D midpoint-rule oracle for the plane integral."""
     n = np.asarray(n, dtype=float)
-    frame = xr.make_frame(n)
-    e1 = frame.n_perp
+    # in-plane axes: the coordinate axis least aligned with n, less its n part
+    k = int(np.argmin(np.abs(n)))
+    e1 = np.eye(3)[k] - n[k] * n
+    e1 = e1 / np.linalg.norm(e1)
     e2 = np.cross(n, e1)
     m = int(np.ceil(2.0 * half_width / step))
     u = -half_width + (np.arange(m) + 0.5) * (2.0 * half_width / m)

@@ -13,12 +13,7 @@ import pytest
 import xradon as xr
 from xradon import inversion as inv
 from xradon.cli import main as cli_main
-from xradon.hilbert import (
-    Profile1D,
-    hilbert_pv_direct,
-    hilbert_spectral,
-    sample_cubic,
-)
+from xradon.hilbert import hilbert_pv_direct, hilbert_rows, sample_rows
 from conftest import plane_march_density, ray_march_density
 
 
@@ -123,22 +118,23 @@ def test_criterion_5_grangeat_conversion(unit_gaussian):
 def test_criterion_6_hilbert_module():
     start = time.time()
     s = np.linspace(-40.0, 40.0, 4097)
-    lorentz = Profile1D(-40.0, 40.0, 1.0 / (1.0 + s**2))
-    err_spec = abs(sample_cubic(hilbert_spectral(lorentz), 1.0) - 0.5)
-    err_direct = abs(sample_cubic(hilbert_pv_direct(lorentz), 1.0) - 0.5)
+    h = 80.0 / 4096
+    lorentz = 1.0 / (1.0 + s**2)
+    at_one = np.array([[1.0]])
+    err_spec = abs(sample_rows(hilbert_rows(lorentz)[None], -40.0, 40.0, at_one)[0, 0] - 0.5)
+    # the direct route gives the interior grid, -40 + h .. 40 - h
+    direct = hilbert_pv_direct(lorentz, -40.0, 40.0)
+    err_direct = abs(sample_rows(direct[None], -40.0 + h, 40.0 - h, at_one)[0, 0] - 0.5)
 
-    gauss = Profile1D(-40.0, 40.0, np.exp(-(s**2)))
+    gauss = np.exp(-(s**2))
     agreement = float(
-        np.max(np.abs(hilbert_pv_direct(gauss).values - hilbert_spectral(gauss).values[1:-1]))
+        np.max(np.abs(hilbert_pv_direct(gauss, -40.0, 40.0) - hilbert_rows(gauss)[1:-1]))
     )
 
     extent = 40000.0
     nw = int(round(2 * extent / 0.25)) + 1
-    sw = np.linspace(-extent, extent, nw)
-    wide = Profile1D(-extent, extent, np.exp(-(sw**2)))
-    involution = float(
-        np.max(np.abs(hilbert_spectral(hilbert_spectral(wide)).values + wide.values))
-    )
+    wide = np.exp(-(np.linspace(-extent, extent, nw) ** 2))
+    involution = float(np.max(np.abs(hilbert_rows(hilbert_rows(wide)) + wide)))
     elapsed = time.time() - start
     ok = (
         err_spec < 1e-4

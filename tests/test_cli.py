@@ -199,6 +199,47 @@ class TestInvert:
         assert not outdir.exists()
 
 
+    @pytest.mark.parametrize("branch", ["radon", "classical_radon"])
+    def test_volume_beyond_s_grid_rejected(self, tmp_path, phantom_file, capsys, branch):
+        # the default volume [-3, 3]^3 reaches plane offsets of up to 3 sqrt(3) = 5.2
+        outdir = tmp_path / "inv"
+        assert run(
+            "invert", "--phantom", str(phantom_file), "--branch", branch,
+            "--s-min", "-4", "--s-max", "4", "--outdir", str(outdir),
+        ) == 1
+        err = capsys.readouterr().err
+        assert "--s-min" in err and "--vol-min" in err and "x . n from -5" in err
+        assert "Traceback" not in err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("branch", ["radon", "classical_radon"])
+    @pytest.mark.parametrize("scale, ok", [(1.0, True), (1.0 - 1e-8, False)])
+    def test_volume_at_s_grid_edge(self, tmp_path, phantom_file, branch, scale, ok):
+        # s_max at the largest corner offset runs; 1e-8 inside it, beyond the slack, does not
+        nodes = fibonacci_sphere(20).nodes
+        corners = np.array([[x, y, z] for x in (-2.0, 2.0) for y in (-2.0, 2.0) for z in (-2.0, 2.0)])
+        edge = float(np.max(np.abs(nodes @ corners.T))) * scale
+        outdir = tmp_path / "inv"
+        assert run(
+            "invert", "--phantom", str(phantom_file), "--branch", branch, "--nodes", "20",
+            "--s-min", repr(-edge), "--s-max", repr(edge), "--s-count", "201",
+            "--vol-min", "-2", "--vol-max", "2", "--vol-dims", "5", "--outdir", str(outdir),
+        ) == (0 if ok else 1)
+        assert outdir.exists() == ok
+
+    @pytest.mark.parametrize("value, code", [("2", 1), (repr(RunConfig.normalization), 0)])
+    def test_classical_normalization(self, tmp_path, phantom_file, capsys, value, code):
+        # the classical branch's constant is built in; only the default is accepted
+        outdir = tmp_path / "inv"
+        assert run(
+            "invert", "--phantom", str(phantom_file), "--branch", "classical_radon", "--nodes", "20",
+            "--vol-dims", "5", "--normalization", value, "--outdir", str(outdir),
+        ) == code
+        if code:
+            assert "--normalization" in capsys.readouterr().err
+        assert outdir.exists() == (code == 0)
+
+
 JSON_SCALARS = (
     st.none()
     | st.booleans()

@@ -5,42 +5,6 @@ import xradon as xr
 from xradon.geometry import FULL_SPHERE, as_direction, cube_grid
 
 
-class TestMakeFrame:
-    def test_axis_x(self):
-        f = xr.make_frame((1.0, 0.0, 0.0))
-        assert np.array_equal(f.n_perp, [0.0, 1.0, 0.0])
-
-    def test_axis_z(self):
-        f = xr.make_frame((0.0, 0.0, 1.0))
-        assert np.array_equal(f.n_perp, [1.0, 0.0, 0.0])
-
-    def test_diagonal_orthonormal(self):
-        n = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
-        f = xr.make_frame(n)
-        assert abs(np.dot(f.n, f.n_perp)) < 1e-12
-        assert abs(np.linalg.norm(f.n_perp) - 1.0) < 1e-12
-
-    def test_random_orthonormal(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            n = rng.normal(size=3)
-            n /= np.linalg.norm(n)
-            f = xr.make_frame(n)
-            assert abs(np.dot(f.n, f.n_perp)) < 1e-12
-            assert abs(np.linalg.norm(f.n_perp) - 1.0) < 1e-12
-
-    def test_deterministic(self):
-        n = np.array([0.3, -0.5, 0.2])
-        n /= np.linalg.norm(n)
-        a = xr.make_frame(n.copy())
-        b = xr.make_frame(n.copy())
-        assert a.n_perp.tobytes() == b.n_perp.tobytes()
-
-    def test_rejects_non_unit(self):
-        with pytest.raises(ValueError):
-            xr.make_frame((1.0, 1.0, 0.0))
-
-
 class TestFibonacciSphere:
     def test_weight_sum(self):
         q = xr.fibonacci_sphere(1000)

@@ -4,16 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import dawsn
 
-from xradon.hilbert import (
-    Profile1D,
-    derivative,
-    derivative_rows,
-    hilbert_pv_direct,
-    hilbert_rows,
-    hilbert_spectral,
-    sample_cubic,
-    sample_rows,
-)
+from xradon.hilbert import derivative_rows, hilbert_pv_direct, hilbert_rows, sample_rows
 
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -47,39 +38,47 @@ def hilbert_direct(row):
 
 def lorentzian_profile(count=4097, extent=40.0):
     s = np.linspace(-extent, extent, count)
-    return Profile1D(-extent, extent, 1.0 / (1.0 + s**2))
+    return 1.0 / (1.0 + s**2)
 
 
-def gaussian_profile(count=4097, extent=40.0, amplitude=1.0):
+def gaussian_profile(count=4097, extent=40.0):
     s = np.linspace(-extent, extent, count)
-    return Profile1D(-extent, extent, amplitude * np.exp(-(s**2)))
+    return np.exp(-(s**2))
+
+
+def sample_at(row, s_min, s_max, s):
+    """One row's cubic interpolant at the offsets s: sample_rows on a one-row stack."""
+    return sample_rows(np.asarray(row)[None], s_min, s_max, np.reshape(s, (1, -1)))[0]
+
+
+# The spacing of the default profiles, 4097 samples on [-40, 40].
+SPACING = 80.0 / 4096
 
 
 class TestHilbertSpectral:
+    """hilbert_rows, the band-limited kernel applied by FFT."""
+
     def test_lorentzian_pair(self):
         # H[1/(1+s^2)] = s/(1+s^2)
-        h = hilbert_spectral(lorentzian_profile())
-        assert abs(sample_cubic(h, 1.0) - 0.5) < 1e-4
+        h = hilbert_rows(lorentzian_profile())
+        assert abs(sample_at(h, -40.0, 40.0, [1.0])[0] - 0.5) < 1e-4
 
     def test_even_input_vanishes_at_origin(self):
-        h = hilbert_spectral(gaussian_profile(count=4097, extent=10.0))
-        assert abs(h.values[2048]) < 1e-8
+        h = hilbert_rows(gaussian_profile(count=4097, extent=10.0))
+        assert abs(h[2048]) < 1e-8
 
     def test_zero_profile(self):
-        p = Profile1D(-1.0, 1.0, np.zeros(64))
-        assert np.all(hilbert_spectral(p).values == 0.0)
+        assert np.all(hilbert_rows(np.zeros(64)) == 0.0)
 
     def test_rejects_non_decaying(self):
-        p = Profile1D(-1.0, 1.0, np.ones(64))
         with pytest.raises(ValueError):
-            hilbert_spectral(p)
+            hilbert_rows(np.ones(64))
 
     def test_linearity(self):
         a = gaussian_profile()
         b = lorentzian_profile()
-        combo = a.with_values(2.0 * a.values + 3.0 * b.values)
-        lhs = hilbert_spectral(combo).values
-        rhs = 2.0 * hilbert_spectral(a).values + 3.0 * hilbert_spectral(b).values
+        lhs = hilbert_rows(2.0 * a + 3.0 * b)
+        rhs = 2.0 * hilbert_rows(a) + 3.0 * hilbert_rows(b)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_anti_involution(self):
@@ -88,10 +87,9 @@ class TestHilbertSpectral:
         # spectral bandwidth
         extent = 40000.0
         n = int(round(2 * extent / 0.25)) + 1
-        s = np.linspace(-extent, extent, n)
-        p = Profile1D(-extent, extent, np.exp(-(s**2)))
-        hh = hilbert_spectral(hilbert_spectral(p))
-        assert np.max(np.abs(hh.values + p.values)) < 1e-4
+        p = gaussian_profile(count=n, extent=extent)
+        hh = hilbert_rows(hilbert_rows(p))
+        assert np.max(np.abs(hh + p)) < 1e-4
 
 
 class TestBandLimitedKernel:
@@ -144,116 +142,78 @@ class TestBandLimitedKernel:
 
 
 class TestHilbertPvDirect:
+    """hilbert_pv_direct on one row; its S - 2 samples lie on the interior grid."""
+
     def test_lorentzian_pair(self):
-        h = hilbert_pv_direct(lorentzian_profile())
-        assert abs(sample_cubic(h, 1.0) - 0.5) < 1e-3
+        h = hilbert_pv_direct(lorentzian_profile(), -40.0, 40.0)
+        assert abs(sample_at(h, -40.0 + SPACING, 40.0 - SPACING, [1.0])[0] - 0.5) < 1e-3
 
     def test_agreement_with_spectral(self):
         p = gaussian_profile()
-        direct = hilbert_pv_direct(p)
-        spectral = hilbert_spectral(p)
-        assert np.max(np.abs(direct.values - spectral.values[1:-1])) < 1e-3
+        direct = hilbert_pv_direct(p, -40.0, 40.0)
+        spectral = hilbert_rows(p)
+        assert np.max(np.abs(direct - spectral[1:-1])) < 1e-3
 
     def test_odd_input_even_output(self):
         s = np.linspace(-20.0, 20.0, 2001)
-        p = Profile1D(-20.0, 20.0, s * np.exp(-(s**2)))
-        h = hilbert_pv_direct(p)
-        assert np.max(np.abs(h.values - h.values[::-1])) < 1e-6
+        h = hilbert_pv_direct(s * np.exp(-(s**2)), -20.0, 20.0)
+        assert np.max(np.abs(h - h[::-1])) < 1e-6
 
     def test_interior_grid(self):
-        p = gaussian_profile(count=101, extent=10.0)
-        h = hilbert_pv_direct(p)
-        assert h.count == 99
-        assert abs(h.s_min - (p.s_min + p.spacing)) < 1e-12
+        # H[exp(-s^2)] = (2/sqrt(pi)) D(s) at s = -10 + 0.2 .. 10 - 0.2
+        s = np.linspace(-10.0, 10.0, 101)
+        h = hilbert_pv_direct(np.exp(-(s**2)), -10.0, 10.0)
+        assert h.shape == (99,)
+        assert np.max(np.abs(h - 2.0 / np.sqrt(np.pi) * dawsn(s[1:-1]))) < 1e-2
 
     def test_rejects_non_decaying(self):
-        p = Profile1D(-1.0, 1.0, np.ones(64))
         with pytest.raises(ValueError):
-            hilbert_pv_direct(p)
+            hilbert_pv_direct(np.ones(64), -1.0, 1.0)
 
 
 class TestDerivative:
+    """derivative_rows on one row."""
+
     def test_gaussian_radon_profile(self):
         s = np.linspace(-8.0, 8.0, 1601)
-        p = Profile1D(-8.0, 8.0, np.pi * np.exp(-(s**2)))
-        d = derivative(p)
-        assert abs(sample_cubic(d, 1.0) - (-2.0 * np.pi / np.e)) < 1e-5
+        d = derivative_rows(np.pi * np.exp(-(s**2)), 16.0 / 1600)
+        assert abs(sample_at(d, -8.0, 8.0, [1.0])[0] - (-2.0 * np.pi / np.e)) < 1e-5
 
     def test_constant(self):
-        p = Profile1D(0.0, 1.0, np.full(32, 3.5))
-        assert np.max(np.abs(derivative(p).values)) < 1e-12
+        assert np.max(np.abs(derivative_rows(np.full(32, 3.5), 1.0 / 31))) < 1e-12
 
     def test_linear_ramp(self):
         s = np.linspace(-2.0, 2.0, 65)
-        d = derivative(Profile1D(-2.0, 2.0, s))
-        assert np.max(np.abs(d.values[1:-1] - 1.0)) < 1e-12
+        d = derivative_rows(s, 4.0 / 64)
+        assert np.max(np.abs(d[1:-1] - 1.0)) < 1e-12
 
     def test_commutes_with_hilbert(self):
         p = gaussian_profile()
-        a = derivative(hilbert_spectral(p))
-        b = hilbert_spectral(derivative(p))
-        assert np.max(np.abs(a.values - b.values)) < 1e-3
-
-
-class TestProfile1D:
-    def test_rejects_short(self):
-        with pytest.raises(ValueError):
-            Profile1D(0.0, 1.0, np.zeros(4))
-
-    def test_rejects_empty_range(self):
-        with pytest.raises(ValueError):
-            Profile1D(1.0, 1.0, np.zeros(16))
-
-    def test_rejects_non_finite(self):
-        v = np.zeros(16)
-        v[3] = np.nan
-        with pytest.raises(ValueError):
-            Profile1D(0.0, 1.0, v)
-
-    def test_grid_endpoints(self):
-        p = Profile1D(-2.0, 2.0, np.zeros(9))
-        g = p.grid()
-        assert g[0] == -2.0 and g[-1] == 2.0
-        assert abs(p.spacing - 0.5) < 1e-15
+        a = derivative_rows(hilbert_rows(p), SPACING)
+        b = hilbert_rows(derivative_rows(p, SPACING))
+        assert np.max(np.abs(a - b)) < 1e-3
 
 
 class TestSampleCubic:
+    """sample_rows on one row."""
+
     def test_exact_on_cubic(self):
         s = np.linspace(-2.0, 2.0, 41)
-        p = Profile1D(-2.0, 2.0, s**3 - s)
         q = np.array([-1.23, 0.37, 1.9])
-        assert np.max(np.abs(sample_cubic(p, q) - (q**3 - q))) < 1e-12
+        assert np.max(np.abs(sample_at(s**3 - s, -2.0, 2.0, q) - (q**3 - q))) < 1e-12
 
     def test_rejects_out_of_range(self):
-        p = Profile1D(-1.0, 1.0, np.zeros(16))
         with pytest.raises(ValueError):
-            sample_cubic(p, 1.5)
+            sample_at(np.zeros(16), -1.0, 1.0, [1.5])
 
 
 class TestRows:
-    """The row functions on a stack of profiles agree with the per-profile calls."""
+    """The row functions on a stack of profiles."""
 
     @pytest.fixture()
     def stack(self):
         s = np.linspace(-10.0, 10.0, 401)
         return np.stack([np.exp(-(s**2)), 2.0 * np.exp(-((s - 1.0) ** 2)), np.zeros(s.size)])
-
-    def test_hilbert_rows_match_profiles(self, stack):
-        rows = hilbert_rows(stack)
-        for row, values in zip(rows, stack):
-            expected = hilbert_spectral(Profile1D(-10.0, 10.0, values)).values
-            assert np.max(np.abs(row - expected)) <= 1e-15
-
-    def test_derivative_rows_match_profiles(self, stack):
-        rows = derivative_rows(stack, 20.0 / 400)
-        for row, values in zip(rows, stack):
-            assert np.array_equal(row, derivative(Profile1D(-10.0, 10.0, values)).values)
-
-    def test_sample_rows_match_profiles(self, stack):
-        q = np.array([[-1.5, 0.25, 9.9], [0.0, 1.0, -10.0], [3.0, 3.0, 3.0]])
-        rows = sample_rows(stack, -10.0, 10.0, q)
-        for row, values, offsets in zip(rows, stack, q):
-            assert np.array_equal(row, sample_cubic(Profile1D(-10.0, 10.0, values), offsets))
 
     def test_decay_checked_per_row(self, stack):
         bad = stack.copy()

@@ -228,12 +228,13 @@ class TestBatchReconstruction:
                 if branch == inv.BRANCH_XRAY:
                     total += weight * diff(node[None, :])[0, 0] / (2.0 * h)
                     continue
-                p = xr.Profile1D(dataset.s_min, dataset.s_max, dataset.values[k])
+                row, h_s = dataset.values[k], dataset.spacing
                 if branch == inv.BRANCH_RADON:
-                    filtered = xr.derivative(xr.hilbert_spectral(p))
+                    filtered = xr.derivative_rows(xr.hilbert_rows(row), h_s)
                 else:
-                    filtered = xr.derivative(xr.derivative(p))
-                total += weight * xr.sample_cubic(filtered, float(np.dot(node, x)))
+                    filtered = xr.derivative_rows(xr.derivative_rows(row, h_s), h_s)
+                offset = np.array([[np.dot(node, x)]])
+                total += weight * xr.sample_rows(filtered[None], dataset.s_min, dataset.s_max, offset)[0, 0]
             scale = {
                 inv.BRANCH_XRAY: cfg.normalization,
                 inv.BRANCH_RADON: cfg.normalization * inv.RADON_BRANCH_FACTOR,
@@ -323,7 +324,12 @@ class TestRadonDataset:
         data = inv.build_radon_dataset(unit_gaussian, q, -6.0, 6.0, 101)
         assert data.values.shape == (20, 101)
         for node, row in zip(q.nodes, data.values):
-            assert np.array_equal(row, xr.radon_profile(unit_gaussian, node, -6.0, 6.0, 101).values)
+            assert np.array_equal(row, xr.plane_integral(unit_gaussian, node, np.linspace(-6.0, 6.0, 101)))
+
+    def test_grid_endpoints(self):
+        data = inv.RadonDataset(np.eye(3)[:1], -2.0, 2.0, np.zeros((1, 9)))
+        assert data.s_min == -2.0 and data.s_max == 2.0
+        assert abs(data.spacing - 0.5) < 1e-15
 
     @pytest.mark.parametrize(
         "nodes, s_min, s_max, values",

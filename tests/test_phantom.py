@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc
 
@@ -448,6 +448,85 @@ class TestLinearity:
         for transform, bound in transforms:
             expected = sum(c * transform(q) for q, c in zip(alone, coeffs))
             assert np.max(np.abs(transform(scaled) - expected)) <= 1e-14 * bound * weight
+
+
+@st.composite
+def rigid_motions(draw):
+    """(R, t): a rotation matrix from a unit quaternion, and a shift."""
+    q = np.array(draw(st.tuples(*(st.floats(-1.0, 1.0),) * 4)))
+    assume(np.linalg.norm(q) > 0.1)
+    w, x, y, z = q / np.linalg.norm(q)
+    rotation = np.array([
+        [1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - z * w), 2.0 * (x * z + y * w)],
+        [2.0 * (x * y + z * w), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - x * w)],
+        [2.0 * (x * z - y * w), 2.0 * (y * z + x * w), 1.0 - 2.0 * (x * x + y * y)],
+    ])
+    return rotation, np.array(draw(st.tuples(*(st.floats(-3.0, 3.0),) * 3)))
+
+
+def moved(ph, rotation, shift):
+    """The phantom f'(y) = f(R^T (y - t)): each centre c moves to R c + t."""
+    prims = [replace(p, center=rotation @ p.center + shift) for p in ph.primitives]
+    return xr.Phantom(tuple(prims), phm.min_support_radius(prims))
+
+
+def plane_scale(ph):
+    """The largest plane integral of any primitive, summed over primitives."""
+    return sum(abs(p.amplitude) * np.pi * p.scale**2 for p in ph.primitives)
+
+
+QUARTER_TURN = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+OFF_CENTRE_BALL = xr.Phantom((xr.Primitive(xr.BALL, (0.5, 0.2, 0.0), 0.8, 1.5),), 6.0)
+
+
+class TestEquivariance:
+    """The closed forms move with the phantom: for f'(y) = f(R^T (y - t)),
+    Rf'(Rn, s + Rn . t) = Rf(n, s) and X'(Rx + t, Rn) = X(x, n)."""
+
+    @PROPERTY
+    @given(ph=phantoms(), motion=rigid_motions(), nodes=st.lists(unit_vectors(), min_size=1, max_size=4))
+    @example(ph=two_gaussians(), motion=(np.eye(3), np.array([0.5, -1.0, 2.0])), nodes=[np.array([1.0, 0.0, 0.0])])
+    @example(ph=OFF_CENTRE_BALL, motion=(QUARTER_TURN, np.zeros(3)), nodes=[np.array([0.6, 0.8, 0.0])])
+    def test_plane_integral_rows(self, ph, motion, nodes):
+        rotation, shift = motion
+        nodes = np.array(nodes)
+        s = np.linspace(-4.0, 4.0, 41)
+        after = moved(ph, rotation, shift)
+        expected = phm.plane_integral_rows(ph, nodes, s)
+        for k, n in enumerate(nodes @ rotation.T):
+            row = phm.plane_integral_rows(after, n[None], s + np.dot(n, shift))[0]
+            assert np.max(np.abs(row - expected[k])) <= 1e-12 * plane_scale(ph)
+
+    @PROPERTY
+    @given(
+        ph=phantoms(),
+        motion=rigid_motions(),
+        points=st.lists(st.tuples(*(st.floats(-3.0, 3.0),) * 3), min_size=1, max_size=4),
+        nodes=st.lists(unit_vectors(), min_size=1, max_size=4),
+    )
+    @example(
+        ph=two_gaussians(),
+        motion=(np.eye(3), np.array([0.5, -1.0, 2.0])),
+        points=[(0.0, 0.0, 0.0), (1.0, 0.5, 0.0)],
+        nodes=[np.array([1.0, 0.0, 0.0])],
+    )
+    @example(
+        ph=OFF_CENTRE_BALL,
+        motion=(QUARTER_TURN, np.zeros(3)),
+        points=[(0.5, 0.2, 0.0), (-1.0, 0.0, 0.3)],
+        nodes=[np.array([0.6, 0.8, 0.0]), np.array([0.0, 0.0, 1.0])],
+    )
+    def test_halfline_integral(self, ph, motion, points, nodes):
+        rotation, shift = motion
+        points = np.array(points)
+        nodes = np.array(nodes)
+        expected = xr.halfline_integral(ph, points[None, :, :], nodes[:, None, :])
+        after = xr.halfline_integral(
+            moved(ph, rotation, shift), (points @ rotation.T + shift)[None, :, :], (nodes @ rotation.T)[:, None, :]
+        )
+        # rays near a ball's tangent resolve the chord only to the square root of the rounding
+        keep = well_conditioned(ph, points, nodes, 0.0)
+        assert np.all(np.abs(after - expected)[keep] <= 1e-12 * integrand_scale(ph))
 
 
 class TestRasterize:
