@@ -125,7 +125,13 @@ class TestRadonProfile:
 
     def test_rejects_short_grid(self):
         with pytest.raises(ValueError):
-            xr.RadonProfile((0.0, 0.0, 1.0), 0.0, 1.0, np.zeros(4))
+            xr.RadonProfile((0.0, 0.0, 1.0), -4.0, 4.0, np.zeros(1))
+
+    def test_rejects_short(self):
+        # at least 8 samples: 7 is refused, 8 is kept
+        with pytest.raises(ValueError):
+            xr.RadonProfile((0.0, 0.0, 1.0), 0.0, 1.0, np.zeros(7))
+        assert xr.RadonProfile((0.0, 0.0, 1.0), 0.0, 1.0, np.zeros(8)).values.size == 8
 
     def test_rejects_empty_range(self):
         with pytest.raises(ValueError):
