@@ -17,15 +17,10 @@ from .phantom import (
     line_integral,
     load_phantom,
     plane_integral,
-    rasterize,
     ray_differences,
     save_phantom,
 )
-from .xform import (
-    RadonProfile,
-    directional_derivative_xray,
-    xray_numeric,
-)
+from .xform import RadonProfile
 from .hilbert import (
     derivative_rows,
     hilbert_pv_direct,

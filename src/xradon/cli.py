@@ -50,6 +50,8 @@ class RunConfig:
         for name in ("nodes", "s_count", "vol_dims", "points", "diff_step", "band"):
             if getattr(self, name) <= 0:
                 raise CliError(f"config field {name} must be positive")
+        if self.seed < 0:
+            raise CliError(f"config field seed must be non-negative, got {self.seed}")
         if self.s_max <= self.s_min or self.vol_max <= self.vol_min:
             raise CliError("empty s-grid or volume extent")
 
@@ -299,6 +301,14 @@ def cmd_invert(args):
         data = inversion.phantom_data(ph, rcfg, (cfg.s_min, cfg.s_max), cfg.s_count)
         voxels = grid.points()
         values = inversion.reconstruct(data, rcfg, np.concatenate((voxels, cal_points)))
+        # volume.raw holds float32: a value beyond its range would be written as inf
+        bad = ~(np.abs(values) <= np.finfo(np.float32).max)
+        if np.any(bad):
+            raise CliError(
+                f"invert: {np.count_nonzero(bad)} of {len(values)} reconstructed values are not finite "
+                f"in float32 (--vol-min {cfg.vol_min:g} --vol-max {cfg.vol_max:g}, "
+                f"--normalization {cfg.normalization:g}); shrink the volume or the normalization"
+            )
         vol = grid.with_samples(values[: len(voxels)])
         inversion.write_volume(
             out.path("volume.raw"),

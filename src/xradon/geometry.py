@@ -28,7 +28,7 @@ def as_direction(v, tol=_UNIT_TOL):
     if v.shape != (3,):
         raise ValueError(f"direction must have shape (3,), got {v.shape}")
     nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > tol:
+    if not abs(nrm - 1.0) <= tol:  # False for NaN too
         raise ValueError(f"direction norm {nrm!r} deviates from 1 by more than {tol}")
     return v
 
@@ -55,12 +55,13 @@ class SphereQuadrature:
             raise ValueError("nodes must have shape (count, 3)")
         if weights.shape != (nodes.shape[0],):
             raise ValueError("weights length must match node count")
-        if np.any(weights <= 0.0):
+        # each check is written so that a NaN fails it
+        if not np.all(weights > 0.0):
             raise ValueError("all quadrature weights must be positive")
-        if abs(weights.sum() - FULL_SPHERE) > 1e-6:
+        if not abs(weights.sum() - FULL_SPHERE) <= 1e-6:
             raise ValueError("quadrature weights must sum to 4*pi")
         norms = np.linalg.norm(nodes, axis=1)
-        if np.max(np.abs(norms - 1.0)) > _UNIT_TOL:
+        if not np.all(np.abs(norms - 1.0) <= _UNIT_TOL):
             raise ValueError("all quadrature nodes must be unit vectors")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
@@ -118,8 +119,8 @@ class VolumeGrid:
         dims = tuple(int(d) for d in self.dims)
         if len(dims) != 3 or any(d <= 0 for d in dims):
             raise ValueError("dims must be three positive integers")
-        if np.any(spacing <= 0.0):
-            raise ValueError("spacing must be positive")
+        if not np.all((spacing > 0.0) & np.isfinite(spacing)):
+            raise ValueError("spacing must be positive and finite")
         total = dims[0] * dims[1] * dims[2]
         samples = self.samples
         if samples is None:
@@ -148,11 +149,6 @@ class VolumeGrid:
         z = self.axis_coords(2)
         zz, yy, xx = np.meshgrid(z, y, x, indexing="ij")
         return np.column_stack((xx.ravel(), yy.ravel(), zz.ravel()))
-
-    def values3d(self):
-        """Samples reshaped to (nx, ny, nz) with axes in (x, y, z) order."""
-        nx, ny, nz = self.dims
-        return self.samples.reshape(nz, ny, nx).transpose(2, 1, 0)
 
     def with_samples(self, samples):
         return VolumeGrid(self.origin, self.spacing, self.dims, samples)

@@ -102,11 +102,11 @@ class RadonDataset:
             raise ValueError("dataset values must have shape (K, S), one row per node")
         if values.shape[1] < 8:
             raise ValueError("dataset profiles require at least 8 samples")
-        if not self.s_max > self.s_min:
-            raise ValueError("require s_max > s_min")
+        if not (np.isfinite(self.s_min) and np.isfinite(self.s_max) and self.s_max > self.s_min):
+            raise ValueError(f"require finite s_min < s_max, got {self.s_min!r}, {self.s_max!r}")
         if not np.all(np.isfinite(values)):
             raise ValueError("dataset values must be finite")
-        if np.max(np.abs(np.linalg.norm(nodes, axis=1) - 1.0)) > 1e-9:
+        if not np.all(np.abs(np.linalg.norm(nodes, axis=1) - 1.0) <= 1e-9):  # NaN fails
             raise ValueError("dataset nodes must be unit vectors")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "s_min", float(self.s_min))
@@ -283,10 +283,11 @@ def grangeat_convert(xdata, x, n, quadrature, band):
     of -(Rf)'(x . n), with delta' mollified by the derivative of a
     normalized Gaussian of width `band` in u = n . n1.
 
-    The band must resolve the quadrature's u-axis node spacing (~2/count).
+    The band must resolve the quadrature's u-axis node spacing (~2/count)
+    and be at most 1, the half-width of the u-range [-1, 1].
     """
-    if not band > 0.0:
-        raise ValueError("band must be positive")
+    if not 0.0 < band <= 1.0:
+        raise ValueError(f"band must be in (0, 1], the half-width of the u-range; got {band!r}")
     n = as_direction(n)
     u_spacing = 2.0 / quadrature.count
     if band < 2.0 * u_spacing:
@@ -322,7 +323,7 @@ class Lemma9Report:
     difference: np.ndarray
 
 
-def lemma9_diagnostic(ph, points, quadrature, s_count=1025):
+def lemma9_diagnostic(ph, points, quadrature):
     """Compare the spherical averages of the two reconstruction integrands at a batch of points.
 
     left  = integral over directions of the full-line integral at x
@@ -330,10 +331,11 @@ def lemma9_diagnostic(ph, points, quadrature, s_count=1025):
     right = -2*pi times the integral over directions of the
             Hilbert-filtered plane-integral profile at s = x . n.
 
-    points has shape (P, 3).  The profiles are built and filtered once
-    for all points.  The ratio left/right is reported (NaN where the
-    right side vanishes); the scalar-offset Hilbert transform stands in
-    for the componentwise sum, which is not constructively defined.
+    points has shape (P, 3).  The profiles, on phantom_data's default
+    s-grid, are built and filtered once for all points.  The ratio
+    left/right is reported (NaN where the right side vanishes); the
+    scalar-offset Hilbert transform stands in for the componentwise sum,
+    which is not constructively defined.
     """
     if not ph.is_smooth:
         raise ValueError("lemma9_diagnostic requires a smooth (gaussian-only) phantom")
@@ -343,8 +345,7 @@ def lemma9_diagnostic(ph, points, quadrature, s_count=1025):
         return ph_mod.line_integral(ph, *_rays(points, nodes)).reshape(nodes.shape[0], -1)
 
     left = _sphere_sum(quadrature, points, line_values)
-    radius = ph.support_radius + 2.0
-    data = build_radon_dataset(ph, quadrature, -radius, radius, s_count)
+    data = phantom_data(ph, ReconstructionConfig(quadrature, branch=BRANCH_RADON))
     filtered = _filter(data, lambda rows, h: hilbert_rows(rows), out=data.values)
     right = -2.0 * np.pi * _backproject(filtered, data, quadrature, points)
     ratio = np.full(points.shape[0], np.nan)
@@ -369,10 +370,14 @@ def sample_ball_points(rng, count, radius):
     return directions * radii[:, None]
 
 
-def calibration_points(radius, seed, num_points=50):
-    """The seeded calibration batch: num_points uniform in the ball of the given
-    radius about the origin, from default_rng(seed)."""
-    return sample_ball_points(np.random.default_rng(seed), num_points, radius)
+# Size of the seeded calibration batch.
+CALIBRATION_POINTS = 50
+
+
+def calibration_points(radius, seed):
+    """The seeded calibration batch: CALIBRATION_POINTS uniform in the ball of the
+    given radius about the origin, from default_rng(seed)."""
+    return sample_ball_points(np.random.default_rng(seed), CALIBRATION_POINTS, radius)
 
 
 def fit_scale(raw, truth):
@@ -385,14 +390,7 @@ def fit_scale(raw, truth):
     return CalibrationResult(scale=scale, residual=residual)
 
 
-def calibrate_normalization(
-    ph,
-    cfg,
-    num_points=50,
-    seed=20260824,
-    sampling_radius=None,
-    data=None,
-):
+def calibrate_normalization(ph, cfg, seed=20260824, sampling_radius=None, data=None):
     """Least-squares scalar matching raw reconstructions to the phantom density.
 
     Runs the configured branch with unit normalization (the classical
@@ -406,7 +404,7 @@ def calibrate_normalization(
     """
     if sampling_radius is None:
         sampling_radius = ph.support_radius / 4.0
-    points = calibration_points(sampling_radius, seed, num_points)
+    points = calibration_points(sampling_radius, seed)
     if data is None:
         data = phantom_data(ph, cfg)
     raw = reconstruct(data, replace(cfg, normalization=1.0), points)

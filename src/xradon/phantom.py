@@ -18,7 +18,7 @@ import numpy as np
 from numpy.polynomial import hermite
 from scipy.special import erfc
 
-from .geometry import VolumeGrid, as_direction
+from .geometry import as_direction
 
 GAUSSIAN = "gaussian"
 BALL = "ball"
@@ -190,26 +190,6 @@ def ray_differences(ph, points, h):
     return diff
 
 
-def ray_difference_rows(ph, x, n, h):
-    """Xf(x + h n, n) - Xf(x - h n, n) ray by ray; x and n broadcast as (..., 3).
-
-    The closed form of ray_differences, with d^2 shared by both ends of
-    the step, for rays given as (x, n) rows rather than as every
-    (node, point) pair; all rows form one batch.
-    """
-    x = np.asarray(x, dtype=float)
-    n = np.asarray(n, dtype=float)
-    shape = np.broadcast_shapes(x.shape, n.shape)[:-1]
-    out = np.zeros(shape)
-    e, u, v = np.empty(shape), np.empty(shape), np.empty(shape)
-    for prim in ph.primitives:
-        rel = x - prim.center
-        p = np.broadcast_to(np.sum(rel * n, axis=-1), shape)
-        r2 = np.asarray(np.sum(rel * rel, axis=-1))  # an array even for one ray
-        _add_difference(prim, p, r2, h, _gaussian_series(prim, r2, h), out, e, u, v)
-    return out if out.ndim else float(out)
-
-
 # Series form of a Gaussian's ray difference.  With u = p/a, delta = h/a and
 # d^2 + p^2 = |x - c|^2, the Gaussian's difference is exactly
 #   D = -A a exp(-|x - c|^2/a^2) int_{-delta}^{delta} exp(-2 u s - s^2) ds
@@ -371,35 +351,6 @@ def plane_integral_rows(ph, nodes, s):
             term *= prim.amplitude * np.pi
         out += term
     return out
-
-
-def coverage_radius(ph, tail=1e-6):
-    """Radius of the ball outside which every primitive is below `tail` of its amplitude."""
-    reach = 0.0
-    for p in ph.primitives:
-        if p.kind == GAUSSIAN:
-            r = p.scale * np.sqrt(-np.log(tail))
-        else:
-            r = p.scale
-        reach = max(reach, float(np.linalg.norm(p.center)) + r)
-    return reach
-
-
-def rasterize(ph, grid):
-    """Sample the density at the grid points of a VolumeGrid.
-
-    The grid bounding box must contain the ball where the phantom is
-    non-negligible (relative tail above 1e-6).
-    """
-    lo = grid.origin
-    hi = grid.upper
-    r = coverage_radius(ph)
-    if np.any(lo > -r + 1e-12) or np.any(hi < r - 1e-12):
-        raise ValueError(
-            f"grid box [{lo}, {hi}] does not cover the phantom ball of radius {r:g}"
-        )
-    values = evaluate(ph, grid.points())
-    return grid.with_samples(values)
 
 
 # --- phantom description files ---------------------------------------------

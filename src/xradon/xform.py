@@ -1,8 +1,8 @@
-"""Forward operators: divergent-beam X-ray and planar Radon transforms.
+"""Forward-data file formats: x-ray and Radon-profile CSV, and RadonProfile.
 
-Analytic paths delegate to the phantom closed forms; the numeric path
-ray-marches a sampled volume with trilinear interpolation so the same
-machinery applies to measured data.
+The forward data themselves come from the phantom closed forms
+(phantom.halfline_integral, inversion.build_radon_dataset); this module
+writes them to disk and reads a profile back.
 """
 
 from __future__ import annotations
@@ -10,10 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
-from . import phantom as ph_mod
-from .geometry import as_direction
 from .inversion import RadonDataset
 
 
@@ -37,65 +34,6 @@ class RadonProfile:
         object.__setattr__(self, "s_min", data.s_min)
         object.__setattr__(self, "s_max", data.s_max)
         object.__setattr__(self, "values", data.values[0])
-
-
-def directional_derivative_xray(ph, x, n, h=1e-4):
-    """Central difference of the x-ray data along its own direction.
-
-    [X(x + h n, n) - X(x - h n, n)] / (2 h); for smooth densities this
-    equals -density(x) up to O(h^2).  The difference is taken in closed
-    form (phantom.ray_difference_rows), so a ray tangent to a ball gives
-    exactly 0.
-    """
-    if not h > 0.0:
-        raise ValueError("step h must be positive")
-    return ph_mod.ray_difference_rows(ph, x, n, h) / (2.0 * h)
-
-
-def _ray_box_range(origin, upper, x, n):
-    """Parameter range [t0, t1] of {x + t n} inside the box, clipped to t >= 0."""
-    t0 = 0.0
-    t1 = np.inf
-    for axis in range(3):
-        if abs(n[axis]) < 1e-300:
-            if x[axis] < origin[axis] or x[axis] > upper[axis]:
-                return None
-            continue
-        ta = (origin[axis] - x[axis]) / n[axis]
-        tb = (upper[axis] - x[axis]) / n[axis]
-        lo, hi = (ta, tb) if ta <= tb else (tb, ta)
-        t0 = max(t0, lo)
-        t1 = min(t1, hi)
-    if t1 <= t0:
-        return None
-    return t0, t1
-
-
-def xray_numeric(vol, x, n, step):
-    """Midpoint-rule ray marching of a sampled volume with trilinear interpolation.
-
-    The half-line from x in direction n is clipped to the grid box; the
-    integral is approximated with m = ceil(length / step) equal
-    midpoint steps.  Rays that never enter the grid give 0.
-    """
-    if not step > 0.0:
-        raise ValueError("step must be positive")
-    x = np.asarray(x, dtype=float).reshape(3)
-    n = as_direction(n)
-    rng = _ray_box_range(vol.origin, vol.upper, x, n)
-    if rng is None:
-        return 0.0
-    t0, t1 = rng
-    length = t1 - t0
-    m = max(int(np.ceil(length / step)), 1)
-    dt = length / m
-    t = t0 + (np.arange(m) + 0.5) * dt
-    pts = x[None, :] + t[:, None] * n[None, :]
-    coords = (pts - vol.origin) / vol.spacing
-    samples = map_coordinates(
-        vol.values3d(), coords.T, order=1, mode="constant", cval=0.0
-    )
-    return float(np.sum(samples) * dt)
 
 
 # --- CSV export -------------------------------------------------------------

@@ -239,6 +239,18 @@ class TestInvert:
             assert "--normalization" in capsys.readouterr().err
         assert outdir.exists() == (code == 0)
 
+    def test_overflowing_volume_rejected(self, tmp_path, phantom_file, capsys):
+        # |x|^2 overflows at 1e200: the reconstruction is NaN, and nothing is written
+        outdir = tmp_path / "inv"
+        assert run(
+            "invert", "--phantom", str(phantom_file), "--nodes", "40", "--vol-dims", "5",
+            "--vol-min=-1e200", "--vol-max=1e200", "--outdir", str(outdir),
+        ) == 1
+        err = capsys.readouterr().err
+        assert "not finite" in err and "--vol-min" in err
+        assert "Traceback" not in err
+        assert not outdir.exists()
+
 
 JSON_SCALARS = (
     st.none()
@@ -287,6 +299,7 @@ class TestConfigValidation:
             ('{"phantom": null}', "phantom"),
             ('{"normalization": NaN}', "normalization"),
             ('{"diff_step": Infinity}', "diff_step"),
+            ('{"seed": -1}', "seed"),
             pytest.param('{"s_max": 1' + "0" * 400 + "}", "s_max", id="float-field-int-overflow"),
             pytest.param('{"nodes": ' + "1" * 5000 + "}", "unreadable config", id="int-over-digit-limit"),
         ],
@@ -337,6 +350,16 @@ class TestCheck:
         ph = tmp_path / "ball.txt"
         assert run("phantom-gen", "--out", str(ph), "--preset", "gaussian-ball") == 0
         assert run("check", "--phantom", str(ph), "--outdir", str(tmp_path / "o")) == 1
+
+    def test_rejects_overwide_band(self, tmp_path, phantom_file, capsys):
+        outdir = tmp_path / "o"
+        assert run(
+            "check", "--phantom", str(phantom_file), "--nodes", "40", "--band", "1e103",
+            "--outdir", str(outdir),
+        ) == 1
+        err = capsys.readouterr().err
+        assert "band" in err and "Traceback" not in err
+        assert not outdir.exists()
 
 
 class TestCalibrate:
@@ -440,3 +463,52 @@ class TestErrorHandling:
         ) == 1
         assert len(moved) == 2
         assert not outdir.exists()
+
+
+# Each example runs a command at small, workable sizes, then overrides a few
+# flags: floats with the extremes of a double or ordinary values, and sizes
+# with zero or negative values.
+FUZZ_BASE = st.fixed_dictionaries(
+    {
+        "branch": st.sampled_from(BRANCHES),
+        "nodes": st.integers(20, 64),
+        "vol-dims": st.integers(1, 5),
+        "s-count": st.integers(8, 257),
+        "points": st.integers(1, 8),
+        "seed": st.integers(0, 3),
+        "band": st.floats(0.2, 1.0),
+    }
+)
+FUZZ_FLOATS = st.sampled_from([1e308, -1e308, 1e-320, -1e-320, 0.0, -1.0]) | st.floats(-10.0, 10.0)
+FUZZ_FLOAT_OVERRIDES = st.dictionaries(
+    st.sampled_from(["s-min", "s-max", "vol-min", "vol-max", "diff-step", "normalization", "band"]),
+    FUZZ_FLOATS,
+    max_size=3,
+)
+FUZZ_INT_OVERRIDES = st.dictionaries(
+    st.sampled_from(["nodes", "vol-dims", "s-count", "points", "seed"]), st.integers(-2, 1), max_size=1
+)
+
+
+class TestCommandFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        command=st.sampled_from(["forward", "invert", "check", "calibrate"]),
+        base=FUZZ_BASE,
+        floats=FUZZ_FLOAT_OVERRIDES,
+        ints=FUZZ_INT_OVERRIDES,
+    )
+    def test_exit_status_and_outputs(self, tmp_path_factory, command, base, floats, ints):
+        # any flags give exit 0 with finite volumes, or exit 1 with no outdir left
+        phantom = tmp_path_factory.getbasetemp() / "fuzz_two_gaussians.txt"
+        if not phantom.exists():
+            assert run("phantom-gen", "--out", str(phantom), "--preset", "two-gaussians") == 0
+        outdir = tmp_path_factory.mktemp("fuzz") / "out"
+        argv = [command, f"--phantom={phantom}", f"--outdir={outdir}"]
+        argv += [f"--{name}={value}" for name, value in {**base, **floats, **ints}.items()]
+        rc = main(argv)
+        assert rc in (0, 1)
+        if rc == 1:
+            assert not outdir.exists()
+        elif command == "invert":
+            assert np.all(np.isfinite(np.fromfile(outdir / "volume.raw", dtype="<f4")))

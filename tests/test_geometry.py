@@ -75,6 +75,17 @@ class TestSphereQuadratureInvariants:
         with pytest.raises(ValueError):
             xr.SphereQuadrature(nodes, np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize(
+        "nodes, weights",
+        [
+            ([[np.nan, 0.0, 0.0], [0.0, 0.0, -1.0]], [FULL_SPHERE / 2.0] * 2),
+            ([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], [np.nan, np.nan]),
+        ],
+    )
+    def test_rejects_non_finite(self, nodes, weights):
+        with pytest.raises(ValueError):
+            xr.SphereQuadrature(np.array(nodes), np.array(weights))
+
 
 class TestVolumeGrid:
     def test_cube_grid_coords(self):
@@ -92,16 +103,6 @@ class TestVolumeGrid:
         assert np.array_equal(pts[2], [0, 1, 0])
         assert np.array_equal(pts[4], [0, 0, 1])
 
-    def test_values3d_round_trip(self):
-        rng = np.random.default_rng(0)
-        g = xr.VolumeGrid((0, 0, 0), (1, 1, 1), (3, 4, 5), rng.normal(size=60))
-        arr = g.values3d()
-        assert arr.shape == (3, 4, 5)
-        pts = g.points()
-        for flat_idx in (0, 7, 33, 59):
-            ix, iy, iz = (int(v) for v in pts[flat_idx])
-            assert arr[ix, iy, iz] == g.samples[flat_idx]
-
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
             xr.VolumeGrid((0, 0, 0), (1, 1, 1), (0, 2, 2))
@@ -110,7 +111,18 @@ class TestVolumeGrid:
         with pytest.raises(ValueError):
             xr.VolumeGrid((0, 0, 0), (1, 1, 1), (2, 2, 2), np.zeros(7))
 
+    @pytest.mark.parametrize("spacing", [(1.0, np.nan, 1.0), (np.inf, 1.0, 1.0)])
+    def test_rejects_bad_spacing(self, spacing):
+        with pytest.raises(ValueError):
+            xr.VolumeGrid((0, 0, 0), spacing, (2, 2, 2))
+
 
 def test_as_direction_rejects_shape():
     with pytest.raises(ValueError):
         as_direction([1.0, 0.0])
+
+
+@pytest.mark.parametrize("v", [(np.nan, 0.0, 0.0), (np.nan, np.nan, np.nan)])
+def test_as_direction_rejects_non_finite(v):
+    with pytest.raises(ValueError):
+        as_direction(v)

@@ -340,6 +340,8 @@ class TestRadonDataset:
             (2.0 * np.eye(3), -1.0, 1.0, np.zeros((3, 16))),
             (np.eye(3), -1.0, 1.0, np.zeros((2, 16))),
             (np.zeros((0, 3)), -1.0, 1.0, np.zeros((0, 16))),
+            (np.array([[np.nan] * 3, [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), -1.0, 1.0, np.zeros((3, 16))),
+            (np.eye(3), -np.inf, 1.0, np.zeros((3, 16))),
         ],
     )
     def test_rejects_invalid(self, nodes, s_min, s_max, values):

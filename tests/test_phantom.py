@@ -351,7 +351,6 @@ class TestRayDifferences:
     def test_empty_batches(self, unit_gaussian):
         nodes = xr.fibonacci_sphere(3).nodes
         assert phm.ray_differences(unit_gaussian, np.zeros((0, 3)), 1e-4)(nodes).shape == (3, 0)
-        assert phm.ray_difference_rows(unit_gaussian, np.zeros((0, 3)), nodes[0], 1e-4).shape == (0,)
 
     def test_buffers_follow_block_size(self, unit_gaussian):
         # blocks of 5, 2 and 7 nodes: a shorter block uses a leading slice, a
@@ -527,27 +526,6 @@ class TestEquivariance:
         # rays near a ball's tangent resolve the chord only to the square root of the rounding
         keep = well_conditioned(ph, points, nodes, 0.0)
         assert np.all(np.abs(after - expected)[keep] <= 1e-12 * integrand_scale(ph))
-
-
-class TestRasterize:
-    def test_center_voxel(self, unit_gaussian):
-        vol = xr.rasterize(unit_gaussian, xr.cube_grid(4.0, 33))
-        assert vol.samples[vol.samples.size // 2] == 1.0
-
-    def test_empty_phantom(self):
-        empty = xr.Phantom((), 1.0)
-        vol = xr.rasterize(empty, xr.cube_grid(2.0, 9))
-        assert np.all(vol.samples == 0.0)
-
-    def test_ball_voxel_count(self):
-        vol = xr.rasterize(unit_ball(), xr.cube_grid(4.0, 65))
-        voxel_volume = float(np.prod(vol.spacing))
-        measured = np.sum(vol.samples == 1.0) * voxel_volume
-        assert abs(measured / (4.0 * np.pi / 3.0) - 1.0) < 0.05
-
-    def test_rejects_uncovering_grid(self, unit_gaussian):
-        with pytest.raises(ValueError):
-            xr.rasterize(unit_gaussian, xr.cube_grid(2.0, 17))
 
 
 class TestInvariants:
