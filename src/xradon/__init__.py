@@ -40,7 +40,6 @@ from .inversion import (
     RadonDataset,
     ReconstructionConfig,
     build_radon_dataset,
-    calibrate_normalization,
     calibration_points,
     fit_scale,
     grangeat_convert,

@@ -47,9 +47,13 @@ class RunConfig:
                 raise CliError(f"config field {f.name} must be finite")
         if self.branch not in inversion.BRANCHES:
             raise CliError(f"unknown branch {self.branch!r}")
-        for name in ("nodes", "s_count", "vol_dims", "points", "diff_step", "band"):
+        for name in ("nodes", "vol_dims", "points", "diff_step", "band"):
             if getattr(self, name) <= 0:
                 raise CliError(f"config field {name} must be positive")
+        if self.s_count < inversion.MIN_PROFILE_SAMPLES:
+            raise CliError(
+                f"config field s_count must be at least {inversion.MIN_PROFILE_SAMPLES}, got {self.s_count}"
+            )
         if self.seed < 0:
             raise CliError(f"config field seed must be non-negative, got {self.seed}")
         if self.s_max <= self.s_min or self.vol_max <= self.vol_min:
@@ -235,34 +239,58 @@ def cmd_forward(args):
 
 
 def _calibration_radius(ph, cfg):
-    """Radius of the ball of invert's calibration points: support_radius / 4, and
+    """Radius of the ball of the calibration points: support_radius / 4, and
     for the radon branches at most min(-s_min, s_max), so that every offset
     x . n of a calibration point lies on the s-grid."""
-    radius = ph.support_radius / 4.0
     if cfg.branch == inversion.BRANCH_XRAY:
-        return radius
-    bound = min(-cfg.s_min, cfg.s_max)
-    if bound <= 0.0:
+        return ph.support_radius / 4.0
+    if not cfg.s_min < 0.0 < cfg.s_max:
         raise CliError(
-            f"invert --branch {cfg.branch} needs s_min < 0 < s_max "
-            f"(the s-grid must contain the offsets of its calibration points about the origin), "
-            f"got s_min={cfg.s_min:g}, s_max={cfg.s_max:g}"
+            f"--branch {cfg.branch} needs s_min < 0 < s_max (the s-grid must contain the offsets of its "
+            f"calibration points about the origin), got s_min={cfg.s_min:g}, s_max={cfg.s_max:g}"
         )
-    return min(radius, bound)
+    return min(ph.support_radius / 4.0, -cfg.s_min, cfg.s_max)
 
 
-def _check_volume_offsets(cfg, grid, nodes):
-    """For the radon branches, every offset x . n of a voxel must lie on the s-grid
-    (hilbert.offsets_on_grid); x . n is linear in x, so its extremes are at the corners."""
-    if cfg.branch == inversion.BRANCH_XRAY:
-        return
-    offsets = nodes @ np.array(list(itertools.product(*zip(grid.origin, grid.upper)))).T
+def _corners(points):
+    """The 8 corners of the bounding box of a (P, 3) point set."""
+    return np.array(list(itertools.product(*zip(points.min(axis=0), points.max(axis=0)))))
+
+
+def _check_offsets(cfg, points, nodes, what):
+    """Every offset x . n of the points must lie on the s-grid (hilbert.offsets_on_grid);
+    x . n is linear in x, so over the points' bounding box its extremes are at the corners."""
+    offsets = nodes @ _corners(points).T
     if not offsets_on_grid(offsets.min(), offsets.max(), cfg.s_min, cfg.s_max):
         raise CliError(
-            f"invert --branch {cfg.branch}: the volume --vol-min {cfg.vol_min:g} --vol-max {cfg.vol_max:g} "
-            f"reaches plane offsets x . n from {offsets.min():.6g} to {offsets.max():.6g}, beyond the "
-            f"s-grid --s-min {cfg.s_min:g} --s-max {cfg.s_max:g}; widen the s-grid or shrink the volume"
+            f"{what} reaches plane offsets x . n from {offsets.min():.6g} to {offsets.max():.6g}, "
+            f"beyond the s-grid --s-min {cfg.s_min:g} --s-max {cfg.s_max:g}; widen the s-grid"
         )
+
+
+def _reconstruct_with_calibration(ph, cfg, voxels):
+    """invert's one pass: the voxels and the seeded calibration points (seed + 1)
+    reconstructed in one call, on one dataset on the config's s-grid.
+
+    Returns the voxel values, at cfg.normalization, and the points'
+    unit-normalized values with the density there.  The volume's checks run
+    before any data is built.
+    """
+    cal_points = inversion.calibration_points(_calibration_radius(ph, cfg), seed=cfg.seed + 1)
+    rcfg = inversion.ReconstructionConfig(
+        fibonacci_sphere(cfg.nodes), cfg.diff_step, cfg.normalization, cfg.branch
+    )
+    if len(voxels):
+        volume = f"the volume --vol-min {cfg.vol_min:g} --vol-max {cfg.vol_max:g}"
+        with np.errstate(over="ignore"):
+            dist2 = [np.sum((_corners(voxels) - prim.center) ** 2, axis=1) for prim in ph.primitives]
+        if not np.all(np.isfinite(dist2)):
+            raise CliError(f"|x - c|^2 is not finite at the corners of {volume}; shrink the volume")
+        if cfg.branch != inversion.BRANCH_XRAY:
+            _check_offsets(cfg, voxels, rcfg.quadrature.nodes, f"--branch {cfg.branch}: {volume}")
+    data = inversion.phantom_data(ph, rcfg, (cfg.s_min, cfg.s_max, cfg.s_count))
+    values = inversion.reconstruct(data, rcfg, np.concatenate((voxels, cal_points)))
+    return values[: len(voxels)], values[len(voxels):] / cfg.normalization, ph_mod.evaluate(ph, cal_points)
 
 
 def _metrics(ph, vol):
@@ -290,41 +318,28 @@ def cmd_invert(args):
             f"invert --branch {cfg.branch} has its constant -1/(8 pi^2) built in and takes no "
             f"--normalization; got {cfg.normalization!r}, leave it at the default {RunConfig.normalization!r}"
         )
-    cal_points = inversion.calibration_points(_calibration_radius(ph, cfg), seed=cfg.seed + 1)
-    normalization = 1.0 if cfg.branch == inversion.BRANCH_CLASSICAL else cfg.normalization
-    rcfg = inversion.ReconstructionConfig(
-        fibonacci_sphere(cfg.nodes), cfg.diff_step, normalization, cfg.branch
-    )
+    cfg = replace(cfg, normalization=1.0) if cfg.branch == inversion.BRANCH_CLASSICAL else cfg
     grid = _volume_grid(cfg)
-    _check_volume_offsets(cfg, grid, rcfg.quadrature.nodes)
-    with _OutputSet(cfg.outdir) as out:
-        data = inversion.phantom_data(ph, rcfg, (cfg.s_min, cfg.s_max), cfg.s_count)
-        voxels = grid.points()
-        values = inversion.reconstruct(data, rcfg, np.concatenate((voxels, cal_points)))
-        # volume.raw holds float32: a value beyond its range would be written as inf
-        bad = ~(np.abs(values) <= np.finfo(np.float32).max)
-        if np.any(bad):
-            raise CliError(
-                f"invert: {np.count_nonzero(bad)} of {len(values)} reconstructed values are not finite "
-                f"in float32 (--vol-min {cfg.vol_min:g} --vol-max {cfg.vol_max:g}, "
-                f"--normalization {cfg.normalization:g}); shrink the volume or the normalization"
-            )
-        vol = grid.with_samples(values[: len(voxels)])
-        inversion.write_volume(
-            out.path("volume.raw"),
-            out.path("volume.json"),
-            vol,
-            branch=cfg.branch,
-            normalization=normalization,
-            quadrature_count=cfg.nodes,
-            diff_step=cfg.diff_step,
+    values, raw, truth = _reconstruct_with_calibration(ph, cfg, grid.points())
+    # volume.raw holds float32: a value beyond its range would be written as inf
+    bad = ~(np.abs(values) <= np.finfo(np.float32).max)
+    if np.any(bad):
+        raise CliError(
+            f"invert: {np.count_nonzero(bad)} of {len(values)} reconstructed values are not finite "
+            f"in float32 (--vol-min {cfg.vol_min:g} --vol-max {cfg.vol_max:g}, "
+            f"--normalization {cfg.normalization:g}); shrink the volume or the normalization"
         )
-        rel_l2, max_err = _metrics(ph, vol)
-        raw = values[len(voxels):] / normalization
-        try:
-            fitted = inversion.fit_scale(raw, ph_mod.evaluate(ph, cal_points)).scale
-        except ValueError:  # an identically zero reconstruction
-            fitted = float("nan")
+    vol = grid.with_samples(values)
+    rel_l2, max_err = _metrics(ph, vol)
+    try:
+        fitted = inversion.fit_scale(raw, truth).scale
+    except ValueError:  # an identically zero reconstruction
+        fitted = float("nan")
+    with _OutputSet(cfg.outdir) as out:
+        inversion.write_volume(
+            out.path("volume.raw"), out.path("volume.json"), vol, branch=cfg.branch,
+            normalization=cfg.normalization, quadrature_count=cfg.nodes, diff_step=cfg.diff_step,
+        )
         with open(out.path("metrics.csv"), "w", encoding="utf-8", newline="\n") as fh:
             fh.write("rel_l2,max_err,fitted_scale\n")
             fh.write(f"{rel_l2:.17g},{max_err:.17g},{fitted:.17g}\n")
@@ -333,11 +348,14 @@ def cmd_invert(args):
 
 
 def cmd_check(args):
+    """The Grangeat sweep, and lemma9's two sides at 20 seeded points on the config's s-grid."""
     cfg = load_config(args)
     ph = _load_phantom(cfg)
     if not ph.is_smooth:
         raise CliError("check requires a smooth (gaussian-only) phantom")
     quad = fibonacci_sphere(cfg.nodes)
+    pts = inversion.sample_ball_points(np.random.default_rng(cfg.seed), 20, ph.support_radius / 4.0)
+    _check_offsets(cfg, pts, quad.nodes, f"check: lemma9's points (radius {ph.support_radius / 4.0:g})")
     with _OutputSet(cfg.outdir) as out:
         xdata = inversion.make_phantom_xray_data(ph)
         n = np.array([1.0, 0.0, 0.0])
@@ -346,18 +364,14 @@ def cmd_check(args):
         with open(out.path("grangeat.csv"), "w", encoding="utf-8", newline="\n") as fh:
             fh.write("s,lhs,rhs,abs_error\n")
             for s in sweep:
-                x = s * n
-                lhs = inversion.grangeat_convert(xdata, x, n, quad, cfg.band)
+                lhs = inversion.grangeat_convert(xdata, s * n, n, quad, cfg.band)
                 rhs = -(
-                    ph_mod.plane_integral(ph, n, s + eps)
-                    - ph_mod.plane_integral(ph, n, s - eps)
+                    ph_mod.plane_integral(ph, n, s + eps) - ph_mod.plane_integral(ph, n, s - eps)
                 ) / (2.0 * eps)
                 fh.write(f"{s:.17g},{lhs:.17g},{rhs:.17g},{abs(lhs - rhs):.17g}\n")
-        rng = np.random.default_rng(cfg.seed)
-        pts = inversion.sample_ball_points(rng, 20, ph.support_radius / 4.0)
         with open(out.path("lemma9.csv"), "w", encoding="utf-8", newline="\n") as fh:
             fh.write("x1,x2,x3,left,right,ratio,difference\n")
-            rep = inversion.lemma9_diagnostic(ph, pts, quad)
+            rep = inversion.lemma9_diagnostic(ph, pts, quad, (cfg.s_min, cfg.s_max, cfg.s_count))
             for row in np.column_stack((pts, rep.left, rep.right, rep.ratio, rep.difference)):
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
     print(f"wrote checks to {cfg.outdir}")
@@ -365,13 +379,11 @@ def cmd_check(args):
 
 
 def cmd_calibrate(args):
+    """invert's calibration without the volume, at unit normalization on every branch."""
     cfg = load_config(args)
     ph = _load_phantom(cfg)
-    quad = fibonacci_sphere(cfg.nodes)
-    rcfg = inversion.ReconstructionConfig(
-        quad, cfg.diff_step, cfg.normalization, cfg.branch
-    )
-    cal = inversion.calibrate_normalization(ph, rcfg, seed=cfg.seed + 1)
+    _, raw, truth = _reconstruct_with_calibration(ph, replace(cfg, normalization=1.0), np.zeros((0, 3)))
+    cal = inversion.fit_scale(raw, truth)
     with _OutputSet(cfg.outdir) as out:
         result = {
             "branch": cfg.branch,
@@ -406,21 +418,13 @@ def build_parser():
 
     def add_run_flags(p):
         p.add_argument("--config", help="JSON config file (flags win)")
-        p.add_argument("--phantom")
-        p.add_argument("--branch", choices=inversion.BRANCHES)
-        p.add_argument("--nodes", type=int)
-        p.add_argument("--s-min", dest="s_min", type=float)
-        p.add_argument("--s-max", dest="s_max", type=float)
-        p.add_argument("--s-count", dest="s_count", type=int)
-        p.add_argument("--vol-min", dest="vol_min", type=float)
-        p.add_argument("--vol-max", dest="vol_max", type=float)
-        p.add_argument("--vol-dims", dest="vol_dims", type=int)
-        p.add_argument("--diff-step", dest="diff_step", type=float)
-        p.add_argument("--normalization", type=float)
-        p.add_argument("--band", type=float)
-        p.add_argument("--points", type=int)
-        p.add_argument("--outdir")
-        p.add_argument("--seed", type=int)
+        for f in fields(RunConfig):
+            p.add_argument(
+                "--" + f.name.replace("_", "-"),
+                dest=f.name,
+                type=type(f.default),
+                choices=inversion.BRANCHES if f.name == "branch" else None,
+            )
 
     for name, help_text in (
         ("forward", "write forward data (x-ray CSV or Radon profiles)"),

@@ -24,7 +24,7 @@ spherical-average equivalence diagnostic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,6 +54,9 @@ RADON_BRANCH_FACTOR = -2.0 * np.pi
 # temporaries of a block to a few MB; a large volume gets one node per
 # block.
 ROWS = 16384
+
+# Fewest samples of a Radon profile: the derivative and cubic stencils need room at both ends.
+MIN_PROFILE_SAMPLES = 8
 
 
 def _blocks(total, width):
@@ -100,8 +103,8 @@ class RadonDataset:
             raise ValueError("dataset nodes must have shape (K, 3) with K >= 1")
         if values.ndim != 2 or values.shape[0] != nodes.shape[0]:
             raise ValueError("dataset values must have shape (K, S), one row per node")
-        if values.shape[1] < 8:
-            raise ValueError("dataset profiles require at least 8 samples")
+        if values.shape[1] < MIN_PROFILE_SAMPLES:
+            raise ValueError(f"dataset profiles require at least {MIN_PROFILE_SAMPLES} samples")
         if not (np.isfinite(self.s_min) and np.isfinite(self.s_max) and self.s_max > self.s_min):
             raise ValueError(f"require finite s_min < s_max, got {self.s_min!r}, {self.s_max!r}")
         if not np.all(np.isfinite(values)):
@@ -146,11 +149,7 @@ def make_phantom_xray_data(ph):
     This is the ray form grangeat_convert reads; lift_xray_data turns it
     into the form the xray branch of reconstruct reads.
     """
-
-    def ph_data(points, directions):
-        return ph_mod.halfline_integral(ph, points, directions)
-
-    return ph_data
+    return lambda points, directions: ph_mod.halfline_integral(ph, points, directions)
 
 
 def lift_xray_data(xdata):
@@ -176,15 +175,12 @@ def lift_xray_data(xdata):
     return data
 
 
-def phantom_data(ph, cfg, s_range=None, s_count=1025):
+def phantom_data(ph, cfg, s_grid):
     """The analytic input of cfg.branch: closed-form ray differences
-    (phantom.ray_differences), or a RadonDataset on s_range (default: the
-    support radius plus 2 on each side)."""
+    (phantom.ray_differences), or a RadonDataset on s_grid = (s_min, s_max, count)."""
     if cfg.branch == BRANCH_XRAY:
         return lambda points, h: ph_mod.ray_differences(ph, points, h)
-    radius = ph.support_radius + 2.0
-    s_min, s_max = s_range or (-radius, radius)
-    return build_radon_dataset(ph, cfg.quadrature, s_min, s_max, s_count)
+    return build_radon_dataset(ph, cfg.quadrature, *s_grid)
 
 
 def _as_points(points):
@@ -323,7 +319,7 @@ class Lemma9Report:
     difference: np.ndarray
 
 
-def lemma9_diagnostic(ph, points, quadrature):
+def lemma9_diagnostic(ph, points, quadrature, s_grid):
     """Compare the spherical averages of the two reconstruction integrands at a batch of points.
 
     left  = integral over directions of the full-line integral at x
@@ -331,8 +327,8 @@ def lemma9_diagnostic(ph, points, quadrature):
     right = -2*pi times the integral over directions of the
             Hilbert-filtered plane-integral profile at s = x . n.
 
-    points has shape (P, 3).  The profiles, on phantom_data's default
-    s-grid, are built and filtered once for all points.  The ratio
+    points has shape (P, 3).  The profiles, on s_grid = (s_min, s_max,
+    count), are built and filtered once for all points.  The ratio
     left/right is reported (NaN where the right side vanishes); the
     scalar-offset Hilbert transform stands in for the componentwise sum,
     which is not constructively defined.
@@ -345,7 +341,7 @@ def lemma9_diagnostic(ph, points, quadrature):
         return ph_mod.line_integral(ph, *_rays(points, nodes)).reshape(nodes.shape[0], -1)
 
     left = _sphere_sum(quadrature, points, line_values)
-    data = phantom_data(ph, ReconstructionConfig(quadrature, branch=BRANCH_RADON))
+    data = build_radon_dataset(ph, quadrature, *s_grid)
     filtered = _filter(data, lambda rows, h: hilbert_rows(rows), out=data.values)
     right = -2.0 * np.pi * _backproject(filtered, data, quadrature, points)
     ratio = np.full(points.shape[0], np.nan)
@@ -388,27 +384,6 @@ def fit_scale(raw, truth):
     scale = float(np.dot(raw, truth)) / denom
     residual = float(np.sqrt(np.mean((scale * raw - truth) ** 2)))
     return CalibrationResult(scale=scale, residual=residual)
-
-
-def calibrate_normalization(ph, cfg, seed=20260824, sampling_radius=None, data=None):
-    """Least-squares scalar matching raw reconstructions to the phantom density.
-
-    Runs the configured branch with unit normalization (the classical
-    branch keeps its built-in constant) at the calibration points
-    (calibration_points; radius support_radius / 4 unless given) and
-    fits it to the phantom density there (fit_scale).
-
-    `data` optionally overrides the phantom-derived input: ray-difference
-    data (see reconstruct and lift_xray_data) for the xray branch, or a
-    RadonDataset for the radon branches.
-    """
-    if sampling_radius is None:
-        sampling_radius = ph.support_radius / 4.0
-    points = calibration_points(sampling_radius, seed)
-    if data is None:
-        data = phantom_data(ph, cfg)
-    raw = reconstruct(data, replace(cfg, normalization=1.0), points)
-    return fit_scale(raw, ph_mod.evaluate(ph, points))
 
 
 # --- reconstructed volume persistence ---------------------------------------

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,18 @@ def quad2000():
 @pytest.fixture(scope="session")
 def gauss_dataset(unit_gaussian, quad2000):
     return inv.build_radon_dataset(unit_gaussian, quad2000, -8.0, 8.0, 1601)
+
+
+# The unit Gaussian's s-grid (s_min, s_max, count): its support radius 6 plus 2 on each side.
+S_GRID = (-8.0, 8.0, 1025)
+
+
+def calibrate(ph, cfg, data):
+    """The calibration fit: the branch at unit normalization at the seeded calibration
+    points (radius support_radius / 4, seed 20260824), fitted to the density there."""
+    points = inv.calibration_points(ph.support_radius / 4.0, 20260824)
+    raw = inv.reconstruct(data, replace(cfg, normalization=1.0), points)
+    return inv.fit_scale(raw, xr.evaluate(ph, points))
 
 
 def ray_march_density(ph, x, n, step=1e-3, t_max=None):

@@ -14,7 +14,7 @@ import xradon as xr
 from xradon import inversion as inv
 from xradon.cli import main as cli_main
 from xradon.hilbert import hilbert_pv_direct, hilbert_rows, sample_rows
-from conftest import plane_march_density, ray_march_density
+from conftest import S_GRID, calibrate, plane_march_density, ray_march_density
 
 
 def report(num, ok, detail):
@@ -64,7 +64,7 @@ def test_criterion_3_xray_branch_reconstruction(unit_gaussian, quad2000):
     grid = xr.cube_grid(3.0, 33)
     cfg = inv.ReconstructionConfig(quad2000, diff_step=1e-4,
                                    normalization=inv.XRAY_BRANCH_CONSTANT)
-    data = inv.phantom_data(unit_gaussian, cfg)
+    data = inv.phantom_data(unit_gaussian, cfg, S_GRID)
     vol = grid.with_samples(inv.reconstruct(data, cfg, grid.points()))
     truth = xr.evaluate(unit_gaussian, grid.points())
     rel_l2 = float(np.linalg.norm(vol.samples - truth) / np.linalg.norm(truth))
@@ -75,7 +75,8 @@ def test_criterion_3_xray_branch_reconstruction(unit_gaussian, quad2000):
 
 def test_criterion_4_constant_adjudication(unit_gaussian, quad2000):
     start = time.time()
-    cal = inv.calibrate_normalization(unit_gaussian, inv.ReconstructionConfig(quad2000))
+    cfg = inv.ReconstructionConfig(quad2000)
+    cal = calibrate(unit_gaussian, cfg, inv.phantom_data(unit_gaussian, cfg, S_GRID))
     derived = inv.XRAY_BRANCH_CONSTANT
     rel_dev = abs(cal.scale / derived - 1.0)
     gap = cal.scale / inv.SPHERICAL_REFERENCE_CONSTANT
@@ -166,11 +167,11 @@ def test_criterion_7_classical_radon_oracle(unit_gaussian, quad2000, gauss_datas
 
 def test_criterion_8_equivalence_diagnostic(unit_gaussian, quad2000):
     start = time.time()
-    rep0 = inv.lemma9_diagnostic(unit_gaussian, np.zeros((1, 3)), quad2000)
+    rep0 = inv.lemma9_diagnostic(unit_gaussian, np.zeros((1, 3)), quad2000, S_GRID)
     left_err = abs(rep0.left[0] - 4.0 * np.pi * np.sqrt(np.pi))
     rng = np.random.default_rng(108)
     pts = inv.sample_ball_points(rng, 20, 1.5)
-    ratios = list(inv.lemma9_diagnostic(unit_gaussian, pts, quad2000).ratio)
+    ratios = list(inv.lemma9_diagnostic(unit_gaussian, pts, quad2000, S_GRID).ratio)
     elapsed = time.time() - start
     finite = [r for r in ratios if np.isfinite(r)]
     ok = left_err < 1e-3 and len(ratios) >= 20

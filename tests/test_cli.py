@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from xradon import inversion as inv
 from xradon import phantom as phm
-from xradon.cli import CliError, RunConfig, load_config, main
+from xradon.cli import CliError, RunConfig, build_parser, load_config, main
 from xradon.geometry import fibonacci_sphere
 from xradon.inversion import BRANCHES
 
@@ -158,21 +158,27 @@ class TestInvert:
         ],
     )
     def test_fitted_scale_is_the_volume_data_fit(self, tmp_path, branch, radius, tol):
-        # invert's calibration points are reconstructed with the volume, on its
-        # own data and s-grid; the fit equals calibrate_normalization there
+        # invert's calibration points are reconstructed with the volume, on its own
+        # data and s-grid; the fit equals the calibrate command's at the same flags,
+        # which reconstructs the same points at unit normalization
         ph_path = self.narrow_phantom(tmp_path)
+        flags = [
+            "--phantom", str(ph_path), "--branch", branch, "--nodes", "200",
+            "--s-min", "-4", "--s-max", "4", "--s-count", "401",
+        ]
         outdir = tmp_path / "inv"
         assert run(
-            "invert", "--phantom", str(ph_path), "--branch", branch, "--nodes", "200",
-            "--s-min", "-4", "--s-max", "4", "--s-count", "401",
-            "--vol-min", "-2", "--vol-max", "2", "--vol-dims", "7", "--outdir", str(outdir),
+            "invert", *flags, "--vol-min", "-2", "--vol-max", "2", "--vol-dims", "7", "--outdir", str(outdir),
         ) == 0
+        assert run("calibrate", *flags, "--outdir", str(tmp_path / "cal")) == 0
         fitted = float((outdir / "metrics.csv").read_text().splitlines()[1].split(",")[2])
+        calibrated = json.loads((tmp_path / "cal" / "calibration.json").read_text())["scale"]
+        assert abs(fitted - calibrated) <= tol * abs(calibrated)
         ph = phm.load_phantom(ph_path)
-        rcfg = inv.ReconstructionConfig(fibonacci_sphere(200), branch=branch)
-        data = inv.phantom_data(ph, rcfg, (-4.0, 4.0), 401)
-        expected = inv.calibrate_normalization(ph, rcfg, seed=1, sampling_radius=radius, data=data)
-        assert abs(fitted - expected.scale) <= tol * abs(expected.scale)
+        rcfg = inv.ReconstructionConfig(fibonacci_sphere(200), normalization=1.0, branch=branch)
+        points = inv.calibration_points(radius, seed=1)
+        raw = inv.reconstruct(inv.phantom_data(ph, rcfg, (-4.0, 4.0, 401)), rcfg, points)
+        assert calibrated == inv.fit_scale(raw, phm.evaluate(ph, points)).scale
 
     def test_narrow_s_grid_calibrates(self, tmp_path):
         # support_radius / 4 = 10 would put calibration offsets off the s-grid [-4, 4]
@@ -239,8 +245,9 @@ class TestInvert:
             assert "--normalization" in capsys.readouterr().err
         assert outdir.exists() == (code == 0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_volume_rejected(self, tmp_path, phantom_file, capsys):
-        # |x|^2 overflows at 1e200: the reconstruction is NaN, and nothing is written
+        # |x|^2 overflows at 1e200: rejected before any work, and nothing is written
         outdir = tmp_path / "inv"
         assert run(
             "invert", "--phantom", str(phantom_file), "--nodes", "40", "--vol-dims", "5",
@@ -300,6 +307,7 @@ class TestConfigValidation:
             ('{"normalization": NaN}', "normalization"),
             ('{"diff_step": Infinity}', "diff_step"),
             ('{"seed": -1}', "seed"),
+            ('{"s_count": 5}', "s_count"),
             pytest.param('{"s_max": 1' + "0" * 400 + "}", "s_max", id="float-field-int-overflow"),
             pytest.param('{"nodes": ' + "1" * 5000 + "}", "unreadable config", id="int-over-digit-limit"),
         ],
@@ -317,6 +325,16 @@ class TestConfigValidation:
         assert named in err
         assert "Traceback" not in err
         assert not outdir.exists()
+
+    @pytest.mark.parametrize("field", fields(RunConfig), ids=lambda f: f.name)
+    def test_flag_parses_into_field(self, field):
+        # every RunConfig field has its flag, of the field's type
+        sample = {"branch": "radon", int: 9, float: 0.25, str: "name"}
+        value = sample.get(field.name, sample[type(field.default)])
+        flag = "--" + field.name.replace("_", "-")
+        cfg = load_config(build_parser().parse_args(["invert", flag, str(value)]))
+        assert getattr(cfg, field.name) == value
+        assert type(getattr(cfg, field.name)) is type(field.default)
 
     def test_integer_for_float_field(self, tmp_path, phantom_file):
         cfg = tmp_path / "cfg.json"
@@ -351,6 +369,31 @@ class TestCheck:
         assert run("phantom-gen", "--out", str(ph), "--preset", "gaussian-ball") == 0
         assert run("check", "--phantom", str(ph), "--outdir", str(tmp_path / "o")) == 1
 
+    def test_lemma9_reads_the_s_grid(self, tmp_path, phantom_file):
+        # the right side is built on --s-min/--s-max/--s-count; the left side has no s-grid
+        columns = {}
+        for count in ("101", "801"):
+            outdir = tmp_path / count
+            assert run(
+                "check", "--phantom", str(phantom_file), "--nodes", "200", "--band", "0.2",
+                "--s-count", count, "--outdir", str(outdir),
+            ) == 0
+            columns[count] = np.loadtxt(outdir / "lemma9.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(columns["101"][:, :4], columns["801"][:, :4])
+        assert not np.any(columns["101"][:, 4] == columns["801"][:, 4])
+
+    def test_s_grid_without_lemma9_offsets_rejected(self, tmp_path, phantom_file, capsys):
+        # lemma9's points lie in a ball of radius 6 / 4 = 1.5; [-1, 1] misses their offsets
+        outdir = tmp_path / "o"
+        assert run(
+            "check", "--phantom", str(phantom_file), "--nodes", "40", "--band", "0.2",
+            "--s-min", "-1", "--s-max", "1", "--outdir", str(outdir),
+        ) == 1
+        err = capsys.readouterr().err
+        assert "lemma9" in err and "--s-min" in err and "--s-max" in err
+        assert "Traceback" not in err
+        assert not outdir.exists()
+
     def test_rejects_overwide_band(self, tmp_path, phantom_file, capsys):
         outdir = tmp_path / "o"
         assert run(
@@ -371,6 +414,29 @@ class TestCalibrate:
         ) == 0
         result = json.loads((outdir / "calibration.json").read_text())
         assert abs(result["scale"] / (-1.0 / (4.0 * np.pi)) - 1.0) < 1e-3
+
+    def test_radon_follows_s_count_and_matches_invert(self, tmp_path, phantom_file):
+        # calibrate runs invert's calibration on the same s-grid, without the volume
+        scales = []
+        for count in ("101", "801"):
+            flags = ["--phantom", str(phantom_file), "--branch", "radon", "--nodes", "200", "--s-count", count]
+            assert run("calibrate", *flags, "--outdir", str(tmp_path / f"cal{count}")) == 0
+            assert run("invert", *flags, "--vol-dims", "3", "--outdir", str(tmp_path / f"inv{count}")) == 0
+            scale = json.loads((tmp_path / f"cal{count}" / "calibration.json").read_text())["scale"]
+            fitted = float((tmp_path / f"inv{count}" / "metrics.csv").read_text().splitlines()[1].split(",")[2])
+            assert abs(fitted - scale) <= 1e-12 * abs(scale)
+            scales.append(scale)
+        assert scales[0] != scales[1]
+
+    def test_s_grid_without_origin_rejected(self, tmp_path, phantom_file, capsys):
+        outdir = tmp_path / "cal"
+        assert run(
+            "calibrate", "--phantom", str(phantom_file), "--branch", "radon", "--nodes", "20",
+            "--s-min", "1", "--s-max", "9", "--outdir", str(outdir),
+        ) == 1
+        err = capsys.readouterr().err
+        assert "needs s_min < 0 < s_max" in err and "Traceback" not in err
+        assert not outdir.exists()
 
 
 class TestErrorHandling:

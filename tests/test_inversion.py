@@ -7,6 +7,7 @@ from scipy.special import dawsn
 import xradon as xr
 from xradon import inversion as inv
 from xradon import phantom as phm
+from conftest import S_GRID, calibrate
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +27,7 @@ def at(data, cfg, x):
 
 def lemma9_at(ph, x, quadrature):
     """Lemma-9 report at a single point, as scalars."""
-    rep = inv.lemma9_diagnostic(ph, np.reshape(x, (1, 3)), quadrature)
+    rep = inv.lemma9_diagnostic(ph, np.reshape(x, (1, 3)), quadrature, S_GRID)
     return inv.Lemma9Report(*(float(v[0]) for v in (rep.left, rep.right, rep.ratio, rep.difference)))
 
 
@@ -56,12 +57,12 @@ def zero_dataset(quadrature):
 
 class TestInvertXray:
     def test_unit_gaussian_at_origin(self, unit_gaussian, xray_cfg):
-        data = inv.phantom_data(unit_gaussian, xray_cfg)
+        data = inv.phantom_data(unit_gaussian, xray_cfg, S_GRID)
         val = at(data, xray_cfg, (0.0, 0.0, 0.0))
         assert abs(val - 1.0) < 1e-3
 
     def test_zero_phantom(self, xray_cfg):
-        data = inv.phantom_data(xr.Phantom((), 1.0), xray_cfg)
+        data = inv.phantom_data(xr.Phantom((), 1.0), xray_cfg, S_GRID)
         assert at(data, xray_cfg, (0.0, 0.0, 0.0)) == 0.0
 
     def test_two_gaussians(self, xray_cfg):
@@ -72,7 +73,7 @@ class TestInvertXray:
             ),
             7.0,
         )
-        val = at(inv.phantom_data(ph, xray_cfg), xray_cfg, (1.0, 0.0, 0.0))
+        val = at(inv.phantom_data(ph, xray_cfg, S_GRID), xray_cfg, (1.0, 0.0, 0.0))
         assert abs(val - (1.0 + np.exp(-4.0))) < 2e-3
 
     def test_branch_mismatch_rejected(self, unit_gaussian, quad2000):
@@ -98,8 +99,8 @@ class TestInvertXray:
         rng = np.random.default_rng(17)
         for _ in range(5):
             x = rng.uniform(-1.0, 1.0, size=3)
-            a = at(inv.phantom_data(base, cfg), cfg, x)
-            b = at(inv.phantom_data(moved, cfg), cfg, x + shift)
+            a = at(inv.phantom_data(base, cfg, S_GRID), cfg, x)
+            b = at(inv.phantom_data(moved, cfg, S_GRID), cfg, x + shift)
             assert abs(a - b) < 1e-3
 
     def test_linearity_in_data(self, unit_gaussian, xray_cfg):
@@ -176,7 +177,7 @@ class TestClassicalRadon:
 
     def test_agrees_with_xray_branch(self, unit_gaussian, quad2000, gauss_dataset, classical_cfg):
         cfg = inv.ReconstructionConfig(quad2000)
-        data = inv.phantom_data(unit_gaussian, cfg)
+        data = inv.phantom_data(unit_gaussian, cfg, S_GRID)
         rng = np.random.default_rng(23)
         pts = inv.sample_ball_points(rng, 50, 1.5)
         a = inv.reconstruct(data, cfg, pts)
@@ -204,7 +205,7 @@ class TestBatchReconstruction:
 
     def branch_data(self, cfg, unit_gaussian, dataset):
         if cfg.branch == inv.BRANCH_XRAY:
-            return inv.phantom_data(unit_gaussian, cfg)
+            return inv.phantom_data(unit_gaussian, cfg, S_GRID)
         return dataset
 
     @pytest.mark.parametrize("branch", inv.BRANCHES)
@@ -256,13 +257,13 @@ class TestBatchReconstruction:
             6.0,
         )
         cfg = inv.ReconstructionConfig(quad)
-        fused = inv.reconstruct(inv.phantom_data(ph, cfg), cfg, batch)
+        fused = inv.reconstruct(inv.phantom_data(ph, cfg, S_GRID), cfg, batch)
         ref = inv.reconstruct(lifted(ph), cfg, batch)
         assert np.max(np.abs(fused - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_second_call_leaves_first_result(self, quad, batch, unit_gaussian):
         cfg = inv.ReconstructionConfig(quad)
-        data = inv.phantom_data(unit_gaussian, cfg)
+        data = inv.phantom_data(unit_gaussian, cfg, S_GRID)
         first = inv.reconstruct(data, cfg, batch)
         kept = first.copy()
         second = inv.reconstruct(data, cfg, 0.5 * batch)
@@ -270,7 +271,7 @@ class TestBatchReconstruction:
         assert not np.shares_memory(first, second)
 
     def test_lemma9_batch_matches_single_points(self, quad, batch, unit_gaussian):
-        rep = inv.lemma9_diagnostic(unit_gaussian, batch, quad)
+        rep = inv.lemma9_diagnostic(unit_gaussian, batch, quad, S_GRID)
         # The right side nearly cancels, so both sides are compared on the
         # scale of the left one, the size of the integrands; the ratio
         # inherits the right side's relative error.
@@ -285,7 +286,7 @@ class TestBatchReconstruction:
 
     def test_rejects_bad_point_shape(self, unit_gaussian, xray_cfg):
         with pytest.raises(ValueError, match="shape"):
-            inv.reconstruct(inv.phantom_data(unit_gaussian, xray_cfg), xray_cfg, (0.0, 0.0, 0.0))
+            inv.reconstruct(inv.phantom_data(unit_gaussian, xray_cfg, S_GRID), xray_cfg, (0.0, 0.0, 0.0))
 
     @pytest.mark.parametrize("branch", inv.BRANCHES)
     def test_empty_batch(self, branch, quad, unit_gaussian, dataset):
@@ -414,22 +415,23 @@ class TestLemma9Diagnostic:
 
 class TestCalibrateNormalization:
     def test_xray_branch_constant(self, unit_gaussian, quad2000):
-        cal = inv.calibrate_normalization(unit_gaussian, inv.ReconstructionConfig(quad2000))
+        cfg = inv.ReconstructionConfig(quad2000)
+        cal = calibrate(unit_gaussian, cfg, inv.phantom_data(unit_gaussian, cfg, S_GRID))
         expected = -1.0 / (4.0 * np.pi)
         assert abs(cal.scale / expected - 1.0) < 1e-3
 
     def test_classical_branch_unity(self, unit_gaussian, quad2000, gauss_dataset):
         cfg = inv.ReconstructionConfig(quad2000, branch=inv.BRANCH_CLASSICAL)
-        cal = inv.calibrate_normalization(unit_gaussian, cfg, data=gauss_dataset)
+        cal = calibrate(unit_gaussian, cfg, gauss_dataset)
         assert abs(cal.scale - 1.0) < 1e-3
 
     def test_prescaled_data_halves_scale(self, unit_gaussian, quad2000):
         cfg = inv.ReconstructionConfig(quad2000)
-        base = inv.calibrate_normalization(unit_gaussian, cfg)
+        base = calibrate(unit_gaussian, cfg, inv.phantom_data(unit_gaussian, cfg, S_GRID))
         xdata = inv.make_phantom_xray_data(unit_gaussian)
         data = inv.lift_xray_data(xdata)
         doubled = inv.lift_xray_data(lambda pts, dirs: 2.0 * xdata(pts, dirs))
-        scaled = inv.calibrate_normalization(unit_gaussian, cfg, data=doubled)
+        scaled = calibrate(unit_gaussian, cfg, doubled)
         assert abs(scaled.scale - base.scale / 2.0) < 1e-9
         # reconstruction with the fitted scale is unchanged
         x = (0.3, 0.2, 0.0)
@@ -439,8 +441,10 @@ class TestCalibrateNormalization:
         assert abs(a - b) < 1e-6
 
     def test_zero_phantom_rejected(self, quad2000):
+        zero = xr.Phantom((), 1.0)
+        cfg = inv.ReconstructionConfig(quad2000)
         with pytest.raises(ValueError):
-            inv.calibrate_normalization(xr.Phantom((), 1.0), inv.ReconstructionConfig(quad2000))
+            calibrate(zero, cfg, inv.phantom_data(zero, cfg, S_GRID))
 
 
 class TestReconstructionConfig:
