@@ -58,6 +58,16 @@ class RunConfig:
             raise CliError(f"config field seed must be non-negative, got {self.seed}")
         if self.s_max <= self.s_min or self.vol_max <= self.vol_min:
             raise CliError("empty s-grid or volume extent")
+        # 1/(2 diff_step) overflows for a subnormal step
+        if self.diff_step < sys.float_info.min:
+            raise CliError(
+                f"config field diff_step must be at least {sys.float_info.min!r}, the smallest "
+                f"normal float, got {self.diff_step!r}"
+            )
+        if not math.isfinite(self.s_max - self.s_min):
+            raise CliError(
+                f"config fields s_min and s_max must span a finite width, got {self.s_min!r} to {self.s_max!r}"
+            )
 
 
 class CliError(Exception):
@@ -219,6 +229,8 @@ def cmd_forward(args):
     cfg = load_config(args)
     ph = _load_phantom(cfg)
     quad = fibonacci_sphere(cfg.nodes)
+    if cfg.branch != inversion.BRANCH_XRAY:
+        _check_s_grid(ph, cfg)
     with _OutputSet(cfg.outdir) as out:
         if cfg.branch == inversion.BRANCH_XRAY:
             rng = np.random.default_rng(cfg.seed)
@@ -236,6 +248,19 @@ def cmd_forward(args):
         _write_manifest(out, cfg, files)
     print(f"wrote {len(files) + 1} files to {cfg.outdir}")
     return 0
+
+
+def _check_s_grid(ph, cfg):
+    """The Radon profiles take (s - n.c)^2 / a^2 for every primitive; it must be finite
+    at the ends of the s-grid, where it is at most ((|s| + |c|) / a)^2."""
+    end = max(abs(cfg.s_min), abs(cfg.s_max))
+    for prim in ph.primitives:
+        reach = (end + float(np.linalg.norm(prim.center))) / prim.scale
+        if not math.isfinite(reach * reach):
+            raise CliError(
+                f"the s-grid --s-min {cfg.s_min:g} --s-max {cfg.s_max:g} is too wide for the phantom: "
+                f"(s - n.c)^2 / a^2 is not finite at its ends; shrink the s-grid"
+            )
 
 
 def _calibration_radius(ph, cfg):
@@ -277,6 +302,8 @@ def _reconstruct_with_calibration(ph, cfg, voxels):
     before any data is built.
     """
     cal_points = inversion.calibration_points(_calibration_radius(ph, cfg), seed=cfg.seed + 1)
+    if cfg.branch != inversion.BRANCH_XRAY:
+        _check_s_grid(ph, cfg)
     rcfg = inversion.ReconstructionConfig(
         fibonacci_sphere(cfg.nodes), cfg.diff_step, cfg.normalization, cfg.branch
     )
@@ -355,6 +382,7 @@ def cmd_check(args):
         raise CliError("check requires a smooth (gaussian-only) phantom")
     quad = fibonacci_sphere(cfg.nodes)
     pts = inversion.sample_ball_points(np.random.default_rng(cfg.seed), 20, ph.support_radius / 4.0)
+    _check_s_grid(ph, cfg)
     _check_offsets(cfg, pts, quad.nodes, f"check: lemma9's points (radius {ph.support_radius / 4.0:g})")
     with _OutputSet(cfg.outdir) as out:
         xdata = inversion.make_phantom_xray_data(ph)

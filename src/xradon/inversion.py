@@ -46,13 +46,13 @@ CLASSICAL_RADON_CONSTANT = -1.0 / (8.0 * np.pi**2)
 # Cylindrical-branch prefactor applied per direction.
 RADON_BRANCH_FACTOR = -2.0 * np.pi
 
-# Rows of work per block: a block of B quadrature nodes evaluated at P
-# points holds B = max(1, ROWS // P) nodes, or max(1, ROWS // max(P, 4 S))
-# when backprojecting profiles of S samples (their four (B, S - 1) cubic
-# tables), and profile filtering takes max(1, ROWS // (2 S)) rows of S
-# samples at a time (the Hilbert kernel's FFT length).  This bounds the
-# temporaries of a block to a few MB; a large volume gets one node per
-# block.
+# Rows of work per block: a block of quadrature nodes evaluated at P points
+# holds max(1, ROWS // P) nodes (the line integrals of lemma9 and the ray
+# data lift_xray_data reads), or max(1, ROWS // max(P, 4 S)) when
+# backprojecting profiles of S samples (their four (B, S - 1) cubic tables),
+# and profile filtering takes max(1, ROWS // (2 S)) rows of S samples at a
+# time (the Hilbert kernel's FFT length).  This bounds the temporaries of a
+# block to a few MB; a large volume gets one node per block.
 ROWS = 16384
 
 # Fewest samples of a Radon profile: the derivative and cubic stencils need room at both ends.
@@ -153,22 +153,26 @@ def make_phantom_xray_data(ph):
 
 
 def lift_xray_data(xdata):
-    """The ray-difference form read by the xray branch, from divergent-beam data.
+    """The sphere-summed ray-difference form read by the xray branch, from
+    divergent-beam data.
 
     xdata(x, n) takes (K, 3) arrays to (K,) values.  The result is
-    data(points, h) -> diff(nodes), with diff giving the (B, P) array of
-    xdata(x + h n, n) - xdata(x - h n, n); it calls xdata twice per node
-    block.  This is the path for non-analytic data and the reference for
-    the closed form phantom.ray_differences.
+    data(points, h) -> diff(nodes, weights), with diff giving the (P,) array
+    sum_k w_k [xdata(x + h n_k, n_k) - xdata(x - h n_k, n_k)]; it calls xdata
+    twice per node block.  This is the path for non-analytic data and the
+    reference for the closed form phantom.ray_differences.
     """
 
     def data(points, h):
-        def diff(nodes):
-            n = _rays(points, nodes)[1]
-            step = h * nodes[:, None, :]
-            fwd = np.asarray(xdata((points + step).reshape(-1, 3), n), dtype=float)
-            bwd = np.asarray(xdata((points - step).reshape(-1, 3), n), dtype=float)
-            return (fwd - bwd).reshape(nodes.shape[0], -1)
+        def diff(nodes, weights):
+            acc = np.zeros(points.shape[0])
+            for block in _blocks(nodes.shape[0], points.shape[0]):
+                n = _rays(points, nodes[block])[1]
+                step = h * nodes[block, None, :]
+                fwd = np.asarray(xdata((points + step).reshape(-1, 3), n), dtype=float)
+                bwd = np.asarray(xdata((points - step).reshape(-1, 3), n), dtype=float)
+                acc += weights[block] @ (fwd - bwd).reshape(step.shape[0], -1)
+            return acc
 
         return diff
 
@@ -238,9 +242,10 @@ def _backproject(filtered, data, quadrature, points):
 def reconstruct(data, cfg, points):
     """Reconstruct the density at a (P, 3) batch of points with cfg.branch; returns (P,).
 
-    xray: `data(points, diff_step)` returns diff(nodes), the (B, P) ray
-    differences Xf(x + h n, n) - Xf(x - h n, n) with h = diff_step (see
-    phantom_data, and lift_xray_data for (x, n) data); the result is
+    xray: `data(points, diff_step)` returns diff(nodes, weights), which one
+    call with the whole quadrature turns into the (P,) sphere sum
+    sum_k w_k [Xf(x + h n_k, n_k) - Xf(x - h n_k, n_k)] with h = diff_step
+    (see phantom_data, and lift_xray_data for (x, n) data); the result is
     normalization * sum_k w_k * n_k . grad_x Xf(x, n_k), by that central
     difference.  radon: `data` is a RadonDataset on the quadrature nodes;
     the result is normalization * sum_k w_k * (-2*pi) * d/ds (H Rf)(n_k, s)
@@ -257,11 +262,10 @@ def reconstruct(data, cfg, points):
         diff = data(points, h)
         if not callable(diff):
             raise ValueError(
-                "xray data(points, h) must return a diff(nodes) callable; "
+                "xray data(points, h) must return a diff(nodes, weights) callable; "
                 "lift (x, n) ray data with lift_xray_data"
             )
-        acc = _sphere_sum(quad, points, lambda block, nodes: diff(nodes))
-        return cfg.normalization * acc / (2.0 * h)
+        return cfg.normalization * diff(quad.nodes, quad.weights) / (2.0 * h)
     _check_dataset(data, quad)
     acc = _backproject(_filter(data, _BRANCH_FILTERS[cfg.branch]), data, quad, points)
     if cfg.branch == BRANCH_RADON:

@@ -144,47 +144,71 @@ def halfline_integral(ph, x, n):
 
 
 def ray_differences(ph, points, h):
-    """Central-difference ray data Xf(x + h n, n) - Xf(x - h n, n) at a batch of points.
+    """Central-difference ray data Xf(x + h n, n) - Xf(x - h n, n) at a batch of
+    points, summed over the nodes of a sphere quadrature.
 
-    points has shape (P, 3).  Returns diff(nodes), which takes a (B, 3)
-    array of unit directions to the (B, P) differences.  Along a ray,
-    d^2 = |x - c|^2 - p^2 with p = n.(x - c) is the same at both ends of
-    the step, so per primitive (width or radius a, amplitude A):
+    points has shape (P, 3).  Returns diff(nodes, weights), which takes K unit
+    directions of shape (K, 3) and their weights of shape (K,) to the (P,)
+    array sum_k w_k [Xf(x + h n_k, n_k) - Xf(x - h n_k, n_k)].  Along a ray,
+    d^2 = |x - c|^2 - p^2 with p = n.(x - c) is the same at both ends of the
+    step, so per primitive (width or radius a, amplitude A):
     Gaussian -A * exp(-d^2/a^2) * int_{-h}^{h} exp(-(p + t)^2/a^2) dt, summed
     as a short series in p^2 (see _gaussian_series) or, outside its bound,
     A * a * (sqrt(pi)/2) * exp(-d^2/a^2) * [erfc((p+h)/a) - erfc((p-h)/a)];
     ball A * [chord(p + h) - chord(p - h)], chord(q) the length ahead of
-    the point at offset q along the ray.  This equals the difference of two
-    halfline_integral calls up to rounding.
+    the point at offset q along the ray.  Each term equals the difference of
+    two halfline_integral calls up to rounding.
 
-    |x - c|^2, or for the series form exp(-|x - c|^2/a^2), is computed
-    once here.  Each diff call forms n . x once for all primitives and
-    writes its temporaries into buffers sized by the largest block seen, so
-    the array it returns is overwritten by the next call.
+    |x - c|^2, or for the series form exp(-|x - c|^2/a^2), is computed once
+    here.  diff runs node by node over (P,) buffers and forms n . x once per
+    node for all primitives.  A series-form Gaussian sums
+    w_k * sum_{j>=1} c_j p^2j with w_k folded into the coefficients, then adds
+    c_0 * sum_k w_k and multiplies by exp(-|x - c|^2/a^2) once per call.
     """
     points = np.asarray(points, dtype=float)
+    columns = np.ascontiguousarray(points.T)
     r2 = [np.sum((points - prim.center) ** 2, axis=1) for prim in ph.primitives]
     series = [_gaussian_series(prim, rr, h) for prim, rr in zip(ph.primitives, r2)]
-    bufs = None
 
-    def diff(nodes):
-        nonlocal bufs
+    def diff(nodes, weights):
         nodes = np.asarray(nodes, dtype=float)
-        rows = nodes.shape[0]
-        if bufs is None or bufs.shape[1] < rows:
-            bufs = np.empty((6, rows, points.shape[0]))
-        out, nx, p, e, u, v = bufs[:, :rows]
-        # n . x term by term, not by a matrix product: BLAS rounds a product
-        # differently for different block shapes, and the 1/(2h) of the
-        # central difference would carry that into the reconstruction.
-        np.multiply(nodes[:, :1], points[:, 0], out=nx)
-        for i in (1, 2):
-            np.multiply(nodes[:, i : i + 1], points[:, i], out=u)
-            nx += u
-        out.fill(0.0)
-        for prim, rr, ser in zip(ph.primitives, r2, series):
-            np.subtract(nx, np.sum(nodes * prim.center, axis=1)[:, None], out=p)
-            _add_difference(prim, p, rr, h, ser, out, e, u, v)
+        weights = np.asarray(weights, dtype=float)
+        out = np.zeros(points.shape[0])
+        nx, p, e, u, v = np.empty((5, points.shape[0]))
+        # Per primitive: n_k . c of every node and, for the series form, each
+        # node's weighted coefficients w_k c_j for j = M down to 1 and the
+        # running sum; per-node scalars are Python floats, which numpy takes
+        # faster than its own scalars.
+        nc = [np.sum(nodes * prim.center, axis=1).tolist() for prim in ph.primitives]
+        folded = [None if ser is None else np.multiply.outer(weights, ser[0][:0:-1]).tolist() for ser in series]
+        sums = [None if ser is None else np.zeros(points.shape[0]) for ser in series]
+        for k, (n, w) in enumerate(zip(nodes.tolist(), weights.tolist())):
+            # n . x term by term, not by a matrix product: BLAS rounds a product
+            # differently for different shapes, and the 1/(2h) of the central
+            # difference would carry that into the reconstruction.
+            np.multiply(columns[0], n[0], out=nx)
+            for i in (1, 2):
+                np.multiply(columns[i], n[i], out=u)
+                nx += u
+            for prim, rr, nck, coeffs, acc in zip(ph.primitives, r2, nc, folded, sums):
+                np.subtract(nx, nck[k], out=p)
+                if acc is None:
+                    _add_difference(prim, p, rr, h, w, out, e, u, v)
+                    continue
+                # Horner in p^2 down to the p^2 term; no transcendental call per ray
+                np.multiply(p, p, out=e)
+                np.multiply(e, coeffs[k][0], out=u)
+                for c in coeffs[k][1:]:
+                    u += c
+                    u *= e
+                acc += u
+        total = float(np.sum(weights))
+        for ser, acc in zip(series, sums):
+            if ser is not None:
+                coeffs, scale = ser
+                acc += coeffs[0] * total
+                acc *= scale
+                out += acc
         return out
 
     return diff
@@ -237,24 +261,14 @@ def _gaussian_series(prim, r2, h):
     return coeffs, np.exp(r2, out=r2)
 
 
-def _add_difference(prim, p, r2, h, series, out, e, u, v):
-    """Add one primitive's ray difference at offsets p +- h to out.
+def _add_difference(prim, p, r2, h, weight, out, e, u, v):
+    """Add weight times one primitive's ray difference at offsets p +- h to out,
+    by the erfc form for a Gaussian or the chord form for a ball.
 
-    r2 is |x - c|^2 (not read by the series form) and series the result of
-    _gaussian_series; e, u and v are scratch arrays of out's shape.
+    r2 is |x - c|^2; e, u and v are scratch arrays of out's shape, and a
+    ball overwrites p.
     """
     np.multiply(p, p, out=e)
-    if series is not None:
-        # Horner in p^2; no transcendental call per ray
-        coeffs, scale = series
-        np.multiply(e, coeffs[-1], out=u)
-        for c in coeffs[-2:0:-1]:
-            u += c
-            u *= e
-        u += coeffs[0]
-        u *= scale
-        out += u
-        return
     np.subtract(r2, e, out=e)
     np.maximum(e, 0.0, out=e)  # d^2
     a = prim.scale
@@ -269,23 +283,25 @@ def _add_difference(prim, p, r2, h, series, out, e, u, v):
         erfc(v, out=v)
         u -= v
         u *= e
-        u *= prim.amplitude * a * (SQRT_PI / 2.0)
+        u *= weight * prim.amplitude * a * (SQRT_PI / 2.0)
         out += u
         return
     np.subtract(a * a, e, out=e)
     np.maximum(e, 0.0, out=e)
     np.sqrt(e, out=e)  # half chord of the ray's line, 0 off the ball
-    for sign in (1.0, -1.0):
-        # chord(q) = max(root - q, 0) - max(-(root + q), 0) at q = p +- h
-        np.add(p, sign * h, out=u)
-        np.subtract(e, u, out=v)
-        np.maximum(v, 0.0, out=v)
-        np.add(e, u, out=u)
-        np.negative(u, out=u)
-        np.maximum(u, 0.0, out=u)
-        v -= u
-        v *= sign * prim.amplitude
-        out += v
+    # chord(q) = max(root - q, 0) + min(root + q, 0), at q = p + h into v and
+    # at q = p - h into u; the difference is taken before it is weighted
+    np.add(p, h, out=u)
+    np.subtract(p, h, out=p)
+    for q, chord in ((u, v), (p, u)):
+        np.subtract(e, q, out=chord)
+        np.maximum(chord, 0.0, out=chord)
+        np.add(e, q, out=q)
+        np.minimum(q, 0.0, out=q)
+        chord += q
+    v -= u
+    v *= weight * prim.amplitude
+    out += v
 
 
 def line_integral(ph, x, n):

@@ -34,6 +34,14 @@ def calibrate(ph, cfg, data):
     return inv.fit_scale(raw, xr.evaluate(ph, points))
 
 
+def ray_differences_per_node(ph, points, nodes, h):
+    """(B, P) per-ray differences Xf(x + h n, n) - Xf(x - h n, n) from
+    phantom.ray_differences, one diff(n[None], np.ones(1)) call per node."""
+    diff = xr.ray_differences(ph, points, h)
+    rows = [diff(n[None], np.ones(1)) for n in np.asarray(nodes, dtype=float)]
+    return np.reshape(rows, (len(rows), len(points)))
+
+
 def ray_march_density(ph, x, n, step=1e-3, t_max=None):
     """Independent midpoint-rule oracle for the half-line integral of the density."""
     x = np.asarray(x, dtype=float)

@@ -308,6 +308,8 @@ class TestConfigValidation:
             ('{"diff_step": Infinity}', "diff_step"),
             ('{"seed": -1}', "seed"),
             ('{"s_count": 5}', "s_count"),
+            ('{"diff_step": 1e-320}', "diff_step"),
+            ('{"s_min": -1e308, "s_max": 1e308}', "s_min and s_max"),
             pytest.param('{"s_max": 1' + "0" * 400 + "}", "s_max", id="float-field-int-overflow"),
             pytest.param('{"nodes": ' + "1" * 5000 + "}", "unreadable config", id="int-over-digit-limit"),
         ],
@@ -557,6 +559,7 @@ FUZZ_INT_OVERRIDES = st.dictionaries(
 
 
 class TestCommandFuzz:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(
         command=st.sampled_from(["forward", "invert", "check", "calibrate"]),

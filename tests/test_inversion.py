@@ -32,7 +32,7 @@ def lemma9_at(ph, x, quadrature):
 
 
 def lifted(ph):
-    """The phantom's ray data (x, n) lifted into the xray branch's ray-difference form."""
+    """The phantom's ray data (x, n) lifted into the xray branch's sphere-summed ray-difference form."""
     return inv.lift_xray_data(inv.make_phantom_xray_data(ph))
 
 
@@ -88,7 +88,7 @@ class TestInvertXray:
         h = 1e-4
         diff = lifted(unit_gaussian)(x[None, :], h)
         nodes = quad2000.nodes[::100]
-        deriv = diff(nodes)[:, 0] / (2 * h)
+        deriv = np.array([diff(n[None], np.ones(1))[0] for n in nodes]) / (2 * h)
         assert np.max(np.abs(deriv + xr.evaluate(unit_gaussian, x))) < 1e-5
 
     def test_shift_equivariance(self, quad2000):
@@ -227,7 +227,7 @@ class TestBatchReconstruction:
             diff = lifted(unit_gaussian)(x[None, :], h)
             for k, (node, weight) in enumerate(zip(quad.nodes, quad.weights)):
                 if branch == inv.BRANCH_XRAY:
-                    total += weight * diff(node[None, :])[0, 0] / (2.0 * h)
+                    total += weight * diff(node[None, :], np.ones(1))[0] / (2.0 * h)
                     continue
                 row, h_s = dataset.values[k], dataset.spacing
                 if branch == inv.BRANCH_RADON:

@@ -8,7 +8,7 @@ from scipy.special import erfc
 
 import xradon as xr
 from xradon import phantom as phm
-from conftest import ray_march_density
+from conftest import ray_differences_per_node, ray_march_density
 
 SQRT_PI = np.sqrt(np.pi)
 
@@ -217,7 +217,7 @@ class TestRayDifferences:
         r = R + 2.0 * np.array(radii[: len(dirs)]) if outside else R * np.array(radii[: len(dirs)])
         points = r[:, None] * np.array(dirs)
         nodes = np.array(nodes)
-        fused = phm.ray_differences(ph, points, h)(nodes)
+        fused = ray_differences_per_node(ph, points, nodes, h)
         ref = halfline_differences(ph, points, nodes, h)
         keep = well_conditioned(ph, points, nodes, h)
         assert fused.shape == (len(nodes), len(points))
@@ -228,7 +228,7 @@ class TestRayDifferences:
     def test_rays_through_centre(self, ph, n, ts, h):
         # every ray runs along n through the first primitive's centre: d^2 = 0
         points = ph.primitives[0].center + np.array(ts)[:, None] * n
-        fused = phm.ray_differences(ph, points, h)(n[None, :])
+        fused = ray_differences_per_node(ph, points, n[None, :], h)
         ref = halfline_differences(ph, points, n[None, :], h)
         keep = well_conditioned(ph, points, n[None, :], h)
         assert np.all(np.abs(fused - ref)[keep] <= 1e-12 * integrand_scale(ph))
@@ -255,7 +255,7 @@ class TestRayDifferences:
         points[:, j] += signs[1] * a
         points[:, i] += np.array(ts) / 16.0
         h = 2.0**-level  # 0.5 down to 9.5e-7
-        fused = phm.ray_differences(ball, points, h)(n[None, :])
+        fused = ray_differences_per_node(ball, points, n[None, :], h)
         ref = halfline_differences(ball, points, n[None, :], h)
         assert np.all(fused == 0.0)
         assert np.all(np.abs(fused - ref) <= 1e-12 * integrand_scale(ball))
@@ -276,7 +276,7 @@ class TestRayDifferences:
         midpoint = -np.sum(xr.evaluate(ph, x + t[:, None] * n)) * (2.0 * h / m)
         curvature = sum(2.0 * abs(p.amplitude) / p.scale**2 for p in ph.primitives)
         bound = (2.0 * h) ** 3 / (24.0 * m * m) * curvature + 1e-13 * integrand_scale(ph)
-        fused = phm.ray_differences(ph, x[None, :], h)(n[None, :])[0, 0]
+        fused = ray_differences_per_node(ph, x[None, :], n[None, :], h)[0, 0]
         assert abs(fused - midpoint) <= bound
 
     @PROPERTY
@@ -295,7 +295,7 @@ class TestRayDifferences:
         # each primitive on its own: 1e-14 of 2h|A| where it takes the series form
         for prim in ph.primitives:
             one = xr.Phantom((prim,), ph.support_radius)
-            fused = phm.ray_differences(one, points, h)(nodes)
+            fused = ray_differences_per_node(one, points, nodes, h)
             ref = gauss_legendre_differences(one, points, nodes, h)
             bound = series_bound(one, h) if series_taken(prim, points, h) else 1e-12 * integrand_scale(one)
             assert np.all(np.abs(fused - ref) <= bound)
@@ -307,12 +307,12 @@ class TestRayDifferences:
         points = np.array([[-0.5, 0.3, 0.2], [-1.7, 0.1, -0.4], [-0.05, 0.0, 0.0]])
         nodes = np.array([[1.0, 0.0, 0.0], [0.6, 0.8, 0.0]])
         assert np.all(nodes @ points.T < 0.0)
-        fused = phm.ray_differences(unit_gaussian, points, h)(nodes)
+        fused = ray_differences_per_node(unit_gaussian, points, nodes, h)
         ref = gauss_legendre_differences(unit_gaussian, points, nodes, h)
         assert np.all(np.abs(fused - ref) <= series_bound(unit_gaussian, h))
 
-    @pytest.mark.parametrize("side, erfc_per_block", [(0.999, 0), (1.001, 2)])
-    def test_switch_at_series_bound(self, monkeypatch, side, erfc_per_block):
+    @pytest.mark.parametrize("side, erfc_per_node", [(0.999, 0), (1.001, 2)])
+    def test_switch_at_series_bound(self, monkeypatch, side, erfc_per_node):
         # points within one width of the centre, so t = h/a; h just inside
         # and just outside the series bound
         ph = xr.Phantom((xr.Primitive(xr.GAUSSIAN, (0.2, -0.1, 0.3), 0.5, -1.4),), 6.0)
@@ -320,10 +320,10 @@ class TestRayDifferences:
         points = ph.primitives[0].center + 0.5 * xr.fibonacci_sphere(9).nodes * np.linspace(0.0, 1.0, 9)[:, None]
         nodes = xr.fibonacci_sphere(7).nodes
         calls = erfc_calls(monkeypatch)
-        fused = phm.ray_differences(ph, points, h)(nodes)
-        assert len(calls) == erfc_per_block
+        fused = ray_differences_per_node(ph, points, nodes, h)
+        assert len(calls) == erfc_per_node * len(nodes)
         ref = gauss_legendre_differences(ph, points, nodes, h)
-        bound = series_bound(ph, h) if erfc_per_block == 0 else 1e-12 * integrand_scale(ph)
+        bound = series_bound(ph, h) if erfc_per_node == 0 else 1e-12 * integrand_scale(ph)
         assert np.all(np.abs(fused - ref) <= bound)
 
     def test_mixed_near_and_far_points(self, monkeypatch):
@@ -340,29 +340,47 @@ class TestRayDifferences:
         assert series_taken(wide, points, h)
         nodes = xr.fibonacci_sphere(8).nodes
         calls = erfc_calls(monkeypatch)
-        fused = phm.ray_differences(ph, points, h)(nodes)
-        assert len(calls) == 2
+        fused = ray_differences_per_node(ph, points, nodes, h)
+        assert len(calls) == 2 * len(nodes)
         ref = gauss_legendre_differences(ph, points, nodes, h)
         assert np.all(np.abs(fused - ref) <= 1e-12 * integrand_scale(ph))
-        near_only = phm.ray_differences(ph, near, h)(nodes)
-        assert len(calls) == 2
+        near_only = ray_differences_per_node(ph, near, nodes, h)
+        assert len(calls) == 2 * len(nodes)
         assert np.all(np.abs(near_only - ref[:, : len(near)]) <= series_bound(ph, h))
 
     def test_empty_batches(self, unit_gaussian):
-        nodes = xr.fibonacci_sphere(3).nodes
-        assert phm.ray_differences(unit_gaussian, np.zeros((0, 3)), 1e-4)(nodes).shape == (3, 0)
+        quad = xr.fibonacci_sphere(3)
+        points = np.zeros((0, 3))
+        assert ray_differences_per_node(unit_gaussian, points, quad.nodes, 1e-4).shape == (3, 0)
+        assert phm.ray_differences(unit_gaussian, points, 1e-4)(quad.nodes, quad.weights).shape == (0,)
 
-    def test_buffers_follow_block_size(self, unit_gaussian):
-        # blocks of 5, 2 and 7 nodes: a shorter block uses a leading slice, a
-        # longer one new buffers; each result equals a fresh call's
-        points = xr.fibonacci_sphere(30).nodes * 0.7
-        nodes = xr.fibonacci_sphere(14).nodes
-        diff = phm.ray_differences(unit_gaussian, points, 1e-3)
-        for block in (slice(0, 5), slice(5, 7), slice(7, 14)):
-            got = diff(nodes[block]).copy()
-            fresh = phm.ray_differences(unit_gaussian, points, 1e-3)(nodes[block])
-            assert got.shape == (block.stop - block.start, 30)
-            assert np.array_equal(got, fresh)
+    @pytest.mark.parametrize("case", ["series", "erfc", "ball", "mixed"])
+    def test_sphere_sum_folds_weights(self, case):
+        # diff(nodes, w) against sum_k w_k (two halfline_integral calls), with
+        # unequal weights whose sum is not 1: equal ones would hide a weight
+        # folded into the wrong term, or c_0 taken once per node or per call
+        rng = np.random.default_rng(17)
+        gaussian = xr.Primitive(xr.GAUSSIAN, (0.2, -0.1, 0.3), 0.7, -1.3)
+        ball = xr.Primitive(xr.BALL, (-0.3, 0.4, 0.1), 0.9, 0.8)
+        prims, h, reach = {
+            # a step long enough that the series' p^2 terms exceed the bound
+            "series": ((gaussian,), 5e-3, 1.5),
+            "erfc": ((gaussian,), 5e-2, 1.5),  # a longer step takes the erfc form
+            "ball": ((ball,), 1e-3, 1.5),
+            "mixed": ((gaussian, ball), 5e-3, 1.5),
+        }[case]
+        ph = xr.Phantom(prims, 6.0)
+        points = reach * xr.fibonacci_sphere(40).nodes * rng.uniform(0.0, 1.0, (40, 1))
+        nodes = xr.fibonacci_sphere(60).nodes
+        weights = rng.uniform(0.05, 1.0, 60)
+        assert case == "ball" or series_taken(gaussian, points, h) == (case != "erfc")
+        ref = halfline_differences(ph, points, nodes, h)
+        keep = well_conditioned(ph, points, nodes, h).all(axis=0)
+        assert keep.sum() >= 30
+        fused = phm.ray_differences(ph, points[keep], h)(nodes, weights)
+        assert fused.shape == (keep.sum(),)
+        bound = 1e-12 * integrand_scale(ph) * np.sum(weights)
+        assert np.all(np.abs(fused - weights @ ref[:, keep]) <= bound)
 
 
 class TestPlaneIntegral:
@@ -442,7 +460,7 @@ class TestLinearity:
             # the half-line integrals whose difference they are)
             (lambda q: xr.halfline_integral(q, points[None, :, :], nodes[:, None, :]), 2.0 * a),
             (lambda q: phm.plane_integral_rows(q, nodes, s), np.pi * a * a),
-            (lambda q: xr.ray_differences(q, points, h)(nodes), 2.0 * a),
+            (lambda q: ray_differences_per_node(q, points, nodes, h), 2.0 * a),
         )
         for transform, bound in transforms:
             expected = sum(c * transform(q) for q, c in zip(alone, coeffs))

@@ -4,9 +4,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import xradon as xr
-from xradon import phantom as phm
 from xradon.xform import read_profile_csv, write_profiles_csv, write_xray_csv
-from conftest import ray_march_density
+from conftest import ray_differences_per_node, ray_march_density
 
 SQRT_PI = np.sqrt(np.pi)
 
@@ -15,7 +14,7 @@ def transport_derivative(ph, x, n, h=1e-4):
     """n . grad_x Xf(x, n) by the central difference [Xf(x + h n, n) - Xf(x - h n, n)] / (2h)."""
     x = np.asarray(x, dtype=float)
     n = np.asarray(n, dtype=float)
-    return phm.ray_differences(ph, x[None], h)(n[None])[0, 0] / (2.0 * h)
+    return ray_differences_per_node(ph, x[None], n[None], h)[0, 0] / (2.0 * h)
 
 
 class TestXray:
