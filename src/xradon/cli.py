@@ -251,15 +251,17 @@ def cmd_forward(args):
 
 
 def _check_s_grid(ph, cfg):
-    """The Radon profiles take (s - n.c)^2 / a^2 for every primitive; it must be finite
-    at the ends of the s-grid, where it is at most ((|s| + |c|) / a)^2."""
+    """The Radon profiles square s - n.c and divide the square by a^2 for every
+    primitive; both must be finite at the ends of the s-grid, where |s - n.c|
+    is at most |s| + |c|."""
     end = max(abs(cfg.s_min), abs(cfg.s_max))
     for prim in ph.primitives:
-        reach = (end + float(np.linalg.norm(prim.center))) / prim.scale
+        reach = end + float(np.linalg.norm(prim.center))
+        reach = max(reach, reach / prim.scale)
         if not math.isfinite(reach * reach):
             raise CliError(
                 f"the s-grid --s-min {cfg.s_min:g} --s-max {cfg.s_max:g} is too wide for the phantom: "
-                f"(s - n.c)^2 / a^2 is not finite at its ends; shrink the s-grid"
+                f"(s - n.c)^2 or (s - n.c)^2 / a^2 is not finite at its ends; shrink the s-grid"
             )
 
 

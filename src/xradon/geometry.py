@@ -17,6 +17,23 @@ GOLDEN_RATIO = (1.0 + np.sqrt(5.0)) / 2.0
 
 _UNIT_TOL = 1e-9
 
+# Rows of work per block, for every module that sums over a quadrature: a
+# block of quadrature nodes evaluated at P points holds max(1, ROWS // P)
+# nodes (the x-ray ray differences of phantom.ray_differences and
+# lift_xray_data, and the line integrals of lemma9), or
+# max(1, ROWS // max(P, 4 S)) when backprojecting profiles of S samples
+# (their four (B, S - 1) cubic tables), and profile filtering takes
+# max(1, ROWS // (2 S)) rows of S samples at a time (the Hilbert kernel's FFT
+# length).  This bounds the temporaries of a block to a few MB; a large
+# volume gets one node per block.
+ROWS = 16384
+
+
+def node_blocks(total, width):
+    """Consecutive slices of range(total), each about ROWS / width long."""
+    step = max(1, ROWS // max(width, 1))
+    return [slice(lo, lo + step) for lo in range(0, total, step)]
+
 
 def as_direction(v, tol=_UNIT_TOL):
     """Validate and return a unit 3-vector.

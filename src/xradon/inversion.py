@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import phantom as ph_mod
-from .geometry import SphereQuadrature, VolumeGrid, as_direction
+from .geometry import SphereQuadrature, VolumeGrid, as_direction, node_blocks
 from .hilbert import derivative_rows, hilbert_rows, sample_rows
 
 BRANCH_XRAY = "xray"
@@ -46,23 +46,8 @@ CLASSICAL_RADON_CONSTANT = -1.0 / (8.0 * np.pi**2)
 # Cylindrical-branch prefactor applied per direction.
 RADON_BRANCH_FACTOR = -2.0 * np.pi
 
-# Rows of work per block: a block of quadrature nodes evaluated at P points
-# holds max(1, ROWS // P) nodes (the line integrals of lemma9 and the ray
-# data lift_xray_data reads), or max(1, ROWS // max(P, 4 S)) when
-# backprojecting profiles of S samples (their four (B, S - 1) cubic tables),
-# and profile filtering takes max(1, ROWS // (2 S)) rows of S samples at a
-# time (the Hilbert kernel's FFT length).  This bounds the temporaries of a
-# block to a few MB; a large volume gets one node per block.
-ROWS = 16384
-
 # Fewest samples of a Radon profile: the derivative and cubic stencils need room at both ends.
 MIN_PROFILE_SAMPLES = 8
-
-
-def _blocks(total, width):
-    """Consecutive slices of range(total), each about ROWS / width long."""
-    step = max(1, ROWS // max(width, 1))
-    return [slice(lo, lo + step) for lo in range(0, total, step)]
 
 
 @dataclass(frozen=True)
@@ -166,7 +151,7 @@ def lift_xray_data(xdata):
     def data(points, h):
         def diff(nodes, weights):
             acc = np.zeros(points.shape[0])
-            for block in _blocks(nodes.shape[0], points.shape[0]):
+            for block in node_blocks(nodes.shape[0], points.shape[0]):
                 n = _rays(points, nodes[block])[1]
                 step = h * nodes[block, None, :]
                 fwd = np.asarray(xdata((points + step).reshape(-1, 3), n), dtype=float)
@@ -207,7 +192,7 @@ def _sphere_sum(quadrature, points, integrand, width=0):
     values for the nodes quadrature.nodes[block].  A block's rows are sized on
     max(P, width)."""
     acc = np.zeros(points.shape[0])
-    for block in _blocks(quadrature.count, max(points.shape[0], width)):
+    for block in node_blocks(quadrature.count, max(points.shape[0], width)):
         acc += quadrature.weights[block] @ integrand(block, quadrature.nodes[block])
     return acc
 
@@ -218,7 +203,7 @@ def _filter(data, op, out=None):
     out=data.values filters a dataset that nothing else uses in place.
     """
     out = np.empty_like(data.values) if out is None else out
-    for block in _blocks(data.count, 2 * data.values.shape[1]):
+    for block in node_blocks(data.count, 2 * data.values.shape[1]):
         out[block] = op(data.values[block], data.spacing)
     return out
 

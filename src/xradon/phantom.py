@@ -18,7 +18,7 @@ import numpy as np
 from numpy.polynomial import hermite
 from scipy.special import erfc
 
-from .geometry import as_direction
+from .geometry import as_direction, node_blocks
 
 GAUSSIAN = "gaussian"
 BALL = "ball"
@@ -160,10 +160,13 @@ def ray_differences(ph, points, h):
     two halfline_integral calls up to rounding.
 
     |x - c|^2, or for the series form exp(-|x - c|^2/a^2), is computed once
-    here.  diff runs node by node over (P,) buffers and forms n . x once per
-    node for all primitives.  A series-form Gaussian sums
-    w_k * sum_{j>=1} c_j p^2j with w_k folded into the coefficients, then adds
-    c_0 * sum_k w_k and multiplies by exp(-|x - c|^2/a^2) once per call.
+    here.  diff runs over blocks of node_blocks(K, P) nodes, as (B, P)
+    arrays (one node per block for a large batch), and forms n . x once per
+    block for all primitives.  Each term is weighted before it is added to a
+    (B, P) accumulator, which is summed over its rows once per call.  A
+    series-form Gaussian accumulates w_k * sum_{j>=1} c_j p^2j with w_k
+    folded into the coefficients, then adds c_0 * sum_k w_k and multiplies
+    by exp(-|x - c|^2/a^2) once per call.
     """
     points = np.asarray(points, dtype=float)
     columns = np.ascontiguousarray(points.T)
@@ -173,39 +176,50 @@ def ray_differences(ph, points, h):
     def diff(nodes, weights):
         nodes = np.asarray(nodes, dtype=float)
         weights = np.asarray(weights, dtype=float)
-        out = np.zeros(points.shape[0])
-        nx, p, e, u, v = np.empty((5, points.shape[0]))
-        # Per primitive: n_k . c of every node and, for the series form, each
-        # node's weighted coefficients w_k c_j for j = M down to 1 and the
-        # running sum; per-node scalars are Python floats, which numpy takes
-        # faster than its own scalars.
-        nc = [np.sum(nodes * prim.center, axis=1).tolist() for prim in ph.primitives]
-        folded = [None if ser is None else np.multiply.outer(weights, ser[0][:0:-1]).tolist() for ser in series]
-        sums = [None if ser is None else np.zeros(points.shape[0]) for ser in series]
-        for k, (n, w) in enumerate(zip(nodes.tolist(), weights.tolist())):
+        if nodes.ndim != 2 or nodes.shape[1] != 3 or weights.shape != nodes.shape[:1]:
+            raise ValueError(
+                f"ray_differences takes (K, 3) nodes and (K,) weights, got {nodes.shape} and {weights.shape}"
+            )
+        blocks = node_blocks(nodes.shape[0], points.shape[0])
+        rows = min(nodes.shape[0], blocks[0].stop) if blocks else 0
+        nx, p, e, u, v = np.empty((5, rows, points.shape[0]))
+        out = np.zeros((rows, points.shape[0]))
+        wcol = weights[:, None]
+        # Per primitive: n_k . c of every node and, for the series form, the
+        # weighted coefficients w_k c_j for j = M down to 1 as (K, 1) columns
+        # and an accumulator of their sum.
+        nc = [np.sum(nodes * prim.center, axis=1)[:, None] for prim in ph.primitives]
+        folded = [None if ser is None else np.multiply.outer(ser[0][:0:-1], wcol) for ser in series]
+        sums = [None if ser is None else np.zeros_like(out) for ser in series]
+        for block in blocks:
+            bnodes = nodes[block]
+            b = bnodes.shape[0]
+            bnx, bp, be, bu, bv, bout = nx[:b], p[:b], e[:b], u[:b], v[:b], out[:b]
             # n . x term by term, not by a matrix product: BLAS rounds a product
             # differently for different shapes, and the 1/(2h) of the central
             # difference would carry that into the reconstruction.
-            np.multiply(columns[0], n[0], out=nx)
+            np.multiply(bnodes[:, :1], columns[0], out=bnx)
             for i in (1, 2):
-                np.multiply(columns[i], n[i], out=u)
-                nx += u
+                np.multiply(bnodes[:, i : i + 1], columns[i], out=bu)
+                bnx += bu
             for prim, rr, nck, coeffs, acc in zip(ph.primitives, r2, nc, folded, sums):
-                np.subtract(nx, nck[k], out=p)
+                np.subtract(bnx, nck[block], out=bp)
                 if acc is None:
-                    _add_difference(prim, p, rr, h, w, out, e, u, v)
+                    _add_difference(prim, bp, rr, h, wcol[block], bout, be, bu, bv)
                     continue
                 # Horner in p^2 down to the p^2 term; no transcendental call per ray
-                np.multiply(p, p, out=e)
-                np.multiply(e, coeffs[k][0], out=u)
-                for c in coeffs[k][1:]:
-                    u += c
-                    u *= e
-                acc += u
+                np.multiply(bp, bp, out=be)
+                np.multiply(be, coeffs[0][block], out=bu)
+                for c in coeffs[1:]:
+                    bu += c[block]
+                    bu *= be
+                acc[:b] += bu
+        out = out.sum(axis=0)
         total = float(np.sum(weights))
         for ser, acc in zip(series, sums):
             if ser is not None:
                 coeffs, scale = ser
+                acc = acc.sum(axis=0)
                 acc += coeffs[0] * total
                 acc *= scale
                 out += acc
@@ -265,7 +279,8 @@ def _add_difference(prim, p, r2, h, weight, out, e, u, v):
     """Add weight times one primitive's ray difference at offsets p +- h to out,
     by the erfc form for a Gaussian or the chord form for a ball.
 
-    r2 is |x - c|^2; e, u and v are scratch arrays of out's shape, and a
+    p is a (B, P) block of offsets, r2 is |x - c|^2 of shape (P,) and weight
+    a (B, 1) column; e, u and v are scratch arrays of out's shape, and a
     ball overwrites p.
     """
     np.multiply(p, p, out=e)

@@ -258,6 +258,34 @@ class TestInvert:
         assert "Traceback" not in err
         assert not outdir.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "width, s_max",
+        # (s - n.c)^2 overflows for the wide Gaussian, (s - n.c)^2 / a^2 for the narrow one
+        [("10", "1e155"), ("0.1", "1e154")],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("forward", "--branch", "radon"),
+            ("invert", "--branch", "radon", "--vol-dims", "5"),
+            ("check", "--band", "0.5"),
+            ("calibrate", "--branch", "classical_radon"),
+        ],
+        ids=lambda c: c[0],
+    )
+    def test_overflowing_s_grid_rejected(self, tmp_path, capsys, width, s_max, command):
+        path = tmp_path / "ph.txt"
+        path.write_text(f"gaussian 0 0 0 {width} 1\n")
+        outdir = tmp_path / "o"
+        assert run(
+            *command, "--phantom", str(path), "--nodes", "20", "--s-max", s_max, "--outdir", str(outdir),
+        ) == 1
+        err = capsys.readouterr().err
+        assert "too wide" in err and "--s-max" in err
+        assert "Traceback" not in err
+        assert not outdir.exists()
+
 
 JSON_SCALARS = (
     st.none()

@@ -7,6 +7,7 @@ from scipy.special import dawsn
 import xradon as xr
 from xradon import inversion as inv
 from xradon import phantom as phm
+from xradon.geometry import ROWS
 from conftest import S_GRID, calibrate
 
 
@@ -195,8 +196,8 @@ class TestBatchReconstruction:
     @pytest.fixture(scope="class")
     def batch(self, quad):
         # enough points that the quadrature splits into at least 3 node blocks
-        count = 3 * inv.ROWS // quad.count + 1
-        assert (inv.ROWS // count) * 3 <= quad.count
+        count = 3 * ROWS // quad.count + 1
+        assert (ROWS // count) * 3 <= quad.count
         return inv.sample_ball_points(np.random.default_rng(31), count, 1.5)
 
     @pytest.fixture(scope="class")
@@ -247,7 +248,7 @@ class TestBatchReconstruction:
     @pytest.mark.parametrize("phantom", ["unit", "two"])
     def test_fused_xray_matches_lifted_reference(self, phantom, quad, batch, unit_gaussian):
         # the batch takes full node blocks and a shorter last one
-        step = inv.ROWS // len(batch)
+        step = ROWS // len(batch)
         assert quad.count // step >= 3 and quad.count % step != 0
         ph = unit_gaussian if phantom == "unit" else xr.Phantom(
             (

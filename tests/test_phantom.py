@@ -354,11 +354,20 @@ class TestRayDifferences:
         assert ray_differences_per_node(unit_gaussian, points, quad.nodes, 1e-4).shape == (3, 0)
         assert phm.ray_differences(unit_gaussian, points, 1e-4)(quad.nodes, quad.weights).shape == (0,)
 
+    def test_rejects_mismatched_weights(self, unit_gaussian):
+        diff = phm.ray_differences(unit_gaussian, np.zeros((4, 3)), 1e-4)
+        quad = xr.fibonacci_sphere(5)
+        for weights in (quad.weights[:4], np.append(quad.weights, 1.0), quad.weights[None]):
+            with pytest.raises(ValueError, match="weights"):
+                diff(quad.nodes, weights)
+
+    @pytest.mark.parametrize("per_block", [60, 7, 1], ids=["one-block", "partial-last-block", "node-per-block"])
     @pytest.mark.parametrize("case", ["series", "erfc", "ball", "mixed"])
-    def test_sphere_sum_folds_weights(self, case):
+    def test_sphere_sum_folds_weights(self, monkeypatch, case, per_block):
         # diff(nodes, w) against sum_k w_k (two halfline_integral calls), with
         # unequal weights whose sum is not 1: equal ones would hide a weight
-        # folded into the wrong term, or c_0 taken once per node or per call
+        # folded into the wrong term, or c_0 taken once per node or per call.
+        # ROWS is set so that blocks of per_block nodes cover the 60 nodes.
         rng = np.random.default_rng(17)
         gaussian = xr.Primitive(xr.GAUSSIAN, (0.2, -0.1, 0.3), 0.7, -1.3)
         ball = xr.Primitive(xr.BALL, (-0.3, 0.4, 0.1), 0.9, 0.8)
@@ -377,6 +386,7 @@ class TestRayDifferences:
         ref = halfline_differences(ph, points, nodes, h)
         keep = well_conditioned(ph, points, nodes, h).all(axis=0)
         assert keep.sum() >= 30
+        monkeypatch.setattr(xr.geometry, "ROWS", per_block * int(keep.sum()))
         fused = phm.ray_differences(ph, points[keep], h)(nodes, weights)
         assert fused.shape == (keep.sum(),)
         bound = 1e-12 * integrand_scale(ph) * np.sum(weights)
