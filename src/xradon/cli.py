@@ -318,7 +318,10 @@ def _reconstruct_with_calibration(ph, cfg, voxels):
         if cfg.branch != inversion.BRANCH_XRAY:
             _check_offsets(cfg, voxels, rcfg.quadrature.nodes, f"--branch {cfg.branch}: {volume}")
     data = inversion.phantom_data(ph, rcfg, (cfg.s_min, cfg.s_max, cfg.s_count))
-    values = inversion.reconstruct(data, rcfg, np.concatenate((voxels, cal_points)))
+    try:
+        values = inversion.reconstruct(data, rcfg, np.concatenate((voxels, cal_points)))
+    except inversion.NormalizationOverflow as exc:
+        raise CliError(f"--normalization {cfg.normalization:g}: {exc}; shrink the normalization") from exc
     return values[: len(voxels)], values[len(voxels):] / cfg.normalization, ph_mod.evaluate(ph, cal_points)
 
 

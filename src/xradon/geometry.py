@@ -19,8 +19,9 @@ _UNIT_TOL = 1e-9
 
 # Rows of work per block, for every module that sums over a quadrature: a
 # block of quadrature nodes evaluated at P points holds max(1, ROWS // P)
-# nodes (the x-ray ray differences of phantom.ray_differences and
-# lift_xray_data, and the line integrals of lemma9), or
+# nodes (the x-ray ray differences of lift_xray_data and of the erfc-form
+# Gaussians and balls of phantom.ray_differences, whose series-form Gaussians
+# run in no blocks, and the line integrals of lemma9), or
 # max(1, ROWS // max(P, 4 S)) when backprojecting profiles of S samples
 # (their four (B, S - 1) cubic tables), and profile filtering takes
 # max(1, ROWS // (2 S)) rows of S samples at a time (the Hilbert kernel's FFT

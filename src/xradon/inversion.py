@@ -24,6 +24,7 @@ spherical-average equivalence diagnostic.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,10 @@ RADON_BRANCH_FACTOR = -2.0 * np.pi
 
 # Fewest samples of a Radon profile: the derivative and cubic stencils need room at both ends.
 MIN_PROFILE_SAMPLES = 8
+
+
+class NormalizationOverflow(ValueError):
+    """The normalization scales a branch's sphere sum beyond the float64 range."""
 
 
 @dataclass(frozen=True)
@@ -224,6 +229,20 @@ def _backproject(filtered, data, quadrature, points):
     return _sphere_sum(quadrature, points, integrand, 4 * filtered.shape[1])
 
 
+def _check_scaled(scale, acc, divisor=1.0):
+    """Raise NormalizationOverflow if scale * acc / divisor overflows float64.
+
+    The largest |acc| goes through the same products in Python floats, which
+    overflow to inf without a warning; the array products are left as they are.
+    A NaN or inf already in acc is left to the caller's finiteness check.
+    """
+    peak = float(np.max(np.abs(acc), initial=0.0))
+    if math.isfinite(peak) and not math.isfinite(abs(scale) * peak / divisor):
+        raise NormalizationOverflow(
+            f"normalization scales the sphere sum (largest magnitude {peak:.6g}) beyond the float64 range"
+        )
+
+
 def reconstruct(data, cfg, points):
     """Reconstruct the density at a (P, 3) batch of points with cfg.branch; returns (P,).
 
@@ -236,7 +255,9 @@ def reconstruct(data, cfg, points):
     the result is normalization * sum_k w_k * (-2*pi) * d/ds (H Rf)(n_k, s)
     at s = x . n_k, by cubic interpolation in s.  classical_radon: the
     textbook inversion -(1/(8*pi^2)) * sum_k w_k * d^2/ds^2 Rf(n_k, x . n_k);
-    its constant is built in and normalization is not applied.
+    its constant is built in and normalization is not applied.  A
+    normalization that takes the result beyond the float64 range raises
+    NormalizationOverflow, a ValueError, before the product is formed.
     """
     points = _as_points(points)
     quad = cfg.quadrature
@@ -250,10 +271,13 @@ def reconstruct(data, cfg, points):
                 "xray data(points, h) must return a diff(nodes, weights) callable; "
                 "lift (x, n) ray data with lift_xray_data"
             )
-        return cfg.normalization * diff(quad.nodes, quad.weights) / (2.0 * h)
+        acc = diff(quad.nodes, quad.weights)
+        _check_scaled(cfg.normalization, acc, 2.0 * h)
+        return cfg.normalization * acc / (2.0 * h)
     _check_dataset(data, quad)
     acc = _backproject(_filter(data, _BRANCH_FILTERS[cfg.branch]), data, quad, points)
     if cfg.branch == BRANCH_RADON:
+        _check_scaled(cfg.normalization * RADON_BRANCH_FACTOR, acc)
         return cfg.normalization * RADON_BRANCH_FACTOR * acc
     return CLASSICAL_RADON_CONSTANT * acc
 

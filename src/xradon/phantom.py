@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import hermite
 from scipy.special import erfc
 
 from .geometry import as_direction, node_blocks
@@ -159,19 +158,33 @@ def ray_differences(ph, points, h):
     the point at offset q along the ray.  Each term equals the difference of
     two halfline_integral calls up to rounding.
 
-    |x - c|^2, or for the series form exp(-|x - c|^2/a^2), is computed once
-    here.  diff runs over blocks of node_blocks(K, P) nodes, as (B, P)
-    arrays (one node per block for a large batch), and forms n . x once per
-    block for all primitives.  Each term is weighted before it is added to a
-    (B, P) accumulator, which is summed over its rows once per call.  A
-    series-form Gaussian accumulates w_k * sum_{j>=1} c_j p^2j with w_k
-    folded into the coefficients, then adds c_0 * sum_k w_k and multiplies
-    by exp(-|x - c|^2/a^2) once per call.
+    A series-form Gaussian, exp(-|x - c|^2/a^2) * sum_j c_j p^2j, has no loop
+    over nodes.  With y = x - c, sum_k w_k (n_k . y)^2j expands into
+    sum over a + b + c = 2j of (2j)!/(a! b! c!) m_abc y1^a y2^b y3^c, where
+    m_abc = sum_k w_k n1^a n2^b n3^c are the quadrature's moments, formed once
+    per call (see _moments).  So the sphere sum of the j >= 1 terms is one
+    polynomial in y per Gaussian, evaluated monomial by monomial into a (P,)
+    array; then c_0 * sum_k w_k is added and the sum is multiplied by
+    exp(-|x - c|^2/a^2).  The expansion's summands are bounded in size by
+    sum_k w_k sum_{j>=1} |c_j| |y|^2j, since |n1 y1| + |n2 y2| + |n3 y3| <= |y|,
+    and the Cauchy estimate of _gaussian_series puts that at
+    e^3 t^2 / (3 (1 - t^2)) < 3.8e-3 of 2 h |A| sum_k w_k for t < 0.0236.  Its
+    rounding, that of sums over K nodes and at most 94 monomials of terms that
+    small, stays far below the series' share of the result.
+
+    The erfc-form Gaussians and the balls run over blocks of
+    node_blocks(K, P) nodes, as (B, P) arrays (one node per block for a large
+    batch): n . x is formed once per block for them all, and each term is
+    weighted before it is added to a (B, P) accumulator, which is summed over
+    its rows once per call.
     """
     points = np.asarray(points, dtype=float)
     columns = np.ascontiguousarray(points.T)
-    r2 = [np.sum((points - prim.center) ** 2, axis=1) for prim in ph.primitives]
+    rel = [points - prim.center for prim in ph.primitives]
+    r2 = [np.sum(y**2, axis=1) for y in rel]
     series = [_gaussian_series(prim, rr, h) for prim, rr in zip(ph.primitives, r2)]
+    looped = [(prim, rr) for prim, rr, ser in zip(ph.primitives, r2, series) if ser is None]
+    expanded = [(y, ser) for y, ser in zip(rel, series) if ser is not None]
 
     def diff(nodes, weights):
         nodes = np.asarray(nodes, dtype=float)
@@ -180,52 +193,99 @@ def ray_differences(ph, points, h):
             raise ValueError(
                 f"ray_differences takes (K, 3) nodes and (K,) weights, got {nodes.shape} and {weights.shape}"
             )
-        blocks = node_blocks(nodes.shape[0], points.shape[0])
-        rows = min(nodes.shape[0], blocks[0].stop) if blocks else 0
-        nx, p, e, u, v = np.empty((5, rows, points.shape[0]))
-        out = np.zeros((rows, points.shape[0]))
-        wcol = weights[:, None]
-        # Per primitive: n_k . c of every node and, for the series form, the
-        # weighted coefficients w_k c_j for j = M down to 1 as (K, 1) columns
-        # and an accumulator of their sum.
-        nc = [np.sum(nodes * prim.center, axis=1)[:, None] for prim in ph.primitives]
-        folded = [None if ser is None else np.multiply.outer(ser[0][:0:-1], wcol) for ser in series]
-        sums = [None if ser is None else np.zeros_like(out) for ser in series]
-        for block in blocks:
-            bnodes = nodes[block]
-            b = bnodes.shape[0]
-            bnx, bp, be, bu, bv, bout = nx[:b], p[:b], e[:b], u[:b], v[:b], out[:b]
-            # n . x term by term, not by a matrix product: BLAS rounds a product
-            # differently for different shapes, and the 1/(2h) of the central
-            # difference would carry that into the reconstruction.
-            np.multiply(bnodes[:, :1], columns[0], out=bnx)
-            for i in (1, 2):
-                np.multiply(bnodes[:, i : i + 1], columns[i], out=bu)
-                bnx += bu
-            for prim, rr, nck, coeffs, acc in zip(ph.primitives, r2, nc, folded, sums):
-                np.subtract(bnx, nck[block], out=bp)
-                if acc is None:
-                    _add_difference(prim, bp, rr, h, wcol[block], bout, be, bu, bv)
-                    continue
-                # Horner in p^2 down to the p^2 term; no transcendental call per ray
-                np.multiply(bp, bp, out=be)
-                np.multiply(be, coeffs[0][block], out=bu)
-                for c in coeffs[1:]:
-                    bu += c[block]
-                    bu *= be
-                acc[:b] += bu
-        out = out.sum(axis=0)
+        out = _looped_sum(looped, columns, nodes, weights, h)
+        if not expanded:
+            return out
+        moments = _moments(nodes, weights, max(len(coeffs) - 1 for _, (coeffs, _) in expanded))
         total = float(np.sum(weights))
-        for ser, acc in zip(series, sums):
-            if ser is not None:
-                coeffs, scale = ser
-                acc = acc.sum(axis=0)
-                acc += coeffs[0] * total
-                acc *= scale
-                out += acc
+        for y, (coeffs, scale) in expanded:
+            acc = _moment_series(y, coeffs, moments)
+            acc += coeffs[0] * total
+            acc *= scale
+            out += acc
         return out
 
     return diff
+
+
+def _looped_sum(prims, columns, nodes, weights, h):
+    """sum_k w_k of the ray differences of the (primitive, |x - c|^2) pairs prims,
+    by the erfc form or the chord form, over node blocks; columns is the (3, P)
+    transpose of the points.
+    """
+    width = columns.shape[1]
+    if not prims:
+        return np.zeros(width)
+    blocks = node_blocks(nodes.shape[0], width)
+    rows = min(nodes.shape[0], blocks[0].stop) if blocks else 0
+    nx, p, e, u, v = np.empty((5, rows, width))
+    out = np.zeros((rows, width))
+    wcol = weights[:, None]
+    nc = [np.sum(nodes * prim.center, axis=1)[:, None] for prim, _ in prims]
+    for block in blocks:
+        bnodes = nodes[block]
+        b = bnodes.shape[0]
+        bnx, bp, be, bu, bv, bout = nx[:b], p[:b], e[:b], u[:b], v[:b], out[:b]
+        # n . x term by term, not by a matrix product: BLAS rounds a product
+        # differently for different shapes, and the 1/(2h) of the central
+        # difference would carry that into the reconstruction.
+        np.multiply(bnodes[:, :1], columns[0], out=bnx)
+        for i in (1, 2):
+            np.multiply(bnodes[:, i : i + 1], columns[i], out=bu)
+            bnx += bu
+        for (prim, rr), nck in zip(prims, nc):
+            np.subtract(bnx, nck[block], out=bp)
+            _add_difference(prim, bp, rr, h, wcol[block], bout, be, bu, bv)
+    return out.sum(axis=0)
+
+
+def _monomials(order):
+    """(j, a, b, c, (2j)!/(a! b! c!)) for every monomial y1^a y2^b y3^c of
+    (n . y)^2j, j = 1 .. order."""
+    fact = math.factorial
+    return [
+        (j, a, b, 2 * j - a - b, fact(2 * j) // (fact(a) * fact(b) * fact(2 * j - a - b)))
+        for j in range(1, order + 1)
+        for a in range(2 * j + 1)
+        for b in range(2 * j - a + 1)
+    ]
+
+
+def _powers(columns, degree):
+    """Powers 0 .. degree of each row of a (3, N) array, as (3, degree + 1, N),
+    by repeated multiplication (a float power of a negative base is slow)."""
+    out = np.empty((3, degree + 1, columns.shape[1]))
+    out[:, 0] = 1.0
+    for e in range(1, degree + 1):
+        np.multiply(out[:, e - 1], columns, out=out[:, e])
+    return out
+
+
+def _moments(nodes, weights, order):
+    """The quadrature's moments m[a, b, c] = sum_k w_k n1^a n2^b n3^c for every
+    exponent up to 2 order, as a (2 order + 1,) * 3 array.
+
+    Elementwise products and an einsum over the nodes, not a matrix product,
+    for the reason given at the n . x of _looped_sum.
+    """
+    powers = _powers(nodes.T, 2 * order)
+    weighted = weights * powers[0][:, None] * powers[1][None]
+    return np.einsum("abk,ck->abc", weighted, powers[2])
+
+
+def _moment_series(y, coeffs, moments):
+    """sum_k w_k sum_{j>=1} coeffs[j] (n_k . y)^2j at every row of y, a (P, 3)
+    array of offsets x - c, from the moments of _moments.  Its temporaries are
+    the (3, 2M + 1, P) powers of y and one (P,) scratch array."""
+    powers = _powers(y.T, 2 * (len(coeffs) - 1))
+    out = np.zeros(y.shape[0])
+    term = np.empty_like(out)
+    for j, a, b, c, multinomial in _monomials(len(coeffs) - 1):
+        np.multiply(powers[0, a], powers[1, b], out=term)
+        term *= powers[2, c]
+        term *= coeffs[j] * multinomial * moments[a, b, c]
+        out += term
+    return out
 
 
 # Series form of a Gaussian's ray difference.  With u = p/a, delta = h/a and
@@ -265,11 +325,15 @@ def _gaussian_series(prim, r2, h):
             break
     else:
         return None
-    # sum_m H_2m(p/a) delta^2m / (2m+1)!, regrouped by powers of (p/a)^2
+    # sum_m H_2m(p/a) delta^2m / (2m+1)!, regrouped by powers of (p/a)^2; the
+    # u^2i coefficient of H_2m(u) is the integer (-1)^(m-i) (2m)! 4^i / ((m-i)! (2i)!)
+    fact = math.factorial
     coeffs = np.zeros(order + 1)
     for m in range(order + 1):
-        herm = hermite.herm2poly([0.0] * (2 * m) + [1.0])[::2]
-        coeffs[: m + 1] += herm * (delta ** (2 * m) / math.factorial(2 * m + 1))
+        herm = np.array(
+            [(-1) ** (m - i) * fact(2 * m) * 4**i // (fact(m - i) * fact(2 * i)) for i in range(m + 1)], dtype=float
+        )
+        coeffs[: m + 1] += herm * (delta ** (2 * m) / fact(2 * m + 1))
     coeffs *= -2.0 * h * prim.amplitude / (a * a) ** np.arange(order + 1)
     np.divide(r2, -(a * a), out=r2)
     return coeffs, np.exp(r2, out=r2)

@@ -246,6 +246,22 @@ class TestInvert:
         assert outdir.exists() == (code == 0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("branch", ["xray", "radon"])
+    @pytest.mark.parametrize("value", ["1e308", "2e307", "-2e307"])
+    def test_overflowing_normalization_rejected(self, tmp_path, phantom_file, capsys, branch, value):
+        # normalization times the sphere sum overflows float64: named before the
+        # product is formed, with no RuntimeWarning, and nothing is written
+        outdir = tmp_path / "inv"
+        assert run(
+            "invert", "--phantom", str(phantom_file), "--branch", branch, "--nodes", "40",
+            "--vol-dims", "3", f"--normalization={value}", "--outdir", str(outdir),
+        ) == 1
+        err = capsys.readouterr().err
+        assert "--normalization" in err and "float64" in err
+        assert "Traceback" not in err
+        assert not outdir.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_volume_rejected(self, tmp_path, phantom_file, capsys):
         # |x|^2 overflows at 1e200: rejected before any work, and nothing is written
         outdir = tmp_path / "inv"

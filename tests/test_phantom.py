@@ -187,6 +187,29 @@ def series_bound(ph, h):
     return 1e-14 * 2.0 * h * sum(abs(p.amplitude) for p in ph.primitives)
 
 
+def series_order(prim, points, h):
+    """The order M of the series form _gaussian_series takes for this batch, or None."""
+    ser = phm._gaussian_series(prim, np.sum((points - prim.center) ** 2, axis=1), h)
+    return None if ser is None else len(ser[0]) - 1
+
+
+def largest_step(prim, points, order):
+    """The largest step h at which the series form takes at most `order` (0: h = 0)."""
+    lo, hi = 0.0, prim.scale  # h = a gives t >= 1, the erfc form
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        m = series_order(prim, points, mid)
+        lo, hi = (mid, hi) if m is not None and m <= order else (lo, mid)
+    return lo
+
+
+def hemisphere_cap(rng, count, axis):
+    """count random unit vectors n with n . axis > 0."""
+    n = rng.normal(size=(count, 3))
+    n /= np.linalg.norm(n, axis=1)[:, None]
+    return n * np.sign(n @ axis)[:, None]
+
+
 def erfc_calls(monkeypatch):
     """Count the kernel's erfc calls."""
     calls = []
@@ -347,6 +370,51 @@ class TestRayDifferences:
         near_only = ray_differences_per_node(ph, near, nodes, h)
         assert len(calls) == 2 * len(nodes)
         assert np.all(np.abs(near_only - ref[:, : len(near)]) <= series_bound(ph, h))
+
+    @pytest.mark.parametrize("order", range(1, phm.SERIES_MAX_ORDER + 1))
+    def test_series_order_on_anisotropic_rule(self, order):
+        # diff(nodes, w) at a step that takes exactly `order` series terms,
+        # on nodes in one hemisphere with unequal weights: their moments are
+        # far from isotropic, so a wrong multinomial on a mixed monomial
+        # shows (a Fibonacci rule's nearly isotropic moments can hide one).
+        # The last node is perpendicular to the first point's x - c, where
+        # the terms of the expanded (n . (x - c))^2j cancel.
+        rng = np.random.default_rng(order)
+        prim = xr.Primitive(xr.GAUSSIAN, (0.2, -0.1, 0.3), 0.7, -1.3)
+        ph = xr.Phantom((prim,), 6.0)
+        axis = np.array([1.0, 2.0, 0.5]) / np.linalg.norm([1.0, 2.0, 0.5])
+        perpendicular = np.array([-0.8, 0.6, 0.0])
+        assert perpendicular @ axis > 0.0
+        nodes = np.vstack([hemisphere_cap(rng, 40, axis), perpendicular])
+        weights = rng.uniform(0.05, 1.0, len(nodes))
+        offsets = np.vstack([[0.6, 0.8, 0.0], rng.uniform(-1.0, 1.0, (20, 3))])
+        points = prim.center + offsets
+        assert abs(perpendicular @ offsets[0]) < 1e-15
+        h = 0.5 * (largest_step(prim, points, order - 1) + largest_step(prim, points, order))
+        assert series_order(prim, points, h) == order
+        fused = phm.ray_differences(ph, points, h)(nodes, weights)
+        exact = weights @ gauss_legendre_differences(ph, points, nodes, h)
+        assert np.all(np.abs(fused - exact) <= series_bound(ph, h) * np.sum(weights))
+        ref = weights @ halfline_differences(ph, points, nodes, h)
+        assert np.all(np.abs(fused - ref) <= 1e-12 * integrand_scale(ph) * np.sum(weights))
+
+    def test_moment_expansion_matches_node_sum(self):
+        # the monomial expansion of sum_k w_k sum_j c_j (n_k . y)^2j against
+        # the node sum itself, with every c_j = 1 so that each degree up to
+        # 2 SERIES_MAX_ORDER counts alike, on a hemisphere cap
+        rng = np.random.default_rng(5)
+        order = phm.SERIES_MAX_ORDER
+        nodes = hemisphere_cap(rng, 30, np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8]))
+        weights = rng.uniform(0.05, 1.0, len(nodes))
+        y = rng.uniform(-1.0, 1.0, (25, 3))
+        coeffs = np.ones(order + 1)
+        moments = phm._moments(nodes, weights, order)
+        expanded = phm._moment_series(y, coeffs, moments)
+        p2 = (nodes @ y.T) ** 2
+        direct = weights @ sum(p2**j for j in range(1, order + 1))
+        r2 = np.sum(y * y, axis=1)
+        scale = np.sum(weights) * sum(r2**j for j in range(1, order + 1))  # |n . y| <= |y|
+        assert np.all(np.abs(expanded - direct) <= 1e-14 * scale)
 
     def test_empty_batches(self, unit_gaussian):
         quad = xr.fibonacci_sphere(3)
