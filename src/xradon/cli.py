@@ -350,6 +350,8 @@ def cmd_invert(args):
             f"invert --branch {cfg.branch} has its constant -1/(8 pi^2) built in and takes no "
             f"--normalization; got {cfg.normalization!r}, leave it at the default {RunConfig.normalization!r}"
         )
+    if cfg.normalization == 0.0:
+        raise CliError(f"invert --branch {cfg.branch}: --normalization must be nonzero, got {cfg.normalization!r}")
     cfg = replace(cfg, normalization=1.0) if cfg.branch == inversion.BRANCH_CLASSICAL else cfg
     grid = _volume_grid(cfg)
     values, raw, truth = _reconstruct_with_calibration(ph, cfg, grid.points())
@@ -394,14 +396,14 @@ def cmd_check(args):
         n = np.array([1.0, 0.0, 0.0])
         sweep = np.linspace(-2.0, 2.0, 41)
         eps = 1e-5
+        lhs = inversion.grangeat_convert(xdata, sweep[:, None] * n, n, quad, cfg.band)
+        rhs = -(
+            ph_mod.plane_integral(ph, n, sweep + eps) - ph_mod.plane_integral(ph, n, sweep - eps)
+        ) / (2.0 * eps)
         with open(out.path("grangeat.csv"), "w", encoding="utf-8", newline="\n") as fh:
             fh.write("s,lhs,rhs,abs_error\n")
-            for s in sweep:
-                lhs = inversion.grangeat_convert(xdata, s * n, n, quad, cfg.band)
-                rhs = -(
-                    ph_mod.plane_integral(ph, n, s + eps) - ph_mod.plane_integral(ph, n, s - eps)
-                ) / (2.0 * eps)
-                fh.write(f"{s:.17g},{lhs:.17g},{rhs:.17g},{abs(lhs - rhs):.17g}\n")
+            for row in np.column_stack((sweep, lhs, rhs, np.abs(lhs - rhs))):
+                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
         with open(out.path("lemma9.csv"), "w", encoding="utf-8", newline="\n") as fh:
             fh.write("x1,x2,x3,left,right,ratio,difference\n")
             rep = inversion.lemma9_diagnostic(ph, pts, quad, (cfg.s_min, cfg.s_max, cfg.s_count))

@@ -23,10 +23,13 @@ _UNIT_TOL = 1e-9
 # Gaussians and balls of phantom.ray_differences, whose series-form Gaussians
 # run in no blocks, and the line integrals of lemma9), or
 # max(1, ROWS // max(P, 4 S)) when backprojecting profiles of S samples
-# (their four (B, S - 1) cubic tables), and profile filtering takes
-# max(1, ROWS // (2 S)) rows of S samples at a time (the Hilbert kernel's FFT
-# length).  This bounds the temporaries of a block to a few MB; a large
-# volume gets one node per block.
+# (their four (B, S - 1) cubic tables when P >= S - 1, per-query stencils
+# otherwise; both keep these blocks, so the sphere sum adds in one order),
+# profile filtering takes max(1, ROWS // (2 S)) rows of S samples at a time
+# (the Hilbert kernel's FFT length), and grangeat_convert takes
+# max(1, ROWS // K) points of K rays each.  This bounds the temporaries of a
+# block to a few MB; a large volume gets one node per block.  Tables for all
+# K rows at once were rejected: 9.8 MB more at 300 rows of 1025 samples.
 ROWS = 16384
 
 

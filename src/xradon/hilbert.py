@@ -10,6 +10,8 @@ singularity-subtracted quadrature — so each validates the other.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy import fft as sfft
@@ -34,13 +36,16 @@ def _check_decay(values):
         )
 
 
+@functools.lru_cache(maxsize=16)
 def _kernel_spectrum(count):
     """FFT length m and the rfft of the band-limited kernel for rows of `count` samples.
 
     h[k] = 2/(pi k) for odd k and 0 for even k, k = -(count-1)..count-1,
     laid out circularly on m >= 2*count - 1 points, so that the circular
     convolution of a zero-padded row with it equals the linear one on the
-    row's own samples.
+    row's own samples.  Cached per row length, since a filter pass over
+    blocks of rows asks for the same spectrum once per block; the array is
+    read-only, so no caller can change the cached copy.
     """
     m = sfft.next_fast_len(2 * count - 1, real=True)
     k = np.arange(1, count)
@@ -48,7 +53,9 @@ def _kernel_spectrum(count):
     kernel = np.zeros(m)
     kernel[1:count] = h
     kernel[m - count + 1:] = -h[::-1]
-    return m, sfft.rfft(kernel)
+    spectrum = sfft.rfft(kernel)
+    spectrum.flags.writeable = False
+    return m, spectrum
 
 
 def hilbert_rows(values):
@@ -138,6 +145,17 @@ _STENCIL = np.array(
 _GHOST = np.array([4.0, -6.0, 4.0, -1.0])
 
 
+def _ghost_rows(v):
+    """Each row of v with a ghost sample at both ends: shape (K, S + 2), sample j
+    of a row in column j + 1, so interval j's stencil is columns j..j+3."""
+    rows, count = v.shape
+    ext = np.empty((rows, count + 2))
+    ext[:, 1:-1] = v
+    ext[:, 0] = v[:, :4] @ _GHOST
+    ext[:, -1] = v[:, :-5:-1] @ _GHOST
+    return ext
+
+
 def _cubic_coefficients(v):
     """Per-interval coefficients of the 4-point Lagrange interpolant of each row of v.
 
@@ -148,14 +166,28 @@ def _cubic_coefficients(v):
     full stencil, 0..3 and S-4..S-1, through a ghost sample on that cubic.
     """
     rows, count = v.shape
-    ext = np.empty((rows, count + 2))
-    ext[:, 1:-1] = v
-    ext[:, 0] = v[:, :4] @ _GHOST
-    ext[:, -1] = v[:, :-5:-1] @ _GHOST
+    ext = _ghost_rows(v)
     step = ext.strides[1]
     stencils = as_strided(ext, (rows, count - 1, 4), (ext.strides[0], step, step), writeable=False)
     c = np.empty((4, rows, count - 1))
     np.matmul(stencils, _STENCIL, out=c.transpose(1, 2, 0))
+    return c
+
+
+def _query_coefficients(v, index):
+    """The coefficients of _cubic_coefficients at the intervals index[k] of row k only.
+
+    index has shape (K, Q); returns c of shape (4, K, Q).  The stencils are
+    gathered as (K, 4, Q) and multiplied as a (K, Q, 4) view.  numpy hands
+    neither that view nor the tables' overlapping stencils to BLAS: both
+    run its own loop, so every coefficient is bitwise the table's.
+    """
+    rows, count = v.shape
+    at = index[:, None, :] + np.arange(4)[:, None]
+    at += (count + 2) * np.arange(rows)[:, None, None]
+    stencils = np.take(_ghost_rows(v), at)
+    c = np.empty((4,) + index.shape)
+    np.matmul(stencils.transpose(0, 2, 1), _STENCIL, out=c.transpose(1, 2, 0))
     return c
 
 
@@ -171,9 +203,12 @@ def sample_rows(values, s_min, s_max, s):
 
     `values` has shape (K, S): K profiles sampled on one uniform grid
     over [s_min, s_max].  `s` has shape (K, Q); the result has shape
-    (K, Q).  Offsets off the grid (offsets_on_grid) are rejected.  The
-    interpolant is evaluated from per-interval cubic coefficients
-    (_cubic_coefficients), four (K, S - 1) tables built from `values`.
+    (K, Q).  Offsets off the grid (offsets_on_grid) are rejected.  Each
+    query runs a Horner chain on the cubic coefficients of its interval.
+    With fewer queries per row than intervals (Q < S - 1) those are formed
+    for the queried intervals alone (_query_coefficients); otherwise they
+    are read from per-interval tables, four (K, S - 1) arrays built from
+    `values` (_cubic_coefficients).  Both give bitwise the same result.
     """
     values = np.asarray(values, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -187,10 +222,16 @@ def sample_rows(values, s_min, s_max, s):
     np.minimum(index, count - 2, out=index)
     np.maximum(index, 0, out=index)
     w -= index
-    index += (count - 1) * np.arange(rows)[:, None]
-    c = _cubic_coefficients(values).reshape(4, -1)
-    out = np.take(c[3], index)
+    if s.shape[-1] < count - 1:
+        coefficient = _query_coefficients(values, index).__getitem__
+    else:
+        # one (K, Q) gather per coefficient: a single (4, K, Q) gather of a
+        # large batch measured slower, in the backprojection of a volume
+        tables = _cubic_coefficients(values).reshape(4, -1)
+        index += (count - 1) * np.arange(rows)[:, None]
+        coefficient = lambda m: np.take(tables[m], index)
+    out = coefficient(3)
     for m in (2, 1, 0):
         out *= w
-        out += np.take(c[m], index)
+        out += coefficient(m)
     return out

@@ -292,6 +292,13 @@ def grangeat_convert(xdata, x, n, quadrature, band):
     of -(Rf)'(x . n), with delta' mollified by the derivative of a
     normalized Gaussian of width `band` in u = n . n1.
 
+    x is a (P, 3) batch of points, with one normal n for all of them, and
+    the result has shape (P,); a (3,) point gives a float.  The kernel is
+    built once per call, and xdata is called on the (B * K, 3) rays of a
+    block of B points at a time (geometry.node_blocks over the points, with
+    K rays each).  Every point's sum is its own dot product over the K
+    nodes, so it does not depend on the batch it came in.
+
     The band must resolve the quadrature's u-axis node spacing (~2/count)
     and be at most 1, the half-width of the u-range [-1, 1].
     """
@@ -303,7 +310,8 @@ def grangeat_convert(xdata, x, n, quadrature, band):
         raise ValueError(
             f"band {band:g} undersampled: below twice the u-axis node spacing {u_spacing:g}"
         )
-    x = np.asarray(x, dtype=float).reshape(3)
+    x = np.asarray(x, dtype=float)
+    points = _as_points(x[None] if x.shape == (3,) else x)
     nodes = quadrature.nodes
     w = quadrature.weights
     u = nodes @ n
@@ -316,10 +324,13 @@ def grangeat_convert(xdata, x, n, quadrature, band):
     if first_moment == 0.0:
         raise ValueError("degenerate quadrature: delta' kernel has zero first moment")
     kernel *= -2.0 * np.pi / first_moment
-    values = np.asarray(
-        xdata(np.broadcast_to(x, nodes.shape), nodes), dtype=float
-    )
-    return float(np.dot(w, values * kernel))
+    out = np.empty(points.shape[0])
+    for block in node_blocks(points.shape[0], quadrature.count):
+        x_rows = np.repeat(points[block], quadrature.count, axis=0)
+        n_rows = np.tile(nodes, (points[block].shape[0], 1))
+        values = np.asarray(xdata(x_rows, n_rows), dtype=float).reshape(-1, quadrature.count)
+        out[block] = [float(np.dot(w, row * kernel)) for row in values]
+    return float(out[0]) if x.shape == (3,) else out
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 from dataclasses import fields
@@ -575,6 +577,35 @@ class TestErrorHandling:
         ) == 1
         assert len(moved) == 2
         assert not outdir.exists()
+
+
+class TestNormalizationProperty:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        branch=st.sampled_from(BRANCHES),
+        normalization=st.sampled_from([1e308, -1e308, 5e-324, -5e-324, 1e-310, 0.0, -0.0, -1.0])
+        | st.floats(allow_nan=False, allow_infinity=False),
+    )
+    def test_invert_exits_cleanly(self, tmp_path_factory, branch, normalization):
+        # any finite normalization on any branch: exit 0 with a finite float32 volume,
+        # or exit 1 naming --normalization, with no outdir left
+        phantom = tmp_path_factory.getbasetemp() / "normalization_two_gaussians.txt"
+        if not phantom.exists():
+            assert run("phantom-gen", "--out", str(phantom), "--preset", "two-gaussians") == 0
+        outdir = tmp_path_factory.mktemp("normalization") / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = run(
+                "invert", f"--phantom={phantom}", f"--branch={branch}", "--nodes=40", "--vol-dims=3",
+                f"--normalization={normalization!r}", f"--outdir={outdir}",
+            )
+        if rc == 0:
+            assert np.all(np.isfinite(np.fromfile(outdir / "volume.raw", dtype="<f4")))
+        else:
+            assert rc == 1
+            assert "--normalization" in err.getvalue()
+            assert not outdir.exists()
 
 
 # Each example runs a command at small, workable sizes, then overrides a few

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import dawsn
 
-from xradon.hilbert import derivative_rows, hilbert_pv_direct, hilbert_rows, sample_rows
+from xradon.hilbert import _kernel_spectrum, derivative_rows, hilbert_pv_direct, hilbert_rows, sample_rows
 
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -249,3 +249,30 @@ class TestRows:
         q = np.broadcast_to(s, (rows, s.size))
         err = np.max(np.abs(sample_rows(values, s_min, s_max, q) - lagrange_rows(values, s_min, s_max, q)))
         assert err <= 1e-13 * np.max(np.abs(values))
+
+    @PROPERTY
+    @given(count=st.integers(8, 200), rows=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_query_path_matches_tables(self, count, rows, seed):
+        # Q < S - 1 queries form their own coefficients; the same queries tiled
+        # past S - 1 columns read the per-interval tables: bitwise the same
+        rng = np.random.default_rng(seed)
+        s_min, s_max = -rng.uniform(0.5, 20.0), rng.uniform(0.5, 20.0)
+        values = rng.normal(size=(rows, count)) * 10.0 ** rng.uniform(-3, 3, size=(rows, 1))
+        h = (s_max - s_min) / (count - 1)
+        # the grid ends, the first and last intervals (the ghost stencils), 1e-9 beyond each end
+        ends = [s_min, s_max, s_min + 0.5 * h, s_max - 0.5 * h, s_min - 1e-9, s_max + 1e-9]
+        q = np.concatenate([np.tile(ends, (rows, 1)), rng.uniform(s_min, s_max, size=(rows, count - 8))], axis=1)
+        assert q.shape[1] < count - 1
+        reps = -(-(count - 1) // q.shape[1])
+        tiled = sample_rows(values, s_min, s_max, np.tile(q, (1, reps)))[:, : q.shape[1]]
+        assert sample_rows(values, s_min, s_max, q).tobytes() == tiled.tobytes()
+
+
+class TestKernelSpectrum:
+    def test_cached_spectrum_is_read_only(self):
+        m, spectrum = _kernel_spectrum(801)
+        assert _kernel_spectrum(801)[1] is spectrum
+        with pytest.raises(ValueError):
+            spectrum[0] = 1.0
+        # the transform still reads it
+        assert np.max(np.abs(hilbert_rows(gaussian_profile()) - hilbert_direct(gaussian_profile()))) < 1e-12

@@ -7,7 +7,7 @@ from scipy.special import dawsn
 import xradon as xr
 from xradon import inversion as inv
 from xradon import phantom as phm
-from xradon.geometry import ROWS
+from xradon.geometry import ROWS, node_blocks
 from conftest import S_GRID, calibrate
 
 
@@ -379,6 +379,18 @@ class TestGrangeatConvert:
         data = inv.make_phantom_xray_data(unit_gaussian)
         with pytest.raises(ValueError):
             inv.grangeat_convert(data, (0, 0, 0), (1.0, 0.0, 0.0), q, 0.01)
+
+    def test_batch_equals_point_loop(self, unit_gaussian, quad2000):
+        # at K = 2000 a block of node_blocks holds 8 points, so 41 points span 6 blocks
+        data = inv.make_phantom_xray_data(unit_gaussian)
+        n = np.array([0.6, 0.0, 0.8])
+        points = np.linspace(-2.0, 2.0, 41)[:, None] * n + np.array([0.1, -0.3, 0.0])
+        assert len(node_blocks(len(points), quad2000.count)) > 1
+        batch = inv.grangeat_convert(data, points, n, quad2000, 0.05)
+        loop = [inv.grangeat_convert(data, x, n, quad2000, 0.05) for x in points]
+        assert batch.shape == (41,)
+        assert all(isinstance(v, float) for v in loop)
+        assert batch.tobytes() == np.array(loop).tobytes()
 
     def test_refinement_reduces_error(self, unit_gaussian):
         data = inv.make_phantom_xray_data(unit_gaussian)

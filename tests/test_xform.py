@@ -215,6 +215,11 @@ class TestCsvIO:
             "n1,n2,n3\n0,0,1\ns,value\n# comment\n" + "".join(f"{i},0\n" for i in range(8)),
             "n1,n2,n3\nnan,nan,nan\ns,value\n" + "".join(f"{i},0\n" for i in range(8)),
             "n1,n2,n3\n0,0,1\ns,value\n-inf,0\n" + "".join(f"{i},0\n" for i in range(8)),
+            # a non-uniform s column: the 6th of 11 offsets on [-8, 8] moved to 3.0
+            "n1,n2,n3\n0,0,1\ns,value\n"
+            + "".join(f"{3.0 if i == 5 else v!r},0\n" for i, v in enumerate(np.linspace(-8.0, 8.0, 11).tolist())),
+            # a finite s column whose span overflows
+            "n1,n2,n3\n0,0,1\ns,value\n" + "".join(f"{v},0\n" for v in (-1.7e308, *range(7), 1.7e308)),
         ],
     )
     def test_read_profile_rejects_malformed(self, tmp_path, text):
