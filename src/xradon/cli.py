@@ -43,8 +43,10 @@ class RunConfig:
 
     def validate(self):
         for f in fields(self):
-            if type(f.default) is float and not math.isfinite(getattr(self, f.name)):
-                raise CliError(f"config field {f.name} must be finite")
+            value = getattr(self, f.name)
+            if type(f.default) is float and not math.isfinite(value):
+                flag = "--" + f.name.replace("_", "-")
+                raise CliError(f"{flag} (config field {f.name}) must be finite, got {value!r}")
         if self.branch not in inversion.BRANCHES:
             raise CliError(f"unknown branch {self.branch!r}")
         for name in ("nodes", "vol_dims", "points", "diff_step", "band"):
@@ -299,16 +301,14 @@ def _reconstruct_with_calibration(ph, cfg, voxels):
     """invert's one pass: the voxels and the seeded calibration points (seed + 1)
     reconstructed in one call, on one dataset on the config's s-grid.
 
-    Returns the voxel values, at cfg.normalization, and the points'
-    unit-normalized values with the density there.  The volume's checks run
-    before any data is built.
+    Returns the unit-normalized values of the voxels and of the points
+    (inversion.reconstruct), with the density at the points.  The volume's
+    checks run before any data is built.
     """
     cal_points = inversion.calibration_points(_calibration_radius(ph, cfg), seed=cfg.seed + 1)
     if cfg.branch != inversion.BRANCH_XRAY:
         _check_s_grid(ph, cfg)
-    rcfg = inversion.ReconstructionConfig(
-        fibonacci_sphere(cfg.nodes), cfg.diff_step, cfg.normalization, cfg.branch
-    )
+    rcfg = inversion.ReconstructionConfig(fibonacci_sphere(cfg.nodes), cfg.diff_step, cfg.branch)
     if len(voxels):
         volume = f"the volume --vol-min {cfg.vol_min:g} --vol-max {cfg.vol_max:g}"
         with np.errstate(over="ignore"):
@@ -318,11 +318,8 @@ def _reconstruct_with_calibration(ph, cfg, voxels):
         if cfg.branch != inversion.BRANCH_XRAY:
             _check_offsets(cfg, voxels, rcfg.quadrature.nodes, f"--branch {cfg.branch}: {volume}")
     data = inversion.phantom_data(ph, rcfg, (cfg.s_min, cfg.s_max, cfg.s_count))
-    try:
-        values = inversion.reconstruct(data, rcfg, np.concatenate((voxels, cal_points)))
-    except inversion.NormalizationOverflow as exc:
-        raise CliError(f"--normalization {cfg.normalization:g}: {exc}; shrink the normalization") from exc
-    return values[: len(voxels)], values[len(voxels):] / cfg.normalization, ph_mod.evaluate(ph, cal_points)
+    values = inversion.reconstruct(data, rcfg, np.concatenate((voxels, cal_points)))
+    return values[: len(voxels)], values[len(voxels):], ph_mod.evaluate(ph, cal_points)
 
 
 def _metrics(ph, vol):
@@ -354,7 +351,11 @@ def cmd_invert(args):
         raise CliError(f"invert --branch {cfg.branch}: --normalization must be nonzero, got {cfg.normalization!r}")
     cfg = replace(cfg, normalization=1.0) if cfg.branch == inversion.BRANCH_CLASSICAL else cfg
     grid = _volume_grid(cfg)
-    values, raw, truth = _reconstruct_with_calibration(ph, cfg, grid.points())
+    unit, raw, truth = _reconstruct_with_calibration(ph, cfg, grid.points())
+    # the one product with --normalization; a value past float64 is past float32
+    # too, so the check below is its only range guard
+    with np.errstate(over="ignore"):
+        values = cfg.normalization * unit
     # volume.raw holds float32: a value beyond its range would be written as inf
     bad = ~(np.abs(values) <= np.finfo(np.float32).max)
     if np.any(bad):
@@ -417,7 +418,7 @@ def cmd_calibrate(args):
     """invert's calibration without the volume, at unit normalization on every branch."""
     cfg = load_config(args)
     ph = _load_phantom(cfg)
-    _, raw, truth = _reconstruct_with_calibration(ph, replace(cfg, normalization=1.0), np.zeros((0, 3)))
+    _, raw, truth = _reconstruct_with_calibration(ph, cfg, np.zeros((0, 3)))
     cal = inversion.fit_scale(raw, truth)
     with _OutputSet(cfg.outdir) as out:
         result = {

@@ -191,10 +191,16 @@ def _query_coefficients(v, index):
     return c
 
 
+def grid_slack(s_min, s_max):
+    """The rounding slack of an s-grid on [s_min, s_max]: 1e-9 of the larger of
+    |s_min|, |s_max| and 1."""
+    return 1e-9 * max(abs(s_min), abs(s_max), 1.0)
+
+
 def offsets_on_grid(lo, hi, s_min, s_max):
-    """Whether the offsets from lo to hi lie on [s_min, s_max], with a slack of
-    1e-9 of the larger of |s_min|, |s_max| and 1 for the rounding in x . n."""
-    eps = 1e-9 * max(abs(s_min), abs(s_max), 1.0)
+    """Whether the offsets from lo to hi lie on [s_min, s_max], within grid_slack
+    for the rounding in x . n."""
+    eps = grid_slack(s_min, s_max)
     return lo >= s_min - eps and hi <= s_max + eps
 
 

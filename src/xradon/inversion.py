@@ -5,8 +5,9 @@ Three branches are implemented:
 * ``xray``: spherical average of the directional derivative of
   divergent-beam data.  The identity n . grad_x Xf(x, n) = -f(x) forces
   the constant -1/(4*pi) under the unnormalized 4*pi surface measure;
-  that derived constant is the default and the calibration routine
-  makes any alternative convention measurable.
+  reconstruct returns the sum at unit normalization, the CLI applies
+  --normalization (default: that derived constant), and the calibration
+  routine makes any alternative convention measurable.
 * ``radon``: spherical average of -2*pi times the derivative of the
   Hilbert-filtered plane-integral profiles, evaluated at s = x . n.
   With unit normalization it reconstructs -16*pi^3 * I^1 f, where
@@ -24,7 +25,6 @@ spherical-average equivalence diagnostic.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +40,8 @@ BRANCHES = (BRANCH_XRAY, BRANCH_RADON, BRANCH_CLASSICAL)
 
 # Derived from n . grad_x Xf = -f under the 4*pi measure convention.
 XRAY_BRANCH_CONSTANT = -1.0 / (4.0 * np.pi)
-# Constant as printed in the source derivation, selectable via config.
+# Constant as printed in the source derivation: no branch applies it; calibrate's
+# scale is compared with it, and invert --normalization can be set to it.
 SPHERICAL_REFERENCE_CONSTANT = 1.0 / (2.0 * np.pi**3)
 # Textbook 3D Radon inversion constant, baked into the classical branch.
 CLASSICAL_RADON_CONSTANT = -1.0 / (8.0 * np.pi**2)
@@ -51,24 +52,17 @@ RADON_BRANCH_FACTOR = -2.0 * np.pi
 MIN_PROFILE_SAMPLES = 8
 
 
-class NormalizationOverflow(ValueError):
-    """The normalization scales a branch's sphere sum beyond the float64 range."""
-
-
 @dataclass(frozen=True)
 class ReconstructionConfig:
     """Knobs shared by the reconstruction operators."""
 
     quadrature: SphereQuadrature
     diff_step: float = 1e-4
-    normalization: float = XRAY_BRANCH_CONSTANT
     branch: str = BRANCH_XRAY
 
     def __post_init__(self):
         if not (np.isfinite(self.diff_step) and self.diff_step > 0.0):
             raise ValueError(f"diff_step must be positive and finite, got {self.diff_step!r}")
-        if not (np.isfinite(self.normalization) and self.normalization != 0.0):
-            raise ValueError(f"normalization must be nonzero and finite, got {self.normalization!r}")
         if self.branch not in BRANCHES:
             raise ValueError(f"unknown branch {self.branch!r}")
 
@@ -154,17 +148,14 @@ def lift_xray_data(xdata):
     """
 
     def data(points, h):
-        def diff(nodes, weights):
-            acc = np.zeros(points.shape[0])
-            for block in node_blocks(nodes.shape[0], points.shape[0]):
-                n = _rays(points, nodes[block])[1]
-                step = h * nodes[block, None, :]
-                fwd = np.asarray(xdata((points + step).reshape(-1, 3), n), dtype=float)
-                bwd = np.asarray(xdata((points - step).reshape(-1, 3), n), dtype=float)
-                acc += weights[block] @ (fwd - bwd).reshape(step.shape[0], -1)
-            return acc
+        def differences(block, nodes):
+            n = _rays(points, nodes)[1]
+            step = h * nodes[:, None, :]
+            fwd = np.asarray(xdata((points + step).reshape(-1, 3), n), dtype=float)
+            bwd = np.asarray(xdata((points - step).reshape(-1, 3), n), dtype=float)
+            return (fwd - bwd).reshape(nodes.shape[0], -1)
 
-        return diff
+        return lambda nodes, weights: _sphere_sum(nodes, weights, points, differences)
 
     return data
 
@@ -192,13 +183,12 @@ def _rays(points, nodes):
     return x, n
 
 
-def _sphere_sum(quadrature, points, integrand, width=0):
+def _sphere_sum(nodes, weights, points, integrand, width=0):
     """sum_k w_k * integrand at every point; integrand(block, nodes) gives the (B, P)
-    values for the nodes quadrature.nodes[block].  A block's rows are sized on
-    max(P, width)."""
+    values for the nodes nodes[block].  A block's rows are sized on max(P, width)."""
     acc = np.zeros(points.shape[0])
-    for block in node_blocks(quadrature.count, max(points.shape[0], width)):
-        acc += quadrature.weights[block] @ integrand(block, quadrature.nodes[block])
+    for block in node_blocks(nodes.shape[0], max(points.shape[0], width)):
+        acc += weights[block] @ integrand(block, nodes[block])
     return acc
 
 
@@ -226,38 +216,25 @@ def _backproject(filtered, data, quadrature, points):
     def integrand(block, nodes):
         return sample_rows(filtered[block], data.s_min, data.s_max, nodes @ points.T)
 
-    return _sphere_sum(quadrature, points, integrand, 4 * filtered.shape[1])
-
-
-def _check_scaled(scale, acc, divisor=1.0):
-    """Raise NormalizationOverflow if scale * acc / divisor overflows float64.
-
-    The largest |acc| goes through the same products in Python floats, which
-    overflow to inf without a warning; the array products are left as they are.
-    A NaN or inf already in acc is left to the caller's finiteness check.
-    """
-    peak = float(np.max(np.abs(acc), initial=0.0))
-    if math.isfinite(peak) and not math.isfinite(abs(scale) * peak / divisor):
-        raise NormalizationOverflow(
-            f"normalization scales the sphere sum (largest magnitude {peak:.6g}) beyond the float64 range"
-        )
+    return _sphere_sum(quadrature.nodes, quadrature.weights, points, integrand, 4 * filtered.shape[1])
 
 
 def reconstruct(data, cfg, points):
     """Reconstruct the density at a (P, 3) batch of points with cfg.branch; returns (P,).
 
+    Every branch returns its sphere sum at unit normalization; a caller that
+    takes another constant (invert --normalization) multiplies by it.
+
     xray: `data(points, diff_step)` returns diff(nodes, weights), which one
     call with the whole quadrature turns into the (P,) sphere sum
     sum_k w_k [Xf(x + h n_k, n_k) - Xf(x - h n_k, n_k)] with h = diff_step
     (see phantom_data, and lift_xray_data for (x, n) data); the result is
-    normalization * sum_k w_k * n_k . grad_x Xf(x, n_k), by that central
-    difference.  radon: `data` is a RadonDataset on the quadrature nodes;
-    the result is normalization * sum_k w_k * (-2*pi) * d/ds (H Rf)(n_k, s)
-    at s = x . n_k, by cubic interpolation in s.  classical_radon: the
-    textbook inversion -(1/(8*pi^2)) * sum_k w_k * d^2/ds^2 Rf(n_k, x . n_k);
-    its constant is built in and normalization is not applied.  A
-    normalization that takes the result beyond the float64 range raises
-    NormalizationOverflow, a ValueError, before the product is formed.
+    that sum over 2h, sum_k w_k * n_k . grad_x Xf(x, n_k) by the central
+    difference.  Times XRAY_BRANCH_CONSTANT it is the density.  radon:
+    `data` is a RadonDataset on the quadrature nodes; the result is
+    sum_k w_k * (-2*pi) * d/ds (H Rf)(n_k, s) at s = x . n_k, by cubic
+    interpolation in s.  classical_radon: the textbook inversion
+    -(1/(8*pi^2)) * sum_k w_k * d^2/ds^2 Rf(n_k, x . n_k), constant built in.
     """
     points = _as_points(points)
     quad = cfg.quadrature
@@ -271,14 +248,11 @@ def reconstruct(data, cfg, points):
                 "xray data(points, h) must return a diff(nodes, weights) callable; "
                 "lift (x, n) ray data with lift_xray_data"
             )
-        acc = diff(quad.nodes, quad.weights)
-        _check_scaled(cfg.normalization, acc, 2.0 * h)
-        return cfg.normalization * acc / (2.0 * h)
+        return diff(quad.nodes, quad.weights) / (2.0 * h)
     _check_dataset(data, quad)
     acc = _backproject(_filter(data, _BRANCH_FILTERS[cfg.branch]), data, quad, points)
     if cfg.branch == BRANCH_RADON:
-        _check_scaled(cfg.normalization * RADON_BRANCH_FACTOR, acc)
-        return cfg.normalization * RADON_BRANCH_FACTOR * acc
+        return RADON_BRANCH_FACTOR * acc
     return CLASSICAL_RADON_CONSTANT * acc
 
 
@@ -364,7 +338,7 @@ def lemma9_diagnostic(ph, points, quadrature, s_grid):
     def line_values(block, nodes):
         return ph_mod.line_integral(ph, *_rays(points, nodes)).reshape(nodes.shape[0], -1)
 
-    left = _sphere_sum(quadrature, points, line_values)
+    left = _sphere_sum(quadrature.nodes, quadrature.weights, points, line_values)
     data = build_radon_dataset(ph, quadrature, *s_grid)
     filtered = _filter(data, lambda rows, h: hilbert_rows(rows), out=data.values)
     right = -2.0 * np.pi * _backproject(filtered, data, quadrature, points)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hilbert import grid_slack
 from .inversion import RadonDataset
 
 
@@ -98,7 +99,7 @@ def write_profiles_csv(paths, nodes, s_min, s_max, values):
 def read_profile_csv(path):
     """One file of write_profiles_csv as a RadonProfile; a malformed file raises ValueError.
 
-    The s column must be finite and uniform: within 1e-9 of max(|s[0]|, |s[-1]|, 1)
+    The s column must be finite and uniform: within hilbert.grid_slack(s[0], s[-1])
     of linspace(s[0], s[-1], S), which a file of write_profiles_csv meets exactly.
     """
     with open(path, "r", encoding="utf-8") as fh:
@@ -114,10 +115,9 @@ def read_profile_csv(path):
         s = rows[:, 0]
         if not np.all(np.isfinite(s)):
             raise ValueError("s column must be finite")
-        # the slack of hilbert.offsets_on_grid; a span that overflows gives NaN steps and fails
-        eps = 1e-9 * max(abs(s[0]), abs(s[-1]), 1.0)
+        # a span that overflows gives NaN steps and fails
         with np.errstate(over="ignore", invalid="ignore"):
-            uniform = np.abs(s - np.linspace(s[0], s[-1], s.size)) <= eps
+            uniform = np.abs(s - np.linspace(s[0], s[-1], s.size)) <= grid_slack(s[0], s[-1])
         if not np.all(uniform):
             raise ValueError("s column is not a uniform grid from its first to its last value")
         return RadonProfile(n=n, s_min=float(s[0]), s_max=float(s[-1]), values=rows[:, 1])

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -27,10 +25,11 @@ S_GRID = (-8.0, 8.0, 1025)
 
 
 def calibrate(ph, cfg, data):
-    """The calibration fit: the branch at unit normalization at the seeded calibration
-    points (radius support_radius / 4, seed 20260824), fitted to the density there."""
+    """The calibration fit: the branch (at unit normalization, as reconstruct returns it)
+    at the seeded calibration points (radius support_radius / 4, seed 20260824), fitted
+    to the density there."""
     points = inv.calibration_points(ph.support_radius / 4.0, 20260824)
-    raw = inv.reconstruct(data, replace(cfg, normalization=1.0), points)
+    raw = inv.reconstruct(data, cfg, points)
     return inv.fit_scale(raw, xr.evaluate(ph, points))
 
 

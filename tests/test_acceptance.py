@@ -62,10 +62,9 @@ def test_criterion_2_transport_identity(unit_gaussian):
 def test_criterion_3_xray_branch_reconstruction(unit_gaussian, quad2000):
     start = time.time()
     grid = xr.cube_grid(3.0, 33)
-    cfg = inv.ReconstructionConfig(quad2000, diff_step=1e-4,
-                                   normalization=inv.XRAY_BRANCH_CONSTANT)
+    cfg = inv.ReconstructionConfig(quad2000, diff_step=1e-4)
     data = inv.phantom_data(unit_gaussian, cfg, S_GRID)
-    vol = grid.with_samples(inv.reconstruct(data, cfg, grid.points()))
+    vol = grid.with_samples(inv.XRAY_BRANCH_CONSTANT * inv.reconstruct(data, cfg, grid.points()))
     truth = xr.evaluate(unit_gaussian, grid.points())
     rel_l2 = float(np.linalg.norm(vol.samples - truth) / np.linalg.norm(truth))
     elapsed = time.time() - start
@@ -156,7 +155,7 @@ def test_criterion_6_hilbert_module():
 def test_criterion_7_classical_radon_oracle(unit_gaussian, quad2000, gauss_dataset):
     start = time.time()
     grid = xr.cube_grid(3.0, 33)
-    cfg = inv.ReconstructionConfig(quad2000, normalization=1.0, branch=inv.BRANCH_CLASSICAL)
+    cfg = inv.ReconstructionConfig(quad2000, branch=inv.BRANCH_CLASSICAL)
     vol = grid.with_samples(inv.reconstruct(gauss_dataset, cfg, grid.points()))
     truth = xr.evaluate(unit_gaussian, grid.points())
     rel_l2 = float(np.linalg.norm(vol.samples - truth) / np.linalg.norm(truth))

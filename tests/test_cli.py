@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from xradon import inversion as inv
 from xradon import phantom as phm
 from xradon.cli import CliError, RunConfig, build_parser, load_config, main
-from xradon.geometry import fibonacci_sphere
+from xradon.geometry import VolumeGrid, fibonacci_sphere
 from xradon.inversion import BRANCHES
 
 
@@ -152,8 +152,9 @@ class TestInvert:
     @pytest.mark.parametrize(
         "branch, radius, tol",
         [
-            # radon branches: the ball is clipped to the s-grid, min(40 / 4, 4);
-            # the volume's node blocks sum in another order than the 50 points'
+            # radon branches: the ball is clipped to the s-grid, min(40 / 4, 4); their
+            # backprojection blocks are sized on max(P, 4S), so a volume of more than
+            # 4S points would sum in another order than the 50 points'
             ("xray", 10.0, 1e-15),
             ("radon", 4.0, 1e-12),
             ("classical_radon", 4.0, 1e-12),
@@ -162,7 +163,7 @@ class TestInvert:
     def test_fitted_scale_is_the_volume_data_fit(self, tmp_path, branch, radius, tol):
         # invert's calibration points are reconstructed with the volume, on its own
         # data and s-grid; the fit equals the calibrate command's at the same flags,
-        # which reconstructs the same points at unit normalization
+        # which reconstructs the same points; both fit reconstruct's unit-normalized values
         ph_path = self.narrow_phantom(tmp_path)
         flags = [
             "--phantom", str(ph_path), "--branch", branch, "--nodes", "200",
@@ -176,8 +177,11 @@ class TestInvert:
         fitted = float((outdir / "metrics.csv").read_text().splitlines()[1].split(",")[2])
         calibrated = json.loads((tmp_path / "cal" / "calibration.json").read_text())["scale"]
         assert abs(fitted - calibrated) <= tol * abs(calibrated)
+        if branch == "xray":
+            # both commands fit reconstruct's values as they are: no rescaling rounds them apart
+            assert fitted == calibrated
         ph = phm.load_phantom(ph_path)
-        rcfg = inv.ReconstructionConfig(fibonacci_sphere(200), normalization=1.0, branch=branch)
+        rcfg = inv.ReconstructionConfig(fibonacci_sphere(200), branch=branch)
         points = inv.calibration_points(radius, seed=1)
         raw = inv.reconstruct(inv.phantom_data(ph, rcfg, (-4.0, 4.0, 401)), rcfg, points)
         assert calibrated == inv.fit_scale(raw, phm.evaluate(ph, points)).scale
@@ -251,17 +255,38 @@ class TestInvert:
     @pytest.mark.parametrize("branch", ["xray", "radon"])
     @pytest.mark.parametrize("value", ["1e308", "2e307", "-2e307"])
     def test_overflowing_normalization_rejected(self, tmp_path, phantom_file, capsys, branch, value):
-        # normalization times the sphere sum overflows float64: named before the
-        # product is formed, with no RuntimeWarning, and nothing is written
+        # normalization times the sphere sum overflows float64, so float32 too: the
+        # range check names the flag, with no RuntimeWarning, and nothing is written
         outdir = tmp_path / "inv"
         assert run(
             "invert", "--phantom", str(phantom_file), "--branch", branch, "--nodes", "40",
             "--vol-dims", "3", f"--normalization={value}", "--outdir", str(outdir),
         ) == 1
         err = capsys.readouterr().err
-        assert "--normalization" in err and "float64" in err
+        assert "--normalization" in err and "not finite in float32" in err
         assert "Traceback" not in err
         assert not outdir.exists()
+
+    @pytest.mark.parametrize("branch, flags, scale", [
+        ("xray", ["--normalization", "2"], 2.0),
+        ("radon", ["--normalization", "2"], 2.0),
+        ("classical_radon", [], 1.0),
+    ])
+    def test_volume_is_one_scaling_of_reconstruct(self, tmp_path, phantom_file, branch, flags, scale):
+        # the volume is reconstruct's unit-normalized values times --normalization,
+        # formed once and rounded to float32; the classical branch is not scaled
+        outdir = tmp_path / "inv"
+        assert run(
+            "invert", "--phantom", str(phantom_file), "--branch", branch, "--nodes", "40",
+            "--vol-dims", "5", *flags, "--outdir", str(outdir),
+        ) == 0
+        ph = phm.load_phantom(phantom_file)
+        rcfg = inv.ReconstructionConfig(fibonacci_sphere(40), branch=branch)
+        voxels = VolumeGrid((-3.0,) * 3, (1.5,) * 3, (5, 5, 5)).points()
+        points = np.concatenate((voxels, inv.calibration_points(ph.support_radius / 4.0, seed=1)))
+        unit = inv.reconstruct(inv.phantom_data(ph, rcfg, (-8.0, 8.0, 801)), rcfg, points)[: len(voxels)]
+        volume = np.fromfile(outdir / "volume.raw", dtype="<f4")
+        assert np.array_equal(volume, (scale * unit).astype(np.float32))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_volume_rejected(self, tmp_path, phantom_file, capsys):
@@ -371,6 +396,18 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert rc == 1
         assert named in err
+        assert "Traceback" not in err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("flag", ["--normalization=nan", "--diff-step=nan", "--s-max=inf", "--band=inf"])
+    def test_non_finite_flag_named(self, tmp_path, phantom_file, capsys, flag):
+        outdir = tmp_path / "o"
+        assert run(
+            "invert", "--phantom", str(phantom_file), "--nodes", "20", "--vol-dims", "5",
+            flag, "--outdir", str(outdir),
+        ) == 1
+        err = capsys.readouterr().err
+        assert f"{flag.split('=')[0]} (config field" in err and "must be finite" in err
         assert "Traceback" not in err
         assert not outdir.exists()
 

@@ -18,7 +18,7 @@ def xray_cfg(quad2000):
 
 @pytest.fixture(scope="module")
 def classical_cfg(quad2000):
-    return inv.ReconstructionConfig(quad2000, normalization=1.0, branch=inv.BRANCH_CLASSICAL)
+    return inv.ReconstructionConfig(quad2000, branch=inv.BRANCH_CLASSICAL)
 
 
 def at(data, cfg, x):
@@ -59,7 +59,7 @@ def zero_dataset(quadrature):
 class TestInvertXray:
     def test_unit_gaussian_at_origin(self, unit_gaussian, xray_cfg):
         data = inv.phantom_data(unit_gaussian, xray_cfg, S_GRID)
-        val = at(data, xray_cfg, (0.0, 0.0, 0.0))
+        val = inv.XRAY_BRANCH_CONSTANT * at(data, xray_cfg, (0.0, 0.0, 0.0))
         assert abs(val - 1.0) < 1e-3
 
     def test_zero_phantom(self, xray_cfg):
@@ -74,7 +74,7 @@ class TestInvertXray:
             ),
             7.0,
         )
-        val = at(inv.phantom_data(ph, xray_cfg, S_GRID), xray_cfg, (1.0, 0.0, 0.0))
+        val = inv.XRAY_BRANCH_CONSTANT * at(inv.phantom_data(ph, xray_cfg, S_GRID), xray_cfg, (1.0, 0.0, 0.0))
         assert abs(val - (1.0 + np.exp(-4.0))) < 2e-3
 
     def test_branch_mismatch_rejected(self, unit_gaussian, quad2000):
@@ -100,16 +100,16 @@ class TestInvertXray:
         rng = np.random.default_rng(17)
         for _ in range(5):
             x = rng.uniform(-1.0, 1.0, size=3)
-            a = at(inv.phantom_data(base, cfg, S_GRID), cfg, x)
-            b = at(inv.phantom_data(moved, cfg, S_GRID), cfg, x + shift)
+            a = inv.XRAY_BRANCH_CONSTANT * at(inv.phantom_data(base, cfg, S_GRID), cfg, x)
+            b = inv.XRAY_BRANCH_CONSTANT * at(inv.phantom_data(moved, cfg, S_GRID), cfg, x + shift)
             assert abs(a - b) < 1e-3
 
     def test_linearity_in_data(self, unit_gaussian, xray_cfg):
         xdata = inv.make_phantom_xray_data(unit_gaussian)
         doubled = lambda pts, dirs: 2.0 * xdata(pts, dirs)
         x = (0.4, 0.1, -0.2)
-        a = at(inv.lift_xray_data(xdata), xray_cfg, x)
-        b = at(inv.lift_xray_data(doubled), xray_cfg, x)
+        a = inv.XRAY_BRANCH_CONSTANT * at(inv.lift_xray_data(xdata), xray_cfg, x)
+        b = inv.XRAY_BRANCH_CONSTANT * at(inv.lift_xray_data(doubled), xray_cfg, x)
         assert abs(b - 2.0 * a) < 1e-12
 
 
@@ -123,8 +123,8 @@ class TestInvertRadon:
         d = gauss_dataset
         doubled = inv.RadonDataset(d.nodes, d.s_min, d.s_max, 2.0 * d.values)
         x = (0.3, 0.0, 0.1)
-        a = at(gauss_dataset, cfg, x)
-        b = at(doubled, cfg, x)
+        a = inv.XRAY_BRANCH_CONSTANT * at(gauss_dataset, cfg, x)
+        b = inv.XRAY_BRANCH_CONSTANT * at(doubled, cfg, x)
         assert abs(b - 2.0 * a) < 1e-12 * max(1.0, abs(a))
 
     def test_diagnostic_against_oracle(self, unit_gaussian, quad2000, gauss_dataset):
@@ -145,7 +145,7 @@ class TestInvertRadon:
             ),
             7.0,
         )
-        cfg = inv.ReconstructionConfig(quad2000, normalization=1.0, branch=inv.BRANCH_RADON)
+        cfg = inv.ReconstructionConfig(quad2000, branch=inv.BRANCH_RADON)
         data = inv.build_radon_dataset(ph, quad2000, -8.0, 8.0, 801)
         pts = inv.sample_ball_points(np.random.default_rng(3), 200, 2.5)
         target = -16.0 * np.pi**3 * riesz_potential(ph, pts)
@@ -181,7 +181,7 @@ class TestClassicalRadon:
         data = inv.phantom_data(unit_gaussian, cfg, S_GRID)
         rng = np.random.default_rng(23)
         pts = inv.sample_ball_points(rng, 50, 1.5)
-        a = inv.reconstruct(data, cfg, pts)
+        a = inv.XRAY_BRANCH_CONSTANT * inv.reconstruct(data, cfg, pts)
         b = inv.reconstruct(gauss_dataset, classical_cfg, pts)
         assert np.max(np.abs(a - b)) < 5e-3
 
@@ -238,12 +238,14 @@ class TestBatchReconstruction:
                 offset = np.array([[np.dot(node, x)]])
                 total += weight * xr.sample_rows(filtered[None], dataset.s_min, dataset.s_max, offset)[0, 0]
             scale = {
-                inv.BRANCH_XRAY: cfg.normalization,
-                inv.BRANCH_RADON: cfg.normalization * inv.RADON_BRANCH_FACTOR,
+                inv.BRANCH_XRAY: 1.0,
+                inv.BRANCH_RADON: inv.RADON_BRANCH_FACTOR,
                 inv.BRANCH_CLASSICAL: inv.CLASSICAL_RADON_CONSTANT,
             }[branch]
-            expected = scale * total
-            assert abs(at(data, cfg, x) - expected) <= 1e-12 * max(abs(expected), 1e-3)
+            # compared at the x-ray constant, the scale its tolerance was set at
+            norm = 1.0 if branch == inv.BRANCH_CLASSICAL else inv.XRAY_BRANCH_CONSTANT
+            expected = norm * scale * total
+            assert abs(norm * at(data, cfg, x) - expected) <= 1e-12 * max(abs(expected), 1e-3)
 
     @pytest.mark.parametrize("phantom", ["unit", "two"])
     def test_fused_xray_matches_lifted_reference(self, phantom, quad, batch, unit_gaussian):
@@ -448,9 +450,8 @@ class TestCalibrateNormalization:
         assert abs(scaled.scale - base.scale / 2.0) < 1e-9
         # reconstruction with the fitted scale is unchanged
         x = (0.3, 0.2, 0.0)
-        unit_cfg = inv.ReconstructionConfig(quad2000, normalization=1.0)
-        a = base.scale * at(data, unit_cfg, x)
-        b = scaled.scale * at(doubled, unit_cfg, x)
+        a = base.scale * at(data, cfg, x)
+        b = scaled.scale * at(doubled, cfg, x)
         assert abs(a - b) < 1e-6
 
     def test_zero_phantom_rejected(self, quad2000):
@@ -465,10 +466,6 @@ class TestReconstructionConfig:
         with pytest.raises(ValueError):
             inv.ReconstructionConfig(quad2000, diff_step=0.0)
 
-    def test_rejects_zero_normalization(self, quad2000):
-        with pytest.raises(ValueError):
-            inv.ReconstructionConfig(quad2000, normalization=0.0)
-
     def test_rejects_unknown_branch(self, quad2000):
         with pytest.raises(ValueError):
             inv.ReconstructionConfig(quad2000, branch="fourier")
@@ -478,9 +475,6 @@ class TestReconstructionConfig:
         [
             ("diff_step", np.inf),
             ("diff_step", np.nan),
-            ("normalization", np.nan),
-            ("normalization", np.inf),
-            ("normalization", -np.inf),
         ],
     )
     def test_rejects_non_finite(self, quad2000, field, value):
