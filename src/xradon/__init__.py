@@ -17,6 +17,7 @@ from .phantom import (
     line_integral,
     load_phantom,
     plane_integral,
+    plane_integral_derivative,
     ray_differences,
     save_phantom,
 )

@@ -282,14 +282,17 @@ def _calibration_radius(ph, cfg):
 
 
 def _corners(points):
-    """The 8 corners of the bounding box of a (P, 3) point set."""
-    return np.array(list(itertools.product(*zip(points.min(axis=0), points.max(axis=0)))))
+    """The 8 corners of the bounding box of a (P, 3) point set, from the min and max
+    of its contiguous columns (a reduction over axis 0 of (P, 3) runs row by row)."""
+    columns = np.ascontiguousarray(points.T)
+    return np.array(list(itertools.product(*zip(columns.min(axis=1), columns.max(axis=1)))))
 
 
-def _check_offsets(cfg, points, nodes, what):
-    """Every offset x . n of the points must lie on the s-grid (hilbert.offsets_on_grid);
-    x . n is linear in x, so over the points' bounding box its extremes are at the corners."""
-    offsets = nodes @ _corners(points).T
+def _check_offsets(cfg, corners, nodes, what):
+    """Every offset x . n of a point set must lie on the s-grid (hilbert.offsets_on_grid);
+    x . n is linear in x, so over the points' bounding box, whose corners are given,
+    its extremes are at the corners."""
+    offsets = nodes @ corners.T
     if not offsets_on_grid(offsets.min(), offsets.max(), cfg.s_min, cfg.s_max):
         raise CliError(
             f"{what} reaches plane offsets x . n from {offsets.min():.6g} to {offsets.max():.6g}, "
@@ -311,23 +314,26 @@ def _reconstruct_with_calibration(ph, cfg, voxels):
     rcfg = inversion.ReconstructionConfig(fibonacci_sphere(cfg.nodes), cfg.diff_step, cfg.branch)
     if len(voxels):
         volume = f"the volume --vol-min {cfg.vol_min:g} --vol-max {cfg.vol_max:g}"
+        corners = _corners(voxels)
         with np.errstate(over="ignore"):
-            dist2 = [np.sum((_corners(voxels) - prim.center) ** 2, axis=1) for prim in ph.primitives]
+            dist2 = [np.sum((corners - prim.center) ** 2, axis=1) for prim in ph.primitives]
         if not np.all(np.isfinite(dist2)):
             raise CliError(f"|x - c|^2 is not finite at the corners of {volume}; shrink the volume")
         if cfg.branch != inversion.BRANCH_XRAY:
-            _check_offsets(cfg, voxels, rcfg.quadrature.nodes, f"--branch {cfg.branch}: {volume}")
+            _check_offsets(cfg, corners, rcfg.quadrature.nodes, f"--branch {cfg.branch}: {volume}")
     data = inversion.phantom_data(ph, rcfg, (cfg.s_min, cfg.s_max, cfg.s_count))
     values = inversion.reconstruct(data, rcfg, np.concatenate((voxels, cal_points)))
     return values[: len(voxels)], values[len(voxels):], ph_mod.evaluate(ph, cal_points)
 
 
-def _metrics(ph, vol):
-    """Relative L2 / max error against the analytic density, support interior only."""
-    pts = vol.points()
-    inside = np.linalg.norm(pts, axis=1) <= ph.support_radius
-    truth = ph_mod.evaluate(ph, pts[inside])
-    rec = vol.samples[inside]
+def _metrics(ph, points, samples):
+    """Relative L2 / max error of the samples at a (P, 3) point set against the
+    analytic density, support interior only."""
+    x1, x2, x3 = np.ascontiguousarray(points.T)
+    # |x| from the columns, np.linalg.norm(points, axis=1) bit for bit
+    inside = np.sqrt(x1 * x1 + x2 * x2 + x3 * x3) <= ph.support_radius
+    truth = ph_mod.evaluate(ph, points[inside])
+    rec = samples[inside]
     truth_norm = float(np.linalg.norm(truth))
     if truth_norm == 0.0:
         return float("nan"), float(np.max(np.abs(rec), initial=0.0))
@@ -351,7 +357,8 @@ def cmd_invert(args):
         raise CliError(f"invert --branch {cfg.branch}: --normalization must be nonzero, got {cfg.normalization!r}")
     cfg = replace(cfg, normalization=1.0) if cfg.branch == inversion.BRANCH_CLASSICAL else cfg
     grid = _volume_grid(cfg)
-    unit, raw, truth = _reconstruct_with_calibration(ph, cfg, grid.points())
+    points = grid.points()
+    unit, raw, truth = _reconstruct_with_calibration(ph, cfg, points)
     # the one product with --normalization; a value past float64 is past float32
     # too, so the check below is its only range guard
     with np.errstate(over="ignore"):
@@ -365,7 +372,7 @@ def cmd_invert(args):
             f"--normalization {cfg.normalization:g}); shrink the volume or the normalization"
         )
     vol = grid.with_samples(values)
-    rel_l2, max_err = _metrics(ph, vol)
+    rel_l2, max_err = _metrics(ph, points, values)
     try:
         fitted = inversion.fit_scale(raw, truth).scale
     except ValueError:  # an identically zero reconstruction
@@ -391,16 +398,13 @@ def cmd_check(args):
     quad = fibonacci_sphere(cfg.nodes)
     pts = inversion.sample_ball_points(np.random.default_rng(cfg.seed), 20, ph.support_radius / 4.0)
     _check_s_grid(ph, cfg)
-    _check_offsets(cfg, pts, quad.nodes, f"check: lemma9's points (radius {ph.support_radius / 4.0:g})")
+    _check_offsets(cfg, _corners(pts), quad.nodes, f"check: lemma9's points (radius {ph.support_radius / 4.0:g})")
     with _OutputSet(cfg.outdir) as out:
         xdata = inversion.make_phantom_xray_data(ph)
         n = np.array([1.0, 0.0, 0.0])
         sweep = np.linspace(-2.0, 2.0, 41)
-        eps = 1e-5
         lhs = inversion.grangeat_convert(xdata, sweep[:, None] * n, n, quad, cfg.band)
-        rhs = -(
-            ph_mod.plane_integral(ph, n, sweep + eps) - ph_mod.plane_integral(ph, n, sweep - eps)
-        ) / (2.0 * eps)
+        rhs = -ph_mod.plane_integral_derivative(ph, n, sweep)
         with open(out.path("grangeat.csv"), "w", encoding="utf-8", newline="\n") as fh:
             fh.write("s,lhs,rhs,abs_error\n")
             for row in np.column_stack((sweep, lhs, rhs, np.abs(lhs - rhs))):

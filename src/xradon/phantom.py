@@ -99,13 +99,43 @@ def gaussian_phantom(center=(0.0, 0.0, 0.0), scale=1.0, amplitude=1.0, support_r
     return Phantom((prim,), support_radius)
 
 
+# Sums over the length-3 coordinate axis are written out column by column:
+# numpy reduces a short last axis one row at a time, several times slower
+# than three elementwise passes over (P,) columns.  np.sum over that axis adds
+# ((0.0 + first) + second) + third, so each helper below equals its np.sum
+# form bit for bit on finite arrays.
+
+
+def _sum_squares(columns):
+    """y1^2 + y2^2 + y3^2 from the three columns of y (a (3, ...) array or any
+    three arrays), np.sum(y * y, axis=-1) bit for bit."""
+    first, second, third = columns
+    out = first * first
+    out += second * second
+    out += third * third
+    return out
+
+
+def _dot(a, b):
+    """np.sum(a * b, axis=-1) bit for bit, for (..., 3) operands that broadcast.
+
+    The product is formed before it is indexed, so b may be any operand that
+    broadcasts against a, a scalar too.  Its first column is added to +0.0,
+    as np.sum does, so three -0.0 products sum to +0.0.
+    """
+    m = a * b
+    out = m[..., 0] + 0.0
+    out += m[..., 1]
+    out += m[..., 2]
+    return out
+
+
 def evaluate(ph, x):
     """Point values of the density; x may be a single vector or (..., 3)."""
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape[:-1])
     for prim in ph.primitives:
-        rel = x - prim.center
-        r2 = np.sum(rel * rel, axis=-1)
+        r2 = _sum_squares(x[..., i] - prim.center[i] for i in range(3))
         if prim.kind == GAUSSIAN:
             out = out + prim.amplitude * np.exp(-r2 / prim.scale**2)
         else:
@@ -128,8 +158,8 @@ def halfline_integral(ph, x, n):
     out = np.zeros(shape[:-1])
     for prim in ph.primitives:
         rel = x - prim.center
-        p = np.sum(rel * n, axis=-1)
-        r2 = np.sum(rel * rel, axis=-1)
+        p = _dot(rel, n)
+        r2 = _sum_squares(np.moveaxis(rel, -1, 0))
         d2 = np.maximum(r2 - p * p, 0.0)
         a = prim.scale
         if prim.kind == GAUSSIAN:
@@ -180,8 +210,8 @@ def ray_differences(ph, points, h):
     """
     points = np.asarray(points, dtype=float)
     columns = np.ascontiguousarray(points.T)
-    rel = [points - prim.center for prim in ph.primitives]
-    r2 = [np.sum(y**2, axis=1) for y in rel]
+    rel = [columns - prim.center[:, None] for prim in ph.primitives]
+    r2 = [_sum_squares(y) for y in rel]
     series = [_gaussian_series(prim, rr, h) for prim, rr in zip(ph.primitives, r2)]
     looped = [(prim, rr) for prim, rr, ser in zip(ph.primitives, r2, series) if ser is None]
     expanded = [(y, ser) for y, ser in zip(rel, series) if ser is not None]
@@ -221,7 +251,7 @@ def _looped_sum(prims, columns, nodes, weights, h):
     nx, p, e, u, v = np.empty((5, rows, width))
     out = np.zeros((rows, width))
     wcol = weights[:, None]
-    nc = [np.sum(nodes * prim.center, axis=1)[:, None] for prim, _ in prims]
+    nc = [_dot(nodes, prim.center)[:, None] for prim, _ in prims]
     for block in blocks:
         bnodes = nodes[block]
         b = bnodes.shape[0]
@@ -274,11 +304,11 @@ def _moments(nodes, weights, order):
 
 
 def _moment_series(y, coeffs, moments):
-    """sum_k w_k sum_{j>=1} coeffs[j] (n_k . y)^2j at every row of y, a (P, 3)
+    """sum_k w_k sum_{j>=1} coeffs[j] (n_k . y)^2j at every column of y, a (3, P)
     array of offsets x - c, from the moments of _moments.  Its temporaries are
     the (3, 2M + 1, P) powers of y and one (P,) scratch array."""
-    powers = _powers(y.T, 2 * (len(coeffs) - 1))
-    out = np.zeros(y.shape[0])
+    powers = _powers(y, 2 * (len(coeffs) - 1))
+    out = np.zeros(y.shape[1])
     term = np.empty_like(out)
     for j, a, b, c, multinomial in _monomials(len(coeffs) - 1):
         np.multiply(powers[0, a], powers[1, b], out=term)
@@ -391,8 +421,8 @@ def line_integral(ph, x, n):
     out = np.zeros(shape[:-1])
     for prim in ph.primitives:
         rel = x - prim.center
-        p = np.sum(rel * n, axis=-1)
-        r2 = np.sum(rel * rel, axis=-1)
+        p = _dot(rel, n)
+        r2 = _sum_squares(np.moveaxis(rel, -1, 0))
         d2 = np.maximum(r2 - p * p, 0.0)
         a = prim.scale
         if prim.kind == GAUSSIAN:
@@ -412,6 +442,27 @@ def plane_integral(ph, n, s):
     n = as_direction(n)
     s = np.asarray(s, dtype=float)
     out = plane_integral_rows(ph, n[None, :], s.reshape(-1)).reshape(s.shape)
+    return out if out.ndim else float(out)
+
+
+def plane_integral_derivative(ph, n, s):
+    """d/ds of plane_integral(ph, n, s), by its own closed form.
+
+    Gaussian: -2 pi A (s - n.c) exp(-(s - n.c)^2 / a^2).
+    Ball: -2 pi A (s - n.c) on the slab |s - n.c| <= R, 0 outside.
+    n.c is taken by np.dot, as in plane_integral_rows.
+    """
+    n = as_direction(n)
+    s = np.asarray(s, dtype=float)
+    out = np.zeros(s.shape)
+    for prim in ph.primitives:
+        offset = s - float(np.dot(n, prim.center))
+        slope = -2.0 * np.pi * prim.amplitude * offset
+        a = prim.scale
+        if prim.kind == GAUSSIAN:
+            out = out + slope * np.exp(-(offset * offset) / a**2)
+        else:
+            out = out + np.where(np.abs(offset) <= a, slope, 0.0)
     return out if out.ndim else float(out)
 
 

@@ -103,7 +103,7 @@ def read_profile_csv(path):
     of linspace(s[0], s[-1], S), which a file of write_profiles_csv meets exactly.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [t for ln in fh if (t := ln.strip())]
     if len(lines) < 4 or lines[0] != "n1,n2,n3" or lines[2] != "s,value":
         raise ValueError(f"{path}: not a radon profile CSV")
     try:

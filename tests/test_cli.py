@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 from dataclasses import fields
@@ -9,7 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from xradon import cli as cli_mod
 from xradon import inversion as inv
 from xradon import phantom as phm
 from xradon.cli import CliError, RunConfig, build_parser, load_config, main
@@ -433,6 +436,20 @@ class TestConfigValidation:
         assert meta["origin"] == [-3.0, -3.0, -3.0]
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    hnp.arrays(np.float64, st.tuples(st.integers(1, 60), st.just(3)), elements=st.floats(allow_nan=False, allow_infinity=False)),
+    st.booleans(),
+)
+def test_corners_equal_axis_reductions(points, transposed):
+    # the min and max of contiguous columns against those over axis 0 of (P, 3),
+    # on C-ordered points and on a transposed view
+    if transposed:
+        points = np.ascontiguousarray(points.T).T
+    old = np.array(list(itertools.product(*zip(points.min(axis=0), points.max(axis=0)))))
+    assert np.array_equal(cli_mod._corners(points).view(np.uint64), old.view(np.uint64))
+
+
 class TestCheck:
     def test_outputs_and_determinism(self, tmp_path, phantom_file):
         args = ["check", "--phantom", str(phantom_file), "--nodes", "500", "--seed", "1"]
@@ -448,6 +465,17 @@ class TestCheck:
         mid = lines[21].split(",")
         assert abs(float(mid[1])) < 1e-2 and abs(float(mid[2])) < 1e-2
         assert len((a / "lemma9.csv").read_text().splitlines()) == 21
+
+    def test_grangeat_rhs_is_the_closed_form(self, tmp_path, phantom_file):
+        # rhs is -dRf/ds by its closed form, written exactly; abs_error is |lhs - rhs|
+        outdir = tmp_path / "o"
+        assert run("check", "--phantom", str(phantom_file), "--nodes", "200", "--band", "0.2", "--outdir", str(outdir)) == 0
+        rows = np.loadtxt(outdir / "grangeat.csv", delimiter=",", skiprows=1)
+        n = np.array([1.0, 0.0, 0.0])
+        sweep = np.linspace(-2.0, 2.0, 41)
+        assert np.array_equal(rows[:, 0], sweep)
+        assert np.array_equal(rows[:, 2], -phm.plane_integral_derivative(phm.load_phantom(phantom_file), n, sweep))
+        assert np.array_equal(rows[:, 3], np.abs(rows[:, 1] - rows[:, 2]))
 
     def test_rejects_ball_phantom(self, tmp_path):
         ph = tmp_path / "ball.txt"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import erfc
 
 import xradon as xr
@@ -409,7 +410,7 @@ class TestRayDifferences:
         y = rng.uniform(-1.0, 1.0, (25, 3))
         coeffs = np.ones(order + 1)
         moments = phm._moments(nodes, weights, order)
-        expanded = phm._moment_series(y, coeffs, moments)
+        expanded = phm._moment_series(np.ascontiguousarray(y.T), coeffs, moments)
         p2 = (nodes @ y.T) ** 2
         direct = weights @ sum(p2**j for j in range(1, order + 1))
         r2 = np.sum(y * y, axis=1)
@@ -461,6 +462,149 @@ class TestRayDifferences:
         assert np.all(np.abs(fused - weights @ ref[:, keep]) <= bound)
 
 
+def bits(a):
+    """The float64 bit patterns of a, so that equality tells -0.0 from +0.0."""
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+# Finite coordinates whose products and sums of three products stay finite.
+COORDS = st.floats(-1e150, 1e150, allow_nan=False)
+
+
+def coordinate_arrays(shape):
+    return hnp.arrays(np.float64, shape, elements=COORDS)
+
+
+def old_evaluate(ph, x):
+    """evaluate as written with reductions over the coordinate axis."""
+    out = np.zeros(x.shape[:-1])
+    for prim in ph.primitives:
+        rel = x - prim.center
+        r2 = np.sum(rel * rel, axis=-1)
+        if prim.kind == xr.GAUSSIAN:
+            out = out + prim.amplitude * np.exp(-r2 / prim.scale**2)
+        else:
+            out = out + np.where(r2 <= prim.scale**2, prim.amplitude, 0.0)
+    return out
+
+
+def old_line_transforms(ph, x, n):
+    """halfline_integral and line_integral as written with reductions over the coordinate axis."""
+    shape = np.broadcast_shapes(x.shape, n.shape)[:-1]
+    half, line = np.zeros(shape), np.zeros(shape)
+    for prim in ph.primitives:
+        rel = x - prim.center
+        p = np.sum(rel * n, axis=-1)
+        r2 = np.sum(rel * rel, axis=-1)
+        d2 = np.maximum(r2 - p * p, 0.0)
+        a = prim.scale
+        if prim.kind == xr.GAUSSIAN:
+            half = half + prim.amplitude * a * (SQRT_PI / 2.0) * np.exp(-d2 / a**2) * erfc(p / a)
+            line = line + prim.amplitude * a * SQRT_PI * np.exp(-d2 / a**2)
+        else:
+            disc = a * a - d2
+            root = np.sqrt(np.maximum(disc, 0.0))
+            length = np.maximum(-p + root, 0.0) - np.maximum(-p - root, 0.0)
+            half = half + prim.amplitude * np.where(disc > 0.0, length, 0.0)
+            line = line + prim.amplitude * 2.0 * np.sqrt(np.maximum(disc, 0.0))
+    return half, line
+
+
+def old_ray_differences(ph, points, h, nodes, weights):
+    """ray_differences' sphere sum with its set-up as written with reductions over
+    the coordinate axis: (P, 3) offsets, r2 and n . c by np.sum, and the moment
+    series on the transposed view of the offsets."""
+    columns = np.ascontiguousarray(points.T)
+    rel = [points - prim.center for prim in ph.primitives]
+    r2 = [np.sum(y**2, axis=1) for y in rel]
+    series = [phm._gaussian_series(prim, rr, h) for prim, rr in zip(ph.primitives, r2)]
+    looped = [(prim, rr) for prim, rr, ser in zip(ph.primitives, r2, series) if ser is None]
+    expanded = [(y, ser) for y, ser in zip(rel, series) if ser is not None]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(phm, "_dot", lambda a, b: np.sum(a * b, axis=-1))
+        out = phm._looped_sum(looped, columns, nodes, weights, h)
+    if expanded:
+        moments = phm._moments(nodes, weights, max(len(coeffs) - 1 for _, (coeffs, _) in expanded))
+    for y, (coeffs, scale) in expanded:
+        powers = phm._powers(y.T, 2 * (len(coeffs) - 1))
+        acc = np.zeros(y.shape[0])
+        for j, a, b, c, multinomial in phm._monomials(len(coeffs) - 1):
+            acc += powers[0, a] * powers[1, b] * powers[2, c] * (coeffs[j] * multinomial * moments[a, b, c])
+        acc += coeffs[0] * float(np.sum(weights))
+        acc *= scale
+        out += acc
+    return out
+
+
+class TestColumnSums:
+    """The sums over the coordinate axis, written column by column, against np.sum."""
+
+    @PROPERTY
+    @given(st.integers(0, 40).flatmap(lambda p: coordinate_arrays((p, 3))))
+    def test_sum_squares(self, y):
+        ref = np.sum(y * y, axis=-1)
+        assert np.array_equal(bits(phm._sum_squares(np.moveaxis(y, -1, 0))), bits(ref))
+        assert np.array_equal(bits(phm._sum_squares(np.ascontiguousarray(y.T))), bits(ref))
+
+    @PROPERTY
+    @given(
+        st.tuples(st.integers(0, 12), st.integers(0, 12)).flatmap(
+            lambda pk: st.tuples(coordinate_arrays((pk[0], 1, 3)), coordinate_arrays((pk[1], 3)))
+        )
+    )
+    def test_dot_point_by_node(self, operands):
+        # forward's (P, 1, 3) points against (K, 3) nodes
+        x, n = operands
+        assert np.array_equal(bits(phm._dot(x, n)), bits(np.sum(x * n, axis=-1)))
+
+    @PROPERTY
+    @given(st.integers(0, 40).flatmap(lambda p: coordinate_arrays((p, 3))), coordinate_arrays((3,)))
+    def test_dot_rows_by_vector(self, rows, v):
+        # (N, 3) rows against one (3,) vector, as n . c over the nodes
+        assert np.array_equal(bits(phm._dot(rows, v)), bits(np.sum(rows * v, axis=-1)))
+        assert np.array_equal(bits(phm._dot(v, v)), bits(np.sum(v * v, axis=-1)))
+
+    def test_dot_of_negative_zeros(self):
+        # three -0.0 products: np.sum starts from +0.0 and gives +0.0
+        a = np.array([[-0.0, 0.0, -0.0], [1.0, -1.0, 2.0]])
+        b = np.array([1.0, -1.0, 1.0])
+        assert np.array_equal(bits(phm._dot(a, b)), bits(np.sum(a * b, axis=-1)))
+
+    def test_dot_takes_a_scalar(self):
+        # the ray callable handed a float step: the product is formed before it is indexed
+        rel = np.arange(6.0).reshape(2, 3)
+        assert np.array_equal(phm._dot(rel, 1e-4), np.sum(rel * 1e-4, axis=-1))
+
+    @PROPERTY
+    @given(
+        ph=phantoms(),
+        points=st.integers(1, 30).flatmap(lambda p: hnp.arrays(np.float64, (p, 3), elements=st.floats(-4.0, 4.0))),
+        nodes=st.lists(unit_vectors(), min_size=1, max_size=6),
+    )
+    def test_transforms_equal_the_axis_sums(self, ph, points, nodes):
+        nodes = np.array(nodes)
+        assert np.array_equal(bits(xr.evaluate(ph, points)), bits(old_evaluate(ph, points)))
+        for x, n in ((points[:, None, :], nodes), (points, nodes[:1]), (points[:len(nodes)], nodes[:len(points)])):
+            half, line = old_line_transforms(ph, x, n)
+            assert np.array_equal(bits(xr.halfline_integral(ph, x, n)), bits(half))
+            assert np.array_equal(bits(xr.line_integral(ph, x, n)), bits(line))
+
+    @PROPERTY
+    @given(
+        ph=phantoms(),
+        points=st.integers(1, 30).flatmap(lambda p: hnp.arrays(np.float64, (p, 3), elements=st.floats(-4.0, 4.0))),
+        nodes=st.lists(unit_vectors(), min_size=1, max_size=6),
+        weights=st.lists(st.floats(0.05, 1.0), min_size=6, max_size=6),
+        h=STEPS,
+    )
+    def test_ray_differences_equal_the_axis_sums(self, ph, points, nodes, weights, h):
+        # series-form Gaussians (small h), erfc-form ones (large h) and balls
+        nodes = np.array(nodes)
+        weights = np.array(weights[: len(nodes)])
+        fused = xr.ray_differences(ph, points, h)(nodes, weights)
+        assert np.array_equal(bits(fused), bits(old_ray_differences(ph, points, h, nodes, weights)))
+
+
 class TestPlaneIntegral:
     def test_gaussian_center_plane(self, unit_gaussian):
         assert abs(xr.plane_integral(unit_gaussian, (0.0, 1.0, 0.0), 0.0) - np.pi) < 1e-12
@@ -479,6 +623,41 @@ class TestPlaneIntegral:
             a = xr.plane_integral(ph, n, s)
             b = xr.plane_integral(ph, -n, -s)
             assert abs(a - b) < 1e-12
+
+    @pytest.mark.parametrize("kind", [xr.GAUSSIAN, xr.BALL])
+    def test_derivative_matches_difference_quotient(self, kind):
+        # the closed form of d/ds Rf against the central difference of two
+        # plane_integral calls (eps = 1e-5) on the Grangeat sweep; the ball's
+        # slab edges, at n.c +- R = 0.54 +- 0.8, lie 0.04 from the nearest s
+        ph = xr.Phantom(
+            (
+                xr.Primitive(kind, (0.3, -0.2, 0.45), 0.8, -1.3),
+                xr.Primitive(xr.GAUSSIAN, (-0.5, 0.1, 0.0), 0.6, 0.7),
+            ),
+            6.0,
+        )
+        n = np.array([0.6, 0.0, 0.8])
+        s = np.linspace(-2.0, 2.0, 41)
+        eps = 1e-5
+        quotient = (xr.plane_integral(ph, n, s + eps) - xr.plane_integral(ph, n, s - eps)) / (2.0 * eps)
+        exact = xr.plane_integral_derivative(ph, n, s)
+        assert exact.shape == s.shape
+        assert np.max(np.abs(exact - quotient)) <= 1e-9 * np.max(np.abs(exact))
+
+    def test_derivative_scalar_and_symmetry(self):
+        # Rf(-n, -s) = Rf(n, s), so d/ds Rf is odd under (n, s) -> (-n, -s)
+        ph = xr.Phantom(
+            (xr.Primitive(xr.GAUSSIAN, (0.3, -0.2, 0.45), 0.8, -1.3), xr.Primitive(xr.BALL, (-1.0, 0.5, 0.0), 0.7, 2.0)),
+            6.0,
+        )
+        n = np.array([0.0, 0.6, -0.8])
+        s = np.array([-1.7, -0.4, 0.0, 0.9, 2.5])
+        d = xr.plane_integral_derivative(ph, n, s)
+        assert np.allclose(xr.plane_integral_derivative(ph, -n, -s), -d, rtol=0.0, atol=1e-15)
+        assert isinstance(xr.plane_integral_derivative(ph, n, 0.9), float)
+        assert xr.plane_integral_derivative(ph, n, 0.9) == d[3]
+        # 0 where every primitive is flat: far outside the Gaussian's reach and the ball's slab
+        assert abs(xr.plane_integral_derivative(ph, n, 40.0)) == 0.0
 
     def test_plane_march_cross_check(self, unit_gaussian):
         from conftest import plane_march_density
