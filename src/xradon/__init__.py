@@ -46,7 +46,6 @@ from .inversion import (
     grangeat_convert,
     lemma9_diagnostic,
     lift_xray_data,
-    make_phantom_xray_data,
     phantom_data,
     read_volume,
     reconstruct,

@@ -400,7 +400,7 @@ def cmd_check(args):
     _check_s_grid(ph, cfg)
     _check_offsets(cfg, _corners(pts), quad.nodes, f"check: lemma9's points (radius {ph.support_radius / 4.0:g})")
     with _OutputSet(cfg.outdir) as out:
-        xdata = inversion.make_phantom_xray_data(ph)
+        xdata = functools.partial(ph_mod.halfline_integral, ph)
         n = np.array([1.0, 0.0, 0.0])
         sweep = np.linspace(-2.0, 2.0, 41)
         lhs = inversion.grangeat_convert(xdata, sweep[:, None] * n, n, quad, cfg.band)

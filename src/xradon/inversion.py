@@ -3,7 +3,9 @@
 Three branches are implemented:
 
 * ``xray``: spherical average of the directional derivative of
-  divergent-beam data.  The identity n . grad_x Xf(x, n) = -f(x) forces
+  divergent-beam data, read from one call
+  data(points, h, nodes, weights) -> sum_k w_k [Xf(x + h n_k, n_k) -
+  Xf(x - h n_k, n_k)].  The identity n . grad_x Xf(x, n) = -f(x) forces
   the constant -1/(4*pi) under the unnormalized 4*pi surface measure;
   reconstruct returns the sum at unit normalization, the CLI applies
   --normalization (default: that derived constant), and the calibration
@@ -24,6 +26,7 @@ spherical-average equivalence diagnostic.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -127,27 +130,19 @@ def _check_dataset(data, quadrature):
         raise ValueError("dataset profile normals do not match quadrature nodes")
 
 
-def make_phantom_xray_data(ph):
-    """Batched divergent-beam data callable (x, n) backed by the analytic phantom.
-
-    This is the ray form grangeat_convert reads; lift_xray_data turns it
-    into the form the xray branch of reconstruct reads.
-    """
-    return lambda points, directions: ph_mod.halfline_integral(ph, points, directions)
-
-
 def lift_xray_data(xdata):
     """The sphere-summed ray-difference form read by the xray branch, from
     divergent-beam data.
 
-    xdata(x, n) takes (K, 3) arrays to (K,) values.  The result is
-    data(points, h) -> diff(nodes, weights), with diff giving the (P,) array
+    xdata(x, n) takes (K, 3) arrays to (K,) values, as
+    functools.partial(phantom.halfline_integral, ph) does.  The result is
+    data(points, h, nodes, weights), giving the (P,) array
     sum_k w_k [xdata(x + h n_k, n_k) - xdata(x - h n_k, n_k)]; it calls xdata
     twice per node block.  This is the path for non-analytic data and the
     reference for the closed form phantom.ray_differences.
     """
 
-    def data(points, h):
+    def data(points, h, nodes, weights):
         def differences(block, nodes):
             n = _rays(points, nodes)[1]
             step = h * nodes[:, None, :]
@@ -155,7 +150,7 @@ def lift_xray_data(xdata):
             bwd = np.asarray(xdata((points - step).reshape(-1, 3), n), dtype=float)
             return (fwd - bwd).reshape(nodes.shape[0], -1)
 
-        return lambda nodes, weights: _sphere_sum(nodes, weights, points, differences)
+        return _sphere_sum(nodes, weights, points, differences)
 
     return data
 
@@ -164,7 +159,7 @@ def phantom_data(ph, cfg, s_grid):
     """The analytic input of cfg.branch: closed-form ray differences
     (phantom.ray_differences), or a RadonDataset on s_grid = (s_min, s_max, count)."""
     if cfg.branch == BRANCH_XRAY:
-        return lambda points, h: ph_mod.ray_differences(ph, points, h)
+        return functools.partial(ph_mod.ray_differences, ph)
     return build_radon_dataset(ph, cfg.quadrature, *s_grid)
 
 
@@ -225,8 +220,8 @@ def reconstruct(data, cfg, points):
     Every branch returns its sphere sum at unit normalization; a caller that
     takes another constant (invert --normalization) multiplies by it.
 
-    xray: `data(points, diff_step)` returns diff(nodes, weights), which one
-    call with the whole quadrature turns into the (P,) sphere sum
+    xray: `data(points, diff_step, nodes, weights)`, called once with the
+    whole quadrature, gives the (P,) sphere sum
     sum_k w_k [Xf(x + h n_k, n_k) - Xf(x - h n_k, n_k)] with h = diff_step
     (see phantom_data, and lift_xray_data for (x, n) data); the result is
     that sum over 2h, sum_k w_k * n_k . grad_x Xf(x, n_k) by the central
@@ -242,13 +237,7 @@ def reconstruct(data, cfg, points):
         if not callable(data):
             raise ValueError(f"the xray branch needs a data callable, got {type(data).__name__}")
         h = cfg.diff_step
-        diff = data(points, h)
-        if not callable(diff):
-            raise ValueError(
-                "xray data(points, h) must return a diff(nodes, weights) callable; "
-                "lift (x, n) ray data with lift_xray_data"
-            )
-        return diff(quad.nodes, quad.weights) / (2.0 * h)
+        return data(points, h, quad.nodes, quad.weights) / (2.0 * h)
     _check_dataset(data, quad)
     acc = _backproject(_filter(data, _BRANCH_FILTERS[cfg.branch]), data, quad, points)
     if cfg.branch == BRANCH_RADON:
@@ -266,12 +255,14 @@ def grangeat_convert(xdata, x, n, quadrature, band):
     of -(Rf)'(x . n), with delta' mollified by the derivative of a
     normalized Gaussian of width `band` in u = n . n1.
 
-    x is a (P, 3) batch of points, with one normal n for all of them, and
-    the result has shape (P,); a (3,) point gives a float.  The kernel is
-    built once per call, and xdata is called on the (B * K, 3) rays of a
-    block of B points at a time (geometry.node_blocks over the points, with
-    K rays each).  Every point's sum is its own dot product over the K
-    nodes, so it does not depend on the batch it came in.
+    xdata(x, n) is divergent-beam data that takes (K, 3) arrays to (K,)
+    values, e.g. functools.partial(phantom.halfline_integral, ph) for an
+    analytic phantom.  x is a (P, 3) batch of points, with one normal n for
+    all of them, and the result has shape (P,); a (3,) point gives a float.
+    The kernel is built once per call, and xdata is called on the
+    (B * K, 3) rays of a block of B points at a time (geometry.node_blocks
+    over the points, with K rays each).  Every point's sum is its own dot
+    product over the K nodes, so it does not depend on the batch it came in.
 
     The band must resolve the quadrature's u-axis node spacing (~2/count)
     and be at most 1, the half-width of the u-range [-1, 1].

@@ -71,6 +71,8 @@ class Phantom:
         radius = float(self.support_radius)
         if not np.isfinite(radius):
             raise ValueError("support radius must be finite")
+        if radius < 0.0:
+            raise ValueError(f"support radius must be >= 0, got {radius:g}")
         for prim in prims:
             reach = float(np.linalg.norm(prim.center)) + 6.0 * prim.scale
             if reach > radius + 1e-12:
@@ -172,15 +174,15 @@ def halfline_integral(ph, x, n):
     return out if out.ndim else float(out)
 
 
-def ray_differences(ph, points, h):
+def ray_differences(ph, points, h, nodes, weights):
     """Central-difference ray data Xf(x + h n, n) - Xf(x - h n, n) at a batch of
     points, summed over the nodes of a sphere quadrature.
 
-    points has shape (P, 3).  Returns diff(nodes, weights), which takes K unit
-    directions of shape (K, 3) and their weights of shape (K,) to the (P,)
-    array sum_k w_k [Xf(x + h n_k, n_k) - Xf(x - h n_k, n_k)].  Along a ray,
-    d^2 = |x - c|^2 - p^2 with p = n.(x - c) is the same at both ends of the
-    step, so per primitive (width or radius a, amplitude A):
+    points has shape (P, 3), nodes (K, 3) unit directions and weights (K,).
+    Returns the (P,) array sum_k w_k [Xf(x + h n_k, n_k) - Xf(x - h n_k, n_k)];
+    a single ray is ray_differences(ph, x[None], h, n[None], np.ones(1)).
+    Along a ray, d^2 = |x - c|^2 - p^2 with p = n.(x - c) is the same at both
+    ends of the step, so per primitive (width or radius a, amplitude A):
     Gaussian -A * exp(-d^2/a^2) * int_{-h}^{h} exp(-(p + t)^2/a^2) dt, summed
     as a short series in p^2 (see _gaussian_series) or, outside its bound,
     A * a * (sqrt(pi)/2) * exp(-d^2/a^2) * [erfc((p+h)/a) - erfc((p-h)/a)];
@@ -208,34 +210,29 @@ def ray_differences(ph, points, h):
     weighted before it is added to a (B, P) accumulator, which is summed over
     its rows once per call.
     """
-    points = np.asarray(points, dtype=float)
-    columns = np.ascontiguousarray(points.T)
+    nodes = np.asarray(nodes, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if nodes.ndim != 2 or nodes.shape[1] != 3 or weights.shape != nodes.shape[:1]:
+        raise ValueError(
+            f"ray_differences takes (K, 3) nodes and (K,) weights, got {nodes.shape} and {weights.shape}"
+        )
+    columns = np.ascontiguousarray(np.asarray(points, dtype=float).T)
     rel = [columns - prim.center[:, None] for prim in ph.primitives]
     r2 = [_sum_squares(y) for y in rel]
     series = [_gaussian_series(prim, rr, h) for prim, rr in zip(ph.primitives, r2)]
     looped = [(prim, rr) for prim, rr, ser in zip(ph.primitives, r2, series) if ser is None]
     expanded = [(y, ser) for y, ser in zip(rel, series) if ser is not None]
-
-    def diff(nodes, weights):
-        nodes = np.asarray(nodes, dtype=float)
-        weights = np.asarray(weights, dtype=float)
-        if nodes.ndim != 2 or nodes.shape[1] != 3 or weights.shape != nodes.shape[:1]:
-            raise ValueError(
-                f"ray_differences takes (K, 3) nodes and (K,) weights, got {nodes.shape} and {weights.shape}"
-            )
-        out = _looped_sum(looped, columns, nodes, weights, h)
-        if not expanded:
-            return out
-        moments = _moments(nodes, weights, max(len(coeffs) - 1 for _, (coeffs, _) in expanded))
-        total = float(np.sum(weights))
-        for y, (coeffs, scale) in expanded:
-            acc = _moment_series(y, coeffs, moments)
-            acc += coeffs[0] * total
-            acc *= scale
-            out += acc
+    out = _looped_sum(looped, columns, nodes, weights, h)
+    if not expanded:
         return out
-
-    return diff
+    moments = _moments(nodes, weights, max(len(coeffs) - 1 for _, (coeffs, _) in expanded))
+    total = float(np.sum(weights))
+    for y, (coeffs, scale) in expanded:
+        acc = _moment_series(y, coeffs, moments)
+        acc += coeffs[0] * total
+        acc *= scale
+        out += acc
+    return out
 
 
 def _looped_sum(prims, columns, nodes, weights, h):

@@ -35,9 +35,8 @@ def calibrate(ph, cfg, data):
 
 def ray_differences_per_node(ph, points, nodes, h):
     """(B, P) per-ray differences Xf(x + h n, n) - Xf(x - h n, n) from
-    phantom.ray_differences, one diff(n[None], np.ones(1)) call per node."""
-    diff = xr.ray_differences(ph, points, h)
-    rows = [diff(n[None], np.ones(1)) for n in np.asarray(nodes, dtype=float)]
+    phantom.ray_differences, one call with the single node n[None] and weight 1 per node."""
+    rows = [xr.ray_differences(ph, points, h, n[None], np.ones(1)) for n in np.asarray(nodes, dtype=float)]
     return np.reshape(rows, (len(rows), len(points)))
 
 

@@ -31,6 +31,22 @@ def phantom_file(tmp_path):
     return path
 
 
+@pytest.fixture()
+def failing_volume_write(monkeypatch):
+    """inversion.write_volume writes both volume files and then raises OSError:
+    a failure inside invert's output block.  Returns the files it wrote."""
+    write = inv.write_volume
+    written = []
+
+    def write_then_fail(data_path, meta_path, *args, **kwargs):
+        write(data_path, meta_path, *args, **kwargs)
+        written.extend(p for p in (data_path, meta_path) if os.path.getsize(p) > 0)
+        raise OSError("disk full after the volume")
+
+    monkeypatch.setattr(inv, "write_volume", write_then_fail)
+    return written
+
+
 def read_tree(root):
     out = {}
     for name in sorted(os.listdir(root)):
@@ -576,6 +592,16 @@ class TestErrorHandling:
         assert "finite" in capsys.readouterr().err
         assert not outdir.exists() or os.listdir(outdir) == []
 
+    @pytest.mark.parametrize("command", [["invert"], ["forward", "--branch", "xray"]], ids=["invert", "forward"])
+    def test_negative_support_radius_rejected(self, tmp_path, capsys, command):
+        ph = tmp_path / "ph.txt"
+        ph.write_text("support_radius -4\n")
+        outdir = tmp_path / "o"
+        assert run(*command, "--phantom", str(ph), "--nodes", "20", "--outdir", str(outdir)) == 1
+        err = capsys.readouterr().err
+        assert "support radius must be >= 0" in err and "Traceback" not in err
+        assert not outdir.exists()
+
     def test_failed_run_removes_partial_outputs(self, tmp_path):
         ph = tmp_path / "bad.txt"
         ph.write_text("gaussian 0 0 0 1\n")  # malformed record
@@ -600,6 +626,27 @@ class TestErrorHandling:
         nested = outdir / "a" / "b"
         assert run("invert", "--phantom", str(phantom_file), "--nodes", "1", "--outdir", str(nested)) == 1
         assert outdir.is_dir() and os.listdir(outdir) == []
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_failed_write_removes_new_outdir(self, tmp_path, phantom_file, failing_volume_write, capsys, depth):
+        top = tmp_path / "new"
+        outdir = top.joinpath(*["d"] * (depth - 1))
+        args = ["--phantom", str(phantom_file), "--nodes", "20", "--vol-dims", "3", "--outdir", str(outdir)]
+        assert run("invert", *args) == 1
+        assert "disk full" in capsys.readouterr().err
+        assert len(failing_volume_write) == 2
+        assert not top.exists()
+        assert sorted(os.listdir(tmp_path)) == ["ph.txt"]
+
+    def test_failed_write_keeps_existing_outdir(self, tmp_path, phantom_file, failing_volume_write):
+        outdir = tmp_path / "old"
+        outdir.mkdir()
+        (outdir / "keep.txt").write_text("kept\n")
+        for target in (outdir, outdir / "a" / "b"):
+            args = ["--phantom", str(phantom_file), "--nodes", "20", "--vol-dims", "3", "--outdir", str(target)]
+            assert run("invert", *args) == 1
+            assert sorted(os.listdir(outdir)) == ["keep.txt"]
+        assert len(failing_volume_write) == 4
 
     def test_failed_forward_leaves_no_profiles(self, tmp_path, phantom_file, monkeypatch, capsys):
         from xradon import xform

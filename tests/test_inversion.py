@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -32,9 +33,14 @@ def lemma9_at(ph, x, quadrature):
     return inv.Lemma9Report(*(float(v[0]) for v in (rep.left, rep.right, rep.ratio, rep.difference)))
 
 
+def ray_data(ph):
+    """The phantom's divergent-beam data (x, n), the form grangeat_convert reads."""
+    return functools.partial(xr.halfline_integral, ph)
+
+
 def lifted(ph):
     """The phantom's ray data (x, n) lifted into the xray branch's sphere-summed ray-difference form."""
-    return inv.lift_xray_data(inv.make_phantom_xray_data(ph))
+    return inv.lift_xray_data(ray_data(ph))
 
 
 def riesz_potential(ph, points):
@@ -80,16 +86,16 @@ class TestInvertXray:
     def test_branch_mismatch_rejected(self, unit_gaussian, quad2000):
         cfg = inv.ReconstructionConfig(quad2000, branch=inv.BRANCH_RADON)
         with pytest.raises(ValueError):
-            at(inv.make_phantom_xray_data(unit_gaussian), cfg, (0, 0, 0))
+            at(ray_data(unit_gaussian), cfg, (0, 0, 0))
 
     def test_pointwise_integrand_identity(self, unit_gaussian, quad2000):
         # strong form: each node contributes -density(x) up to O(h^2)
         rng = np.random.default_rng(5)
         x = rng.uniform(-1.0, 1.0, size=3)
         h = 1e-4
-        diff = lifted(unit_gaussian)(x[None, :], h)
+        data = lifted(unit_gaussian)
         nodes = quad2000.nodes[::100]
-        deriv = np.array([diff(n[None], np.ones(1))[0] for n in nodes]) / (2 * h)
+        deriv = np.array([data(x[None, :], h, n[None], np.ones(1))[0] for n in nodes]) / (2 * h)
         assert np.max(np.abs(deriv + xr.evaluate(unit_gaussian, x))) < 1e-5
 
     def test_shift_equivariance(self, quad2000):
@@ -105,7 +111,7 @@ class TestInvertXray:
             assert abs(a - b) < 1e-3
 
     def test_linearity_in_data(self, unit_gaussian, xray_cfg):
-        xdata = inv.make_phantom_xray_data(unit_gaussian)
+        xdata = ray_data(unit_gaussian)
         doubled = lambda pts, dirs: 2.0 * xdata(pts, dirs)
         x = (0.4, 0.1, -0.2)
         a = inv.XRAY_BRANCH_CONSTANT * at(inv.lift_xray_data(xdata), xray_cfg, x)
@@ -225,10 +231,10 @@ class TestBatchReconstruction:
         h = cfg.diff_step
         for x in batch[:3]:
             total = 0.0
-            diff = lifted(unit_gaussian)(x[None, :], h)
+            ray = lifted(unit_gaussian)
             for k, (node, weight) in enumerate(zip(quad.nodes, quad.weights)):
                 if branch == inv.BRANCH_XRAY:
-                    total += weight * diff(node[None, :], np.ones(1))[0] / (2.0 * h)
+                    total += weight * ray(x[None, :], h, node[None, :], np.ones(1))[0] / (2.0 * h)
                     continue
                 row, h_s = dataset.values[k], dataset.spacing
                 if branch == inv.BRANCH_RADON:
@@ -247,19 +253,35 @@ class TestBatchReconstruction:
             expected = norm * scale * total
             assert abs(norm * at(data, cfg, x) - expected) <= 1e-12 * max(abs(expected), 1e-3)
 
-    @pytest.mark.parametrize("phantom", ["unit", "two"])
-    def test_fused_xray_matches_lifted_reference(self, phantom, quad, batch, unit_gaussian):
+    # A step of 0.05 sends the Gaussians down the erfc form's node blocks, and
+    # with the ball of the gaussian-ball preset the chord form too.
+    @pytest.mark.parametrize(
+        "phantom, diff_step",
+        [("unit", 1e-4), ("two", 1e-4), ("unit", 0.05), ("gaussian-ball", 0.05)],
+        ids=["unit", "two", "unit-erfc", "gaussian-ball-erfc"],
+    )
+    def test_fused_xray_matches_lifted_reference(self, phantom, diff_step, quad, batch, unit_gaussian):
         # the batch takes full node blocks and a shorter last one
         step = ROWS // len(batch)
         assert quad.count // step >= 3 and quad.count % step != 0
-        ph = unit_gaussian if phantom == "unit" else xr.Phantom(
-            (
-                xr.Primitive(xr.GAUSSIAN, (0.5, 0.0, 0.2), 0.8, 1.0),
-                xr.Primitive(xr.GAUSSIAN, (-0.7, 0.3, 0.0), 0.6, -0.5),
+        ph = {
+            "unit": unit_gaussian,
+            "two": xr.Phantom(
+                (
+                    xr.Primitive(xr.GAUSSIAN, (0.5, 0.0, 0.2), 0.8, 1.0),
+                    xr.Primitive(xr.GAUSSIAN, (-0.7, 0.3, 0.0), 0.6, -0.5),
+                ),
+                6.0,
             ),
-            6.0,
-        )
-        cfg = inv.ReconstructionConfig(quad)
+            "gaussian-ball": xr.Phantom(
+                (
+                    xr.Primitive(xr.GAUSSIAN, (0.0, 0.0, 0.0), 1.0, 1.0),
+                    xr.Primitive(xr.BALL, (2.0, 0.0, 0.0), 0.5, 1.0),
+                ),
+                6.0,
+            ),
+        }[phantom]
+        cfg = inv.ReconstructionConfig(quad, diff_step=diff_step)
         fused = inv.reconstruct(inv.phantom_data(ph, cfg, S_GRID), cfg, batch)
         ref = inv.reconstruct(lifted(ph), cfg, batch)
         assert np.max(np.abs(fused - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -318,8 +340,9 @@ class TestBatchReconstruction:
             at(gauss_dataset, xray_cfg, (0.0, 0.0, 0.0))
 
     def test_xray_branch_rejects_ray_callable(self, xray_cfg, unit_gaussian):
-        with pytest.raises(ValueError, match="lift_xray_data"):
-            at(inv.make_phantom_xray_data(unit_gaussian), xray_cfg, (0.0, 0.0, 0.0))
+        # (x, n) ray data fails by its own arity; lift it with lift_xray_data
+        with pytest.raises(TypeError):
+            at(ray_data(unit_gaussian), xray_cfg, (0.0, 0.0, 0.0))
 
 
 class TestRadonDataset:
@@ -356,19 +379,19 @@ class TestRadonDataset:
 class TestGrangeatConvert:
     def test_symmetric_point_vanishes(self, unit_gaussian):
         q = xr.fibonacci_sphere(8000)
-        data = inv.make_phantom_xray_data(unit_gaussian)
+        data = ray_data(unit_gaussian)
         val = inv.grangeat_convert(data, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), q, 0.05)
         assert abs(val) < 1e-2
 
     def test_offset_matches_profile_derivative(self, unit_gaussian):
         q = xr.fibonacci_sphere(8000)
-        data = inv.make_phantom_xray_data(unit_gaussian)
+        data = ray_data(unit_gaussian)
         val = inv.grangeat_convert(data, (1.0, 0.0, 0.0), (1.0, 0.0, 0.0), q, 0.05)
         assert abs(val - 2.0 * np.pi / np.e) < 5e-2
 
     def test_amplitude_scaling(self, unit_gaussian):
         q = xr.fibonacci_sphere(4000)
-        data = inv.make_phantom_xray_data(unit_gaussian)
+        data = ray_data(unit_gaussian)
         doubled = lambda pts, dirs: 2.0 * data(pts, dirs)
         x = (0.7, 0.2, 0.0)
         n = np.array([0.0, 1.0, 0.0])
@@ -378,13 +401,13 @@ class TestGrangeatConvert:
 
     def test_undersampled_band_rejected(self, unit_gaussian):
         q = xr.fibonacci_sphere(100)
-        data = inv.make_phantom_xray_data(unit_gaussian)
+        data = ray_data(unit_gaussian)
         with pytest.raises(ValueError):
             inv.grangeat_convert(data, (0, 0, 0), (1.0, 0.0, 0.0), q, 0.01)
 
     def test_batch_equals_point_loop(self, unit_gaussian, quad2000):
         # at K = 2000 a block of node_blocks holds 8 points, so 41 points span 6 blocks
-        data = inv.make_phantom_xray_data(unit_gaussian)
+        data = ray_data(unit_gaussian)
         n = np.array([0.6, 0.0, 0.8])
         points = np.linspace(-2.0, 2.0, 41)[:, None] * n + np.array([0.1, -0.3, 0.0])
         assert len(node_blocks(len(points), quad2000.count)) > 1
@@ -395,7 +418,7 @@ class TestGrangeatConvert:
         assert batch.tobytes() == np.array(loop).tobytes()
 
     def test_refinement_reduces_error(self, unit_gaussian):
-        data = inv.make_phantom_xray_data(unit_gaussian)
+        data = ray_data(unit_gaussian)
         n = np.array([1.0, 0.0, 0.0])
         exact = 2.0 * np.pi / np.e
         coarse = inv.grangeat_convert(data, n, n, xr.fibonacci_sphere(8000), 0.05)
@@ -443,7 +466,7 @@ class TestCalibrateNormalization:
     def test_prescaled_data_halves_scale(self, unit_gaussian, quad2000):
         cfg = inv.ReconstructionConfig(quad2000)
         base = calibrate(unit_gaussian, cfg, inv.phantom_data(unit_gaussian, cfg, S_GRID))
-        xdata = inv.make_phantom_xray_data(unit_gaussian)
+        xdata = ray_data(unit_gaussian)
         data = inv.lift_xray_data(xdata)
         doubled = inv.lift_xray_data(lambda pts, dirs: 2.0 * xdata(pts, dirs))
         scaled = calibrate(unit_gaussian, cfg, doubled)

@@ -374,7 +374,7 @@ class TestRayDifferences:
 
     @pytest.mark.parametrize("order", range(1, phm.SERIES_MAX_ORDER + 1))
     def test_series_order_on_anisotropic_rule(self, order):
-        # diff(nodes, w) at a step that takes exactly `order` series terms,
+        # ray_differences at a step that takes exactly `order` series terms,
         # on nodes in one hemisphere with unequal weights: their moments are
         # far from isotropic, so a wrong multinomial on a mixed monomial
         # shows (a Fibonacci rule's nearly isotropic moments can hide one).
@@ -393,7 +393,7 @@ class TestRayDifferences:
         assert abs(perpendicular @ offsets[0]) < 1e-15
         h = 0.5 * (largest_step(prim, points, order - 1) + largest_step(prim, points, order))
         assert series_order(prim, points, h) == order
-        fused = phm.ray_differences(ph, points, h)(nodes, weights)
+        fused = phm.ray_differences(ph, points, h, nodes, weights)
         exact = weights @ gauss_legendre_differences(ph, points, nodes, h)
         assert np.all(np.abs(fused - exact) <= series_bound(ph, h) * np.sum(weights))
         ref = weights @ halfline_differences(ph, points, nodes, h)
@@ -421,19 +421,22 @@ class TestRayDifferences:
         quad = xr.fibonacci_sphere(3)
         points = np.zeros((0, 3))
         assert ray_differences_per_node(unit_gaussian, points, quad.nodes, 1e-4).shape == (3, 0)
-        assert phm.ray_differences(unit_gaussian, points, 1e-4)(quad.nodes, quad.weights).shape == (0,)
+        assert phm.ray_differences(unit_gaussian, points, 1e-4, quad.nodes, quad.weights).shape == (0,)
 
-    def test_rejects_mismatched_weights(self, unit_gaussian):
-        diff = phm.ray_differences(unit_gaussian, np.zeros((4, 3)), 1e-4)
+    def test_rejects_mismatched_weights(self, unit_gaussian, monkeypatch):
+        # the shapes are checked before the per-point set-up, which is never reached
+        monkeypatch.setattr(phm, "_sum_squares", lambda columns: pytest.fail("per-point set-up ran"))
         quad = xr.fibonacci_sphere(5)
         for weights in (quad.weights[:4], np.append(quad.weights, 1.0), quad.weights[None]):
             with pytest.raises(ValueError, match="weights"):
-                diff(quad.nodes, weights)
+                phm.ray_differences(unit_gaussian, np.zeros((4, 3)), 1e-4, quad.nodes, weights)
+        with pytest.raises(ValueError, match="nodes"):
+            phm.ray_differences(unit_gaussian, np.zeros((4, 3)), 1e-4, quad.nodes[:, :2], quad.weights)
 
     @pytest.mark.parametrize("per_block", [60, 7, 1], ids=["one-block", "partial-last-block", "node-per-block"])
     @pytest.mark.parametrize("case", ["series", "erfc", "ball", "mixed"])
     def test_sphere_sum_folds_weights(self, monkeypatch, case, per_block):
-        # diff(nodes, w) against sum_k w_k (two halfline_integral calls), with
+        # ray_differences against sum_k w_k (two halfline_integral calls), with
         # unequal weights whose sum is not 1: equal ones would hide a weight
         # folded into the wrong term, or c_0 taken once per node or per call.
         # ROWS is set so that blocks of per_block nodes cover the 60 nodes.
@@ -456,7 +459,7 @@ class TestRayDifferences:
         keep = well_conditioned(ph, points, nodes, h).all(axis=0)
         assert keep.sum() >= 30
         monkeypatch.setattr(xr.geometry, "ROWS", per_block * int(keep.sum()))
-        fused = phm.ray_differences(ph, points[keep], h)(nodes, weights)
+        fused = phm.ray_differences(ph, points[keep], h, nodes, weights)
         assert fused.shape == (keep.sum(),)
         bound = 1e-12 * integrand_scale(ph) * np.sum(weights)
         assert np.all(np.abs(fused - weights @ ref[:, keep]) <= bound)
@@ -601,7 +604,7 @@ class TestColumnSums:
         # series-form Gaussians (small h), erfc-form ones (large h) and balls
         nodes = np.array(nodes)
         weights = np.array(weights[: len(nodes)])
-        fused = xr.ray_differences(ph, points, h)(nodes, weights)
+        fused = xr.ray_differences(ph, points, h, nodes, weights)
         assert np.array_equal(bits(fused), bits(old_ray_differences(ph, points, h, nodes, weights)))
 
 
@@ -807,6 +810,14 @@ class TestInvariants:
     def test_support_radius_enforced(self):
         with pytest.raises(ValueError):
             xr.Phantom((xr.Primitive(xr.GAUSSIAN, (0.0, 0.0, 0.0), 1.0, 1.0),), 4.0)
+
+    def test_negative_support_radius_rejected(self):
+        with pytest.raises(ValueError, match="support radius must be >= 0"):
+            xr.Phantom((), -4.0)
+        with pytest.raises(ValueError, match="support radius must be >= 0"):
+            phm.parse_phantom("support_radius -4\n")
+        # an empty phantom file gives radius 0, which stays valid
+        assert phm.parse_phantom("").support_radius == 0.0
 
     def test_scale_positive(self):
         with pytest.raises(ValueError):
