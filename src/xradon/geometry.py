@@ -21,15 +21,22 @@ _UNIT_TOL = 1e-9
 # block of quadrature nodes evaluated at P points holds max(1, ROWS // P)
 # nodes (the x-ray ray differences of lift_xray_data and of the erfc-form
 # Gaussians and balls of phantom.ray_differences, whose series-form Gaussians
-# run in no blocks, and the line integrals of lemma9), or
-# max(1, ROWS // max(P, 4 S)) when backprojecting profiles of S samples
-# (their four (B, S - 1) cubic tables when P >= S - 1, per-query stencils
-# otherwise; both keep these blocks, so the sphere sum adds in one order),
-# profile filtering takes max(1, ROWS // (2 S)) rows of S samples at a time
-# (the Hilbert kernel's FFT length), and grangeat_convert takes
-# max(1, ROWS // K) points of K rays each.  This bounds the temporaries of a
-# block to a few MB; a large volume gets one node per block.  Tables for all
-# K rows at once were rejected: 9.8 MB more at 300 rows of 1025 samples.
+# run in no blocks, and the line integrals of lemma9), profile filtering
+# takes max(1, ROWS // (2 S)) rows of S samples at a time (the Hilbert
+# kernel's FFT length), and grangeat_convert takes max(1, ROWS // K) points
+# of K rays each.  This bounds the temporaries of a block to a few MB; a
+# large volume gets one node per block.
+#
+# Backprojecting profiles of S samples at P points separates the blocks that
+# are summed from the chunks that are evaluated.  The sphere sum adds
+# accumulation blocks of max(1, ROWS // max(P, 4 S)) nodes, in order, so it
+# rounds alike however the values were evaluated.  One sample_rows call
+# evaluates a chunk of consecutive blocks, as many as fit in ROWS // (4 P)
+# nodes and at least one: its per-query stencils hold four samples per
+# query, so a chunk's stencils hold at most ROWS samples.  A volume
+# (4 P >= ROWS) takes one block per chunk, read from four (B, S - 1) cubic
+# tables.  Tables for all K rows at once were rejected: 9.8 MB more at 300
+# rows of 1025 samples.
 ROWS = 16384
 
 
@@ -37,6 +44,22 @@ def node_blocks(total, width):
     """Consecutive slices of range(total), each about ROWS / width long."""
     step = max(1, ROWS // max(width, 1))
     return [slice(lo, lo + step) for lo in range(0, total, step)]
+
+
+def as_sum_inputs(points, nodes, weights, caller):
+    """The points, nodes and weights of a sphere sum as float arrays, checked to
+    have shapes (P, 3), (K, 3) and (K,); a ValueError names the caller and the
+    shapes it got."""
+    points = np.asarray(points, dtype=float)
+    nodes = np.asarray(nodes, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ValueError(f"{caller} takes (P, 3) points, got {points.shape}")
+    if nodes.ndim != 2 or nodes.shape[1] != 3 or weights.shape != nodes.shape[:1]:
+        raise ValueError(
+            f"{caller} takes (K, 3) nodes and (K,) weights, got {nodes.shape} and {weights.shape}"
+        )
+    return points, nodes, weights
 
 
 def as_direction(v, tol=_UNIT_TOL):

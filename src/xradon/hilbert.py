@@ -141,7 +141,10 @@ _STENCIL = np.array(
     ]
 )
 # The cubic through four samples, extended by one step: the ghost sample
-# before v[0] from v[0..3] (and, reversed, the one after v[-1]).
+# before v[0] from v[0..3] (and, reversed, the one after v[-1]).  Each row's
+# ghost is its own np.vecdot with _GHOST, the per-row dot of np.dot: a
+# (K, 4) @ (4,) product rounds a row by where it sits among the K, so the
+# ghost would depend on the rows evaluated with it.
 _GHOST = np.array([4.0, -6.0, 4.0, -1.0])
 
 
@@ -151,8 +154,8 @@ def _ghost_rows(v):
     rows, count = v.shape
     ext = np.empty((rows, count + 2))
     ext[:, 1:-1] = v
-    ext[:, 0] = v[:, :4] @ _GHOST
-    ext[:, -1] = v[:, :-5:-1] @ _GHOST
+    ext[:, 0] = np.vecdot(v[:, :4], _GHOST)
+    ext[:, -1] = np.vecdot(v[:, :-5:-1], _GHOST)
     return ext
 
 
@@ -177,15 +180,25 @@ def _cubic_coefficients(v):
 def _query_coefficients(v, index):
     """The coefficients of _cubic_coefficients at the intervals index[k] of row k only.
 
-    index has shape (K, Q); returns c of shape (4, K, Q).  The stencils are
-    gathered as (K, 4, Q) and multiplied as a (K, Q, 4) view.  numpy hands
+    index has shape (K, Q); returns c of shape (4, K, Q).  The (K, 4, Q)
+    stencils, samples j - 1 .. j + 2 of interval j, are gathered from the
+    rows themselves at indices clipped to the row.  Only where a stencil
+    runs off the row, at intervals 0 and S - 2, is the clipped sample
+    replaced by the row's ghost, so no (K, S + 2) ghost-extended copy is
+    made.  The stencils are multiplied as a (K, Q, 4) view.  numpy hands
     neither that view nor the tables' overlapping stencils to BLAS: both
     run its own loop, so every coefficient is bitwise the table's.
     """
     rows, count = v.shape
-    at = index[:, None, :] + np.arange(4)[:, None]
-    at += (count + 2) * np.arange(rows)[:, None, None]
-    stencils = np.take(_ghost_rows(v), at)
+    at = index[:, None, :] + np.arange(-1, 3)[:, None]
+    np.clip(at, 0, count - 1, out=at)
+    at += count * np.arange(rows)[:, None, None]
+    stencils = np.take(v, at)
+    # the ghosts of every row, as _ghost_rows forms them: a row's dot depends on its strides
+    k, q = np.nonzero(index == 0)
+    stencils[k, 0, q] = np.vecdot(v[:, :4], _GHOST)[k]
+    k, q = np.nonzero(index == count - 2)
+    stencils[k, 3, q] = np.vecdot(v[:, :-5:-1], _GHOST)[k]
     c = np.empty((4,) + index.shape)
     np.matmul(stencils.transpose(0, 2, 1), _STENCIL, out=c.transpose(1, 2, 0))
     return c
@@ -212,9 +225,14 @@ def sample_rows(values, s_min, s_max, s):
     (K, Q).  Offsets off the grid (offsets_on_grid) are rejected.  Each
     query runs a Horner chain on the cubic coefficients of its interval.
     With fewer queries per row than intervals (Q < S - 1) those are formed
-    for the queried intervals alone (_query_coefficients); otherwise they
-    are read from per-interval tables, four (K, S - 1) arrays built from
-    `values` (_cubic_coefficients).  Both give bitwise the same result.
+    for the queried intervals alone (_query_coefficients), from four
+    samples per query, so a call holds about 4 K Q values whatever S is;
+    otherwise they are read from per-interval tables, four (K, S - 1)
+    arrays built from `values` (_cubic_coefficients).  Both give bitwise
+    the same result, and row k's result depends on row k and s[k] alone,
+    so a caller may evaluate any set of rows per call: the backprojection
+    evaluates a chunk of several accumulation blocks at once (see
+    geometry.ROWS).
     """
     values = np.asarray(values, dtype=float)
     s = np.asarray(s, dtype=float)

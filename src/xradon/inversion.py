@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import phantom as ph_mod
-from .geometry import SphereQuadrature, VolumeGrid, as_direction, node_blocks
+from .geometry import ROWS, SphereQuadrature, VolumeGrid, as_direction, as_sum_inputs, node_blocks
 from .hilbert import derivative_rows, hilbert_rows, sample_rows
 
 BRANCH_XRAY = "xray"
@@ -139,10 +139,13 @@ def lift_xray_data(xdata):
     data(points, h, nodes, weights), giving the (P,) array
     sum_k w_k [xdata(x + h n_k, n_k) - xdata(x - h n_k, n_k)]; it calls xdata
     twice per node block.  This is the path for non-analytic data and the
-    reference for the closed form phantom.ray_differences.
+    reference for the closed form phantom.ray_differences.  data checks the
+    shapes of points, nodes and weights as ray_differences does.
     """
 
     def data(points, h, nodes, weights):
+        points, nodes, weights = as_sum_inputs(points, nodes, weights, "lift_xray_data's data")
+
         def differences(block, nodes):
             n = _rays(points, nodes)[1]
             step = h * nodes[:, None, :]
@@ -178,11 +181,11 @@ def _rays(points, nodes):
     return x, n
 
 
-def _sphere_sum(nodes, weights, points, integrand, width=0):
+def _sphere_sum(nodes, weights, points, integrand):
     """sum_k w_k * integrand at every point; integrand(block, nodes) gives the (B, P)
-    values for the nodes nodes[block].  A block's rows are sized on max(P, width)."""
+    values for the nodes nodes[block], in blocks of node_blocks(K, P)."""
     acc = np.zeros(points.shape[0])
-    for block in node_blocks(nodes.shape[0], max(points.shape[0], width)):
+    for block in node_blocks(nodes.shape[0], points.shape[0]):
         acc += weights[block] @ integrand(block, nodes[block])
     return acc
 
@@ -206,12 +209,36 @@ _BRANCH_FILTERS = {
 
 
 def _backproject(filtered, data, quadrature, points):
-    """sum_k w_k * filtered_k(x . n_k) at every point x."""
+    """sum_k w_k * filtered_k(x . n_k) at every point x.
 
-    def integrand(block, nodes):
-        return sample_rows(filtered[block], data.s_min, data.s_max, nodes @ points.T)
-
-    return _sphere_sum(quadrature.nodes, quadrature.weights, points, integrand, 4 * filtered.shape[1])
+    The sum adds the accumulation blocks node_blocks(K, max(P, 4 S)) in
+    order, acc += w[block] @ values[block], and x . n is formed block by
+    block: a matrix product over more nodes rounds some offsets otherwise.
+    The values are evaluated a chunk of consecutive blocks at a time, one
+    sample_rows call per chunk of as many blocks as fit in ROWS // (4 P)
+    nodes and at least one (see geometry.ROWS).  sample_rows gives each row
+    the same bits in any chunk, so the sum is bitwise the one of a call per
+    block, while a small batch of points pays that call's fixed costs once
+    per chunk.  A volume (4 P >= ROWS) takes one block per chunk.
+    """
+    nodes, weights = quadrature.nodes, quadrature.weights
+    count = points.shape[0]
+    blocks = node_blocks(nodes.shape[0], max(count, 4 * filtered.shape[1]))
+    per_chunk = max(1, ROWS // max(4 * count, 1) // blocks[0].stop)
+    acc = np.zeros(count)
+    for first in range(0, len(blocks), per_chunk):
+        group = blocks[first:first + per_chunk]
+        lo = group[0].start
+        chunk = slice(lo, group[-1].stop)
+        local = [slice(block.start - lo, block.stop - lo) for block in group]
+        rows = filtered[chunk]
+        offsets = np.empty((rows.shape[0], count))
+        for block, at in zip(group, local):
+            np.matmul(nodes[block], points.T, out=offsets[at])
+        values = sample_rows(rows, data.s_min, data.s_max, offsets)
+        for block, at in zip(group, local):
+            acc += weights[block] @ values[at]
+    return acc
 
 
 def reconstruct(data, cfg, points):
@@ -262,7 +289,8 @@ def grangeat_convert(xdata, x, n, quadrature, band):
     The kernel is built once per call, and xdata is called on the
     (B * K, 3) rays of a block of B points at a time (geometry.node_blocks
     over the points, with K rays each).  Every point's sum is its own dot
-    product over the K nodes, so it does not depend on the batch it came in.
+    product over the K nodes (np.vecdot, the per-row dot of np.dot), so it
+    does not depend on the batch it came in.
 
     The band must resolve the quadrature's u-axis node spacing (~2/count)
     and be at most 1, the half-width of the u-range [-1, 1].
@@ -294,7 +322,7 @@ def grangeat_convert(xdata, x, n, quadrature, band):
         x_rows = np.repeat(points[block], quadrature.count, axis=0)
         n_rows = np.tile(nodes, (points[block].shape[0], 1))
         values = np.asarray(xdata(x_rows, n_rows), dtype=float).reshape(-1, quadrature.count)
-        out[block] = [float(np.dot(w, row * kernel)) for row in values]
+        out[block] = np.vecdot(values * kernel, w)
     return float(out[0]) if x.shape == (3,) else out
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .geometry import as_direction, node_blocks
+from .geometry import as_direction, as_sum_inputs, node_blocks
 
 GAUSSIAN = "gaussian"
 BALL = "ball"
@@ -178,7 +178,8 @@ def ray_differences(ph, points, h, nodes, weights):
     """Central-difference ray data Xf(x + h n, n) - Xf(x - h n, n) at a batch of
     points, summed over the nodes of a sphere quadrature.
 
-    points has shape (P, 3), nodes (K, 3) unit directions and weights (K,).
+    points has shape (P, 3), nodes (K, 3) unit directions and weights (K,);
+    other shapes raise a ValueError before any work.
     Returns the (P,) array sum_k w_k [Xf(x + h n_k, n_k) - Xf(x - h n_k, n_k)];
     a single ray is ray_differences(ph, x[None], h, n[None], np.ones(1)).
     Along a ray, d^2 = |x - c|^2 - p^2 with p = n.(x - c) is the same at both
@@ -210,13 +211,8 @@ def ray_differences(ph, points, h, nodes, weights):
     weighted before it is added to a (B, P) accumulator, which is summed over
     its rows once per call.
     """
-    nodes = np.asarray(nodes, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if nodes.ndim != 2 or nodes.shape[1] != 3 or weights.shape != nodes.shape[:1]:
-        raise ValueError(
-            f"ray_differences takes (K, 3) nodes and (K,) weights, got {nodes.shape} and {weights.shape}"
-        )
-    columns = np.ascontiguousarray(np.asarray(points, dtype=float).T)
+    points, nodes, weights = as_sum_inputs(points, nodes, weights, "ray_differences")
+    columns = np.ascontiguousarray(points.T)
     rel = [columns - prim.center[:, None] for prim in ph.primitives]
     r2 = [_sum_squares(y) for y in rel]
     series = [_gaussian_series(prim, rr, h) for prim, rr in zip(ph.primitives, r2)]
@@ -447,7 +443,7 @@ def plane_integral_derivative(ph, n, s):
 
     Gaussian: -2 pi A (s - n.c) exp(-(s - n.c)^2 / a^2).
     Ball: -2 pi A (s - n.c) on the slab |s - n.c| <= R, 0 outside.
-    n.c is taken by np.dot, as in plane_integral_rows.
+    n.c is taken by np.dot, the per-row dot of plane_integral_rows' np.vecdot.
     """
     n = as_direction(n)
     s = np.asarray(s, dtype=float)
@@ -468,8 +464,9 @@ def plane_integral_rows(ph, nodes, s):
     Rf(nodes[k], s[j]), for nodes of shape (K, 3) and s of shape (S,).
 
     One (K, S) pass per primitive, in a buffer reused across primitives;
-    n.c is taken per normal by np.dot, so every row is the same arithmetic
-    as the one-normal case.
+    n.c is np.vecdot(nodes, c), the same per-row dot as np.dot(n, c), so
+    every row is the same arithmetic as the one-normal case.  (nodes @ c
+    and einsum round about 2/3 of the values differently.)
     """
     nodes = np.asarray(nodes, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -478,7 +475,7 @@ def plane_integral_rows(ph, nodes, s):
     out = np.zeros((nodes.shape[0], s.size))
     buf = np.empty_like(out)
     for prim in ph.primitives:
-        nc = np.array([float(np.dot(n, prim.center)) for n in nodes])
+        nc = np.vecdot(nodes, prim.center)
         offset = np.subtract(s, nc[:, None], out=buf)
         a = prim.scale
         if prim.kind == GAUSSIAN:

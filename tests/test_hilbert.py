@@ -4,7 +4,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import dawsn
 
-from xradon.hilbert import _kernel_spectrum, derivative_rows, hilbert_pv_direct, hilbert_rows, sample_rows
+from xradon.hilbert import (
+    _cubic_coefficients,
+    _kernel_spectrum,
+    _query_coefficients,
+    derivative_rows,
+    hilbert_pv_direct,
+    hilbert_rows,
+    sample_rows,
+)
 
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -266,6 +274,19 @@ class TestRows:
         reps = -(-(count - 1) // q.shape[1])
         tiled = sample_rows(values, s_min, s_max, np.tile(q, (1, reps)))[:, : q.shape[1]]
         assert sample_rows(values, s_min, s_max, q).tobytes() == tiled.tobytes()
+
+    @PROPERTY
+    @given(count=st.integers(8, 200), rows=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_query_coefficients_match_tables_at_the_ends(self, count, rows, seed):
+        # the query stencils come from the rows with clipped indices and take the
+        # ghost at intervals 0 and S - 2 only; the tables read the ghost-extended rows
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(rows, count)) * 10.0 ** rng.uniform(-3, 3, size=(rows, 1))
+        ends = np.tile([0, count - 2, 1, count - 3, 0], (rows, 1))
+        index = np.concatenate([ends, rng.integers(0, count - 1, size=(rows, 9))], axis=1)
+        tables = _cubic_coefficients(values)
+        expected = np.take_along_axis(tables, np.broadcast_to(index, (4,) + index.shape), axis=2)
+        assert _query_coefficients(values, index).tobytes() == expected.tobytes()
 
 
 class TestKernelSpectrum:

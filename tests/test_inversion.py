@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import dawsn
 
 import xradon as xr
@@ -10,6 +12,8 @@ from xradon import inversion as inv
 from xradon import phantom as phm
 from xradon.geometry import ROWS, node_blocks
 from conftest import S_GRID, calibrate
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
 @pytest.fixture(scope="module")
@@ -335,6 +339,15 @@ class TestBatchReconstruction:
         # the filtered rows are one more copy of the dataset
         assert peak < data.values.nbytes + 2**20
 
+    @pytest.mark.parametrize(
+        "nodes, weights",
+        [(np.eye(3)[:, :2], np.ones(3)), (np.eye(3), np.ones(2)), (np.eye(3), np.ones((3, 1)))],
+        ids=["nodes-not-k-by-3", "weights-short", "weights-not-flat"],
+    )
+    def test_lifted_data_rejects_bad_quadrature_shape(self, unit_gaussian, nodes, weights):
+        with pytest.raises(ValueError, match=r"lift_xray_data's data takes \(K, 3\) nodes and \(K,\) weights"):
+            lifted(unit_gaussian)(np.zeros((4, 3)), 1e-4, nodes, weights)
+
     def test_xray_branch_rejects_dataset(self, xray_cfg, gauss_dataset):
         with pytest.raises(ValueError):
             at(gauss_dataset, xray_cfg, (0.0, 0.0, 0.0))
@@ -343,6 +356,52 @@ class TestBatchReconstruction:
         # (x, n) ray data fails by its own arity; lift it with lift_xray_data
         with pytest.raises(TypeError):
             at(ray_data(unit_gaussian), xray_cfg, (0.0, 0.0, 0.0))
+
+
+def backproject_by_block(filtered, data, quadrature, points):
+    """Reference for inversion._backproject: one sample_rows call per accumulation
+    block of node_blocks(K, max(P, 4 S)), summed in order."""
+    acc = np.zeros(len(points))
+    for block in node_blocks(quadrature.count, max(len(points), 4 * filtered.shape[1])):
+        offsets = quadrature.nodes[block] @ points.T
+        acc += quadrature.weights[block] @ xr.sample_rows(filtered[block], data.s_min, data.s_max, offsets)
+    return acc
+
+
+class TestBackprojectChunks:
+    """_backproject evaluates chunks of several accumulation blocks per sample_rows call."""
+
+    @PROPERTY
+    @given(count=st.integers(1, 300), samples=st.integers(8, 1025), seed=st.integers(0, 2**32 - 1))
+    # a calibration batch of 50 points on 801 samples, the CLI's s-grid
+    @example(count=50, samples=801, seed=1)
+    @example(count=50, samples=1025, seed=2)
+    def test_equals_a_call_per_block(self, count, samples, seed):
+        # up to three chunks of nodes, most often with a short last one; offsets
+        # run over the whole grid [-R, R]: points of norm at most R include
+        # +-R n_k, whose offsets at n_k are the grid ends, and +-(R - h/2) n_k,
+        # which read the cubics of intervals 0 and S - 2 through their ghosts
+        width = max(1, ROWS // max(count, 4 * samples))
+        chunk = max(1, ROWS // (4 * count) // width) * width
+        rng = np.random.default_rng(seed)
+        # keep the rows small: 2,000,000 samples at most
+        nodes_count = int(rng.integers(2, max(3, min(3 * chunk, 2_000_000 // samples)) + 1))
+        nodes = rng.normal(size=(nodes_count, 3))
+        nodes /= np.linalg.norm(nodes, axis=1)[:, None]
+        weights = rng.uniform(0.5, 1.5, nodes_count)
+        weights *= 4.0 * np.pi / weights.sum()
+        quadrature = xr.SphereQuadrature(nodes, weights)
+        radius = rng.uniform(0.5, 10.0)
+        filtered = rng.normal(size=(nodes_count, samples))
+        data = inv.RadonDataset(nodes, -radius, radius, filtered)
+        directions = rng.normal(size=(count, 3))
+        directions /= np.linalg.norm(directions, axis=1)[:, None]
+        points = directions * radius * rng.uniform(size=(count, 1)) ** (1.0 / 3.0)
+        inside = radius * (1.0 - 1.0 / (samples - 1))
+        ends = nodes[rng.integers(0, nodes_count, size=4)] * [[radius], [-radius], [inside], [-inside]]
+        points[:4] = ends[:count]
+        got = inv._backproject(filtered, data, quadrature, points)
+        assert got.tobytes() == backproject_by_block(filtered, data, quadrature, points).tobytes()
 
 
 class TestRadonDataset:
@@ -416,6 +475,22 @@ class TestGrangeatConvert:
         assert batch.shape == (41,)
         assert all(isinstance(v, float) for v in loop)
         assert batch.tobytes() == np.array(loop).tobytes()
+
+    def test_batch_equals_per_row_dot_products(self, unit_gaussian, quad2000):
+        # the point sums are one np.vecdot over the batch: bitwise the former
+        # list of np.dot(w, row * kernel), one per point
+        n = np.array([0.0, 0.6, 0.8])
+        band = 0.05
+        points = inv.sample_ball_points(np.random.default_rng(3), 20, 1.5)
+        nodes, w = quad2000.nodes, quad2000.weights
+        u = nodes @ n
+        kernel = -2.0 * u * np.exp(-(u * u) / band**2) / (band**3 * np.sqrt(np.pi))
+        kernel = kernel - float(np.dot(w, kernel)) / float(np.sum(w))
+        kernel *= -2.0 * np.pi / float(np.dot(w, kernel * u))
+        values = xr.halfline_integral(unit_gaussian, points[:, None, :], nodes[None, :, :])
+        rows = np.array([float(np.dot(w, row * kernel)) for row in values])
+        got = inv.grangeat_convert(ray_data(unit_gaussian), points, n, quad2000, band)
+        assert got.tobytes() == rows.tobytes()
 
     def test_refinement_reduces_error(self, unit_gaussian):
         data = ray_data(unit_gaussian)

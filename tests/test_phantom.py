@@ -433,6 +433,13 @@ class TestRayDifferences:
         with pytest.raises(ValueError, match="nodes"):
             phm.ray_differences(unit_gaussian, np.zeros((4, 3)), 1e-4, quad.nodes[:, :2], quad.weights)
 
+    @pytest.mark.parametrize("shape", [(4, 2), (4,), (4, 3, 1)])
+    def test_rejects_points_not_p_by_3(self, unit_gaussian, monkeypatch, shape):
+        monkeypatch.setattr(phm, "_sum_squares", lambda columns: pytest.fail("per-point set-up ran"))
+        quad = xr.fibonacci_sphere(5)
+        with pytest.raises(ValueError, match=r"ray_differences takes \(P, 3\) points"):
+            phm.ray_differences(unit_gaussian, np.zeros(shape), 1e-4, quad.nodes, quad.weights)
+
     @pytest.mark.parametrize("per_block", [60, 7, 1], ids=["one-block", "partial-last-block", "node-per-block"])
     @pytest.mark.parametrize("case", ["series", "erfc", "ball", "mixed"])
     def test_sphere_sum_folds_weights(self, monkeypatch, case, per_block):
@@ -661,6 +668,17 @@ class TestPlaneIntegral:
         assert xr.plane_integral_derivative(ph, n, 0.9) == d[3]
         # 0 where every primitive is flat: far outside the Gaussian's reach and the ball's slab
         assert abs(xr.plane_integral_derivative(ph, n, 40.0)) == 0.0
+
+    def test_rows_equal_per_node_calls(self):
+        # n.c for all rows at once is the per-row dot of a one-normal call, bit for bit
+        ph = xr.Phantom(
+            (xr.Primitive(xr.GAUSSIAN, (0.3, -0.2, 0.45), 0.8, -1.3), xr.Primitive(xr.BALL, (-1.0, 0.5, 0.7), 0.9, 2.0)),
+            8.0,
+        )
+        nodes = xr.fibonacci_sphere(2000).nodes
+        s = np.linspace(-4.0, 4.0, 41)
+        per_node = np.array([xr.plane_integral(ph, n, s) for n in nodes])
+        assert phm.plane_integral_rows(ph, nodes, s).tobytes() == per_node.tobytes()
 
     def test_plane_march_cross_check(self, unit_gaussian):
         from conftest import plane_march_density
