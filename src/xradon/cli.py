@@ -20,7 +20,7 @@ import numpy as np
 
 from . import inversion, phantom as ph_mod, xform
 from .geometry import VolumeGrid, fibonacci_sphere
-from .hilbert import offsets_on_grid
+from .hilbert import ProfileDecayError, offsets_on_grid
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,11 @@ class RunConfig:
                 raise CliError(f"{flag} (config field {f.name}) must be finite, got {value!r}")
         if self.branch not in inversion.BRANCHES:
             raise CliError(f"unknown branch {self.branch!r}")
-        for name in ("nodes", "vol_dims", "points", "diff_step", "band"):
+        for name in ("vol_dims", "points", "diff_step", "band"):
             if getattr(self, name) <= 0:
                 raise CliError(f"config field {name} must be positive")
+        if self.nodes < 2:
+            raise CliError(f"--nodes (config field nodes) must be at least 2, got {self.nodes}")
         if self.s_count < inversion.MIN_PROFILE_SAMPLES:
             raise CliError(
                 f"config field s_count must be at least {inversion.MIN_PROFILE_SAMPLES}, got {self.s_count}"
@@ -267,6 +269,18 @@ def _check_s_grid(ph, cfg):
             )
 
 
+def _filtering(cfg, compute, *args):
+    """compute(*args), which filters Radon profiles on the config's s-grid; a profile
+    that does not decay at the grid ends (hilbert.ProfileDecayError) is reported by flag."""
+    try:
+        return compute(*args)
+    except ProfileDecayError as exc:
+        raise CliError(
+            f"the s-grid --s-min {cfg.s_min:g} --s-max {cfg.s_max:g} is too narrow for the phantom: "
+            f"{exc}; widen the s-grid"
+        ) from exc
+
+
 def _calibration_radius(ph, cfg):
     """Radius of the ball of the calibration points: support_radius / 4, and
     for the radon branches at most min(-s_min, s_max), so that every offset
@@ -322,7 +336,7 @@ def _reconstruct_with_calibration(ph, cfg, voxels):
         if cfg.branch != inversion.BRANCH_XRAY:
             _check_offsets(cfg, corners, rcfg.quadrature.nodes, f"--branch {cfg.branch}: {volume}")
     data = inversion.phantom_data(ph, rcfg, (cfg.s_min, cfg.s_max, cfg.s_count))
-    values = inversion.reconstruct(data, rcfg, np.concatenate((voxels, cal_points)))
+    values = _filtering(cfg, inversion.reconstruct, data, rcfg, np.concatenate((voxels, cal_points)))
     return values[: len(voxels)], values[len(voxels):], ph_mod.evaluate(ph, cal_points)
 
 
@@ -411,7 +425,7 @@ def cmd_check(args):
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
         with open(out.path("lemma9.csv"), "w", encoding="utf-8", newline="\n") as fh:
             fh.write("x1,x2,x3,left,right,ratio,difference\n")
-            rep = inversion.lemma9_diagnostic(ph, pts, quad, (cfg.s_min, cfg.s_max, cfg.s_count))
+            rep = _filtering(cfg, inversion.lemma9_diagnostic, ph, pts, quad, (cfg.s_min, cfg.s_max, cfg.s_count))
             for row in np.column_stack((pts, rep.left, rep.right, rep.ratio, rep.difference)):
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
     print(f"wrote checks to {cfg.outdir}")

@@ -18,25 +18,18 @@ GOLDEN_RATIO = (1.0 + np.sqrt(5.0)) / 2.0
 _UNIT_TOL = 1e-9
 
 # Rows of work per block, for every module that sums over a quadrature: a
-# block of quadrature nodes evaluated at P points holds max(1, ROWS // P)
-# nodes (the x-ray ray differences of lift_xray_data and of the erfc-form
-# Gaussians and balls of phantom.ray_differences, whose series-form Gaussians
-# run in no blocks, and the line integrals of lemma9), profile filtering
-# takes max(1, ROWS // (2 S)) rows of S samples at a time (the Hilbert
-# kernel's FFT length), and grangeat_convert takes max(1, ROWS // K) points
-# of K rays each.  This bounds the temporaries of a block to a few MB; a
-# large volume gets one node per block.
-#
-# Backprojecting profiles of S samples at P points separates the blocks that
-# are summed from the chunks that are evaluated.  The sphere sum adds
-# accumulation blocks of max(1, ROWS // max(P, 4 S)) nodes, in order, so it
-# rounds alike however the values were evaluated.  One sample_rows call
-# evaluates a chunk of consecutive blocks, as many as fit in ROWS // (4 P)
-# nodes and at least one: its per-query stencils hold four samples per
-# query, so a chunk's stencils hold at most ROWS samples.  A volume
-# (4 P >= ROWS) takes one block per chunk, read from four (B, S - 1) cubic
-# tables.  Tables for all K rows at once were rejected: 9.8 MB more at 300
-# rows of 1025 samples.
+# block holds max(1, ROWS // width) items, where the width is the number of
+# values per item of the loop's largest temporary.  It is P for nodes
+# evaluated at P points (the x-ray ray differences of lift_xray_data and of
+# the erfc-form Gaussians and balls of phantom.ray_differences, whose
+# series-form Gaussians run in no blocks, and the line integrals of lemma9);
+# hilbert.sample_width(P, S) for nodes backprojected at P points from
+# profiles of S samples (4 P stencil samples, or four cubic tables of about
+# S values); 2 S for profile filtering (the Hilbert kernel's FFT length); and
+# K for grangeat_convert's points of K rays each.  This bounds the
+# temporaries of a block to a few MB; a large volume gets one node per block.
+# Cubic tables for all K rows at once were rejected: 9.8 MB more at 300 rows
+# of 1025 samples.
 ROWS = 16384
 
 
@@ -176,11 +169,6 @@ class VolumeGrid:
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "samples", samples)
-
-    @property
-    def upper(self):
-        """Position of the last sample along each axis."""
-        return self.origin + (np.array(self.dims) - 1) * self.spacing
 
     def axis_coords(self, axis):
         d = self.dims[axis]

@@ -22,6 +22,10 @@ from scipy import fft as sfft
 DECAY_TOL = 1e-3
 
 
+class ProfileDecayError(ValueError):
+    """A profile does not decay at the ends of its grid (see DECAY_TOL)."""
+
+
 def _check_decay(values):
     """Reject any row of `values` (samples along the last axis) not decaying at its ends."""
     values = np.asarray(values)
@@ -30,7 +34,7 @@ def _check_decay(values):
     bad = edge > DECAY_TOL * peak
     if np.any(bad):
         ratio = float(np.max(edge[bad] / peak[bad]))
-        raise ValueError(
+        raise ProfileDecayError(
             f"profile does not decay at the grid ends (edge/peak = {ratio:.3g}); "
             "the PV integral would be corrupted by the truncation"
         )
@@ -217,6 +221,18 @@ def offsets_on_grid(lo, hi, s_min, s_max):
     return lo >= s_min - eps and hi <= s_max + eps
 
 
+def _per_query(queries, count):
+    """Whether sample_rows forms coefficients per query: fewer queries than intervals."""
+    return queries < count - 1
+
+
+def sample_width(queries, count):
+    """Values one sample_rows call holds per row, for `queries` offsets on a row of
+    `count` samples: four stencil samples per query, or the larger of the
+    queries and the four (S - 1)-interval tables (taken as 4 S)."""
+    return 4 * queries if _per_query(queries, count) else max(queries, 4 * count)
+
+
 def sample_rows(values, s_min, s_max, s):
     """Evaluate row k of `values` at the offsets s[k] by 4-point Lagrange interpolation.
 
@@ -226,13 +242,10 @@ def sample_rows(values, s_min, s_max, s):
     query runs a Horner chain on the cubic coefficients of its interval.
     With fewer queries per row than intervals (Q < S - 1) those are formed
     for the queried intervals alone (_query_coefficients), from four
-    samples per query, so a call holds about 4 K Q values whatever S is;
-    otherwise they are read from per-interval tables, four (K, S - 1)
-    arrays built from `values` (_cubic_coefficients).  Both give bitwise
-    the same result, and row k's result depends on row k and s[k] alone,
-    so a caller may evaluate any set of rows per call: the backprojection
-    evaluates a chunk of several accumulation blocks at once (see
-    geometry.ROWS).
+    samples per query; otherwise they are read from per-interval tables,
+    four (K, S - 1) arrays built from `values` (_cubic_coefficients).
+    sample_width gives the values a call holds per row.  Both give bitwise
+    the same result, and row k's result depends on row k and s[k] alone.
     """
     values = np.asarray(values, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -246,7 +259,7 @@ def sample_rows(values, s_min, s_max, s):
     np.minimum(index, count - 2, out=index)
     np.maximum(index, 0, out=index)
     w -= index
-    if s.shape[-1] < count - 1:
+    if _per_query(s.shape[-1], count):
         coefficient = _query_coefficients(values, index).__getitem__
     else:
         # one (K, Q) gather per coefficient: a single (4, K, Q) gather of a

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import phantom as ph_mod
-from .geometry import ROWS, SphereQuadrature, VolumeGrid, as_direction, as_sum_inputs, node_blocks
-from .hilbert import derivative_rows, hilbert_rows, sample_rows
+from .geometry import SphereQuadrature, VolumeGrid, as_direction, as_sum_inputs, node_blocks
+from .hilbert import derivative_rows, hilbert_rows, sample_rows, sample_width
 
 BRANCH_XRAY = "xray"
 BRANCH_RADON = "radon"
@@ -153,7 +153,7 @@ def lift_xray_data(xdata):
             bwd = np.asarray(xdata((points - step).reshape(-1, 3), n), dtype=float)
             return (fwd - bwd).reshape(nodes.shape[0], -1)
 
-        return _sphere_sum(nodes, weights, points, differences)
+        return _sphere_sum(nodes, weights, points, differences, points.shape[0])
 
     return data
 
@@ -181,11 +181,11 @@ def _rays(points, nodes):
     return x, n
 
 
-def _sphere_sum(nodes, weights, points, integrand):
+def _sphere_sum(nodes, weights, points, integrand, width):
     """sum_k w_k * integrand at every point; integrand(block, nodes) gives the (B, P)
-    values for the nodes nodes[block], in blocks of node_blocks(K, P)."""
+    values for the nodes nodes[block], in blocks of node_blocks(K, width)."""
     acc = np.zeros(points.shape[0])
-    for block in node_blocks(nodes.shape[0], points.shape[0]):
+    for block in node_blocks(nodes.shape[0], width):
         acc += weights[block] @ integrand(block, nodes[block])
     return acc
 
@@ -209,36 +209,14 @@ _BRANCH_FILTERS = {
 
 
 def _backproject(filtered, data, quadrature, points):
-    """sum_k w_k * filtered_k(x . n_k) at every point x.
+    """sum_k w_k * filtered_k(x . n_k) at every point x, in node blocks as wide as
+    the values per row of one sample_rows call (hilbert.sample_width)."""
 
-    The sum adds the accumulation blocks node_blocks(K, max(P, 4 S)) in
-    order, acc += w[block] @ values[block], and x . n is formed block by
-    block: a matrix product over more nodes rounds some offsets otherwise.
-    The values are evaluated a chunk of consecutive blocks at a time, one
-    sample_rows call per chunk of as many blocks as fit in ROWS // (4 P)
-    nodes and at least one (see geometry.ROWS).  sample_rows gives each row
-    the same bits in any chunk, so the sum is bitwise the one of a call per
-    block, while a small batch of points pays that call's fixed costs once
-    per chunk.  A volume (4 P >= ROWS) takes one block per chunk.
-    """
-    nodes, weights = quadrature.nodes, quadrature.weights
-    count = points.shape[0]
-    blocks = node_blocks(nodes.shape[0], max(count, 4 * filtered.shape[1]))
-    per_chunk = max(1, ROWS // max(4 * count, 1) // blocks[0].stop)
-    acc = np.zeros(count)
-    for first in range(0, len(blocks), per_chunk):
-        group = blocks[first:first + per_chunk]
-        lo = group[0].start
-        chunk = slice(lo, group[-1].stop)
-        local = [slice(block.start - lo, block.stop - lo) for block in group]
-        rows = filtered[chunk]
-        offsets = np.empty((rows.shape[0], count))
-        for block, at in zip(group, local):
-            np.matmul(nodes[block], points.T, out=offsets[at])
-        values = sample_rows(rows, data.s_min, data.s_max, offsets)
-        for block, at in zip(group, local):
-            acc += weights[block] @ values[at]
-    return acc
+    def values(block, nodes):
+        return sample_rows(filtered[block], data.s_min, data.s_max, nodes @ points.T)
+
+    width = sample_width(points.shape[0], filtered.shape[1])
+    return _sphere_sum(quadrature.nodes, quadrature.weights, points, values, width)
 
 
 def reconstruct(data, cfg, points):
@@ -357,7 +335,7 @@ def lemma9_diagnostic(ph, points, quadrature, s_grid):
     def line_values(block, nodes):
         return ph_mod.line_integral(ph, *_rays(points, nodes)).reshape(nodes.shape[0], -1)
 
-    left = _sphere_sum(quadrature.nodes, quadrature.weights, points, line_values)
+    left = _sphere_sum(quadrature.nodes, quadrature.weights, points, line_values, points.shape[0])
     data = build_radon_dataset(ph, quadrature, *s_grid)
     filtered = _filter(data, lambda rows, h: hilbert_rows(rows), out=data.values)
     right = -2.0 * np.pi * _backproject(filtered, data, quadrature, points)

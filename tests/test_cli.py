@@ -172,8 +172,8 @@ class TestInvert:
         "branch, radius, tol",
         [
             # radon branches: the ball is clipped to the s-grid, min(40 / 4, 4); their
-            # backprojection blocks are sized on max(P, 4S), so a volume of more than
-            # 4S points would sum in another order than the 50 points'
+            # backprojection blocks are sized by hilbert.sample_width(P, S), so the
+            # volume's points sum in another order than the 50 points'
             ("xray", 10.0, 1e-15),
             ("radon", 4.0, 1e-12),
             ("classical_radon", 4.0, 1e-12),
@@ -592,6 +592,36 @@ class TestErrorHandling:
         assert "finite" in capsys.readouterr().err
         assert not outdir.exists() or os.listdir(outdir) == []
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["invert", "--branch", "radon", "--s-min", "-2", "--s-max", "2", "--vol-min", "-1", "--vol-max", "1"],
+            ["calibrate", "--branch", "radon", "--s-min", "-1.5", "--s-max", "1.5"],
+            ["check", "--s-min", "-2.3", "--s-max", "2.3"],
+        ],
+        ids=["invert", "calibrate", "check"],
+    )
+    def test_narrow_s_grid_named(self, tmp_path, capsys, command):
+        # the two-gaussians profiles do not decay on these grids: the Hilbert
+        # filter's decay check fails, and the CLI names the flags to widen
+        ph = tmp_path / "ph.txt"
+        assert run("phantom-gen", "--out", str(ph), "--preset", "two-gaussians") == 0
+        outdir = tmp_path / "o"
+        args = ["--phantom", str(ph), "--nodes", "40", "--band", "0.2", "--vol-dims", "3", "--s-count", "101"]
+        assert run(*command, *args, "--outdir", str(outdir)) == 1
+        err = capsys.readouterr().err
+        assert "--s-min" in err and "--s-max" in err and "widen the s-grid" in err and "does not decay" in err
+        assert "Traceback" not in err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("command", ["invert", "check", "forward"])
+    def test_single_node_named(self, tmp_path, phantom_file, capsys, command):
+        outdir = tmp_path / "o"
+        assert run(command, "--phantom", str(phantom_file), "--nodes", "1", "--outdir", str(outdir)) == 1
+        err = capsys.readouterr().err
+        assert "--nodes (config field nodes) must be at least 2, got 1" in err and "Traceback" not in err
+        assert not outdir.exists()
+
     @pytest.mark.parametrize("command", [["invert"], ["forward", "--branch", "xray"]], ids=["invert", "forward"])
     def test_negative_support_radius_rejected(self, tmp_path, capsys, command):
         ph = tmp_path / "ph.txt"
@@ -614,7 +644,7 @@ class TestErrorHandling:
         top = tmp_path / "new"
         outdir = top.joinpath(*["d"] * (depth - 1))
         assert run("invert", "--phantom", str(phantom_file), "--nodes", "1", "--outdir", str(outdir)) == 1
-        assert "count >= 2" in capsys.readouterr().err
+        assert "--nodes" in capsys.readouterr().err
         assert not top.exists()
         assert sorted(os.listdir(tmp_path)) == ["ph.txt"]
 

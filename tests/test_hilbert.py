@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.special import dawsn
 
 from xradon.hilbert import (
+    ProfileDecayError,
     _cubic_coefficients,
     _kernel_spectrum,
     _query_coefficients,
@@ -12,6 +13,7 @@ from xradon.hilbert import (
     hilbert_pv_direct,
     hilbert_rows,
     sample_rows,
+    sample_width,
 )
 
 
@@ -226,8 +228,14 @@ class TestRows:
     def test_decay_checked_per_row(self, stack):
         bad = stack.copy()
         bad[1, -1] = 1.0
-        with pytest.raises(ValueError, match="does not decay"):
+        with pytest.raises(ProfileDecayError, match="does not decay"):
             hilbert_rows(bad)
+
+    @pytest.mark.parametrize("queries, width", [(0, 0), (99, 396), (100, 404), (500, 500)])
+    def test_sample_width_at_the_switch(self, queries, width):
+        # rows of 101 samples have 100 intervals: fewer queries take four stencil
+        # samples each, more read four tables of about 101 values
+        assert sample_width(queries, 101) == width
 
     def test_sample_rows_rejects_out_of_range(self, stack):
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ import xradon as xr
 from xradon import inversion as inv
 from xradon import phantom as phm
 from xradon.geometry import ROWS, node_blocks
+from xradon.hilbert import sample_width
 from conftest import S_GRID, calibrate
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -324,20 +325,22 @@ class TestBatchReconstruction:
         assert inv.reconstruct(data, cfg, np.zeros((0, 3))).shape == (0,)
 
     def test_backprojection_memory_is_bounded(self, unit_gaussian):
-        # the cubic tables of a node block stay within ROWS: all 300 rows at
-        # once would add about 9.8 MB
+        # the stencils and cubic tables of a node block stay within ROWS: all
+        # 300 rows' tables at once would add about 9.8 MB.  50 points take
+        # per-query stencils; 4 S points, a volume's batch, take the tables.
         quad = xr.fibonacci_sphere(300)
         data = inv.build_radon_dataset(unit_gaussian, quad, -8.0, 8.0, 1025)
-        points = inv.sample_ball_points(np.random.default_rng(7), 50, 1.5)
         cfg = inv.ReconstructionConfig(quad, branch=inv.BRANCH_RADON)
-        tracemalloc.start()
-        try:
-            inv.reconstruct(data, cfg, points)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the filtered rows are one more copy of the dataset
-        assert peak < data.values.nbytes + 2**20
+        for count in (50, 4 * data.values.shape[1]):
+            points = inv.sample_ball_points(np.random.default_rng(7), count, 1.5)
+            tracemalloc.start()
+            try:
+                inv.reconstruct(data, cfg, points)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # the filtered rows are one more copy of the dataset
+            assert peak < data.values.nbytes + 2**20, count
 
     @pytest.mark.parametrize(
         "nodes, weights",
@@ -358,34 +361,22 @@ class TestBatchReconstruction:
             at(ray_data(unit_gaussian), xray_cfg, (0.0, 0.0, 0.0))
 
 
-def backproject_by_block(filtered, data, quadrature, points):
-    """Reference for inversion._backproject: one sample_rows call per accumulation
-    block of node_blocks(K, max(P, 4 S)), summed in order."""
-    acc = np.zeros(len(points))
-    for block in node_blocks(quadrature.count, max(len(points), 4 * filtered.shape[1])):
-        offsets = quadrature.nodes[block] @ points.T
-        acc += quadrature.weights[block] @ xr.sample_rows(filtered[block], data.s_min, data.s_max, offsets)
-    return acc
-
-
-class TestBackprojectChunks:
-    """_backproject evaluates chunks of several accumulation blocks per sample_rows call."""
+class TestBackprojectBlocks:
+    """_backproject is one sphere sum over node blocks as wide as a sample_rows call."""
 
     @PROPERTY
     @given(count=st.integers(1, 300), samples=st.integers(8, 1025), seed=st.integers(0, 2**32 - 1))
-    # a calibration batch of 50 points on 801 samples, the CLI's s-grid
+    # a calibration batch of 50 points on the CLI's 801 samples, and both sides
+    # of Q = S - 1: per-query stencils at 99 points, cubic tables at 100
     @example(count=50, samples=801, seed=1)
-    @example(count=50, samples=1025, seed=2)
-    def test_equals_a_call_per_block(self, count, samples, seed):
-        # up to three chunks of nodes, most often with a short last one; offsets
-        # run over the whole grid [-R, R]: points of norm at most R include
-        # +-R n_k, whose offsets at n_k are the grid ends, and +-(R - h/2) n_k,
-        # which read the cubics of intervals 0 and S - 2 through their ghosts
-        width = max(1, ROWS // max(count, 4 * samples))
-        chunk = max(1, ROWS // (4 * count) // width) * width
+    @example(count=99, samples=101, seed=2)
+    @example(count=100, samples=101, seed=3)
+    def test_matches_a_call_per_node(self, count, samples, seed):
         rng = np.random.default_rng(seed)
-        # keep the rows small: 2,000,000 samples at most
-        nodes_count = int(rng.integers(2, max(3, min(3 * chunk, 2_000_000 // samples)) + 1))
+        # two or three node blocks, most often with a short last one; at most
+        # 500 nodes and 2,000,000 samples
+        step = max(1, ROWS // sample_width(count, samples))
+        nodes_count = int(min(rng.integers(step + 1, 3 * step + 1), 500, 2_000_000 // samples))
         nodes = rng.normal(size=(nodes_count, 3))
         nodes /= np.linalg.norm(nodes, axis=1)[:, None]
         weights = rng.uniform(0.5, 1.5, nodes_count)
@@ -394,6 +385,9 @@ class TestBackprojectChunks:
         radius = rng.uniform(0.5, 10.0)
         filtered = rng.normal(size=(nodes_count, samples))
         data = inv.RadonDataset(nodes, -radius, radius, filtered)
+        # offsets run over the whole grid [-R, R]: points of norm at most R
+        # include +-R n_k, whose offsets at n_k are the grid ends, and
+        # +-(R - h/2) n_k, which read intervals 0 and S - 2 through their ghosts
         directions = rng.normal(size=(count, 3))
         directions /= np.linalg.norm(directions, axis=1)[:, None]
         points = directions * radius * rng.uniform(size=(count, 1)) ** (1.0 / 3.0)
@@ -401,7 +395,13 @@ class TestBackprojectChunks:
         ends = nodes[rng.integers(0, nodes_count, size=4)] * [[radius], [-radius], [inside], [-inside]]
         points[:4] = ends[:count]
         got = inv._backproject(filtered, data, quadrature, points)
-        assert got.tobytes() == backproject_by_block(filtered, data, quadrature, points).tobytes()
+        total = np.zeros(count)
+        scale = np.zeros(count)
+        for k in range(nodes_count):
+            term = weights[k] * xr.sample_rows(filtered[k:k + 1], -radius, radius, nodes[k:k + 1] @ points.T)[0]
+            total += term
+            scale += np.abs(term)
+        assert np.all(np.abs(got - total) <= 1e-13 * scale)
 
 
 class TestRadonDataset:
