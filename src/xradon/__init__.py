@@ -23,7 +23,10 @@ from .phantom import (
 )
 from .xform import RadonProfile
 from .hilbert import (
-    derivative_rows,
+    HILBERT,
+    HILBERT_DERIVATIVE,
+    SECOND_DERIVATIVE,
+    convolve_rows,
     hilbert_pv_direct,
     hilbert_rows,
     sample_rows,

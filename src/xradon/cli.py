@@ -42,35 +42,35 @@ class RunConfig:
     seed: int = 0
 
     def validate(self):
+        def flag(name):
+            return f"--{name.replace('_', '-')} (config field {name})"
+
         for f in fields(self):
             value = getattr(self, f.name)
             if type(f.default) is float and not math.isfinite(value):
-                flag = "--" + f.name.replace("_", "-")
-                raise CliError(f"{flag} (config field {f.name}) must be finite, got {value!r}")
-        if self.branch not in inversion.BRANCHES:
-            raise CliError(f"unknown branch {self.branch!r}")
-        for name in ("vol_dims", "points", "diff_step", "band"):
-            if getattr(self, name) <= 0:
-                raise CliError(f"config field {name} must be positive")
-        if self.nodes < 2:
-            raise CliError(f"--nodes (config field nodes) must be at least 2, got {self.nodes}")
-        if self.s_count < inversion.MIN_PROFILE_SAMPLES:
-            raise CliError(
-                f"config field s_count must be at least {inversion.MIN_PROFILE_SAMPLES}, got {self.s_count}"
-            )
-        if self.seed < 0:
-            raise CliError(f"config field seed must be non-negative, got {self.seed}")
-        if self.s_max <= self.s_min or self.vol_max <= self.vol_min:
-            raise CliError("empty s-grid or volume extent")
-        # 1/(2 diff_step) overflows for a subnormal step
-        if self.diff_step < sys.float_info.min:
-            raise CliError(
-                f"config field diff_step must be at least {sys.float_info.min!r}, the smallest "
-                f"normal float, got {self.diff_step!r}"
-            )
+                raise CliError(f"{flag(f.name)} must be finite, got {value!r}")
+        rules = (
+            ("branch", self.branch in inversion.BRANCHES, f"must be one of {list(inversion.BRANCHES)}"),
+            ("vol_dims", self.vol_dims > 0, "must be positive"),
+            ("points", self.points > 0, "must be positive"),
+            # 1/(2 diff_step) overflows for a subnormal step
+            ("diff_step", self.diff_step >= sys.float_info.min,
+             f"must be at least {sys.float_info.min!r}, the smallest normal float"),
+            ("band", 0.0 < self.band <= 1.0, "must be in (0, 1], the half-width of the u-range"),
+            ("nodes", self.nodes >= 2, "must be at least 2"),
+            ("s_count", self.s_count >= inversion.MIN_PROFILE_SAMPLES,
+             f"must be at least {inversion.MIN_PROFILE_SAMPLES}"),
+            ("seed", self.seed >= 0, "must be non-negative"),
+            ("s_max", self.s_max > self.s_min, f"must exceed --s-min {self.s_min!r}"),
+            ("vol_max", self.vol_max > self.vol_min, f"must exceed --vol-min {self.vol_min!r}"),
+        )
+        for name, ok, rule in rules:
+            if not ok:
+                raise CliError(f"{flag(name)} {rule}, got {getattr(self, name)!r}")
         if not math.isfinite(self.s_max - self.s_min):
             raise CliError(
-                f"config fields s_min and s_max must span a finite width, got {self.s_min!r} to {self.s_max!r}"
+                f"--s-min and --s-max (config fields s_min and s_max) must span a finite width, "
+                f"got {self.s_min!r} to {self.s_max!r}"
             )
 
 
@@ -406,6 +406,11 @@ def cmd_invert(args):
 def cmd_check(args):
     """The Grangeat sweep, and lemma9's two sides at 20 seeded points on the config's s-grid."""
     cfg = load_config(args)
+    if cfg.band < 4.0 / cfg.nodes:  # grangeat_convert's bound, twice the u-axis node spacing 2 / nodes
+        raise CliError(
+            f"check: --band {cfg.band!r} is undersampled by --nodes {cfg.nodes}: it must be at least "
+            f"4 / nodes = {4.0 / cfg.nodes!r}, twice the u-axis node spacing"
+        )
     ph = _load_phantom(cfg)
     if not ph.is_smooth:
         raise CliError("check requires a smooth (gaussian-only) phantom")

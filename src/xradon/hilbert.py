@@ -1,16 +1,17 @@
-"""1D principal-value Hilbert transform and derivatives of sampled profiles.
+"""Band-limited filters and cubic resampling of sampled profiles.
 
 Sign convention: Hf(s) = (1/pi) P.V. integral f(sigma) / (s - sigma) d sigma,
 so that H[1/(1+s^2)] = s/(1+s^2), H[cos] = sin, and H(H f) = -f.
 
-Two independent realizations are provided — a linear convolution with
-the band-limited discrete kernel, applied by FFT, and a direct
-singularity-subtracted quadrature — so each validates the other.
+Every filter of a row (H, d/ds H, d^2/ds^2) is one linear convolution with a
+band-limited kernel by FFT; a direct singularity-subtracted quadrature of H
+validates the first.  sample_rows reads filtered rows by cubic interpolation.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -18,7 +19,7 @@ from scipy import fft as sfft
 
 # Relative endpoint magnitude above which a profile is considered
 # non-decaying; the samples beyond the grid, taken as zero, would then
-# corrupt the PV integral.
+# corrupt the filtered profile.
 DECAY_TOL = 1e-3
 
 
@@ -36,51 +37,61 @@ def _check_decay(values):
         ratio = float(np.max(edge[bad] / peak[bad]))
         raise ProfileDecayError(
             f"profile does not decay at the grid ends (edge/peak = {ratio:.3g}); "
-            "the PV integral would be corrupted by the truncation"
+            "the filtered profile would be corrupted by the truncation"
         )
 
 
-@functools.lru_cache(maxsize=16)
-def _kernel_spectrum(count):
-    """FFT length m and the rfft of the band-limited kernel for rows of `count` samples.
+class Kernel(NamedTuple):
+    """A band-limited kernel at unit spacing; at spacing tau each tap is over tau**order."""
 
-    h[k] = 2/(pi k) for odd k and 0 for even k, k = -(count-1)..count-1,
-    laid out circularly on m >= 2*count - 1 points, so that the circular
-    convolution of a zero-padded row with it equals the linear one on the
-    row's own samples.  Cached per row length, since a filter pass over
-    blocks of rows asks for the same spectrum once per block; the array is
-    read-only, so no caller can change the cached copy.
-    """
+    centre: float  # the tap at lag 0
+    taps: Callable[[np.ndarray], np.ndarray]  # the taps at the nonzero integer lags k
+    order: int
+
+
+# H (odd), d/ds H (even, the ramp |w|) and d^2/ds^2 (even, -w^2): the inverse transform
+# of each multiplier over |w| <= pi / tau at the lags k tau, times tau (Kak & Slaney,
+# Principles of Computerized Tomographic Imaging, 1988, ch. 3).
+HILBERT = Kernel(0.0, lambda k: np.where(k % 2 == 1, 2.0 / (np.pi * k), 0.0), 0)
+HILBERT_DERIVATIVE = Kernel(np.pi / 2.0, lambda k: np.where(k % 2 == 1, -2.0 / (np.pi * k * k), 0.0), 1)
+SECOND_DERIVATIVE = Kernel(-np.pi**2 / 3.0, lambda k: np.where(k % 2 == 1, 2.0, -2.0) / (k * k), 2)
+
+
+@functools.lru_cache(maxsize=16)
+def _kernel_spectrum(kernel, count):
+    """FFT length m and the rfft of `kernel` for rows of `count` samples: its taps at
+    lags -(count-1)..count-1 laid out circularly on m >= 2*count - 1 points, so that
+    a zero-padded row's circular convolution with them is the linear one.  Cached per
+    kernel and row length for the blocks of a filter pass; read-only, so no caller
+    can change the cached copy."""
     m = sfft.next_fast_len(2 * count - 1, real=True)
     k = np.arange(1, count)
-    h = np.where(k % 2 == 1, 2.0 / (np.pi * k), 0.0)
-    kernel = np.zeros(m)
-    kernel[1:count] = h
-    kernel[m - count + 1:] = -h[::-1]
-    spectrum = sfft.rfft(kernel)
+    taps = np.zeros(m)
+    taps[0] = kernel.centre
+    taps[1:count] = kernel.taps(k)
+    taps[m - count + 1:] = kernel.taps(-k[::-1])
+    spectrum = sfft.rfft(taps)
     spectrum.flags.writeable = False
     return m, spectrum
 
 
-def hilbert_rows(values):
-    """Hilbert transform of each row of `values` (samples along the last axis).
-
-    Each row is convolved with the band-limited discrete Hilbert kernel
-    h[k] = 2/(pi k), k odd (Kak & Slaney, Principles of Computerized
-    Tomographic Imaging, 1988, ch. 3): exact for band-limited samples,
-    with no DC shift and no interperiod interference.  The convolution is
-    linear, by one real FFT of length >= 2S - 1 for rows of S samples.
-    Every row must decay at both ends (see DECAY_TOL), since the samples
-    beyond the grid are taken as zero.  The result does not depend on
-    the grid spacing.
-    """
+def convolve_rows(values, kernel, spacing):
+    """The linear convolution of each row of `values` (samples along the last axis,
+    at the given spacing) with a Kernel, by one real FFT of length >= 2S - 1 for
+    rows of S samples: exact for band-limited samples, with no wrap-around.  The
+    samples beyond the grid count as zero, so every row must decay (DECAY_TOL)."""
     values = np.asarray(values, dtype=float)
     _check_decay(values)
     n = values.shape[-1]
-    m, kernel = _kernel_spectrum(n)
+    m, taps = _kernel_spectrum(kernel, n)
     spectrum = sfft.rfft(values, n=m, axis=-1)
-    spectrum *= kernel
-    return sfft.irfft(spectrum, n=m, axis=-1)[..., :n].copy()
+    spectrum *= taps
+    return sfft.irfft(spectrum, n=m, axis=-1)[..., :n] / spacing**kernel.order
+
+
+def hilbert_rows(values):
+    """Hilbert transform of each row of `values`: convolve_rows with HILBERT, at any spacing."""
+    return convolve_rows(values, HILBERT, 1.0)
 
 
 def hilbert_pv_direct(values, s_min, s_max):
@@ -113,24 +124,6 @@ def hilbert_pv_direct(values, s_min, s_max):
     trap = h * (np.sum(g, axis=1) - 0.5 * (g[:, 0] + g[:, -1]))
     correction = ft * np.log((targets - s_min) / (s_max - targets))
     return (trap + correction) / np.pi
-
-
-def derivative_rows(values, spacing):
-    """First derivative of each row of `values` on its own grid of the given spacing.
-
-    Fourth-order central differences in the interior, second-order
-    central at the penultimate points and second-order one-sided at the
-    boundaries.
-    """
-    v = np.asarray(values, dtype=float)
-    h = spacing
-    d = np.empty_like(v)
-    d[..., 2:-2] = (v[..., :-4] - 8.0 * v[..., 1:-3] + 8.0 * v[..., 3:-1] - v[..., 4:]) / (12.0 * h)
-    d[..., 1] = (v[..., 2] - v[..., 0]) / (2.0 * h)
-    d[..., -2] = (v[..., -1] - v[..., -3]) / (2.0 * h)
-    d[..., 0] = (-3.0 * v[..., 0] + 4.0 * v[..., 1] - v[..., 2]) / (2.0 * h)
-    d[..., -1] = (3.0 * v[..., -1] - 4.0 * v[..., -2] + v[..., -3]) / (2.0 * h)
-    return d
 
 
 # Rows: the stencil values v[j-1], v[j], v[j+1], v[j+2] of interval j;

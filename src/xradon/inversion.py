@@ -10,14 +10,15 @@ Three branches are implemented:
   reconstruct returns the sum at unit normalization, the CLI applies
   --normalization (default: that derived constant), and the calibration
   routine makes any alternative convention measurable.
-* ``radon``: spherical average of -2*pi times the derivative of the
-  Hilbert-filtered plane-integral profiles, evaluated at s = x . n.
+* ``radon``: spherical average of -2*pi times d/ds H Rf, the s-derivative
+  of the Hilbert-filtered plane-integral profiles, by one band-limited
+  convolution (hilbert.HILBERT_DERIVATIVE), evaluated at s = x . n.
   With unit normalization it reconstructs -16*pi^3 * I^1 f, where
   I^1 = (-Laplacian)^(-1/2) is the Riesz potential, not f itself; the
   tests assert that target pointwise.
 * ``classical_radon``: the textbook second-derivative inversion
-  f(x) = -(1/(8*pi^2)) * integral_{S^2} d^2/ds^2 Rf(n, s)|_{s = x.n} dn,
-  the independent oracle used to cross-validate the other branches.
+  f(x) = -(1/(8*pi^2)) * integral_{S^2} d^2/ds^2 Rf(n, s)|_{s = x.n} dn
+  (hilbert.SECOND_DERIVATIVE), the independent oracle for the other branches.
 
 Also here: the Grangeat-style conversion of x-ray data into the
 derivative of Radon data via a mollified delta', and the two-sided
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import phantom as ph_mod
 from .geometry import SphereQuadrature, VolumeGrid, as_direction, as_sum_inputs, node_blocks
-from .hilbert import derivative_rows, hilbert_rows, sample_rows, sample_width
+from .hilbert import HILBERT, HILBERT_DERIVATIVE, SECOND_DERIVATIVE, convolve_rows, sample_rows, sample_width
 
 BRANCH_XRAY = "xray"
 BRANCH_RADON = "radon"
@@ -51,7 +52,7 @@ CLASSICAL_RADON_CONSTANT = -1.0 / (8.0 * np.pi**2)
 # Cylindrical-branch prefactor applied per direction.
 RADON_BRANCH_FACTOR = -2.0 * np.pi
 
-# Fewest samples of a Radon profile: the derivative and cubic stencils need room at both ends.
+# Fewest samples of a Radon profile: the cubic read-out's 4-point stencils need room at both ends.
 MIN_PROFILE_SAMPLES = 8
 
 
@@ -190,22 +191,19 @@ def _sphere_sum(nodes, weights, points, integrand, width):
     return acc
 
 
-def _filter(data, op, out=None):
-    """op(rows, spacing) applied to every profile of the dataset, over blocks of rows.
+def _filter(data, kernel, out=None):
+    """Every profile of the dataset convolved with a hilbert.Kernel, over blocks of rows.
 
     out=data.values filters a dataset that nothing else uses in place.
     """
     out = np.empty_like(data.values) if out is None else out
     for block in node_blocks(data.count, 2 * data.values.shape[1]):
-        out[block] = op(data.values[block], data.spacing)
+        out[block] = convolve_rows(data.values[block], kernel, data.spacing)
     return out
 
 
-# The backprojected integrand of each radon branch: d/ds H Rf and d^2/ds^2 Rf.
-_BRANCH_FILTERS = {
-    BRANCH_RADON: lambda rows, h: derivative_rows(hilbert_rows(rows), h),
-    BRANCH_CLASSICAL: lambda rows, h: derivative_rows(derivative_rows(rows, h), h),
-}
+# The kernel of each radon branch's backprojected integrand: d/ds H Rf and d^2/ds^2 Rf.
+_BRANCH_FILTERS = {BRANCH_RADON: HILBERT_DERIVATIVE, BRANCH_CLASSICAL: SECOND_DERIVATIVE}
 
 
 def _backproject(filtered, data, quadrature, points):
@@ -337,7 +335,7 @@ def lemma9_diagnostic(ph, points, quadrature, s_grid):
 
     left = _sphere_sum(quadrature.nodes, quadrature.weights, points, line_values, points.shape[0])
     data = build_radon_dataset(ph, quadrature, *s_grid)
-    filtered = _filter(data, lambda rows, h: hilbert_rows(rows), out=data.values)
+    filtered = _filter(data, HILBERT, out=data.values)
     right = -2.0 * np.pi * _backproject(filtered, data, quadrature, points)
     ratio = np.full(points.shape[0], np.nan)
     np.divide(left, right, out=ratio, where=right != 0.0)

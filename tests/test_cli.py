@@ -430,6 +430,41 @@ class TestConfigValidation:
         assert "Traceback" not in err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize(
+        "command, flags, named",
+        [
+            ("invert", ["--vol-dims", "0"], ["--vol-dims (config field vol_dims) must be positive"]),
+            ("forward", ["--points", "0"], ["--points (config field points) must be positive"]),
+            ("invert", ["--diff-step=-1e-4"], ["--diff-step (config field diff_step) must be at least"]),
+            ("check", ["--band", "0"], ["--band (config field band) must be in (0, 1]"]),
+            ("check", ["--band", "1.5"], ["--band (config field band) must be in (0, 1]"]),
+            ("invert", ["--band", "1.5"], ["--band (config field band) must be in (0, 1]"]),
+            ("check", ["--band", "0.01", "--nodes", "40"], ["--band 0.01", "--nodes 40", "undersampled"]),
+            ("invert", ["--s-count", "5"], ["--s-count (config field s_count) must be at least 8"]),
+            ("invert", ["--seed", "-1"], ["--seed (config field seed)"]),
+            ("invert", ["--s-min", "2", "--s-max", "1"], ["--s-max (config field s_max) must exceed --s-min 2"]),
+            ("invert", ["--vol-min", "2", "--vol-max", "1"], ["--vol-max (config field vol_max) must exceed --vol-min"]),
+        ],
+        ids=[
+            "vol-dims", "points", "diff-step", "band-zero", "check-band-above-1", "invert-band-above-1",
+            "band-undersampled", "s-count", "seed", "s-grid-empty", "volume-empty",
+        ],
+    )
+    def test_invalid_flag_named(self, tmp_path, phantom_file, capsys, command, flags, named):
+        outdir = tmp_path / "o"
+        assert run(command, "--phantom", str(phantom_file), "--nodes", "40", *flags, "--outdir", str(outdir)) == 1
+        err = capsys.readouterr().err
+        assert all(text in err for text in named), err
+        assert "Traceback" not in err
+        assert not outdir.exists()
+
+    def test_band_at_the_undersampling_bound(self, tmp_path, phantom_file):
+        # 4 / 40 = 0.1, twice the u-axis node spacing of 40 nodes, is the smallest band check takes
+        outdir = tmp_path / "o"
+        argv = ["check", "--phantom", str(phantom_file), "--nodes", "40", "--band", "0.1", "--outdir", str(outdir)]
+        assert run(*argv) == 0
+        assert (outdir / "grangeat.csv").exists()
+
     @pytest.mark.parametrize("field", fields(RunConfig), ids=lambda f: f.name)
     def test_flag_parses_into_field(self, field):
         # every RunConfig field has its flag, of the field's type
@@ -598,11 +633,13 @@ class TestErrorHandling:
             ["invert", "--branch", "radon", "--s-min", "-2", "--s-max", "2", "--vol-min", "-1", "--vol-max", "1"],
             ["calibrate", "--branch", "radon", "--s-min", "-1.5", "--s-max", "1.5"],
             ["check", "--s-min", "-2.3", "--s-max", "2.3"],
+            ["invert", "--branch", "classical_radon", "--s-min", "-2", "--s-max", "2", "--vol-min", "-1", "--vol-max", "1"],
+            ["calibrate", "--branch", "classical_radon", "--s-min", "-1.5", "--s-max", "1.5"],
         ],
-        ids=["invert", "calibrate", "check"],
+        ids=["invert", "calibrate", "check", "invert-classical", "calibrate-classical"],
     )
     def test_narrow_s_grid_named(self, tmp_path, capsys, command):
-        # the two-gaussians profiles do not decay on these grids: the Hilbert
+        # the two-gaussians profiles do not decay on these grids: every branch
         # filter's decay check fails, and the CLI names the flags to widen
         ph = tmp_path / "ph.txt"
         assert run("phantom-gen", "--out", str(ph), "--preset", "two-gaussians") == 0

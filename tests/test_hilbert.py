@@ -5,11 +5,14 @@ from hypothesis import strategies as st
 from scipy.special import dawsn
 
 from xradon.hilbert import (
+    HILBERT,
+    HILBERT_DERIVATIVE,
+    SECOND_DERIVATIVE,
     ProfileDecayError,
     _cubic_coefficients,
     _kernel_spectrum,
     _query_coefficients,
-    derivative_rows,
+    convolve_rows,
     hilbert_pv_direct,
     hilbert_rows,
     sample_rows,
@@ -36,14 +39,20 @@ def lagrange_rows(values, s_min, s_max, s):
     )
 
 
+def direct_convolution(row, lag0, taps):
+    """The linear convolution of a row with the kernel whose tap at lag 0 is lag0 and
+    at lag k != 0 is taps(k), one np.convolve over the lags -(S - 1)..S - 1."""
+    n = row.size
+    k = np.arange(-(n - 1), n).astype(float)
+    h = np.full(k.size, lag0)
+    nonzero = k != 0
+    h[nonzero] = taps(k[nonzero])
+    return np.convolve(row, h)[n - 1:2 * n - 1]
+
+
 def hilbert_direct(row):
     """Reference for hilbert_rows: the linear convolution with h[k] = 2/(pi k), k odd."""
-    n = row.size
-    k = np.arange(-(n - 1), n)
-    h = np.zeros(k.size)
-    odd = k % 2 == 1
-    h[odd] = 2.0 / (np.pi * k[odd])
-    return np.convolve(row, h)[n - 1:2 * n - 1]
+    return direct_convolution(row, 0.0, lambda k: np.where(k % 2 == 1, 2.0 / (np.pi * k), 0.0))
 
 
 def lorentzian_profile(count=4097, extent=40.0):
@@ -181,27 +190,66 @@ class TestHilbertPvDirect:
             hilbert_pv_direct(np.ones(64), -1.0, 1.0)
 
 
-class TestDerivative:
-    """derivative_rows on one row."""
+def gaussian_radon_row(amplitude, scale, count):
+    """Rf(n, s) = pi A a^2 e^(-x^2), x = s / a, of a Gaussian (A, a) centred at the
+    origin, on count samples over [-8, 8]; returns x, the row and its spacing."""
+    x = np.linspace(-8.0, 8.0, count) / scale
+    return x, np.pi * amplitude * scale**2 * np.exp(-(x**2)), 16.0 / (count - 1)
 
-    def test_gaussian_radon_profile(self):
-        s = np.linspace(-8.0, 8.0, 1601)
-        d = derivative_rows(np.pi * np.exp(-(s**2)), 16.0 / 1600)
-        assert abs(sample_at(d, -8.0, 8.0, [1.0])[0] - (-2.0 * np.pi / np.e)) < 1e-5
 
-    def test_constant(self):
-        assert np.max(np.abs(derivative_rows(np.full(32, 3.5), 1.0 / 31))) < 1e-12
+class TestDerivativeKernels:
+    """convolve_rows with HILBERT_DERIVATIVE (d/ds H) and SECOND_DERIVATIVE (d^2/ds^2)."""
 
-    def test_linear_ramp(self):
-        s = np.linspace(-2.0, 2.0, 65)
-        d = derivative_rows(s, 4.0 / 64)
-        assert np.max(np.abs(d[1:-1] - 1.0)) < 1e-12
+    @pytest.mark.parametrize("count", [401, 801, 1025])
+    @pytest.mark.parametrize("scale", [0.6, 1.0])
+    def test_hilbert_derivative_of_gaussian(self, scale, count):
+        # d/ds H Rf = 2 sqrt(pi) a A (1 - 2 x D(x)), D the Dawson function
+        amplitude = 1.3
+        x, row, spacing = gaussian_radon_row(amplitude, scale, count)
+        expected = 2.0 * np.sqrt(np.pi) * scale * amplitude * (1.0 - 2.0 * x * dawsn(x))
+        err = np.max(np.abs(convolve_rows(row, HILBERT_DERIVATIVE, spacing) - expected))
+        assert err <= 1e-12 * np.max(np.abs(expected))
 
-    def test_commutes_with_hilbert(self):
+    @pytest.mark.parametrize("count", [401, 801, 1025])
+    @pytest.mark.parametrize("scale", [0.6, 1.0])
+    def test_second_derivative_of_gaussian(self, scale, count):
+        # d^2/ds^2 Rf = pi A e^(-x^2) (4 x^2 - 2)
+        amplitude = 1.3
+        x, row, spacing = gaussian_radon_row(amplitude, scale, count)
+        expected = np.pi * amplitude * np.exp(-(x**2)) * (4.0 * x**2 - 2.0)
+        err = np.max(np.abs(convolve_rows(row, SECOND_DERIVATIVE, spacing) - expected))
+        assert err <= 1e-11 * np.max(np.abs(expected))
+
+    @PROPERTY
+    @given(
+        count=st.integers(8, 300),
+        spacing=st.floats(1e-3, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(count=8, spacing=1.0, seed=0)  # FFT length 15 = 2 * 8 - 1, no slack
+    def test_equal_direct_convolution(self, count, spacing, seed):
+        # the tables of the kernels at spacing tau: lag 0 and lag k != 0
+        rng = np.random.default_rng(seed)
+        row = rng.normal(size=count)
+        row[[0, -1]] = 1e-4 * np.max(np.abs(row[1:-1])) * rng.uniform(-1.0, 1.0, size=2)
+        tau = spacing
+        kernels = [
+            (HILBERT_DERIVATIVE, np.pi / (2 * tau), lambda k: np.where(k % 2 == 1, -2 / (np.pi * k**2 * tau), 0)),
+            (SECOND_DERIVATIVE, -(np.pi**2) / (3 * tau**2), lambda k: -2 * (-1.0) ** k / (k**2 * tau**2)),
+        ]
+        for kernel, lag0, taps in kernels:
+            expected = direct_convolution(row, lag0, taps)
+            err = np.max(np.abs(convolve_rows(row, kernel, spacing) - expected))
+            assert err <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("kernel", [HILBERT_DERIVATIVE, SECOND_DERIVATIVE], ids=["d-hilbert", "d2"])
+    def test_rejects_non_decaying(self, kernel):
+        with pytest.raises(ProfileDecayError):
+            convolve_rows(np.ones(64), kernel, 0.1)
+
+    def test_hilbert_is_the_spacing_free_kernel(self):
         p = gaussian_profile()
-        a = derivative_rows(hilbert_rows(p), SPACING)
-        b = hilbert_rows(derivative_rows(p, SPACING))
-        assert np.max(np.abs(a - b)) < 1e-3
+        assert convolve_rows(p, HILBERT, SPACING).tobytes() == hilbert_rows(p).tobytes()
 
 
 class TestSampleCubic:
@@ -299,8 +347,14 @@ class TestRows:
 
 class TestKernelSpectrum:
     def test_cached_spectrum_is_read_only(self):
-        m, spectrum = _kernel_spectrum(801)
-        assert _kernel_spectrum(801)[1] is spectrum
+        m, spectrum = _kernel_spectrum(HILBERT, 801)
+        assert _kernel_spectrum(HILBERT, 801)[1] is spectrum
+        # keyed on the kernel as well as the row length
+        for kernel in (HILBERT_DERIVATIVE, SECOND_DERIVATIVE):
+            other = _kernel_spectrum(kernel, 801)[1]
+            assert other is not spectrum and not np.array_equal(other, spectrum)
+            assert _kernel_spectrum(kernel, 801)[1] is other
+        assert _kernel_spectrum(HILBERT, 401)[1] is not spectrum
         with pytest.raises(ValueError):
             spectrum[0] = 1.0
         # the transform still reads it

@@ -197,6 +197,57 @@ class TestClassicalRadon:
         assert np.max(np.abs(a - b)) < 5e-3
 
 
+def gauss_sphere(m):
+    """Gauss-Legendre in cos(theta) with m nodes times a 2m-point trapezoid rule in phi,
+    offset by half a step: 2 m^2 antipodal nodes, exact for spherical harmonics of
+    degree below 2m (Stroud, Approximate Calculation of Multiple Integrals, 1971)."""
+    z, wz = np.polynomial.legendre.leggauss(m)
+    phi = (np.arange(2 * m) + 0.5) * np.pi / m
+    r = np.sqrt(1.0 - z * z)[:, None]
+    nodes = np.stack(np.broadcast_arrays(r * np.cos(phi), r * np.sin(phi), z[:, None]), axis=-1)
+    return xr.SphereQuadrature(nodes.reshape(-1, 3), np.repeat(wz * np.pi / m, 2 * m))
+
+
+class TestGaussRuleConvergence:
+    """On a sphere rule exact well past the profiles' band, the s-axis sets the error."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        ph = xr.Phantom(
+            (
+                xr.Primitive(xr.GAUSSIAN, (1.0, 0.0, 0.0), 1.0, 1.0),
+                xr.Primitive(xr.GAUSSIAN, (-1.0, 0.0, 0.0), 1.0, 1.0),
+            ),
+            7.0,
+        )
+        quad = gauss_sphere(12)
+        data = inv.build_radon_dataset(ph, quad, -8.0, 8.0, 801)
+        pts = inv.sample_ball_points(np.random.default_rng(3), 200, 1.5)
+        return ph, quad, data, pts
+
+    def test_rule_integrates_low_degree_polynomials(self):
+        quad = gauss_sphere(12)
+        assert quad.count == 288
+        n = quad.nodes
+        # int x^2 y^4 z^6 dn = 4 pi 1!! 3!! 5!! / 13!!, a polynomial of degree 12 < 24
+        expected = 4.0 * np.pi * 1.0 * 3.0 * 15.0 / (3.0 * 5.0 * 7.0 * 9.0 * 11.0 * 13.0)
+        assert abs(quad.weights @ (n[:, 0] ** 2 * n[:, 1] ** 4 * n[:, 2] ** 6) - expected) <= 1e-15
+
+    def test_classical_against_density(self, setup):
+        ph, quad, data, pts = setup
+        cfg = inv.ReconstructionConfig(quad, branch=inv.BRANCH_CLASSICAL)
+        truth = xr.evaluate(ph, pts)
+        rec = inv.reconstruct(data, cfg, pts)
+        assert np.linalg.norm(rec - truth) <= 1.5e-7 * np.linalg.norm(truth)
+
+    def test_radon_against_riesz_potential(self, setup):
+        ph, quad, data, pts = setup
+        cfg = inv.ReconstructionConfig(quad, branch=inv.BRANCH_RADON)
+        target = -16.0 * np.pi**3 * riesz_potential(ph, pts)
+        rec = inv.reconstruct(data, cfg, pts)
+        assert np.linalg.norm(rec - target) <= 5e-8 * np.linalg.norm(target)
+
+
 class TestBatchReconstruction:
     """A batch of points spanning several node blocks against single points and per-node loops."""
 
@@ -241,11 +292,8 @@ class TestBatchReconstruction:
                 if branch == inv.BRANCH_XRAY:
                     total += weight * ray(x[None, :], h, node[None, :], np.ones(1))[0] / (2.0 * h)
                     continue
-                row, h_s = dataset.values[k], dataset.spacing
-                if branch == inv.BRANCH_RADON:
-                    filtered = xr.derivative_rows(xr.hilbert_rows(row), h_s)
-                else:
-                    filtered = xr.derivative_rows(xr.derivative_rows(row, h_s), h_s)
+                kernel = xr.HILBERT_DERIVATIVE if branch == inv.BRANCH_RADON else xr.SECOND_DERIVATIVE
+                filtered = xr.convolve_rows(dataset.values[k], kernel, dataset.spacing)
                 offset = np.array([[np.dot(node, x)]])
                 total += weight * xr.sample_rows(filtered[None], dataset.s_min, dataset.s_max, offset)[0, 0]
             scale = {
