@@ -17,6 +17,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy import fft as sfft
 
+from .geometry import node_blocks
+
 # Relative endpoint magnitude above which a profile is considered
 # non-decaying; the samples beyond the grid, taken as zero, would then
 # corrupt the filtered profile.
@@ -28,9 +30,18 @@ class ProfileDecayError(ValueError):
 
 
 def _check_decay(values):
-    """Reject any row of `values` (samples along the last axis) not decaying at its ends."""
+    """Reject any row of `values` (samples along the last axis) holding a NaN or an
+    inf sample (ValueError), or not decaying at its ends (ProfileDecayError)."""
     values = np.asarray(values)
-    peak = np.max(np.abs(values), axis=-1)
+    # max |v| as max(max v, -min v): no |values| temporary; NaN or inf only if a sample is
+    peak = np.maximum(np.max(values, axis=-1), -np.min(values, axis=-1))
+    if not np.all(np.isfinite(peak)):
+        bad = ~np.isfinite(values)
+        first = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise ValueError(
+            f"profile holds {int(np.count_nonzero(bad))} non-finite sample(s) (NaN or inf), "
+            f"the first at index {first}"
+        )
     edge = np.maximum(np.abs(values[..., 0]), np.abs(values[..., -1]))
     bad = edge > DECAY_TOL * peak
     if np.any(bad):
@@ -75,18 +86,31 @@ def _kernel_spectrum(kernel, count):
     return m, spectrum
 
 
-def convolve_rows(values, kernel, spacing):
+def convolve_rows(values, kernel, spacing, out=None):
     """The linear convolution of each row of `values` (samples along the last axis,
     at the given spacing) with a Kernel, by one real FFT of length >= 2S - 1 for
     rows of S samples: exact for band-limited samples, with no wrap-around.  The
-    samples beyond the grid count as zero, so every row must decay (DECAY_TOL)."""
+    samples beyond the grid count as zero, so every row must decay (DECAY_TOL)
+    and be finite; that is checked for all rows before any is written.
+
+    The rows run in blocks of geometry.node_blocks(rows, 2 S), each transformed,
+    multiplied by the kernel's spectrum and written to out before the next; a
+    row's result does not depend on its block.  out, an array of values' shape,
+    receives the result; out=values filters a stack that nothing else uses in
+    place.
+    """
     values = np.asarray(values, dtype=float)
     _check_decay(values)
     n = values.shape[-1]
     m, taps = _kernel_spectrum(kernel, n)
-    spectrum = sfft.rfft(values, n=m, axis=-1)
-    spectrum *= taps
-    return sfft.irfft(spectrum, n=m, axis=-1)[..., :n] / spacing**kernel.order
+    scale = spacing**kernel.order
+    out = np.empty(values.shape) if out is None else out
+    rows, dest = values.reshape(-1, n), out.reshape(-1, n)
+    for block in node_blocks(rows.shape[0], 2 * n):
+        spectrum = sfft.rfft(rows[block], n=m, axis=-1)
+        spectrum *= taps
+        np.divide(sfft.irfft(spectrum, n=m, axis=-1)[:, :n], scale, out=dest[block])
+    return out
 
 
 def hilbert_rows(values):

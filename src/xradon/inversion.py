@@ -191,17 +191,6 @@ def _sphere_sum(nodes, weights, points, integrand, width):
     return acc
 
 
-def _filter(data, kernel, out=None):
-    """Every profile of the dataset convolved with a hilbert.Kernel, over blocks of rows.
-
-    out=data.values filters a dataset that nothing else uses in place.
-    """
-    out = np.empty_like(data.values) if out is None else out
-    for block in node_blocks(data.count, 2 * data.values.shape[1]):
-        out[block] = convolve_rows(data.values[block], kernel, data.spacing)
-    return out
-
-
 # The kernel of each radon branch's backprojected integrand: d/ds H Rf and d^2/ds^2 Rf.
 _BRANCH_FILTERS = {BRANCH_RADON: HILBERT_DERIVATIVE, BRANCH_CLASSICAL: SECOND_DERIVATIVE}
 
@@ -242,7 +231,8 @@ def reconstruct(data, cfg, points):
         h = cfg.diff_step
         return data(points, h, quad.nodes, quad.weights) / (2.0 * h)
     _check_dataset(data, quad)
-    acc = _backproject(_filter(data, _BRANCH_FILTERS[cfg.branch]), data, quad, points)
+    filtered = convolve_rows(data.values, _BRANCH_FILTERS[cfg.branch], data.spacing)
+    acc = _backproject(filtered, data, quad, points)
     if cfg.branch == BRANCH_RADON:
         return RADON_BRANCH_FACTOR * acc
     return CLASSICAL_RADON_CONSTANT * acc
@@ -335,7 +325,7 @@ def lemma9_diagnostic(ph, points, quadrature, s_grid):
 
     left = _sphere_sum(quadrature.nodes, quadrature.weights, points, line_values, points.shape[0])
     data = build_radon_dataset(ph, quadrature, *s_grid)
-    filtered = _filter(data, HILBERT, out=data.values)
+    filtered = convolve_rows(data.values, HILBERT, data.spacing, out=data.values)
     right = -2.0 * np.pi * _backproject(filtered, data, quadrature, points)
     ratio = np.full(points.shape[0], np.nan)
     np.divide(left, right, out=ratio, where=right != 0.0)

@@ -463,33 +463,38 @@ def plane_integral_rows(ph, nodes, s):
     """plane_integral for K normals on one offset grid: the (K, S) array of
     Rf(nodes[k], s[j]), for nodes of shape (K, 3) and s of shape (S,).
 
-    One (K, S) pass per primitive, in a buffer reused across primitives;
+    Runs over blocks of node_blocks(K, S) rows: every primitive is added to a
+    block while it is in cache, through one scratch buffer of a block's rows.
     n.c is np.vecdot(nodes, c), the same per-row dot as np.dot(n, c), so
     every row is the same arithmetic as the one-normal case.  (nodes @ c
-    and einsum round about 2/3 of the values differently.)
+    and einsum round about 2/3 of the values differently.)  out starts at
+    zeros and every term is added to it: written straight into out, a
+    negative amplitude's first term would keep a -0.0 that the sum makes +0.0.
     """
     nodes = np.asarray(nodes, dtype=float)
     s = np.asarray(s, dtype=float)
     if nodes.ndim != 2 or nodes.shape[1] != 3 or s.ndim != 1:
         raise ValueError("plane_integral_rows needs nodes (K, 3) and offsets (S,)")
     out = np.zeros((nodes.shape[0], s.size))
-    buf = np.empty_like(out)
-    for prim in ph.primitives:
-        nc = np.vecdot(nodes, prim.center)
-        offset = np.subtract(s, nc[:, None], out=buf)
-        a = prim.scale
-        if prim.kind == GAUSSIAN:
-            term = np.square(offset, out=buf)
-            np.negative(term, out=term)
-            term /= a**2
-            np.exp(term, out=term)
-            term *= prim.amplitude * a * a * np.pi
-        else:
-            term = np.square(offset, out=buf)
-            np.subtract(a * a, term, out=term)
-            np.maximum(term, 0.0, out=term)
-            term *= prim.amplitude * np.pi
-        out += term
+    blocks = node_blocks(nodes.shape[0], s.size)
+    buf = np.empty((min(nodes.shape[0], blocks[0].stop) if blocks else 0, s.size))
+    nc = [np.vecdot(nodes, prim.center)[:, None] for prim in ph.primitives]
+    for block in blocks:
+        bout = out[block]
+        bbuf = buf[: bout.shape[0]]
+        for prim, nck in zip(ph.primitives, nc):
+            term = np.subtract(s, nck[block], out=bbuf)
+            np.square(term, out=term)
+            a = prim.scale
+            if prim.kind == GAUSSIAN:
+                term /= -(a**2)  # -(x^2)/a^2, bit for bit
+                np.exp(term, out=term)
+                term *= prim.amplitude * a * a * np.pi
+            else:
+                np.subtract(a * a, term, out=term)
+                np.maximum(term, 0.0, out=term)
+                term *= prim.amplitude * np.pi
+            bout += term
     return out
 
 

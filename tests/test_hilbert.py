@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import dawsn
 
+from xradon.geometry import ROWS
 from xradon.hilbert import (
     HILBERT,
     HILBERT_DERIVATIVE,
@@ -359,3 +360,86 @@ class TestKernelSpectrum:
             spectrum[0] = 1.0
         # the transform still reads it
         assert np.max(np.abs(hilbert_rows(gaussian_profile()) - hilbert_direct(gaussian_profile()))) < 1e-12
+
+
+class TestNonFinite:
+    """A NaN or an inf sample is rejected by name, before any transform or warning."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "transform",
+        [
+            lambda v: convolve_rows(v, HILBERT_DERIVATIVE, 0.1),
+            hilbert_rows,
+            lambda v: hilbert_pv_direct(v, -10.0, 10.0),
+        ],
+        ids=["convolve_rows", "hilbert_rows", "hilbert_pv_direct"],
+    )
+    def test_rejected(self, transform, bad):
+        row = gaussian_profile(count=101, extent=10.0)
+        row[40] = bad
+        with pytest.raises(ValueError, match=r"1 non-finite sample\(s\) \(NaN or inf\), the first at index \(40,\)"):
+            transform(row)
+
+    def test_named_in_a_stack(self):
+        stack = np.tile(gaussian_profile(count=101, extent=10.0), (3, 1))
+        stack[2, [7, 9]] = np.nan
+        with pytest.raises(ValueError, match=r"2 non-finite .* index \(2, 7\)") as info:
+            hilbert_rows(stack)
+        assert not isinstance(info.value, ProfileDecayError)
+
+
+def decaying_rows(rng, rows, count):
+    """Random rows whose end samples are 1e-4 of their peak, so they pass the decay check."""
+    values = rng.normal(size=(rows, count)) * 10.0 ** rng.uniform(-3, 3, size=(rows, 1))
+    peak = np.max(np.abs(values[:, 1:-1]), axis=1, keepdims=True)
+    values[:, [0, -1]] = 1e-4 * peak * rng.uniform(-1.0, 1.0, size=(rows, 2))
+    return values
+
+
+KERNELS = st.sampled_from((HILBERT, HILBERT_DERIVATIVE, SECOND_DERIVATIVE))
+
+
+class TestConvolveRowsBlocks:
+    """convolve_rows runs over blocks of ROWS // 2S rows; no row's bits depend on its block."""
+
+    @settings(PROPERTY, max_examples=40)
+    @given(
+        count=st.integers(8, 1100),
+        blocks=st.integers(1, 2),
+        kernel=KERNELS,
+        spacing=st.floats(1e-2, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(count=8, blocks=1, kernel=HILBERT, spacing=1.0, seed=0)
+    @example(count=101, blocks=2, kernel=HILBERT_DERIVATIVE, spacing=0.16, seed=1)
+    @example(count=801, blocks=2, kernel=SECOND_DERIVATIVE, spacing=0.02, seed=2)
+    @example(count=1025, blocks=2, kernel=HILBERT_DERIVATIVE, spacing=0.015625, seed=3)
+    def test_blocks_equal_row_by_row(self, count, blocks, kernel, spacing, seed):
+        # whole blocks and a short last one
+        step = ROWS // (2 * count)
+        rng = np.random.default_rng(seed)
+        values = decaying_rows(rng, blocks * step + int(rng.integers(1, step)), count)
+        by_row = np.array([convolve_rows(row, kernel, spacing) for row in values])
+        assert convolve_rows(values, kernel, spacing).tobytes() == by_row.tobytes()
+
+    @settings(PROPERTY, max_examples=40)
+    @given(rows=st.integers(1, 40), count=st.integers(8, 1100), kernel=KERNELS, seed=st.integers(0, 2**32 - 1))
+    def test_in_place_equals_out_of_place(self, rows, count, kernel, seed):
+        values = decaying_rows(np.random.default_rng(seed), rows, count)
+        expected = convolve_rows(values, kernel, 0.1)
+        assert convolve_rows(values, kernel, 0.1, out=values) is values
+        assert values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("in_place", [False, True], ids=["out", "in-place"])
+    def test_bad_last_block_writes_nothing(self, in_place):
+        # 1025 samples: blocks of 7 rows, so rows 0..13 fill two and row 16 is in the third
+        values = decaying_rows(np.random.default_rng(5), 17, 1025)
+        values[16, -1] = np.max(np.abs(values[16]))
+        before = values.copy()
+        out = values if in_place else np.full(values.shape, 7.0)
+        with pytest.raises(ProfileDecayError):
+            convolve_rows(values, SECOND_DERIVATIVE, 0.1, out=out)
+        assert values.tobytes() == before.tobytes()
+        if not in_place:
+            assert np.all(out == 7.0)

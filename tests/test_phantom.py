@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -670,15 +671,42 @@ class TestPlaneIntegral:
         assert abs(xr.plane_integral_derivative(ph, n, 40.0)) == 0.0
 
     def test_rows_equal_per_node_calls(self):
-        # n.c for all rows at once is the per-row dot of a one-normal call, bit for bit
-        ph = xr.Phantom(
+        # n.c for all rows at once is the per-row dot of a one-normal call, and a
+        # row's bits do not depend on its block of ROWS // S rows: 399 at S = 41
+        # (5 whole and a short 5), 20 at S = 801 (one row, one whole block, and
+        # 20, 20, 5) and 15 at S = 1025 (15, 15, 10)
+        phantoms = [
             (xr.Primitive(xr.GAUSSIAN, (0.3, -0.2, 0.45), 0.8, -1.3), xr.Primitive(xr.BALL, (-1.0, 0.5, 0.7), 0.9, 2.0)),
-            8.0,
+            (xr.Primitive(xr.BALL, (0.2, 0.1, -0.3), 0.7, -1.1), xr.Primitive(xr.GAUSSIAN, (-0.5, 0.0, 0.2), 0.4, 0.9)),
+            (xr.Primitive(xr.BALL, (0.2, 0.1, -0.3), 0.7, -1.1),),
+            (),
+        ]
+        for primitives in phantoms:
+            ph = xr.Phantom(primitives, 8.0)
+            for count, samples in [(2000, 41), (1, 801), (20, 801), (45, 801), (40, 1025), (3, 8)]:
+                nodes = xr.fibonacci_sphere(max(count, 2)).nodes[:count]
+                s = np.linspace(-4.0, 4.0, samples)
+                per_node = np.array([xr.plane_integral(ph, n, s) for n in nodes])
+                rows = phm.plane_integral_rows(ph, nodes, s)
+                assert rows.tobytes() == per_node.tobytes(), (len(primitives), count, samples)
+                # every sum starts at +0.0, so a negative amplitude's zero terms leave no -0.0
+                assert not np.any(np.signbit(rows[rows == 0.0]))
+
+    def test_rows_scratch_is_one_block(self):
+        # one scratch block of ROWS // S rows, not a second (K, S) array
+        ph = xr.Phantom(
+            (xr.Primitive(xr.GAUSSIAN, (0.3, -0.2, 0.45), 0.8, 1.3), xr.Primitive(xr.GAUSSIAN, (-0.4, 0.1, 0.2), 0.6, 0.9)),
+            7.0,
         )
-        nodes = xr.fibonacci_sphere(2000).nodes
-        s = np.linspace(-4.0, 4.0, 41)
-        per_node = np.array([xr.plane_integral(ph, n, s) for n in nodes])
-        assert phm.plane_integral_rows(ph, nodes, s).tobytes() == per_node.tobytes()
+        nodes = xr.fibonacci_sphere(300).nodes
+        s = np.linspace(-8.0, 8.0, 1025)
+        tracemalloc.start()
+        try:
+            rows = phm.plane_integral_rows(ph, nodes, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows.nbytes + 512 * 1024
 
     def test_plane_march_cross_check(self, unit_gaussian):
         from conftest import plane_march_density
