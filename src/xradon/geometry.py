@@ -26,10 +26,10 @@ _UNIT_TOL = 1e-9
 # hilbert.sample_width(P, S) for nodes backprojected at P points from
 # profiles of S samples (4 P stencil samples, or four cubic tables of about
 # S values); S for the rows of phantom.plane_integral_rows (its one scratch
-# block); 2 S for the rows that hilbert.convolve_rows filters in its own
-# blocks (the kernel's FFT length); and K for grangeat_convert's points of
-# K rays each.  This bounds the temporaries of a block to a few MB; a large
-# volume gets one node per block.
+# block) and for the targets of hilbert.hilbert_pv_direct, each a row of S
+# integrand samples; and 2 S for the rows that hilbert.convolve_rows filters
+# in its own blocks (the kernel's FFT length).  This bounds the temporaries
+# of a block to a few MB; a large volume gets one node per block.
 # Cubic tables for all K rows at once were rejected: 9.8 MB more at 300 rows
 # of 1025 samples.
 ROWS = 16384

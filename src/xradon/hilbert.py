@@ -129,6 +129,8 @@ def hilbert_pv_direct(values, s_min, s_max):
     evaluated by the trapezoid rule.  The logarithmic end-correction
     diverges at the grid endpoints, so the result is the S - 2 samples
     on the interior grid, s_min + h .. s_max - h for the grid spacing h.
+    The targets run in blocks of node_blocks(S - 2, S); a target's sum is over
+    its own row of the integrand, so its bits do not depend on its block.
     """
     f = np.asarray(values, dtype=float).reshape(-1)
     _check_decay(f)
@@ -136,16 +138,18 @@ def hilbert_pv_direct(values, s_min, s_max):
     h = (s_max - s_min) / (f.size - 1)
     targets = s[1:-1]
     ft = f[1:-1]
-    # integrand g(sigma) = (f(sigma) - f(s)) / (s - sigma), rows = targets
-    diff = f[None, :] - ft[:, None]
-    denom = targets[:, None] - s[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = diff / denom
     # removable singularity at sigma = s: limit is -f'(s)
     fprime = (f[2:] - f[:-2]) / (2.0 * h)
-    idx = np.arange(targets.size)
-    g[idx, idx + 1] = -fprime
-    trap = h * (np.sum(g, axis=1) - 0.5 * (g[:, 0] + g[:, -1]))
+    trap = np.empty(targets.size)
+    for block in node_blocks(targets.size, f.size):
+        # integrand g(sigma) = (f(sigma) - f(s)) / (s - sigma), rows = targets
+        diff = f[None, :] - ft[block, None]
+        denom = targets[block, None] - s[None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = diff / denom
+        idx = np.arange(g.shape[0])
+        g[idx, idx + block.start + 1] = -fprime[block]
+        trap[block] = h * (np.sum(g, axis=1) - 0.5 * (g[:, 0] + g[:, -1]))
     correction = ft * np.log((targets - s_min) / (s_max - targets))
     return (trap + correction) / np.pi
 

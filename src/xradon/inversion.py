@@ -20,9 +20,9 @@ Three branches are implemented:
   f(x) = -(1/(8*pi^2)) * integral_{S^2} d^2/ds^2 Rf(n, s)|_{s = x.n} dn
   (hilbert.SECOND_DERIVATIVE), the independent oracle for the other branches.
 
-Also here: the Grangeat-style conversion of x-ray data into the
-derivative of Radon data via a mollified delta', and the two-sided
-spherical-average equivalence diagnostic.
+Also here: Grangeat's conversion of x-ray data into the derivative of
+Radon data, by a central difference across great circles, and the
+two-sided spherical-average equivalence diagnostic.
 """
 
 from __future__ import annotations
@@ -44,8 +44,9 @@ BRANCHES = (BRANCH_XRAY, BRANCH_RADON, BRANCH_CLASSICAL)
 
 # Derived from n . grad_x Xf = -f under the 4*pi measure convention.
 XRAY_BRANCH_CONSTANT = -1.0 / (4.0 * np.pi)
-# Constant as printed in the source derivation: no branch applies it; calibrate's
-# scale is compared with it, and invert --normalization can be set to it.
+# Constant as printed in the source derivation.  No branch applies it and calibrate
+# does not report it; invert --normalization can be set to it, and acceptance
+# criterion 4 reports the ratio of the fitted x-ray scale to it.
 SPHERICAL_REFERENCE_CONSTANT = 1.0 / (2.0 * np.pi**3)
 # Textbook 3D Radon inversion constant, baked into the classical branch.
 CLASSICAL_RADON_CONSTANT = -1.0 / (8.0 * np.pi**2)
@@ -241,54 +242,39 @@ def reconstruct(data, cfg, points):
 # --- conversion and diagnostics ---------------------------------------------
 
 
-def grangeat_convert(xdata, x, n, quadrature, band):
-    """Convert divergent-beam data into the derivative of Radon data.
+# Points of the trapezoid rule on each circle of grangeat_convert.
+GRANGEAT_CIRCLE_POINTS = 32
 
-    Realizes integral_{S^2} Xf(x, n1) delta'(n . n1) dGamma, an estimate
-    of -(Rf)'(x . n), with delta' mollified by the derivative of a
-    normalized Gaussian of width `band` in u = n . n1.
 
-    xdata(x, n) is divergent-beam data that takes (K, 3) arrays to (K,)
-    values, e.g. functools.partial(phantom.halfline_integral, ph) for an
-    analytic phantom.  x is a (P, 3) batch of points, with one normal n for
-    all of them, and the result has shape (P,); a (3,) point gives a float.
-    The kernel is built once per call, and xdata is called on the
-    (B * K, 3) rays of a block of B points at a time (geometry.node_blocks
-    over the points, with K rays each).  Every point's sum is its own dot
-    product over the K nodes (np.vecdot, the per-row dot of np.dot), so it
-    does not depend on the batch it came in.
+def grangeat_convert(xdata, x, n, band):
+    """-(Rf)'(x . n) from divergent-beam data, by Grangeat's identity on great circles.
 
-    The band must resolve the quadrature's u-axis node spacing (~2/count)
-    and be at most 1, the half-width of the u-range [-1, 1].
+    With u = omega . n and G(u) = integral_0^{2 pi} Xf(x, u n + sqrt(1 - u^2) e(phi)) dphi,
+    e(phi) on the great circle perpendicular to n, Archimedes' dOmega = du dphi makes
+    integral_{S^2} Xf(x, omega) delta'(omega . n) dOmega = -G'(0) = -(Rf)'(x . n).
+    G'(0) is the central difference of half-step `band` in u, O(band^2); G is the
+    trapezoid sum over GRANGEAT_CIRCLE_POINTS points of its circle.
+
+    xdata(x, n) takes (K, 3) arrays to (K,) values, e.g.
+    functools.partial(phantom.halfline_integral, ph); it is called once.  x is a
+    (P, 3) batch of points for the one normal n, giving (P,), or a (3,) point,
+    giving a float; each point's sum is over its own row, so it does not depend on
+    the batch it came in.  band is a normal float in (0, 1], so 1 / band is finite.
     """
-    if not 0.0 < band <= 1.0:
-        raise ValueError(f"band must be in (0, 1], the half-width of the u-range; got {band!r}")
+    if not np.finfo(float).tiny <= band <= 1.0:
+        raise ValueError(f"band must be a normal float in (0, 1], the half-width of the u-range; got {band!r}")
     n = as_direction(n)
-    u_spacing = 2.0 / quadrature.count
-    if band < 2.0 * u_spacing:
-        raise ValueError(
-            f"band {band:g} undersampled: below twice the u-axis node spacing {u_spacing:g}"
-        )
     x = np.asarray(x, dtype=float)
     points = _as_points(x[None] if x.shape == (3,) else x)
-    nodes = quadrature.nodes
-    w = quadrature.weights
-    u = nodes @ n
-    kernel = -2.0 * u * np.exp(-(u * u) / band**2) / (band**3 * np.sqrt(np.pi))
-    # Enforce the delta' moments on the discrete node set: zero mean
-    # (kills the quadrature bias of the odd kernel) and first moment
-    # -2*pi (the exact value of int_{S^2} u delta'(u) dn).
-    kernel = kernel - float(np.dot(w, kernel)) / float(np.sum(w))
-    first_moment = float(np.dot(w, kernel * u))
-    if first_moment == 0.0:
-        raise ValueError("degenerate quadrature: delta' kernel has zero first moment")
-    kernel *= -2.0 * np.pi / first_moment
-    out = np.empty(points.shape[0])
-    for block in node_blocks(points.shape[0], quadrature.count):
-        x_rows = np.repeat(points[block], quadrature.count, axis=0)
-        n_rows = np.tile(nodes, (points[block].shape[0], 1))
-        values = np.asarray(xdata(x_rows, n_rows), dtype=float).reshape(-1, quadrature.count)
-        out[block] = np.vecdot(values * kernel, w)
+    # e1 and n x e1: an orthonormal pair perpendicular to n
+    e1 = np.cross(n, np.eye(3)[np.argmin(np.abs(n))])
+    e1 /= np.linalg.norm(e1)
+    phi = 2.0 * np.pi * np.arange(GRANGEAT_CIRCLE_POINTS) / GRANGEAT_CIRCLE_POINTS
+    circle = np.sqrt(1.0 - band * band) * (np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * np.cross(n, e1))
+    # point-major rays (_rays with the roles swapped), so each point's values are one row
+    n_rows, x_rows = _rays(np.concatenate((band * n + circle, circle - band * n)), points)
+    values = np.asarray(xdata(x_rows, n_rows), dtype=float).reshape(points.shape[0], 2, -1)
+    out = -np.pi / (GRANGEAT_CIRCLE_POINTS * band) * np.sum(values[:, 0] - values[:, 1], axis=1)
     return float(out[0]) if x.shape == (3,) else out
 
 

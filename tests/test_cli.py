@@ -439,7 +439,7 @@ class TestConfigValidation:
             ("check", ["--band", "0"], ["--band (config field band) must be in (0, 1]"]),
             ("check", ["--band", "1.5"], ["--band (config field band) must be in (0, 1]"]),
             ("invert", ["--band", "1.5"], ["--band (config field band) must be in (0, 1]"]),
-            ("check", ["--band", "0.01", "--nodes", "40"], ["--band 0.01", "--nodes 40", "undersampled"]),
+            ("check", ["--band", "1e-320"], ["--band (config field band) must be in (0, 1]"]),
             ("invert", ["--s-count", "5"], ["--s-count (config field s_count) must be at least 8"]),
             ("invert", ["--seed", "-1"], ["--seed (config field seed)"]),
             ("invert", ["--s-min", "2", "--s-max", "1"], ["--s-max (config field s_max) must exceed --s-min 2"]),
@@ -447,7 +447,7 @@ class TestConfigValidation:
         ],
         ids=[
             "vol-dims", "points", "diff-step", "band-zero", "check-band-above-1", "invert-band-above-1",
-            "band-undersampled", "s-count", "seed", "s-grid-empty", "volume-empty",
+            "band-subnormal", "s-count", "seed", "s-grid-empty", "volume-empty",
         ],
     )
     def test_invalid_flag_named(self, tmp_path, phantom_file, capsys, command, flags, named):
@@ -457,13 +457,6 @@ class TestConfigValidation:
         assert all(text in err for text in named), err
         assert "Traceback" not in err
         assert not outdir.exists()
-
-    def test_band_at_the_undersampling_bound(self, tmp_path, phantom_file):
-        # 4 / 40 = 0.1, twice the u-axis node spacing of 40 nodes, is the smallest band check takes
-        outdir = tmp_path / "o"
-        argv = ["check", "--phantom", str(phantom_file), "--nodes", "40", "--band", "0.1", "--outdir", str(outdir)]
-        assert run(*argv) == 0
-        assert (outdir / "grangeat.csv").exists()
 
     @pytest.mark.parametrize("field", fields(RunConfig), ids=lambda f: f.name)
     def test_flag_parses_into_field(self, field):
@@ -527,6 +520,15 @@ class TestCheck:
         assert np.array_equal(rows[:, 0], sweep)
         assert np.array_equal(rows[:, 2], -phm.plane_integral_derivative(phm.load_phantom(phantom_file), n, sweep))
         assert np.array_equal(rows[:, 3], np.abs(rows[:, 1] - rows[:, 2]))
+
+    def test_grangeat_lhs_matches_rhs_at_the_default_band(self, tmp_path):
+        # the great-circle conversion's O(band^2) error at band 1e-4 is near 1e-8
+        ph = tmp_path / "ph.txt"
+        assert run("phantom-gen", "--out", str(ph), "--preset", "two-gaussians") == 0
+        outdir = tmp_path / "o"
+        assert run("check", "--phantom", str(ph), "--nodes", "200", "--outdir", str(outdir)) == 0
+        rows = np.loadtxt(outdir / "grangeat.csv", delimiter=",", skiprows=1)
+        assert np.max(np.abs(rows[:, 1] - rows[:, 2])) <= 1e-7 * np.max(np.abs(rows[:, 2]))
 
     def test_rejects_ball_phantom(self, tmp_path):
         ph = tmp_path / "ball.txt"

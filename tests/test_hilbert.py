@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import dawsn
 
+from xradon import geometry
 from xradon.geometry import ROWS
 from xradon.hilbert import (
     HILBERT,
@@ -189,6 +192,29 @@ class TestHilbertPvDirect:
     def test_rejects_non_decaying(self):
         with pytest.raises(ValueError):
             hilbert_pv_direct(np.ones(64), -1.0, 1.0)
+
+    @pytest.mark.parametrize("count", [101, 2049])
+    def test_blocks_equal_one_block(self, monkeypatch, count):
+        # the targets run in blocks of ROWS // S rows, the last one short; one block
+        # of all S - 2 targets gives the same bits
+        s = np.linspace(-20.0, 20.0, count)
+        values = np.exp(-((s - 0.3) ** 2) / 4.0) * np.cos(s)
+        assert (count - 2) % (ROWS // count) != 0
+        blocked = hilbert_pv_direct(values, -20.0, 20.0)
+        monkeypatch.setattr(geometry, "ROWS", count * count)
+        assert blocked.tobytes() == hilbert_pv_direct(values, -20.0, 20.0).tobytes()
+
+    def test_memory_is_bounded(self):
+        # one block of ROWS // S targets, not three (S - 2, S) arrays (100 MB at S = 2,049)
+        values = lorentzian_profile(2049)
+        hilbert_pv_direct(values, -40.0, 40.0)  # warm up: caches and lazy imports
+        tracemalloc.start()
+        try:
+            hilbert_pv_direct(values, -40.0, 40.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_000_000
 
 
 def gaussian_radon_row(amplitude, scale, count):
