@@ -56,8 +56,8 @@ class RunConfig:
             # 1/(2 diff_step) overflows for a subnormal step
             ("diff_step", self.diff_step >= sys.float_info.min,
              f"must be at least {sys.float_info.min!r}, the smallest normal float"),
-            ("band", sys.float_info.min <= self.band <= 1.0,  # 1/band overflows for a subnormal band
-             f"must be in (0, 1], the half-width of the u-range, and at least {sys.float_info.min!r}"),
+            ("band", inversion.GRANGEAT_MIN_BAND <= self.band <= 1.0,
+             f"must be in (0, 1], the half-width of the u-range, and at least {inversion.GRANGEAT_MIN_BAND!r}"),
             ("nodes", self.nodes >= 2, "must be at least 2"),
             ("s_count", self.s_count >= inversion.MIN_PROFILE_SAMPLES,
              f"must be at least {inversion.MIN_PROFILE_SAMPLES}"),

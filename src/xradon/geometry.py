@@ -20,9 +20,11 @@ _UNIT_TOL = 1e-9
 # Rows of work per block, for every module that sums over a quadrature: a
 # block holds max(1, ROWS // width) items, where the width is the number of
 # values per item of the loop's largest temporary.  It is P for nodes
-# evaluated at P points (the x-ray ray differences of lift_xray_data and of
-# the erfc-form Gaussians and balls of phantom.ray_differences, whose
-# series-form Gaussians run in no blocks, and the line integrals of lemma9);
+# evaluated at P points (the x-ray ray differences of difference_sum, for
+# lift_xray_data and for phantom.ray_differences at points within h of a
+# ball's surface, and of that function's erfc-form Gaussians; its
+# series-form Gaussians and the rest of a ball's points run in no blocks;
+# and the line integrals of lemma9);
 # hilbert.sample_width(P, S) for nodes backprojected at P points from
 # profiles of S samples (4 P stencil samples, or four cubic tables of about
 # S values); S for the rows of phantom.plane_integral_rows (its one scratch
@@ -39,6 +41,39 @@ def node_blocks(total, width):
     """Consecutive slices of range(total), each about ROWS / width long."""
     step = max(1, ROWS // max(width, 1))
     return [slice(lo, lo + step) for lo in range(0, total, step)]
+
+
+def rays(points, nodes):
+    """Every (node, point) pair of a block as (B*P, 3) rows, node-major."""
+    shape = (nodes.shape[0],) + points.shape
+    x = np.broadcast_to(points, shape).reshape(-1, 3)
+    n = np.broadcast_to(nodes[:, None, :], shape).reshape(-1, 3)
+    return x, n
+
+
+def sphere_sum(nodes, weights, points, integrand, width):
+    """sum_k w_k * integrand at every point; integrand(block, nodes) gives the (B, P)
+    values for the nodes nodes[block], in blocks of node_blocks(K, width)."""
+    acc = np.zeros(points.shape[0])
+    for block in node_blocks(nodes.shape[0], width):
+        acc += weights[block] @ integrand(block, nodes[block])
+    return acc
+
+
+def difference_sum(xdata, points, h, nodes, weights):
+    """sum_k w_k [xdata(x + h n_k, n_k) - xdata(x - h n_k, n_k)] at every row x of
+    the (P, 3) points, for (K, 3) nodes and (K,) weights; xdata(x, n) takes
+    (B*P, 3) rows to (B*P,) values and is called twice per node block of
+    node_blocks(K, P)."""
+
+    def differences(block, nodes):
+        n = rays(points, nodes)[1]
+        step = h * nodes[:, None, :]
+        fwd = np.asarray(xdata((points + step).reshape(-1, 3), n), dtype=float)
+        bwd = np.asarray(xdata((points - step).reshape(-1, 3), n), dtype=float)
+        return (fwd - bwd).reshape(nodes.shape[0], -1)
+
+    return sphere_sum(nodes, weights, points, differences, points.shape[0])
 
 
 def as_sum_inputs(points, nodes, weights, caller):

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import phantom as ph_mod
-from .geometry import SphereQuadrature, VolumeGrid, as_direction, as_sum_inputs, node_blocks
+from .geometry import SphereQuadrature, VolumeGrid, as_direction, as_sum_inputs, difference_sum, rays, sphere_sum
 from .hilbert import HILBERT, HILBERT_DERIVATIVE, SECOND_DERIVATIVE, convolve_rows, sample_rows, sample_width
 
 BRANCH_XRAY = "xray"
@@ -139,23 +139,15 @@ def lift_xray_data(xdata):
     xdata(x, n) takes (K, 3) arrays to (K,) values, as
     functools.partial(phantom.halfline_integral, ph) does.  The result is
     data(points, h, nodes, weights), giving the (P,) array
-    sum_k w_k [xdata(x + h n_k, n_k) - xdata(x - h n_k, n_k)]; it calls xdata
-    twice per node block.  This is the path for non-analytic data and the
+    sum_k w_k [xdata(x + h n_k, n_k) - xdata(x - h n_k, n_k)], by
+    geometry.difference_sum.  This is the path for non-analytic data and the
     reference for the closed form phantom.ray_differences.  data checks the
     shapes of points, nodes and weights as ray_differences does.
     """
 
     def data(points, h, nodes, weights):
         points, nodes, weights = as_sum_inputs(points, nodes, weights, "lift_xray_data's data")
-
-        def differences(block, nodes):
-            n = _rays(points, nodes)[1]
-            step = h * nodes[:, None, :]
-            fwd = np.asarray(xdata((points + step).reshape(-1, 3), n), dtype=float)
-            bwd = np.asarray(xdata((points - step).reshape(-1, 3), n), dtype=float)
-            return (fwd - bwd).reshape(nodes.shape[0], -1)
-
-        return _sphere_sum(nodes, weights, points, differences, points.shape[0])
+        return difference_sum(xdata, points, h, nodes, weights)
 
     return data
 
@@ -175,23 +167,6 @@ def _as_points(points):
     return points
 
 
-def _rays(points, nodes):
-    """Every (node, point) pair of a block as (B*P, 3) rows, node-major."""
-    shape = (nodes.shape[0],) + points.shape
-    x = np.broadcast_to(points, shape).reshape(-1, 3)
-    n = np.broadcast_to(nodes[:, None, :], shape).reshape(-1, 3)
-    return x, n
-
-
-def _sphere_sum(nodes, weights, points, integrand, width):
-    """sum_k w_k * integrand at every point; integrand(block, nodes) gives the (B, P)
-    values for the nodes nodes[block], in blocks of node_blocks(K, width)."""
-    acc = np.zeros(points.shape[0])
-    for block in node_blocks(nodes.shape[0], width):
-        acc += weights[block] @ integrand(block, nodes[block])
-    return acc
-
-
 # The kernel of each radon branch's backprojected integrand: d/ds H Rf and d^2/ds^2 Rf.
 _BRANCH_FILTERS = {BRANCH_RADON: HILBERT_DERIVATIVE, BRANCH_CLASSICAL: SECOND_DERIVATIVE}
 
@@ -204,7 +179,7 @@ def _backproject(filtered, data, quadrature, points):
         return sample_rows(filtered[block], data.s_min, data.s_max, nodes @ points.T)
 
     width = sample_width(points.shape[0], filtered.shape[1])
-    return _sphere_sum(quadrature.nodes, quadrature.weights, points, values, width)
+    return sphere_sum(quadrature.nodes, quadrature.weights, points, values, width)
 
 
 def reconstruct(data, cfg, points):
@@ -244,6 +219,10 @@ def reconstruct(data, cfg, points):
 
 # Points of the trapezoid rule on each circle of grangeat_convert.
 GRANGEAT_CIRCLE_POINTS = 32
+# Smallest band grangeat_convert takes: its difference of two circle sums loses
+# about eps / band to rounding, 3e-6 of max|(Rf)'| at band 1e-10 and all of it
+# at 1e-300 (two-gaussians, 40 nodes), against 1.6e-8 at 1e-8.
+GRANGEAT_MIN_BAND = 1e-8
 
 
 def grangeat_convert(xdata, x, n, band):
@@ -259,10 +238,10 @@ def grangeat_convert(xdata, x, n, band):
     functools.partial(phantom.halfline_integral, ph); it is called once.  x is a
     (P, 3) batch of points for the one normal n, giving (P,), or a (3,) point,
     giving a float; each point's sum is over its own row, so it does not depend on
-    the batch it came in.  band is a normal float in (0, 1], so 1 / band is finite.
+    the batch it came in.  band is in (0, 1] and at least GRANGEAT_MIN_BAND.
     """
-    if not np.finfo(float).tiny <= band <= 1.0:
-        raise ValueError(f"band must be a normal float in (0, 1], the half-width of the u-range; got {band!r}")
+    if not GRANGEAT_MIN_BAND <= band <= 1.0:
+        raise ValueError(f"band must be in (0, 1] and at least {GRANGEAT_MIN_BAND!r}, got {band!r}")
     n = as_direction(n)
     x = np.asarray(x, dtype=float)
     points = _as_points(x[None] if x.shape == (3,) else x)
@@ -271,8 +250,8 @@ def grangeat_convert(xdata, x, n, band):
     e1 /= np.linalg.norm(e1)
     phi = 2.0 * np.pi * np.arange(GRANGEAT_CIRCLE_POINTS) / GRANGEAT_CIRCLE_POINTS
     circle = np.sqrt(1.0 - band * band) * (np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * np.cross(n, e1))
-    # point-major rays (_rays with the roles swapped), so each point's values are one row
-    n_rows, x_rows = _rays(np.concatenate((band * n + circle, circle - band * n)), points)
+    # point-major rays (rays with the roles swapped), so each point's values are one row
+    n_rows, x_rows = rays(np.concatenate((band * n + circle, circle - band * n)), points)
     values = np.asarray(xdata(x_rows, n_rows), dtype=float).reshape(points.shape[0], 2, -1)
     out = -np.pi / (GRANGEAT_CIRCLE_POINTS * band) * np.sum(values[:, 0] - values[:, 1], axis=1)
     return float(out[0]) if x.shape == (3,) else out
@@ -307,9 +286,9 @@ def lemma9_diagnostic(ph, points, quadrature, s_grid):
     points = _as_points(points)
 
     def line_values(block, nodes):
-        return ph_mod.line_integral(ph, *_rays(points, nodes)).reshape(nodes.shape[0], -1)
+        return ph_mod.line_integral(ph, *rays(points, nodes)).reshape(nodes.shape[0], -1)
 
-    left = _sphere_sum(quadrature.nodes, quadrature.weights, points, line_values, points.shape[0])
+    left = sphere_sum(quadrature.nodes, quadrature.weights, points, line_values, points.shape[0])
     data = build_radon_dataset(ph, quadrature, *s_grid)
     filtered = convolve_rows(data.values, HILBERT, data.spacing, out=data.values)
     right = -2.0 * np.pi * _backproject(filtered, data, quadrature, points)

@@ -11,13 +11,14 @@ Two primitive kinds are supported:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc
 
-from .geometry import as_direction, as_sum_inputs, node_blocks
+from .geometry import as_direction, as_sum_inputs, difference_sum, node_blocks
 
 GAUSSIAN = "gaussian"
 BALL = "ball"
@@ -182,13 +183,11 @@ def ray_differences(ph, points, h, nodes, weights):
     other shapes raise a ValueError before any work.
     Returns the (P,) array sum_k w_k [Xf(x + h n_k, n_k) - Xf(x - h n_k, n_k)];
     a single ray is ray_differences(ph, x[None], h, n[None], np.ones(1)).
-    Along a ray, d^2 = |x - c|^2 - p^2 with p = n.(x - c) is the same at both
-    ends of the step, so per primitive (width or radius a, amplitude A):
-    Gaussian -A * exp(-d^2/a^2) * int_{-h}^{h} exp(-(p + t)^2/a^2) dt, summed
-    as a short series in p^2 (see _gaussian_series) or, outside its bound,
-    A * a * (sqrt(pi)/2) * exp(-d^2/a^2) * [erfc((p+h)/a) - erfc((p-h)/a)];
-    ball A * [chord(p + h) - chord(p - h)], chord(q) the length ahead of
-    the point at offset q along the ray.  Each term equals the difference of
+    Each ray's difference is -int_{-h}^{h} f(x + t n) dt.  A Gaussian's (width
+    a, amplitude A) is -A * exp(-d^2/a^2) * int_{-h}^{h} exp(-(p + t)^2/a^2) dt,
+    with p = n.(x - c) and d^2 = |x - c|^2 - p^2 the same at both ends of the
+    step, summed as a short series in p^2 (see _gaussian_series) or, outside
+    its bound, by the erfc form of _looped_sum; each equals the difference of
     two halfline_integral calls up to rounding.
 
     A series-form Gaussian, exp(-|x - c|^2/a^2) * sum_j c_j p^2j, has no loop
@@ -205,36 +204,48 @@ def ray_differences(ph, points, h, nodes, weights):
     rounding, that of sums over K nodes and at most 94 monomials of terms that
     small, stays far below the series' share of the result.
 
-    The erfc-form Gaussians and the balls run over blocks of
-    node_blocks(K, P) nodes, as (B, P) arrays (one node per block for a large
-    batch): n . x is formed once per block for them all, and each term is
-    weighted before it is added to a (B, P) accumulator, which is summed over
-    its rows once per call.
+    A ball (radius a, amplitude A) classifies the points by |x - c|^2.  Where
+    |x - c| <= a - h, every segment [x - h n, x + h n] lies in the ball and
+    the sum is exactly (-2 h A) * sum_k w_k; where |x - c| >= a + h, none
+    meets it and the sum is +0.0.  Only the points between run over node
+    blocks, by two halfline_integral calls on that ball alone
+    (geometry.difference_sum, as lift_xray_data does).  The erfc-form
+    Gaussians are added first, then the series-form ones, then the balls.
     """
     points, nodes, weights = as_sum_inputs(points, nodes, weights, "ray_differences")
     columns = np.ascontiguousarray(points.T)
     rel = [columns - prim.center[:, None] for prim in ph.primitives]
     r2 = [_sum_squares(y) for y in rel]
-    series = [_gaussian_series(prim, rr, h) for prim, rr in zip(ph.primitives, r2)]
-    looped = [(prim, rr) for prim, rr, ser in zip(ph.primitives, r2, series) if ser is None]
+    series = [_gaussian_series(prim, rr, h) if prim.kind == GAUSSIAN else None for prim, rr in zip(ph.primitives, r2)]
+    looped = [(prim, rr) for prim, rr, ser in zip(ph.primitives, r2, series) if prim.kind == GAUSSIAN and ser is None]
     expanded = [(y, ser) for y, ser in zip(rel, series) if ser is not None]
     out = _looped_sum(looped, columns, nodes, weights, h)
-    if not expanded:
-        return out
-    moments = _moments(nodes, weights, max(len(coeffs) - 1 for _, (coeffs, _) in expanded))
     total = float(np.sum(weights))
+    if expanded:
+        moments = _moments(nodes, weights, max(len(coeffs) - 1 for _, (coeffs, _) in expanded))
     for y, (coeffs, scale) in expanded:
         acc = _moment_series(y, coeffs, moments)
         acc += coeffs[0] * total
         acc *= scale
         out += acc
+    for prim, rr in zip(ph.primitives, r2):
+        if prim.kind != BALL:
+            continue
+        inside = (rr <= (prim.scale - h) ** 2) & (h < prim.scale)
+        shell = ~(inside | (rr >= (prim.scale + h) ** 2))  # a NaN point is in the shell
+        out[inside] += -2.0 * h * prim.amplitude * total
+        if np.any(shell):
+            ball = functools.partial(halfline_integral, Phantom((prim,), ph.support_radius))
+            out[shell] += difference_sum(ball, points[shell], h, nodes, weights)
     return out
 
 
 def _looped_sum(prims, columns, nodes, weights, h):
-    """sum_k w_k of the ray differences of the (primitive, |x - c|^2) pairs prims,
-    by the erfc form or the chord form, over node blocks; columns is the (3, P)
-    transpose of the points.
+    """sum_k w_k of the ray differences of the (Gaussian, |x - c|^2) pairs prims,
+    A * a * (sqrt(pi)/2) * exp(-d^2/a^2) * [erfc((p+h)/a) - erfc((p-h)/a)], over
+    blocks of node_blocks(K, P) nodes; columns is the (3, P) transpose of the
+    points.  n . x is formed once per block, and each weighted term is added
+    to a (B, P) accumulator summed over its rows once per call.
     """
     width = columns.shape[1]
     if not prims:
@@ -257,8 +268,23 @@ def _looped_sum(prims, columns, nodes, weights, h):
             np.multiply(bnodes[:, i : i + 1], columns[i], out=bu)
             bnx += bu
         for (prim, rr), nck in zip(prims, nc):
+            a = prim.scale
             np.subtract(bnx, nck[block], out=bp)
-            _add_difference(prim, bp, rr, h, wcol[block], bout, be, bu, bv)
+            np.multiply(bp, bp, out=be)
+            np.subtract(rr, be, out=be)
+            np.maximum(be, 0.0, out=be)  # d^2
+            np.divide(be, -(a**2), out=be)
+            np.exp(be, out=be)
+            np.add(bp, h, out=bu)
+            np.divide(bu, a, out=bu)
+            erfc(bu, out=bu)
+            np.subtract(bp, h, out=bv)
+            np.divide(bv, a, out=bv)
+            erfc(bv, out=bv)
+            bu -= bv
+            bu *= be
+            bu *= wcol[block] * prim.amplitude * a * (SQRT_PI / 2.0)
+            bout += bu
     return out.sum(axis=0)
 
 
@@ -335,11 +361,9 @@ def _gaussian_series(prim, r2, h):
 
     Returns (coeffs, scale): the difference is scale * sum_j coeffs[j] * p^2j,
     with scale = exp(-r2/a^2) written over r2, which the series form does not
-    read again.  Returns None, leaving r2 as it is, for a ball or when the
-    truncation bound above exceeds SERIES_TOL at every order.
+    read again.  Returns None, leaving r2 as it is, when the truncation bound
+    above exceeds SERIES_TOL at every order.
     """
-    if prim.kind != GAUSSIAN:
-        return None
     a = prim.scale
     delta = h / a
     t = abs(delta) * max(1.0, float(np.sqrt(np.max(r2, initial=0.0))) / a)
@@ -360,50 +384,6 @@ def _gaussian_series(prim, r2, h):
     coeffs *= -2.0 * h * prim.amplitude / (a * a) ** np.arange(order + 1)
     np.divide(r2, -(a * a), out=r2)
     return coeffs, np.exp(r2, out=r2)
-
-
-def _add_difference(prim, p, r2, h, weight, out, e, u, v):
-    """Add weight times one primitive's ray difference at offsets p +- h to out,
-    by the erfc form for a Gaussian or the chord form for a ball.
-
-    p is a (B, P) block of offsets, r2 is |x - c|^2 of shape (P,) and weight
-    a (B, 1) column; e, u and v are scratch arrays of out's shape, and a
-    ball overwrites p.
-    """
-    np.multiply(p, p, out=e)
-    np.subtract(r2, e, out=e)
-    np.maximum(e, 0.0, out=e)  # d^2
-    a = prim.scale
-    if prim.kind == GAUSSIAN:
-        np.divide(e, -(a**2), out=e)
-        np.exp(e, out=e)
-        np.add(p, h, out=u)
-        np.divide(u, a, out=u)
-        erfc(u, out=u)
-        np.subtract(p, h, out=v)
-        np.divide(v, a, out=v)
-        erfc(v, out=v)
-        u -= v
-        u *= e
-        u *= weight * prim.amplitude * a * (SQRT_PI / 2.0)
-        out += u
-        return
-    np.subtract(a * a, e, out=e)
-    np.maximum(e, 0.0, out=e)
-    np.sqrt(e, out=e)  # half chord of the ray's line, 0 off the ball
-    # chord(q) = max(root - q, 0) + min(root + q, 0), at q = p + h into v and
-    # at q = p - h into u; the difference is taken before it is weighted
-    np.add(p, h, out=u)
-    np.subtract(p, h, out=p)
-    for q, chord in ((u, v), (p, u)):
-        np.subtract(e, q, out=chord)
-        np.maximum(chord, 0.0, out=chord)
-        np.add(e, q, out=q)
-        np.minimum(q, 0.0, out=q)
-        chord += q
-    v -= u
-    v *= weight * prim.amplitude
-    out += v
 
 
 def line_integral(ph, x, n):

@@ -120,6 +120,44 @@ class TestInvert:
         assert meta["dims"] == [9, 9, 9]
         assert len((outdir / "volume.raw").read_bytes()) == 9**3 * 4
 
+    def test_xray_ball_matches_density_off_its_surface(self, tmp_path, monkeypatch):
+        # gaussian-ball at the CLI defaults (33^3 voxels, 2,000 nodes, h = 1e-4).  At
+        # voxels at least h from the ball's surface the ball's term is exact, so the
+        # error is the unit Gaussian's O(h^2) floor: the central difference of
+        # -int_{-h}^{h} f(x + t n) dt is off by (h^2 / 6) d^2f/dt^2, whose sphere
+        # mean is (h^2 / 18) Laplacian f, at most 6 h^2 / 18 = 3.33e-9 at the centre
+        ph_path = tmp_path / "gb.txt"
+        assert run("phantom-gen", "--out", str(ph_path), "--preset", "gaussian-ball") == 0
+        values = []
+        reconstruct = inv.reconstruct
+
+        def keep(*args):
+            values.append(reconstruct(*args))
+            return values[-1]
+
+        monkeypatch.setattr(inv, "reconstruct", keep)
+        outdir = tmp_path / "inv"
+        assert run("invert", "--phantom", str(ph_path), "--branch", "xray", "--outdir", str(outdir)) == 0
+        assert "nan" not in (outdir / "metrics.csv").read_text().lower()
+        ph = phm.load_phantom(ph_path)
+        cfg = RunConfig()
+        points = cli_mod._volume_grid(cfg).points()
+        rec = cfg.normalization * values[0][: len(points)]
+        ball = ph.primitives[1]
+        off = np.abs(np.linalg.norm(points - ball.center, axis=1) - ball.scale) >= cfg.diff_step
+        assert np.count_nonzero(~off) == 1
+        assert np.max(np.abs(rec - phm.evaluate(ph, points))[off]) <= 1.02 * cfg.diff_step**2 / 3.0
+
+    def test_classical_ball_ringing_is_bounded(self, tmp_path):
+        # gaussian-ball at the CLI defaults reads rel_l2 0.3696: the band-limited
+        # second derivative rings at the kinks of the ball's profiles.  It may only improve.
+        ph_path = tmp_path / "gb.txt"
+        assert run("phantom-gen", "--out", str(ph_path), "--preset", "gaussian-ball") == 0
+        outdir = tmp_path / "inv"
+        assert run("invert", "--phantom", str(ph_path), "--branch", "classical_radon", "--outdir", str(outdir)) == 0
+        rel_l2 = float((outdir / "metrics.csv").read_text().splitlines()[1].split(",")[0])
+        assert rel_l2 <= 0.38
+
     def test_zero_phantom_sentinel(self, tmp_path):
         ph = tmp_path / "empty.txt"
         ph.write_text("support_radius 1\n")
@@ -440,6 +478,7 @@ class TestConfigValidation:
             ("check", ["--band", "1.5"], ["--band (config field band) must be in (0, 1]"]),
             ("invert", ["--band", "1.5"], ["--band (config field band) must be in (0, 1]"]),
             ("check", ["--band", "1e-320"], ["--band (config field band) must be in (0, 1]"]),
+            ("check", ["--band", "1e-10"], ["--band (config field band) must be in (0, 1]", "at least 1e-08"]),
             ("invert", ["--s-count", "5"], ["--s-count (config field s_count) must be at least 8"]),
             ("invert", ["--seed", "-1"], ["--seed (config field seed)"]),
             ("invert", ["--s-min", "2", "--s-max", "1"], ["--s-max (config field s_max) must exceed --s-min 2"]),
@@ -447,7 +486,7 @@ class TestConfigValidation:
         ],
         ids=[
             "vol-dims", "points", "diff-step", "band-zero", "check-band-above-1", "invert-band-above-1",
-            "band-subnormal", "s-count", "seed", "s-grid-empty", "volume-empty",
+            "band-subnormal", "band-below-floor", "s-count", "seed", "s-grid-empty", "volume-empty",
         ],
     )
     def test_invalid_flag_named(self, tmp_path, phantom_file, capsys, command, flags, named):

@@ -473,6 +473,95 @@ class TestRayDifferences:
         assert np.all(np.abs(fused - weights @ ref[:, keep]) <= bound)
 
 
+class TestBallRayDifferences:
+    """A ball's sum is exact away from its surface; only the points within h of it run over nodes."""
+
+    @PROPERTY
+    @example(  # h = R exactly: no interior
+        centre=(0.2, -0.1, 0.3), radius=0.7, amplitude=-1.3, ratio=1.0, dirs=[np.array([0.6, 0.8, 0.0])],
+        fractions=[0.5] * 6, nodes=[np.array([0.0, 0.0, 1.0]), np.array([0.6, 0.0, 0.8])], weights=[0.3, 0.9] * 3,
+    )
+    @given(
+        centre=st.tuples(*(st.floats(-1.0, 1.0),) * 3),
+        radius=st.floats(0.3, 1.2),
+        amplitude=st.floats(0.1, 2.0) | st.floats(-2.0, -0.1),
+        ratio=st.floats(-4.0, 1.0).map(lambda e: 10.0**e),  # h / R from 1e-4 to 10
+        dirs=st.lists(unit_vectors(), min_size=1, max_size=6),
+        fractions=st.lists(st.floats(0.0, 0.99), min_size=6, max_size=6),
+        nodes=st.lists(unit_vectors(), min_size=1, max_size=6),
+        weights=st.lists(st.floats(0.05, 1.0), min_size=6, max_size=6),
+    )
+    def test_interior_and_exterior_are_exact(self, centre, radius, amplitude, ratio, dirs, fractions, nodes, weights):
+        # points strictly inside B(c, R - h) or outside B(c, R + h), unequal weights
+        ball = xr.Primitive(xr.BALL, centre, radius, amplitude)
+        ph = xr.Phantom((ball,), phm.min_support_radius([ball]))
+        h = ratio * radius
+        dirs = np.array(dirs)
+        f = np.array(fractions[: len(dirs)])
+        nodes = np.array(nodes)
+        weights = np.array(weights[: len(nodes)])
+        outside = ball.center + ((radius + h) * (1.01 + 2.0 * f))[:, None] * dirs
+        inside = ball.center + ((radius - h) * f)[:, None] * dirs if h < radius else np.zeros((0, 3))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(phm, "halfline_integral", lambda *args: pytest.fail("a node loop ran"))
+            got = xr.ray_differences(ph, np.vstack([inside, outside]), h, nodes, weights)
+        exact = np.full(len(inside), -2.0 * h * amplitude * np.sum(weights))
+        assert np.array_equal(bits(got[: len(inside)]), bits(exact))
+        assert np.array_equal(bits(got[len(inside):]), bits(np.zeros(len(outside))))
+
+    @PROPERTY
+    @given(
+        c=st.tuples(*(st.integers(-8, 8),) * 3),
+        radius=st.integers(4, 16),
+        level=st.integers(1, 20),
+        axis=st.integers(0, 2),
+        sign=st.sampled_from((-1.0, 1.0)),
+        nodes=st.lists(unit_vectors(), min_size=1, max_size=4),
+    )
+    def test_shell_matches_halfline_differences(self, c, radius, level, axis, sign, nodes):
+        # dyadic geometry, exact in floating point: points on an axis through the
+        # centre at |x - c| = R -+ h/2 (the shell) and exactly R -+ h (its edges)
+        a = radius / 16.0
+        centre = np.array(c) / 8.0
+        ball = xr.Phantom((xr.Primitive(xr.BALL, centre, a, 1.5),), 8.0)
+        h = 2.0**-level  # 0.5 down to 9.5e-7, so h >= R too
+        offsets = a + h * np.array([-1.0, -0.5, 0.5, 1.0])
+        points = np.tile(centre, (4, 1))
+        points[:, axis] += sign * offsets
+        nodes = np.vstack([np.array(nodes), np.eye(3)])  # the axes: rays through the centre
+        fused = ray_differences_per_node(ball, points, nodes, h)
+        ref = halfline_differences(ball, points, nodes, h)
+        keep = well_conditioned(ball, points, nodes, h)
+        assert np.all(np.abs(fused - ref)[keep] <= 1e-12 * integrand_scale(ball))
+
+    def test_only_shell_points_reach_halfline_integral(self, monkeypatch):
+        # gaussian-ball's default 33^3 volume at h = 1e-4: the voxel (1.5, 0, 0)
+        # lies on the ball's surface, every other one at least 0.04 from it
+        ph = xr.Phantom(
+            (xr.Primitive(xr.GAUSSIAN, (0.0, 0.0, 0.0), 1.0, 1.0), xr.Primitive(xr.BALL, (2.0, 0.0, 0.0), 0.5, 1.0)),
+            6.0,
+        )
+        ball = ph.primitives[1]
+        points = xr.cube_grid(3.0, 33).points()
+        quad = xr.fibonacci_sphere(2000)
+        h = 1e-4
+        shell = points[np.abs(np.linalg.norm(points - ball.center, axis=1) - ball.scale) < h]
+        assert np.array_equal(shell, [[1.5, 0.0, 0.0]])
+        reached = []
+        halfline = phm.halfline_integral
+
+        def recording(ph_, x, n):
+            assert len(ph_.primitives) == 1 and ph_.primitives[0] is ball
+            reached.append(np.array(x))
+            return halfline(ph_, x, n)
+
+        monkeypatch.setattr(phm, "halfline_integral", recording)
+        phm.ray_differences(ph, points, h, quad.nodes, quad.weights)
+        reached = np.concatenate(reached)
+        assert len(reached) == 2 * quad.count
+        assert np.all(np.abs(np.linalg.norm(reached - shell[0], axis=1) - h) <= 1e-15)
+
+
 def bits(a):
     """The float64 bit patterns of a, so that equality tells -0.0 from +0.0."""
     return np.asarray(a, dtype=float).view(np.uint64)
@@ -524,12 +613,15 @@ def old_line_transforms(ph, x, n):
 def old_ray_differences(ph, points, h, nodes, weights):
     """ray_differences' sphere sum with its set-up as written with reductions over
     the coordinate axis: (P, 3) offsets, r2 and n . c by np.sum, and the moment
-    series on the transposed view of the offsets."""
+    series on the transposed view of the offsets.  Each ball's points are routed
+    by that r2: -2hA sum w inside, nothing outside, two halfline_integral calls
+    per node block (lift_xray_data) in the shell."""
     columns = np.ascontiguousarray(points.T)
     rel = [points - prim.center for prim in ph.primitives]
     r2 = [np.sum(y**2, axis=1) for y in rel]
-    series = [phm._gaussian_series(prim, rr, h) for prim, rr in zip(ph.primitives, r2)]
-    looped = [(prim, rr) for prim, rr, ser in zip(ph.primitives, r2, series) if ser is None]
+    gaussian = [prim.kind == xr.GAUSSIAN for prim in ph.primitives]
+    series = [phm._gaussian_series(prim, rr, h) if g else None for prim, rr, g in zip(ph.primitives, r2, gaussian)]
+    looped = [(prim, rr) for prim, rr, ser, g in zip(ph.primitives, r2, series, gaussian) if g and ser is None]
     expanded = [(y, ser) for y, ser in zip(rel, series) if ser is not None]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(phm, "_dot", lambda a, b: np.sum(a * b, axis=-1))
@@ -544,6 +636,18 @@ def old_ray_differences(ph, points, h, nodes, weights):
         acc += coeffs[0] * float(np.sum(weights))
         acc *= scale
         out += acc
+    for prim, rr in zip(ph.primitives, r2):
+        if prim.kind != xr.BALL:
+            continue
+        R = prim.scale
+        inside = (rr <= (R - h) ** 2) & (h < R)
+        shell = (rr > (R - h) ** 2) | (h >= R)
+        shell &= rr < (R + h) ** 2
+        out[inside] += -2.0 * h * prim.amplitude * float(np.sum(weights))
+        if shell.any():
+            one = xr.Phantom((prim,), ph.support_radius)
+            lifted = xr.lift_xray_data(lambda x, n: xr.halfline_integral(one, x, n))
+            out[shell] += lifted(points[shell], h, nodes, weights)
     return out
 
 
