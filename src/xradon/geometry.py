@@ -20,11 +20,10 @@ _UNIT_TOL = 1e-9
 # Rows of work per block, for every module that sums over a quadrature: a
 # block holds max(1, ROWS // width) items, where the width is the number of
 # values per item of the loop's largest temporary.  It is P for nodes
-# evaluated at P points (the x-ray ray differences of difference_sum, for
-# lift_xray_data and for phantom.ray_differences at points within h of a
-# ball's surface, and of that function's erfc-form Gaussians; its
-# series-form Gaussians and the rest of a ball's points run in no blocks;
-# and the line integrals of lemma9);
+# evaluated at P points (the ray differences of difference_sum, for
+# lift_xray_data and for phantom.ray_differences within h of a ball's surface;
+# those of a Gaussian in ray_differences at the points its own bound sends to
+# the erfc form, the rest running in no blocks; and lemma9's line integrals);
 # hilbert.sample_width(P, S) for nodes backprojected at P points from
 # profiles of S samples (4 P stencil samples, or four cubic tables of about
 # S values); S for the rows of phantom.plane_integral_rows (its one scratch
@@ -92,18 +91,15 @@ def as_sum_inputs(points, nodes, weights, caller):
     return points, nodes, weights
 
 
-def as_direction(v, tol=_UNIT_TOL):
-    """Validate and return a unit 3-vector.
-
-    Raises ValueError if the shape is not (3,) or the norm deviates
-    from 1 by more than `tol`.
-    """
+def as_direction(v):
+    """v as a unit 3-vector; a ValueError if its shape is not (3,) or its norm
+    deviates from 1 by more than _UNIT_TOL."""
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"direction must have shape (3,), got {v.shape}")
     nrm = np.linalg.norm(v)
-    if not abs(nrm - 1.0) <= tol:  # False for NaN too
-        raise ValueError(f"direction norm {nrm!r} deviates from 1 by more than {tol}")
+    if not abs(nrm - 1.0) <= _UNIT_TOL:  # False for NaN too
+        raise ValueError(f"direction norm {nrm!r} deviates from 1 by more than {_UNIT_TOL}")
     return v
 
 

@@ -188,14 +188,16 @@ def ray_differences(ph, points, h, nodes, weights):
     with p = n.(x - c) and d^2 = |x - c|^2 - p^2 the same at both ends of the
     step, summed as a short series in p^2 (see _gaussian_series) or, outside
     its bound, by the erfc form of _looped_sum; each equals the difference of
-    two halfline_integral calls up to rounding.
+    two halfline_integral calls up to rounding.  Each point is held to the bound
+    at its own t = (h/a) max(1, |x - c|/a) (_series_fits), so only the points
+    far from a Gaussian run over node blocks.
 
     A series-form Gaussian, exp(-|x - c|^2/a^2) * sum_j c_j p^2j, has no loop
     over nodes.  With y = x - c, sum_k w_k (n_k . y)^2j expands into
     sum over a + b + c = 2j of (2j)!/(a! b! c!) m_abc y1^a y2^b y3^c, where
     m_abc = sum_k w_k n1^a n2^b n3^c are the quadrature's moments, formed once
     per call (see _moments).  So the sphere sum of the j >= 1 terms is one
-    polynomial in y per Gaussian, evaluated monomial by monomial into a (P,)
+    polynomial in y per Gaussian, evaluated monomial by monomial into one
     array; then c_0 * sum_k w_k is added and the sum is multiplied by
     exp(-|x - c|^2/a^2).  The expansion's summands are bounded in size by
     sum_k w_k sum_{j>=1} |c_j| |y|^2j, since |n1 y1| + |n2 y2| + |n3 y3| <= |y|,
@@ -209,25 +211,34 @@ def ray_differences(ph, points, h, nodes, weights):
     the sum is exactly (-2 h A) * sum_k w_k; where |x - c| >= a + h, none
     meets it and the sum is +0.0.  Only the points between run over node
     blocks, by two halfline_integral calls on that ball alone
-    (geometry.difference_sum, as lift_xray_data does).  The erfc-form
-    Gaussians are added first, then the series-form ones, then the balls.
+    (geometry.difference_sum, as lift_xray_data does).  At each point the
+    erfc-form Gaussians are added first, then the series-form ones, then balls.
     """
     points, nodes, weights = as_sum_inputs(points, nodes, weights, "ray_differences")
     columns = np.ascontiguousarray(points.T)
     rel = [columns - prim.center[:, None] for prim in ph.primitives]
     r2 = [_sum_squares(y) for y in rel]
-    series = [_gaussian_series(prim, rr, h) if prim.kind == GAUSSIAN else None for prim, rr in zip(ph.primitives, r2)]
-    looped = [(prim, rr) for prim, rr, ser in zip(ph.primitives, r2, series) if prim.kind == GAUSSIAN and ser is None]
-    expanded = [(y, ser) for y, ser in zip(rel, series) if ser is not None]
-    out = _looped_sum(looped, columns, nodes, weights, h)
+    out = np.zeros(points.shape[0])
+    expanded = []
+    for prim, y, rr in zip(ph.primitives, rel, r2):
+        if prim.kind != GAUSSIAN:
+            continue
+        near = slice(None)  # the bound grows with |x - c|: if the farthest point passes, all do
+        if not _series_fits(prim, np.max(rr, initial=0.0), h, SERIES_MAX_ORDER):
+            near = _series_fits(prim, rr, h, SERIES_MAX_ORDER)
+            far = ~near
+            out[far] += _looped_sum(prim, rr[far], columns.compress(far, axis=1), nodes, weights, h)
+            if not near.any():
+                continue
+        coeffs = _gaussian_series(prim, np.max(rr[near], initial=0.0), h)
+        expanded.append((near, y[:, near], coeffs, np.exp(rr[near] / -(prim.scale * prim.scale))))
     total = float(np.sum(weights))
-    if expanded:
-        moments = _moments(nodes, weights, max(len(coeffs) - 1 for _, (coeffs, _) in expanded))
-    for y, (coeffs, scale) in expanded:
+    moments = _moments(nodes, weights, max((len(coeffs) - 1 for _, _, coeffs, _ in expanded), default=0))
+    for near, y, coeffs, scale in expanded:
         acc = _moment_series(y, coeffs, moments)
         acc += coeffs[0] * total
         acc *= scale
-        out += acc
+        out[near] += acc
     for prim, rr in zip(ph.primitives, r2):
         if prim.kind != BALL:
             continue
@@ -240,51 +251,47 @@ def ray_differences(ph, points, h, nodes, weights):
     return out
 
 
-def _looped_sum(prims, columns, nodes, weights, h):
-    """sum_k w_k of the ray differences of the (Gaussian, |x - c|^2) pairs prims,
-    A * a * (sqrt(pi)/2) * exp(-d^2/a^2) * [erfc((p+h)/a) - erfc((p-h)/a)], over
-    blocks of node_blocks(K, P) nodes; columns is the (3, P) transpose of the
-    points.  n . x is formed once per block, and each weighted term is added
-    to a (B, P) accumulator summed over its rows once per call.
-    """
+def _looped_sum(prim, r2, columns, nodes, weights, h):
+    """sum_k w_k of one Gaussian's ray differences at the (3, F) columns, at squared
+    distances r2 from its centre: A * a * (sqrt(pi)/2) * exp(-d^2/a^2) *
+    [erfc((p+h)/a) - erfc((p-h)/a)], over blocks of node_blocks(K, F) nodes.
+    Each weighted term is added to a (B, F) accumulator summed over its rows
+    once per call."""
     width = columns.shape[1]
-    if not prims:
-        return np.zeros(width)
     blocks = node_blocks(nodes.shape[0], width)
     rows = min(nodes.shape[0], blocks[0].stop) if blocks else 0
-    nx, p, e, u, v = np.empty((5, rows, width))
+    p, e, u, v = np.empty((4, rows, width))
     out = np.zeros((rows, width))
-    wcol = weights[:, None]
-    nc = [_dot(nodes, prim.center)[:, None] for prim, _ in prims]
+    a = prim.scale
+    nc = _dot(nodes, prim.center)[:, None]
+    wcol = weights[:, None] * prim.amplitude * a * (SQRT_PI / 2.0)
     for block in blocks:
         bnodes = nodes[block]
         b = bnodes.shape[0]
-        bnx, bp, be, bu, bv, bout = nx[:b], p[:b], e[:b], u[:b], v[:b], out[:b]
+        bp, be, bu, bv, bout = p[:b], e[:b], u[:b], v[:b], out[:b]
         # n . x term by term, not by a matrix product: BLAS rounds a product
         # differently for different shapes, and the 1/(2h) of the central
         # difference would carry that into the reconstruction.
-        np.multiply(bnodes[:, :1], columns[0], out=bnx)
+        np.multiply(bnodes[:, :1], columns[0], out=bp)
         for i in (1, 2):
             np.multiply(bnodes[:, i : i + 1], columns[i], out=bu)
-            bnx += bu
-        for (prim, rr), nck in zip(prims, nc):
-            a = prim.scale
-            np.subtract(bnx, nck[block], out=bp)
-            np.multiply(bp, bp, out=be)
-            np.subtract(rr, be, out=be)
-            np.maximum(be, 0.0, out=be)  # d^2
-            np.divide(be, -(a**2), out=be)
-            np.exp(be, out=be)
-            np.add(bp, h, out=bu)
-            np.divide(bu, a, out=bu)
-            erfc(bu, out=bu)
-            np.subtract(bp, h, out=bv)
-            np.divide(bv, a, out=bv)
-            erfc(bv, out=bv)
-            bu -= bv
-            bu *= be
-            bu *= wcol[block] * prim.amplitude * a * (SQRT_PI / 2.0)
-            bout += bu
+            bp += bu
+        bp -= nc[block]
+        np.multiply(bp, bp, out=be)
+        np.subtract(r2, be, out=be)
+        np.maximum(be, 0.0, out=be)  # d^2
+        np.divide(be, -(a**2), out=be)
+        np.exp(be, out=be)
+        np.add(bp, h, out=bu)
+        np.divide(bu, a, out=bu)
+        erfc(bu, out=bu)
+        np.subtract(bp, h, out=bv)
+        np.divide(bv, a, out=bv)
+        erfc(bv, out=bv)
+        bu -= bv
+        bu *= be
+        bu *= wcol[block]
+        bout += bu
     return out.sum(axis=0)
 
 
@@ -349,29 +356,26 @@ def _moment_series(y, coeffs, moments):
 # is at most e^3 t^2m / (2m + 1), and the terms after m = M sum to at most
 #   e^3 t^(2M+2) / ((2M + 3) (1 - t^2))
 # of the leading term 2 h |A| exp(-|x - c|^2/a^2).  Since |u| <= |x - c|/a,
-# t = delta * max(1, max |x - c|/a) bounds every ray of a point batch.  The
-# smallest M >= 1 whose bound is at most SERIES_TOL is used; if M = SERIES_MAX_ORDER
-# (t up to about 0.0236) is not enough, the erfc form is used instead.
+# t = delta * max(1, |x - c|/a) bounds every ray of a point.  A point whose bound
+# at M = SERIES_MAX_ORDER (t up to about 0.0236) exceeds SERIES_TOL takes the erfc
+# form; the others take the smallest M >= 1 that their largest t allows.
 SERIES_TOL = 1e-16
 SERIES_MAX_ORDER = 4
 
 
-def _gaussian_series(prim, r2, h):
-    """The series form for points at squared distances r2 from a Gaussian's centre.
+def _series_fits(prim, r2, h, order):
+    """Whether the bound above at `order` is at most SERIES_TOL, at each squared distance r2."""
+    with np.errstate(over="ignore"):  # a t that overflows fails the bound
+        t = abs(h / prim.scale) * np.maximum(1.0, np.sqrt(r2) / prim.scale)
+        return (t < 1.0) & (np.e**3 * t ** (2 * order + 2) <= SERIES_TOL * (2 * order + 3) * (1.0 - t * t))
 
-    Returns (coeffs, scale): the difference is scale * sum_j coeffs[j] * p^2j,
-    with scale = exp(-r2/a^2) written over r2, which the series form does not
-    read again.  Returns None, leaving r2 as it is, when the truncation bound
-    above exceeds SERIES_TOL at every order.
-    """
+
+def _gaussian_series(prim, r2, h):
+    """The coefficients c_j of the series form exp(-|x - c|^2/a^2) * sum_j c_j p^2j
+    at squared distances up to r2, which fits at SERIES_MAX_ORDER."""
     a = prim.scale
     delta = h / a
-    t = abs(delta) * max(1.0, float(np.sqrt(np.max(r2, initial=0.0))) / a)
-    for order in range(1, SERIES_MAX_ORDER + 1):
-        if t < 1.0 and np.e**3 * t ** (2 * order + 2) <= SERIES_TOL * (2 * order + 3) * (1.0 - t * t):
-            break
-    else:
-        return None
+    order = next((m for m in range(1, SERIES_MAX_ORDER) if _series_fits(prim, r2, h, m)), SERIES_MAX_ORDER)
     # sum_m H_2m(p/a) delta^2m / (2m+1)!, regrouped by powers of (p/a)^2; the
     # u^2i coefficient of H_2m(u) is the integer (-1)^(m-i) (2m)! 4^i / ((m-i)! (2i)!)
     fact = math.factorial
@@ -382,8 +386,7 @@ def _gaussian_series(prim, r2, h):
         )
         coeffs[: m + 1] += herm * (delta ** (2 * m) / fact(2 * m + 1))
     coeffs *= -2.0 * h * prim.amplitude / (a * a) ** np.arange(order + 1)
-    np.divide(r2, -(a * a), out=r2)
-    return coeffs, np.exp(r2, out=r2)
+    return coeffs
 
 
 def line_integral(ph, x, n):

@@ -164,14 +164,12 @@ def gauss_legendre_differences(ph, points, nodes, h):
 
 
 def series_taken(prim, points, h):
-    """Whether the documented truncation bound selects the series form for this batch."""
+    """Per point, whether the documented truncation bound at SERIES_MAX_ORDER,
+    at its own t = (h/a) max(1, |x - c|/a), selects the series form."""
     a = prim.scale
-    w = max(1.0, float(np.max(np.linalg.norm(points - prim.center, axis=1), initial=0.0)) / a)
-    t = h / a * w
-    return t < 1.0 and any(
-        np.e**3 * t ** (2 * m + 2) / ((2 * m + 3) * (1.0 - t * t)) <= phm.SERIES_TOL
-        for m in range(1, phm.SERIES_MAX_ORDER + 1)
-    )
+    t = h / a * np.maximum(1.0, np.linalg.norm(points - prim.center, axis=1) / a)
+    m = phm.SERIES_MAX_ORDER
+    return (t < 1.0) & (np.e**3 * t ** (2 * m + 2) <= phm.SERIES_TOL * (2 * m + 3) * (1.0 - t * t))
 
 
 def series_reach():
@@ -180,7 +178,7 @@ def series_reach():
     lo, hi = 0.0, 0.5
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if series_taken(unit, np.zeros((1, 3)), mid) else (lo, mid)
+        lo, hi = (mid, hi) if series_taken(unit, np.zeros((1, 3)), mid)[0] else (lo, mid)
     return lo
 
 
@@ -190,9 +188,11 @@ def series_bound(ph, h):
 
 
 def series_order(prim, points, h):
-    """The order M of the series form _gaussian_series takes for this batch, or None."""
-    ser = phm._gaussian_series(prim, np.sum((points - prim.center) ** 2, axis=1), h)
-    return None if ser is None else len(ser[0]) - 1
+    """The order M of the series form _gaussian_series takes when every point of
+    the batch takes it, or None."""
+    if not series_taken(prim, points, h).all():
+        return None
+    return len(phm._gaussian_series(prim, np.max(np.sum((points - prim.center) ** 2, axis=1)), h)) - 1
 
 
 def largest_step(prim, points, order):
@@ -210,6 +210,19 @@ def hemisphere_cap(rng, count, axis):
     n = rng.normal(size=(count, 3))
     n /= np.linalg.norm(n, axis=1)[:, None]
     return n * np.sign(n @ axis)[:, None]
+
+
+def looped_widths(monkeypatch):
+    """Record the number of points each _looped_sum call receives."""
+    widths = []
+    looped = phm._looped_sum
+
+    def recording(prim, r2, columns, *args):
+        widths.append(columns.shape[1])
+        return looped(prim, r2, columns, *args)
+
+    monkeypatch.setattr(phm, "_looped_sum", recording)
+    return widths
 
 
 def erfc_calls(monkeypatch):
@@ -317,12 +330,12 @@ class TestRayDifferences:
         h = delta * min(p.scale for p in ph.primitives)
         points = ph.support_radius * np.array(radii[: len(dirs)])[:, None] * np.array(dirs)
         nodes = np.array(nodes)
-        # each primitive on its own: 1e-14 of 2h|A| where it takes the series form
+        # each primitive on its own: 1e-14 of 2h|A| at the points that take the series form
         for prim in ph.primitives:
             one = xr.Phantom((prim,), ph.support_radius)
             fused = ray_differences_per_node(one, points, nodes, h)
             ref = gauss_legendre_differences(one, points, nodes, h)
-            bound = series_bound(one, h) if series_taken(prim, points, h) else 1e-12 * integrand_scale(one)
+            bound = np.where(series_taken(prim, points, h), series_bound(one, h), 1e-12 * integrand_scale(one))
             assert np.all(np.abs(fused - ref) <= bound)
 
     def test_series_resolves_cancellation(self, unit_gaussian):
@@ -352,8 +365,8 @@ class TestRayDifferences:
         assert np.all(np.abs(fused - ref) <= bound)
 
     def test_mixed_near_and_far_points(self, monkeypatch):
-        # the narrow Gaussian's far points push its batch out of the series
-        # bound, the wide one's stay inside; each primitive keeps its own form
+        # the narrow Gaussian's far points take the erfc form and its near ones
+        # the series form; every point of the wide one takes the series form
         narrow = xr.Primitive(xr.GAUSSIAN, (0.5, 0.0, 0.0), 0.3, 1.2)
         wide = xr.Primitive(xr.GAUSSIAN, (-0.5, 0.2, 0.0), 1.1, -0.7)
         ph = xr.Phantom((narrow, wide), 8.0)
@@ -361,17 +374,43 @@ class TestRayDifferences:
         near = narrow.center + 0.1 * xr.fibonacci_sphere(6).nodes
         far = 4.0 * xr.fibonacci_sphere(5).nodes
         points = np.vstack([near, far])
-        assert not series_taken(narrow, points, h) and series_taken(narrow, near, h)
-        assert series_taken(wide, points, h)
+        assert np.array_equal(series_taken(narrow, points, h), [True] * len(near) + [False] * len(far))
+        assert series_taken(wide, points, h).all()
         nodes = xr.fibonacci_sphere(8).nodes
         calls = erfc_calls(monkeypatch)
+        widths = looped_widths(monkeypatch)
         fused = ray_differences_per_node(ph, points, nodes, h)
         assert len(calls) == 2 * len(nodes)
+        assert widths == [len(far)] * len(nodes)  # the narrow Gaussian's far points only
         ref = gauss_legendre_differences(ph, points, nodes, h)
-        assert np.all(np.abs(fused - ref) <= 1e-12 * integrand_scale(ph))
+        assert np.all(np.abs(fused - ref)[:, len(near) :] <= 1e-12 * integrand_scale(ph))
+        assert np.all(np.abs(fused - ref)[:, : len(near)] <= series_bound(ph, h))
         near_only = ray_differences_per_node(ph, near, nodes, h)
         assert len(calls) == 2 * len(nodes)
         assert np.all(np.abs(near_only - ref[:, : len(near)]) <= series_bound(ph, h))
+
+    def test_batch_straddling_the_series_reach(self, monkeypatch):
+        # one Gaussian, points from its centre out to 3: those within about
+        # 1.18 of it (t <= 0.0236) take the series form, the rest the erfc
+        # form, and only those reach _looped_sum.  The near points' sums are
+        # the bits of a batch of the near points alone.
+        rng = np.random.default_rng(23)
+        prim = xr.Primitive(xr.GAUSSIAN, (0.2, -0.1, 0.3), 0.5, -1.3)
+        ph = xr.Phantom((prim,), 6.0)
+        h = 5e-3
+        points = prim.center + np.linspace(0.0, 3.0, 31)[:, None] * xr.fibonacci_sphere(31).nodes
+        nodes = xr.fibonacci_sphere(50).nodes
+        weights = rng.uniform(0.05, 1.0, len(nodes))
+        near = series_taken(prim, points, h)
+        assert 5 <= near.sum() <= len(points) - 5
+        widths = looped_widths(monkeypatch)
+        fused = phm.ray_differences(ph, points, h, nodes, weights)
+        assert widths == [np.count_nonzero(~near)]
+        near_only = phm.ray_differences(ph, points[near], h, nodes, weights)
+        assert widths == [np.count_nonzero(~near)]
+        assert np.array_equal(bits(fused[near]), bits(near_only))
+        ref = weights @ halfline_differences(ph, points, nodes, h)
+        assert np.all(np.abs(fused - ref) <= 1e-12 * integrand_scale(ph) * np.sum(weights))
 
     @pytest.mark.parametrize("order", range(1, phm.SERIES_MAX_ORDER + 1))
     def test_series_order_on_anisotropic_rule(self, order):
@@ -462,7 +501,7 @@ class TestRayDifferences:
         points = reach * xr.fibonacci_sphere(40).nodes * rng.uniform(0.0, 1.0, (40, 1))
         nodes = xr.fibonacci_sphere(60).nodes
         weights = rng.uniform(0.05, 1.0, 60)
-        assert case == "ball" or series_taken(gaussian, points, h) == (case != "erfc")
+        assert case == "ball" or np.all(series_taken(gaussian, points, h) == (case != "erfc"))
         ref = halfline_differences(ph, points, nodes, h)
         keep = well_conditioned(ph, points, nodes, h).all(axis=0)
         assert keep.sum() >= 30
@@ -613,29 +652,37 @@ def old_line_transforms(ph, x, n):
 def old_ray_differences(ph, points, h, nodes, weights):
     """ray_differences' sphere sum with its set-up as written with reductions over
     the coordinate axis: (P, 3) offsets, r2 and n . c by np.sum, and the moment
-    series on the transposed view of the offsets.  Each ball's points are routed
-    by that r2: -2hA sum w inside, nothing outside, two halfline_integral calls
-    per node block (lift_xray_data) in the shell."""
+    series on the transposed view of the offsets.  Each Gaussian's points are
+    routed one by one by that r2: the series form where _series_fits holds at
+    SERIES_MAX_ORDER, at the order of their largest r2, and _looped_sum on the
+    rest.  Each ball's points are routed by that r2: -2hA sum w inside, nothing
+    outside, two halfline_integral calls per node block (lift_xray_data) in the
+    shell."""
     columns = np.ascontiguousarray(points.T)
     rel = [points - prim.center for prim in ph.primitives]
     r2 = [np.sum(y**2, axis=1) for y in rel]
-    gaussian = [prim.kind == xr.GAUSSIAN for prim in ph.primitives]
-    series = [phm._gaussian_series(prim, rr, h) if g else None for prim, rr, g in zip(ph.primitives, r2, gaussian)]
-    looped = [(prim, rr) for prim, rr, ser, g in zip(ph.primitives, r2, series, gaussian) if g and ser is None]
-    expanded = [(y, ser) for y, ser in zip(rel, series) if ser is not None]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(phm, "_dot", lambda a, b: np.sum(a * b, axis=-1))
-        out = phm._looped_sum(looped, columns, nodes, weights, h)
+    out = np.zeros(len(points))
+    expanded = []
+    for prim, y, rr in zip(ph.primitives, rel, r2):
+        if prim.kind != xr.GAUSSIAN:
+            continue
+        near = phm._series_fits(prim, rr, h, phm.SERIES_MAX_ORDER)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(phm, "_dot", lambda a, b: np.sum(a * b, axis=-1))
+            out[~near] += phm._looped_sum(prim, rr[~near], columns[:, ~near], nodes, weights, h)
+        if near.any():
+            coeffs = phm._gaussian_series(prim, np.max(rr[near]), h)
+            expanded.append((y[near], coeffs, np.exp(-rr[near] / prim.scale**2), near))
     if expanded:
-        moments = phm._moments(nodes, weights, max(len(coeffs) - 1 for _, (coeffs, _) in expanded))
-    for y, (coeffs, scale) in expanded:
+        moments = phm._moments(nodes, weights, max(len(coeffs) - 1 for _, coeffs, _, _ in expanded))
+    for y, coeffs, scale, near in expanded:
         powers = phm._powers(y.T, 2 * (len(coeffs) - 1))
         acc = np.zeros(y.shape[0])
         for j, a, b, c, multinomial in phm._monomials(len(coeffs) - 1):
             acc += powers[0, a] * powers[1, b] * powers[2, c] * (coeffs[j] * multinomial * moments[a, b, c])
         acc += coeffs[0] * float(np.sum(weights))
         acc *= scale
-        out += acc
+        out[near] += acc
     for prim, rr in zip(ph.primitives, r2):
         if prim.kind != xr.BALL:
             continue
@@ -844,6 +891,13 @@ class TestLinearity:
         ) < 1e-12
 
     @PROPERTY
+    @example(  # a subnormal amplitude: the plane rows differ by 5e-324 in its last bit
+        ph=xr.gaussian_phantom(amplitude=-0.5),
+        coeffs=[2.225073858507e-311, 1.0],
+        points=[(0.0, 0.0, 0.0)],
+        nodes=[np.array([0.0, 0.0, 1.0])],
+        h=1e-3,
+    )
     @given(
         ph=phantoms(),
         coeffs=st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=2),
@@ -872,9 +926,12 @@ class TestLinearity:
             (lambda q: phm.plane_integral_rows(q, nodes, s), np.pi * a * a),
             (lambda q: ray_differences_per_node(q, points, nodes, h), 2.0 * a),
         )
+        # the relative bound underflows to 0.0 at a subnormal amplitude, whose
+        # products still round in their last bit: a few of those are allowed
+        floor = 4.0 * np.finfo(float).smallest_subnormal
         for transform, bound in transforms:
             expected = sum(c * transform(q) for q, c in zip(alone, coeffs))
-            assert np.max(np.abs(transform(scaled) - expected)) <= 1e-14 * bound * weight
+            assert np.max(np.abs(transform(scaled) - expected)) <= 1e-14 * bound * weight + floor
 
 
 @st.composite
