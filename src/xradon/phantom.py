@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .geometry import as_direction, as_sum_inputs, difference_sum, node_blocks
+from .geometry import as_direction, as_sum_inputs, difference_sum, node_blocks, sphere_sum
 
 GAUSSIAN = "gaussian"
 BALL = "ball"
@@ -187,112 +187,106 @@ def ray_differences(ph, points, h, nodes, weights):
     a, amplitude A) is -A * exp(-d^2/a^2) * int_{-h}^{h} exp(-(p + t)^2/a^2) dt,
     with p = n.(x - c) and d^2 = |x - c|^2 - p^2 the same at both ends of the
     step, summed as a short series in p^2 (see _gaussian_series) or, outside
-    its bound, by the erfc form of _looped_sum; each equals the difference of
-    two halfline_integral calls up to rounding.  Each point is held to the bound
-    at its own t = (h/a) max(1, |x - c|/a) (_series_fits), so only the points
-    far from a Gaussian run over node blocks.
+    its bound, by the erfc form of _looped_sum, taken at |p|; each equals the
+    difference of two halfline_integral calls up to rounding.  Each point is
+    held to the bound at its own t = (h/a) max(1, |x - c|/a) (_series_fits), so
+    only the points far from a Gaussian run over node blocks.
 
     A series-form Gaussian, exp(-|x - c|^2/a^2) * sum_j c_j p^2j, has no loop
     over nodes.  With y = x - c, sum_k w_k (n_k . y)^2j expands into
     sum over a + b + c = 2j of (2j)!/(a! b! c!) m_abc y1^a y2^b y3^c, where
-    m_abc = sum_k w_k n1^a n2^b n3^c are the quadrature's moments, formed once
-    per call (see _moments).  So the sphere sum of the j >= 1 terms is one
-    polynomial in y per Gaussian, evaluated monomial by monomial into one
-    array; then c_0 * sum_k w_k is added and the sum is multiplied by
-    exp(-|x - c|^2/a^2).  The expansion's summands are bounded in size by
-    sum_k w_k sum_{j>=1} |c_j| |y|^2j, since |n1 y1| + |n2 y2| + |n3 y3| <= |y|,
-    and the Cauchy estimate of _gaussian_series puts that at
-    e^3 t^2 / (3 (1 - t^2)) < 3.8e-3 of 2 h |A| sum_k w_k for t < 0.0236.  Its
-    rounding, that of sums over K nodes and at most 94 monomials of terms that
-    small, stays far below the series' share of the result.
+    m_abc = sum_k w_k n1^a n2^b n3^c are the quadrature's moments, formed at
+    most once per series order (see _moments).  So the sphere sum of the
+    j >= 1 terms is one polynomial in y per Gaussian, evaluated monomial by
+    monomial into one array; then c_0 * sum_k w_k is added and the sum is
+    multiplied by exp(-|x - c|^2/a^2).  The expansion's summands are bounded in
+    size by sum_k w_k sum_{j>=1} |c_j| |y|^2j, since
+    |n1 y1| + |n2 y2| + |n3 y3| <= |y|, and the Cauchy estimate of
+    _gaussian_series puts that at e^3 t^2 / (3 (1 - t^2)) < 3.8e-3 of
+    2 h |A| sum_k w_k for t < 0.0236.  Its rounding, that of sums over K nodes
+    and at most 94 monomials of terms that small, stays far below the series'
+    share of the result.
 
     A ball (radius a, amplitude A) classifies the points by |x - c|^2.  Where
     |x - c| <= a - h, every segment [x - h n, x + h n] lies in the ball and
     the sum is exactly (-2 h A) * sum_k w_k; where |x - c| >= a + h, none
     meets it and the sum is +0.0.  Only the points between run over node
     blocks, by two halfline_integral calls on that ball alone
-    (geometry.difference_sum, as lift_xray_data does).  At each point the
-    erfc-form Gaussians are added first, then the series-form ones, then balls.
+    (geometry.difference_sum, as lift_xray_data does).  Each primitive adds its
+    terms in phantom order: a ball its interior, then its shell; a Gaussian its
+    erfc-form points, then its series-form ones.
     """
     points, nodes, weights = as_sum_inputs(points, nodes, weights, "ray_differences")
     columns = np.ascontiguousarray(points.T)
-    rel = [columns - prim.center[:, None] for prim in ph.primitives]
-    r2 = [_sum_squares(y) for y in rel]
+    total = float(np.sum(weights))
     out = np.zeros(points.shape[0])
-    expanded = []
-    for prim, y, rr in zip(ph.primitives, rel, r2):
-        if prim.kind != GAUSSIAN:
+    moments = {}  # by series order: a lower order's table is a corner of a higher one's
+    for prim in ph.primitives:
+        y = columns - prim.center[:, None]
+        r2 = _sum_squares(y)
+        if prim.kind == BALL:
+            inside = (r2 <= (prim.scale - h) ** 2) & (h < prim.scale)
+            shell = ~(inside | (r2 >= (prim.scale + h) ** 2))  # a NaN point is in the shell
+            out[inside] += -2.0 * h * prim.amplitude * total
+            if np.any(shell):
+                ball = functools.partial(halfline_integral, Phantom((prim,), ph.support_radius))
+                out[shell] += difference_sum(ball, points[shell], h, nodes, weights)
             continue
         near = slice(None)  # the bound grows with |x - c|: if the farthest point passes, all do
-        if not _series_fits(prim, np.max(rr, initial=0.0), h, SERIES_MAX_ORDER):
-            near = _series_fits(prim, rr, h, SERIES_MAX_ORDER)
+        if not _series_fits(prim, np.max(r2, initial=0.0), h, SERIES_MAX_ORDER):
+            near = _series_fits(prim, r2, h, SERIES_MAX_ORDER)
             far = ~near
-            out[far] += _looped_sum(prim, rr[far], columns.compress(far, axis=1), nodes, weights, h)
+            out[far] += _looped_sum(prim, r2[far], columns.compress(far, axis=1), nodes, weights, h)
             if not near.any():
                 continue
-        coeffs = _gaussian_series(prim, np.max(rr[near], initial=0.0), h)
-        expanded.append((near, y[:, near], coeffs, np.exp(rr[near] / -(prim.scale * prim.scale))))
-    total = float(np.sum(weights))
-    moments = _moments(nodes, weights, max((len(coeffs) - 1 for _, _, coeffs, _ in expanded), default=0))
-    for near, y, coeffs, scale in expanded:
-        acc = _moment_series(y, coeffs, moments)
+        coeffs = _gaussian_series(prim, np.max(r2[near], initial=0.0), h)
+        order = len(coeffs) - 1
+        if order not in moments:
+            moments[order] = _moments(nodes, weights, order)
+        acc = _moment_series(y[:, near], coeffs, moments[order])
         acc += coeffs[0] * total
-        acc *= scale
+        acc *= np.exp(r2[near] / -(prim.scale * prim.scale))
         out[near] += acc
-    for prim, rr in zip(ph.primitives, r2):
-        if prim.kind != BALL:
-            continue
-        inside = (rr <= (prim.scale - h) ** 2) & (h < prim.scale)
-        shell = ~(inside | (rr >= (prim.scale + h) ** 2))  # a NaN point is in the shell
-        out[inside] += -2.0 * h * prim.amplitude * total
-        if np.any(shell):
-            ball = functools.partial(halfline_integral, Phantom((prim,), ph.support_radius))
-            out[shell] += difference_sum(ball, points[shell], h, nodes, weights)
     return out
 
 
 def _looped_sum(prim, r2, columns, nodes, weights, h):
     """sum_k w_k of one Gaussian's ray differences at the (3, F) columns, at squared
     distances r2 from its centre: A * a * (sqrt(pi)/2) * exp(-d^2/a^2) *
-    [erfc((p+h)/a) - erfc((p-h)/a)], over blocks of node_blocks(K, F) nodes.
-    Each weighted term is added to a (B, F) accumulator summed over its rows
-    once per call."""
-    width = columns.shape[1]
-    blocks = node_blocks(nodes.shape[0], width)
-    rows = min(nodes.shape[0], blocks[0].stop) if blocks else 0
-    p, e, u, v = np.empty((4, rows, width))
-    out = np.zeros((rows, width))
+    [erfc((|p|+h)/a) - erfc((|p|-h)/a)], a geometry.sphere_sum over blocks of
+    node_blocks(K, F) nodes.  The difference is even in p, and at |p| both erfc
+    arguments are >= -h/a, so it keeps its relative accuracy where p < 0 (there
+    both erfc((p +- h)/a) are near 2)."""
     a = prim.scale
     nc = _dot(nodes, prim.center)[:, None]
-    wcol = weights[:, None] * prim.amplitude * a * (SQRT_PI / 2.0)
-    for block in blocks:
-        bnodes = nodes[block]
-        b = bnodes.shape[0]
-        bp, be, bu, bv, bout = p[:b], e[:b], u[:b], v[:b], out[:b]
+
+    def differences(block, bnodes):
         # n . x term by term, not by a matrix product: BLAS rounds a product
         # differently for different shapes, and the 1/(2h) of the central
         # difference would carry that into the reconstruction.
-        np.multiply(bnodes[:, :1], columns[0], out=bp)
-        for i in (1, 2):
-            np.multiply(bnodes[:, i : i + 1], columns[i], out=bu)
-            bp += bu
-        bp -= nc[block]
-        np.multiply(bp, bp, out=be)
-        np.subtract(r2, be, out=be)
-        np.maximum(be, 0.0, out=be)  # d^2
-        np.divide(be, -(a**2), out=be)
-        np.exp(be, out=be)
-        np.add(bp, h, out=bu)
-        np.divide(bu, a, out=bu)
-        erfc(bu, out=bu)
-        np.subtract(bp, h, out=bv)
-        np.divide(bv, a, out=bv)
-        erfc(bv, out=bv)
-        bu -= bv
-        bu *= be
-        bu *= wcol[block]
-        bout += bu
-    return out.sum(axis=0)
+        p = bnodes[:, :1] * columns[0]
+        p += bnodes[:, 1:2] * columns[1]
+        p += bnodes[:, 2:3] * columns[2]
+        p -= nc[block]
+        np.abs(p, out=p)
+        # in place: a new (B, F) array per operation, page-faulted afresh at
+        # every block, made a 33^3 volume's one-node blocks about 15% slower
+        gap = np.add(p, h)
+        gap /= a
+        erfc(gap, out=gap)
+        u = np.subtract(p, h)
+        u /= a
+        gap -= erfc(u, out=u)
+        p *= p
+        np.subtract(r2, p, out=p)
+        np.maximum(p, 0.0, out=p)  # d^2
+        p /= -(a**2)
+        gap *= np.exp(p, out=p)
+        return gap
+
+    out = sphere_sum(nodes, weights, columns.T, differences, columns.shape[1])
+    out *= prim.amplitude * a * (SQRT_PI / 2.0)
+    return out
 
 
 def _monomials(order):

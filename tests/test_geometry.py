@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import xradon as xr
+from xradon import geometry
 from xradon.geometry import FULL_SPHERE, as_direction, cube_grid
 
 
@@ -62,6 +63,23 @@ class TestSphereIntegrate:
     def test_array_length_mismatch(self, quad2000):
         with pytest.raises(ValueError):
             quad2000.weights @ np.ones(3)
+
+
+def test_sphere_sum_one_node_blocks_equal_the_products(monkeypatch):
+    # a one-node block adds w * values[0], not weights[block] @ values: the sum
+    # is the same bit for bit, over -0.0 values and magnitudes 1e-300 to 1e290
+    rng = np.random.default_rng(11)
+    values = rng.normal(size=(5, 40)) * 10.0 ** rng.integers(-300, 290, size=(5, 40))
+    values[:, ::3] = -0.0
+    weights = rng.uniform(0.05, 1.0, 5)
+    nodes = xr.fibonacci_sphere(5).nodes
+    ref = np.zeros(40)
+    for k in range(5):
+        ref += weights[k : k + 1] @ values[k : k + 1]
+    monkeypatch.setattr(geometry, "ROWS", 40)
+    assert [b.stop - b.start for b in geometry.node_blocks(5, 40)] == [1] * 5
+    got = geometry.sphere_sum(nodes, weights, np.zeros((40, 3)), lambda block, bnodes: values[block], 40)
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
 
 class TestSphereQuadratureInvariants:

@@ -349,6 +349,22 @@ class TestRayDifferences:
         ref = gauss_legendre_differences(unit_gaussian, points, nodes, h)
         assert np.all(np.abs(fused - ref) <= series_bound(unit_gaussian, h))
 
+    def test_erfc_form_resolves_cancellation(self, unit_gaussian):
+        # p < 0 beyond the series form's reach: erfc((p +- h)/a) are both near 2,
+        # and their difference as written keeps only its absolute accuracy
+        # (4.8e-9 relative at p = -4); at |p| both arguments are >= -h/a
+        h = 1e-2
+        p = np.linspace(-0.5, -4.0, 36)
+        points = np.column_stack([np.full_like(p, 0.3), np.zeros_like(p), p])
+        node = np.array([[0.0, 0.0, 1.0]])
+        far = ~series_taken(unit_gaussian.primitives[0], points, h)
+        assert 10 <= far.sum() < len(p)
+        got = phm.ray_differences(unit_gaussian, points, h, node, np.ones(1))
+        ref = gauss_legendre_differences(unit_gaussian, points, node, h)[0]
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+        mirrored = points[far] * [1.0, 1.0, -1.0]
+        assert np.array_equal(bits(got[far]), bits(phm.ray_differences(unit_gaussian, mirrored, h, node, np.ones(1))))
+
     @pytest.mark.parametrize("side, erfc_per_node", [(0.999, 0), (1.001, 2)])
     def test_switch_at_series_bound(self, monkeypatch, side, erfc_per_node):
         # points within one width of the centre, so t = h/a; h just inside
@@ -652,49 +668,46 @@ def old_line_transforms(ph, x, n):
 def old_ray_differences(ph, points, h, nodes, weights):
     """ray_differences' sphere sum with its set-up as written with reductions over
     the coordinate axis: (P, 3) offsets, r2 and n . c by np.sum, and the moment
-    series on the transposed view of the offsets.  Each Gaussian's points are
-    routed one by one by that r2: the series form where _series_fits holds at
-    SERIES_MAX_ORDER, at the order of their largest r2, and _looped_sum on the
-    rest.  Each ball's points are routed by that r2: -2hA sum w inside, nothing
+    series on the transposed view of the offsets.  The primitives add their
+    terms in phantom order.  Each Gaussian's points are routed one by one by
+    that r2: _looped_sum where _series_fits fails at SERIES_MAX_ORDER, then the
+    series form on the rest, at the order of their largest r2, read from one
+    table of moments at SERIES_MAX_ORDER (a lower order's table is its corner).
+    Each ball's points are routed by that r2: -2hA sum w inside, nothing
     outside, two halfline_integral calls per node block (lift_xray_data) in the
     shell."""
     columns = np.ascontiguousarray(points.T)
-    rel = [points - prim.center for prim in ph.primitives]
-    r2 = [np.sum(y**2, axis=1) for y in rel]
+    total = float(np.sum(weights))
+    moments = phm._moments(nodes, weights, phm.SERIES_MAX_ORDER)
     out = np.zeros(len(points))
-    expanded = []
-    for prim, y, rr in zip(ph.primitives, rel, r2):
-        if prim.kind != xr.GAUSSIAN:
+    for prim in ph.primitives:
+        y = points - prim.center
+        rr = np.sum(y**2, axis=1)
+        if prim.kind == xr.BALL:
+            R = prim.scale
+            inside = (rr <= (R - h) ** 2) & (h < R)
+            shell = (rr > (R - h) ** 2) | (h >= R)
+            shell &= rr < (R + h) ** 2
+            out[inside] += -2.0 * h * prim.amplitude * total
+            if shell.any():
+                one = xr.Phantom((prim,), ph.support_radius)
+                lifted = xr.lift_xray_data(lambda x, n: xr.halfline_integral(one, x, n))
+                out[shell] += lifted(points[shell], h, nodes, weights)
             continue
         near = phm._series_fits(prim, rr, h, phm.SERIES_MAX_ORDER)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(phm, "_dot", lambda a, b: np.sum(a * b, axis=-1))
             out[~near] += phm._looped_sum(prim, rr[~near], columns[:, ~near], nodes, weights, h)
-        if near.any():
-            coeffs = phm._gaussian_series(prim, np.max(rr[near]), h)
-            expanded.append((y[near], coeffs, np.exp(-rr[near] / prim.scale**2), near))
-    if expanded:
-        moments = phm._moments(nodes, weights, max(len(coeffs) - 1 for _, coeffs, _, _ in expanded))
-    for y, coeffs, scale, near in expanded:
-        powers = phm._powers(y.T, 2 * (len(coeffs) - 1))
-        acc = np.zeros(y.shape[0])
+        if not near.any():
+            continue
+        coeffs = phm._gaussian_series(prim, np.max(rr[near]), h)
+        powers = phm._powers(y[near].T, 2 * (len(coeffs) - 1))
+        acc = np.zeros(near.sum())
         for j, a, b, c, multinomial in phm._monomials(len(coeffs) - 1):
             acc += powers[0, a] * powers[1, b] * powers[2, c] * (coeffs[j] * multinomial * moments[a, b, c])
-        acc += coeffs[0] * float(np.sum(weights))
-        acc *= scale
+        acc += coeffs[0] * total
+        acc *= np.exp(-rr[near] / prim.scale**2)
         out[near] += acc
-    for prim, rr in zip(ph.primitives, r2):
-        if prim.kind != xr.BALL:
-            continue
-        R = prim.scale
-        inside = (rr <= (R - h) ** 2) & (h < R)
-        shell = (rr > (R - h) ** 2) | (h >= R)
-        shell &= rr < (R + h) ** 2
-        out[inside] += -2.0 * h * prim.amplitude * float(np.sum(weights))
-        if shell.any():
-            one = xr.Phantom((prim,), ph.support_radius)
-            lifted = xr.lift_xray_data(lambda x, n: xr.halfline_integral(one, x, n))
-            out[shell] += lifted(points[shell], h, nodes, weights)
     return out
 
 
@@ -758,6 +771,21 @@ class TestColumnSums:
         nodes=st.lists(unit_vectors(), min_size=1, max_size=6),
         weights=st.lists(st.floats(0.05, 1.0), min_size=6, max_size=6),
         h=STEPS,
+    )
+    @example(  # phantom order: the first Gaussian's points straddle the series form's reach
+        ph=xr.Phantom(
+            (
+                xr.Primitive(xr.GAUSSIAN, (1.0, 0.0, 0.0), 0.6, 1.0),
+                xr.Primitive(xr.BALL, (-1.0, 0.5, 0.0), 0.7, 1.3),
+                xr.Primitive(xr.GAUSSIAN, (-1.0, 0.0, 0.0), 1.0, -0.7),
+            ),
+            7.0,
+        ),
+        # near the first Gaussian; inside the ball; on its surface; far from all three
+        points=np.array([[1.2, 0.1, 0.0], [-1.6, 0.5, 0.0], [-1.6, 0.3, 0.1], [-0.3, 0.5, 0.0], [3.0, -2.0, 1.0]]),
+        nodes=[np.array([0.0, 0.0, 1.0]), np.array([0.6, 0.0, 0.8]), np.array([0.0, 0.6, -0.8])],
+        weights=[0.3, 0.9, 0.55, 0.3, 0.9, 0.55],
+        h=0.01,
     )
     def test_ray_differences_equal_the_axis_sums(self, ph, points, nodes, weights, h):
         # series-form Gaussians (small h), erfc-form ones (large h) and balls
