@@ -303,6 +303,13 @@ def _corners(points):
     return np.array(list(itertools.product(*zip(columns.min(axis=1), columns.max(axis=1)))))
 
 
+def _grid_corners(grid):
+    """The 8 corners of a VolumeGrid's bounding box, _corners of its points without
+    reading them: the first and last of each axis_coords, which rise with the
+    positive spacing."""
+    return np.array(list(itertools.product(*((c[0], c[-1]) for c in map(grid.axis_coords, range(3))))))
+
+
 def _check_offsets(cfg, corners, nodes, what):
     """Every offset x . n of a point set must lie on the s-grid (hilbert.offsets_on_grid);
     x . n is linear in x, so over the points' bounding box, whose corners are given,
@@ -315,9 +322,10 @@ def _check_offsets(cfg, corners, nodes, what):
         )
 
 
-def _reconstruct_with_calibration(ph, cfg, voxels):
+def _reconstruct_with_calibration(ph, cfg, voxels, corners):
     """invert's one pass: the voxels and the seeded calibration points (seed + 1)
-    reconstructed in one call, on one dataset on the config's s-grid.
+    reconstructed in one call, on one dataset on the config's s-grid.  corners
+    are the 8 corners of the voxels' bounding box (unused without voxels).
 
     Returns the unit-normalized values of the voxels and of the points
     (inversion.reconstruct), with the density at the points.  The volume's
@@ -329,7 +337,6 @@ def _reconstruct_with_calibration(ph, cfg, voxels):
     rcfg = inversion.ReconstructionConfig(fibonacci_sphere(cfg.nodes), cfg.diff_step, cfg.branch)
     if len(voxels):
         volume = f"the volume --vol-min {cfg.vol_min:g} --vol-max {cfg.vol_max:g}"
-        corners = _corners(voxels)
         with np.errstate(over="ignore"):
             dist2 = [np.sum((corners - prim.center) ** 2, axis=1) for prim in ph.primitives]
         if not np.all(np.isfinite(dist2)):
@@ -373,7 +380,7 @@ def cmd_invert(args):
     cfg = replace(cfg, normalization=1.0) if cfg.branch == inversion.BRANCH_CLASSICAL else cfg
     grid = _volume_grid(cfg)
     points = grid.points()
-    unit, raw, truth = _reconstruct_with_calibration(ph, cfg, points)
+    unit, raw, truth = _reconstruct_with_calibration(ph, cfg, points, _grid_corners(grid))
     # the one product with --normalization; a value past float64 is past float32
     # too, so the check below is its only range guard
     with np.errstate(over="ignore"):
@@ -437,7 +444,7 @@ def cmd_calibrate(args):
     """invert's calibration without the volume, at unit normalization on every branch."""
     cfg = load_config(args)
     ph = _load_phantom(cfg)
-    _, raw, truth = _reconstruct_with_calibration(ph, cfg, np.zeros((0, 3)))
+    _, raw, truth = _reconstruct_with_calibration(ph, cfg, np.zeros((0, 3)), None)
     cal = inversion.fit_scale(raw, truth)
     with _OutputSet(cfg.outdir) as out:
         result = {

@@ -5,7 +5,8 @@ so that H[1/(1+s^2)] = s/(1+s^2), H[cos] = sin, and H(H f) = -f.
 
 Every filter of a row (H, d/ds H, d^2/ds^2) is one linear convolution with a
 band-limited kernel by FFT; a direct singularity-subtracted quadrature of H
-validates the first.  sample_rows reads filtered rows by cubic interpolation.
+validates the first.  sample_rows reads filtered rows by cubic interpolation;
+CubicReader is its reusable form, for a stream of node blocks.
 """
 
 from __future__ import annotations
@@ -173,33 +174,38 @@ _STENCIL = np.array(
 _GHOST = np.array([4.0, -6.0, 4.0, -1.0])
 
 
-def _ghost_rows(v):
+def _ghost_rows(v, out=None):
     """Each row of v with a ghost sample at both ends: shape (K, S + 2), sample j
     of a row in column j + 1, so interval j's stencil is columns j..j+3."""
     rows, count = v.shape
-    ext = np.empty((rows, count + 2))
+    ext = np.empty((rows, count + 2)) if out is None else out
     ext[:, 1:-1] = v
-    ext[:, 0] = np.vecdot(v[:, :4], _GHOST)
-    ext[:, -1] = np.vecdot(v[:, :-5:-1], _GHOST)
+    np.vecdot(v[:, :4], _GHOST, out=ext[:, 0])
+    np.vecdot(v[:, :-5:-1], _GHOST, out=ext[:, -1])
     return ext
+
+
+def _stencils(ext):
+    """The (K, S - 1, 4) stencils of the ghost-extended rows ext, (K, S + 2): row k's
+    columns j..j+3 at [k, j], as an overlapping read-only view."""
+    rows, width = ext.shape
+    step = ext.strides[1]
+    return as_strided(ext, (rows, width - 3, 4), (ext.strides[0], step, step), writeable=False)
 
 
 def _cubic_coefficients(v):
     """Per-interval coefficients of the 4-point Lagrange interpolant of each row of v.
 
-    Returns c of shape (4, K, S - 1): on interval j of row k, between
-    samples j and j + 1, the interpolant is sum_m c[m, k, j] * w**m with
-    w = t - j the offset from sample j in grid steps.  Interval j takes
-    the stencil j-1..j+2; the first and last intervals take the nearest
-    full stencil, 0..3 and S-4..S-1, through a ghost sample on that cubic.
+    Returns c of shape (K, S - 1, 4): on interval j of row k, between
+    samples j and j + 1, the interpolant is sum_m c[k, j, m] * w**m with
+    w = t - j the offset from sample j in grid steps, so an interval's four
+    coefficients are contiguous.  Interval j takes the stencil j-1..j+2;
+    the first and last intervals take the nearest full stencil, 0..3 and
+    S-4..S-1, through a ghost sample on that cubic.  The stencils overlap,
+    so numpy's matmul does not hand them to BLAS: its own loop forms every
+    coefficient, whatever the layout of its output (CubicReader's tables).
     """
-    rows, count = v.shape
-    ext = _ghost_rows(v)
-    step = ext.strides[1]
-    stencils = as_strided(ext, (rows, count - 1, 4), (ext.strides[0], step, step), writeable=False)
-    c = np.empty((4, rows, count - 1))
-    np.matmul(stencils, _STENCIL, out=c.transpose(1, 2, 0))
-    return c
+    return np.matmul(_stencils(_ghost_rows(v)), _STENCIL)
 
 
 def _query_coefficients(v, index):
@@ -254,6 +260,79 @@ def sample_width(queries, count):
     return 4 * queries if _per_query(queries, count) else max(queries, 4 * count)
 
 
+def _horner(c, w, out):
+    """c[0] + w (c[1] + w (c[2] + w c[3])) into out: the one order of every read-out."""
+    np.multiply(c[3], w, out=out)
+    for m in (2, 1):
+        out += c[m]
+        out *= w
+    out += c[0]
+    return out
+
+
+class CubicReader:
+    """sample_rows for a stream of blocks of at most `rows` rows, each of `count`
+    samples on one uniform grid over [s_min, s_max], read at `queries` offsets
+    per row.
+
+    reader(values, s) is sample_rows(values, s_min, s_max, s) for a (B, S)
+    block and its (B, Q) offsets, bitwise.  On the tables' path (Q >= S - 1)
+    every array a block needs is a slice of scratch allocated here, once:
+    the offsets in grid steps, the ghost-extended rows, the (B, S - 1, 4)
+    interval tables, the cells and their indices, the (B Q, 4) coefficients
+    that one gather per query takes from the tables, and the result.  The
+    result is then a view of that scratch, overwritten by the next call.
+    The per-query path (Q < S - 1) forms its stencils per call.
+    offsets(B) is the scratch of a block's offsets: a caller may write them
+    there, and the call reads them in place.
+    """
+
+    def __init__(self, rows, count, queries, s_min, s_max):
+        self._s_min, self._s_max = s_min, s_max
+        self._spacing = (s_max - s_min) / (count - 1)
+        self._steps = np.empty((rows, queries))
+        if _per_query(queries, count):
+            self._tables = None
+            return
+        self._ext = np.empty((rows, count + 2))
+        self._stencils = _stencils(self._ext)
+        self._tables = np.empty((rows, count - 1, 4))
+        self._cells = np.empty((rows, queries))
+        self._index = np.empty((rows, queries), dtype=np.intp)
+        self._gathered = np.empty((rows * queries, 4))
+        self._row_start = (count - 1) * np.arange(rows)[:, None]
+
+    def offsets(self, rows):
+        """The (rows, Q) scratch that the next call's offsets may be written into."""
+        return self._steps[:rows]
+
+    def __call__(self, values, s):
+        rows, count = values.shape
+        if s.size and not offsets_on_grid(s.min(), s.max(), self._s_min, self._s_max):
+            raise ValueError("query offset outside the profile range")
+        w = np.subtract(s, self._s_min, out=self._steps[:rows])
+        w /= self._spacing
+        # the cell of each offset, clamped to the intervals 0..S - 2 (w may lie
+        # beyond either end by the grid's slack, more than a step on a fine grid);
+        # maximum(-0.0, 0.0) is +0.0, so w - cell keeps w's bits there
+        cell = np.trunc(w, out=None if self._tables is None else self._cells[:rows])
+        np.maximum(cell, 0.0, out=cell)
+        np.minimum(cell, count - 2, out=cell)
+        w -= cell
+        if self._tables is None:
+            c = _query_coefficients(values, cell.astype(np.intp))
+            return _horner(c, w, out=c[3])
+        _ghost_rows(values, self._ext[:rows])
+        tables = np.matmul(self._stencils[:rows], _STENCIL, out=self._tables[:rows])
+        index = self._index[:rows]
+        np.copyto(index, cell, casting="unsafe")
+        index += self._row_start[:rows]
+        gathered = self._gathered[: index.size]
+        # one 4-coefficient row per query; the cells are in range, so "clip" clips nothing
+        np.take(tables.reshape(-1, 4), index.reshape(-1), axis=0, mode="clip", out=gathered)
+        return _horner(gathered.reshape(index.shape + (4,)).transpose(2, 0, 1), w, out=cell)
+
+
 def sample_rows(values, s_min, s_max, s):
     """Evaluate row k of `values` at the offsets s[k] by 4-point Lagrange interpolation.
 
@@ -263,33 +342,13 @@ def sample_rows(values, s_min, s_max, s):
     query runs a Horner chain on the cubic coefficients of its interval.
     With fewer queries per row than intervals (Q < S - 1) those are formed
     for the queried intervals alone (_query_coefficients), from four
-    samples per query; otherwise they are read from per-interval tables,
-    four (K, S - 1) arrays built from `values` (_cubic_coefficients).
-    sample_width gives the values a call holds per row.  Both give bitwise
-    the same result, and row k's result depends on row k and s[k] alone.
+    samples per query; otherwise each query gathers its four from
+    per-interval tables, one (K, S - 1, 4) array built from `values`
+    (_cubic_coefficients).  sample_width gives the values a call holds per
+    row.  Both give bitwise the same result, and row k's result depends on
+    row k and s[k] alone.  This is one call of a CubicReader.
     """
     values = np.asarray(values, dtype=float)
     s = np.asarray(s, dtype=float)
     rows, count = values.shape
-    if s.size and not offsets_on_grid(s.min(), s.max(), s_min, s_max):
-        raise ValueError("query offset outside the profile range")
-    h = (s_max - s_min) / (count - 1)
-    w = s - s_min
-    w /= h
-    index = w.astype(np.intp)
-    np.minimum(index, count - 2, out=index)
-    np.maximum(index, 0, out=index)
-    w -= index
-    if _per_query(s.shape[-1], count):
-        coefficient = _query_coefficients(values, index).__getitem__
-    else:
-        # one (K, Q) gather per coefficient: a single (4, K, Q) gather of a
-        # large batch measured slower, in the backprojection of a volume
-        tables = _cubic_coefficients(values).reshape(4, -1)
-        index += (count - 1) * np.arange(rows)[:, None]
-        coefficient = lambda m: np.take(tables[m], index)
-    out = coefficient(3)
-    for m in (2, 1, 0):
-        out *= w
-        out += coefficient(m)
-    return out
+    return CubicReader(rows, count, s.shape[-1], s_min, s_max)(values, s)

@@ -34,8 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import phantom as ph_mod
-from .geometry import SphereQuadrature, VolumeGrid, as_direction, as_sum_inputs, difference_sum, rays, sphere_sum
-from .hilbert import HILBERT, HILBERT_DERIVATIVE, SECOND_DERIVATIVE, convolve_rows, sample_rows, sample_width
+from .geometry import (
+    SphereQuadrature, VolumeGrid, as_direction, as_sum_inputs, difference_sum, node_blocks, rays, sphere_sum,
+)
+from .hilbert import HILBERT, HILBERT_DERIVATIVE, SECOND_DERIVATIVE, CubicReader, convolve_rows, sample_width
 
 BRANCH_XRAY = "xray"
 BRANCH_RADON = "radon"
@@ -173,12 +175,15 @@ _BRANCH_FILTERS = {BRANCH_RADON: HILBERT_DERIVATIVE, BRANCH_CLASSICAL: SECOND_DE
 
 def _backproject(filtered, data, quadrature, points):
     """sum_k w_k * filtered_k(x . n_k) at every point x, in node blocks as wide as
-    the values per row of one sample_rows call (hilbert.sample_width)."""
+    the values per row of one sample_rows call (hilbert.sample_width), all read by
+    one CubicReader: each block's offsets x . n_k go straight into its scratch."""
+    width = sample_width(points.shape[0], filtered.shape[1])
+    rows = min(quadrature.count, node_blocks(quadrature.count, width)[0].stop)
+    read = CubicReader(rows, filtered.shape[1], points.shape[0], data.s_min, data.s_max)
 
     def values(block, nodes):
-        return sample_rows(filtered[block], data.s_min, data.s_max, nodes @ points.T)
+        return read(filtered[block], np.matmul(nodes, points.T, out=read.offsets(nodes.shape[0])))
 
-    width = sample_width(points.shape[0], filtered.shape[1])
     return sphere_sum(quadrature.nodes, quadrature.weights, points, values, width)
 
 

@@ -533,6 +533,19 @@ def test_corners_equal_axis_reductions(points, transposed):
     assert np.array_equal(cli_mod._corners(points).view(np.uint64), old.view(np.uint64))
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.tuples(*[st.floats(-1e3, 1e3)] * 3),
+    st.tuples(*[st.floats(1e-6, 1e2)] * 3),
+    st.tuples(*[st.integers(1, 9)] * 3),
+)
+def test_grid_corners_equal_the_points_corners(origin, spacing, dims):
+    # invert takes the volume's corners from the axis coordinates, not from its voxels
+    grid = VolumeGrid(origin, spacing, dims)
+    expected = cli_mod._corners(grid.points())
+    assert np.array_equal(cli_mod._grid_corners(grid).view(np.uint64), expected.view(np.uint64))
+
+
 class TestCheck:
     def test_outputs_and_determinism(self, tmp_path, phantom_file):
         args = ["check", "--phantom", str(phantom_file), "--nodes", "500", "--seed", "1"]

@@ -368,8 +368,9 @@ class TestRows:
         ends = np.tile([0, count - 2, 1, count - 3, 0], (rows, 1))
         index = np.concatenate([ends, rng.integers(0, count - 1, size=(rows, 9))], axis=1)
         tables = _cubic_coefficients(values)
-        expected = np.take_along_axis(tables, np.broadcast_to(index, (4,) + index.shape), axis=2)
-        assert _query_coefficients(values, index).tobytes() == expected.tobytes()
+        assert tables.shape == (rows, count - 1, 4)
+        expected = np.take_along_axis(tables, index[..., None], axis=1)
+        assert _query_coefficients(values, index).tobytes() == np.moveaxis(expected, -1, 0).tobytes()
 
 
 class TestKernelSpectrum:

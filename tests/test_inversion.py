@@ -10,7 +10,7 @@ from scipy.special import dawsn
 import xradon as xr
 from xradon import inversion as inv
 from xradon import phantom as phm
-from xradon.geometry import ROWS
+from xradon.geometry import ROWS, node_blocks
 from xradon.hilbert import sample_width
 from conftest import S_GRID, calibrate
 
@@ -61,6 +61,22 @@ def riesz_potential(ph, points):
             r > 0.0, a * a * dawsn(safe / a) / (np.sqrt(np.pi) * safe), a / np.sqrt(np.pi)
         )
     return out
+
+
+def two_gaussians():
+    """The two-gaussians preset: unit Gaussians at (+-1, 0, 0), support radius 7."""
+    return xr.Phantom(
+        (
+            xr.Primitive(xr.GAUSSIAN, (1.0, 0.0, 0.0), 1.0, 1.0),
+            xr.Primitive(xr.GAUSSIAN, (-1.0, 0.0, 0.0), 1.0, 1.0),
+        ),
+        7.0,
+    )
+
+
+def point_set(count):
+    """count seeded points (seed 3) in the ball of radius 1.5."""
+    return inv.sample_ball_points(np.random.default_rng(3), count, 1.5)
 
 
 def zero_dataset(quadrature):
@@ -149,13 +165,7 @@ class TestInvertRadon:
 
     def test_matches_riesz_potential(self, quad2000):
         # with unit normalization the branch reconstructs -16 pi^3 I^1 f
-        ph = xr.Phantom(
-            (
-                xr.Primitive(xr.GAUSSIAN, (1.0, 0.0, 0.0), 1.0, 1.0),
-                xr.Primitive(xr.GAUSSIAN, (-1.0, 0.0, 0.0), 1.0, 1.0),
-            ),
-            7.0,
-        )
+        ph = two_gaussians()
         cfg = inv.ReconstructionConfig(quad2000, branch=inv.BRANCH_RADON)
         data = inv.build_radon_dataset(ph, quad2000, -8.0, 8.0, 801)
         pts = inv.sample_ball_points(np.random.default_rng(3), 200, 2.5)
@@ -213,17 +223,10 @@ class TestGaussRuleConvergence:
 
     @pytest.fixture(scope="class")
     def setup(self):
-        ph = xr.Phantom(
-            (
-                xr.Primitive(xr.GAUSSIAN, (1.0, 0.0, 0.0), 1.0, 1.0),
-                xr.Primitive(xr.GAUSSIAN, (-1.0, 0.0, 0.0), 1.0, 1.0),
-            ),
-            7.0,
-        )
+        ph = two_gaussians()
         quad = gauss_sphere(12)
         data = inv.build_radon_dataset(ph, quad, -8.0, 8.0, 801)
-        pts = inv.sample_ball_points(np.random.default_rng(3), 200, 1.5)
-        return ph, quad, data, pts
+        return ph, quad, data, point_set(200)
 
     def test_rule_integrates_low_degree_polynomials(self):
         quad = gauss_sphere(12)
@@ -246,6 +249,38 @@ class TestGaussRuleConvergence:
         target = -16.0 * np.pi**3 * riesz_potential(ph, pts)
         rec = inv.reconstruct(data, cfg, pts)
         assert np.linalg.norm(rec - target) <= 5e-8 * np.linalg.norm(target)
+
+
+class TestReadoutOrder:
+    """The s-axis error falls as tau^4, the order of the 4-point cubic read-out.
+
+    On Gauss 24 the quadrature is far below the s-axis term at S = 201, 401
+    and 801 on [-8, 8], so each halving of the spacing tau should divide the
+    error by 16; a linear read-out would divide it by 4 and pass any fixed
+    bound set at one S.  200 points take per-query stencils at S = 401 and
+    801 and the cubic tables at 201; 1,000 points take the tables at every S."""
+
+    SAMPLES = (201, 401, 801)
+
+    @pytest.fixture(scope="class")
+    def datasets(self):
+        quad = gauss_sphere(24)
+        return quad, [inv.build_radon_dataset(two_gaussians(), quad, -8.0, 8.0, count) for count in self.SAMPLES]
+
+    @pytest.mark.parametrize("count", [200, 1000])
+    @pytest.mark.parametrize("branch", [inv.BRANCH_CLASSICAL, inv.BRANCH_RADON])
+    def test_observed_order_is_four(self, datasets, branch, count):
+        quad, data = datasets
+        ph, pts = two_gaussians(), point_set(count)
+        if branch == inv.BRANCH_CLASSICAL:
+            target = xr.evaluate(ph, pts)
+        else:
+            target = -16.0 * np.pi**3 * riesz_potential(ph, pts)
+        cfg = inv.ReconstructionConfig(quad, branch=branch)
+        errors = [np.linalg.norm(inv.reconstruct(d, cfg, pts) - target) / np.linalg.norm(target) for d in data]
+        # measured 3.98-4.00 per halving
+        orders = np.log2(np.divide(errors[:-1], errors[1:]))
+        assert np.all(np.abs(orders - 4.0) <= 0.2), (errors, orders)
 
 
 class TestBatchReconstruction:
@@ -411,6 +446,29 @@ class TestBatchReconstruction:
             at(ray_data(unit_gaussian), xray_cfg, (0.0, 0.0, 0.0))
 
 
+def random_backprojection(rng, count, samples, nodes_count):
+    """Random filtered rows of `samples` samples on [-R, R] for `nodes_count` random
+    nodes and weights, and `count` points whose offsets run over the whole grid:
+    points of norm at most R include +-R n_k, whose offsets at n_k are the grid
+    ends, and +-(R - h/2) n_k, which read intervals 0 and S - 2 through their
+    ghosts.  Returns (filtered, data, quadrature, points)."""
+    nodes = rng.normal(size=(nodes_count, 3))
+    nodes /= np.linalg.norm(nodes, axis=1)[:, None]
+    weights = rng.uniform(0.5, 1.5, nodes_count)
+    weights *= 4.0 * np.pi / weights.sum()
+    quadrature = xr.SphereQuadrature(nodes, weights)
+    radius = rng.uniform(0.5, 10.0)
+    filtered = rng.normal(size=(nodes_count, samples))
+    data = inv.RadonDataset(nodes, -radius, radius, filtered)
+    directions = rng.normal(size=(count, 3))
+    directions /= np.linalg.norm(directions, axis=1)[:, None]
+    points = directions * radius * rng.uniform(size=(count, 1)) ** (1.0 / 3.0)
+    inside = radius * (1.0 - 1.0 / (samples - 1))
+    ends = nodes[rng.integers(0, nodes_count, size=4)] * [[radius], [-radius], [inside], [-inside]]
+    points[:4] = ends[:count]
+    return filtered, data, quadrature, points
+
+
 class TestBackprojectBlocks:
     """_backproject is one sphere sum over node blocks as wide as a sample_rows call."""
 
@@ -427,31 +485,48 @@ class TestBackprojectBlocks:
         # 500 nodes and 2,000,000 samples
         step = max(1, ROWS // sample_width(count, samples))
         nodes_count = int(min(rng.integers(step + 1, 3 * step + 1), 500, 2_000_000 // samples))
-        nodes = rng.normal(size=(nodes_count, 3))
-        nodes /= np.linalg.norm(nodes, axis=1)[:, None]
-        weights = rng.uniform(0.5, 1.5, nodes_count)
-        weights *= 4.0 * np.pi / weights.sum()
-        quadrature = xr.SphereQuadrature(nodes, weights)
-        radius = rng.uniform(0.5, 10.0)
-        filtered = rng.normal(size=(nodes_count, samples))
-        data = inv.RadonDataset(nodes, -radius, radius, filtered)
-        # offsets run over the whole grid [-R, R]: points of norm at most R
-        # include +-R n_k, whose offsets at n_k are the grid ends, and
-        # +-(R - h/2) n_k, which read intervals 0 and S - 2 through their ghosts
-        directions = rng.normal(size=(count, 3))
-        directions /= np.linalg.norm(directions, axis=1)[:, None]
-        points = directions * radius * rng.uniform(size=(count, 1)) ** (1.0 / 3.0)
-        inside = radius * (1.0 - 1.0 / (samples - 1))
-        ends = nodes[rng.integers(0, nodes_count, size=4)] * [[radius], [-radius], [inside], [-inside]]
-        points[:4] = ends[:count]
+        filtered, data, quadrature, points = random_backprojection(rng, count, samples, nodes_count)
         got = inv._backproject(filtered, data, quadrature, points)
         total = np.zeros(count)
         scale = np.zeros(count)
         for k in range(nodes_count):
-            term = weights[k] * xr.sample_rows(filtered[k:k + 1], -radius, radius, nodes[k:k + 1] @ points.T)[0]
+            offsets = quadrature.nodes[k:k + 1] @ points.T
+            term = quadrature.weights[k] * xr.sample_rows(filtered[k:k + 1], data.s_min, data.s_max, offsets)[0]
             total += term
             scale += np.abs(term)
         assert np.all(np.abs(got - total) <= 1e-13 * scale)
+
+    @PROPERTY
+    @given(
+        samples=st.integers(8, 1025),
+        extra=st.integers(0, 3000),
+        last=st.sampled_from(["full", "short", "one-node"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # the radon_volume benchmark's batch: 17^3 voxels and 50 calibration points
+    # on 801 samples, blocks of 3 nodes
+    @example(samples=801, extra=4963 - 800, last="one-node", seed=1)
+    def test_reader_matches_fresh_calls_bitwise(self, samples, extra, last, seed):
+        # Q >= S - 1 points read the cubic tables through one CubicReader, whose
+        # scratch each block reuses: byte for byte a fresh sample_rows call per
+        # block, summed as sphere_sum sums.  A last block shorter than the
+        # scratch would show any row of it left from the block before.
+        count = samples - 1 + extra
+        width = sample_width(count, samples)
+        step = ROWS // width
+        assert step >= 3
+        rng = np.random.default_rng(seed)
+        # one or two full blocks, then the last one
+        tail = {"full": step, "short": int(rng.integers(2, step)), "one-node": 1}[last]
+        nodes_count = int(rng.integers(1, 3)) * step + tail
+        filtered, data, quadrature, points = random_backprojection(rng, count, samples, nodes_count)
+        expected = np.zeros(count)
+        for block in node_blocks(nodes_count, width):
+            values = xr.sample_rows(filtered[block], data.s_min, data.s_max, quadrature.nodes[block] @ points.T)
+            weights = quadrature.weights[block]
+            expected += weights @ values if values.shape[0] > 1 else weights[0] * values[0]
+        got = inv._backproject(filtered, data, quadrature, points)
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestRadonDataset:
@@ -561,6 +636,21 @@ class TestLemma9Diagnostic:
         ball = xr.Phantom((xr.Primitive(xr.BALL, (0, 0, 0), 1.0, 1.0),), 6.0)
         with pytest.raises(ValueError):
             lemma9_at(ball, (0, 0, 0), quad2000)
+
+    def test_sides_on_an_antipodal_rule(self):
+        # left = int Lf dn = 4 pi^2 I^1 f; the as-printed right side,
+        # -2 pi int H Rf(n, x . n) dn, has an integrand odd under n -> -n, so
+        # on the antipodal Gauss rule it is 0 up to rounding.  Measured 7.0e-13
+        # and 2.4e-15 (two-gaussians, Gauss 16, 801 samples on [-8, 8]).
+        ph, pts = two_gaussians(), point_set(200)
+        rep = inv.lemma9_diagnostic(ph, pts, gauss_sphere(16), (-8.0, 8.0, 801))
+        target = 4.0 * np.pi**2 * riesz_potential(ph, pts)
+        assert np.max(np.abs(rep.left - target)) <= 1e-11 * np.max(np.abs(target))
+        assert np.max(np.abs(rep.right)) <= 1e-13 * np.max(np.abs(rep.left))
+        # the ratio is still reported: left / right, NaN where the right side is 0
+        nonzero = rep.right != 0.0
+        assert np.array_equal(rep.ratio[nonzero], rep.left[nonzero] / rep.right[nonzero])
+        assert np.all(np.isnan(rep.ratio[~nonzero]))
 
 
 class TestCalibrateNormalization:
