@@ -19,6 +19,7 @@ from .phantom import (
     plane_integral,
     plane_integral_derivative,
     ray_differences,
+    riesz_potential,
     save_phantom,
 )
 from .xform import RadonProfile

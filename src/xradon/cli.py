@@ -348,13 +348,18 @@ def _reconstruct_with_calibration(ph, cfg, voxels, corners):
     return values[: len(voxels)], values[len(voxels):], ph_mod.evaluate(ph, cal_points)
 
 
-def _metrics(ph, points, samples):
-    """Relative L2 / max error of the samples at a (P, 3) point set against the
-    analytic density, support interior only."""
+def _radon_target(ph, x):
+    """-16 pi^3 I^1 f at x, which the radon branch's unit-normalized values approach."""
+    return inversion.RADON_BRANCH_RIESZ * ph_mod.riesz_potential(ph, x)
+
+
+def _metrics(ph, points, samples, target):
+    """Relative L2 / max error of the samples at a (P, 3) point set against
+    target(ph, x), support interior only."""
     x1, x2, x3 = np.ascontiguousarray(points.T)
     # |x| from the columns, np.linalg.norm(points, axis=1) bit for bit
     inside = np.sqrt(x1 * x1 + x2 * x2 + x3 * x3) <= ph.support_radius
-    truth = ph_mod.evaluate(ph, points[inside])
+    truth = target(ph, points[inside])
     rec = samples[inside]
     truth_norm = float(np.linalg.norm(truth))
     if truth_norm == 0.0:
@@ -394,7 +399,11 @@ def cmd_invert(args):
             f"--normalization {cfg.normalization:g}); shrink the volume or the normalization"
         )
     vol = grid.with_samples(values)
-    rel_l2, max_err = _metrics(ph, points, values)
+    if cfg.branch == inversion.BRANCH_RADON:
+        target_name, samples, target = "-16pi^3*I1f", unit, _radon_target
+    else:
+        target_name, samples, target = "f", values, ph_mod.evaluate
+    rel_l2, max_err = _metrics(ph, points, samples, target)
     try:
         fitted = inversion.fit_scale(raw, truth).scale
     except ValueError:  # an identically zero reconstruction
@@ -405,9 +414,9 @@ def cmd_invert(args):
             normalization=cfg.normalization, quadrature_count=cfg.nodes, diff_step=cfg.diff_step,
         )
         with open(out.path("metrics.csv"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("rel_l2,max_err,fitted_scale\n")
-            fh.write(f"{rel_l2:.17g},{max_err:.17g},{fitted:.17g}\n")
-    print(f"branch={cfg.branch} rel_l2={rel_l2:.6g} max_err={max_err:.6g}")
+            fh.write("rel_l2,max_err,fitted_scale,target\n")
+            fh.write(f"{rel_l2:.17g},{max_err:.17g},{fitted:.17g},{target_name}\n")
+    print(f"branch={cfg.branch} rel_l2={rel_l2:.6g} max_err={max_err:.6g} target={target_name}")
     return 0
 
 

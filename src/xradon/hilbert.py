@@ -6,7 +6,8 @@ so that H[1/(1+s^2)] = s/(1+s^2), H[cos] = sin, and H(H f) = -f.
 Every filter of a row (H, d/ds H, d^2/ds^2) is one linear convolution with a
 band-limited kernel by FFT; a direct singularity-subtracted quadrature of H
 validates the first.  sample_rows reads filtered rows by cubic interpolation;
-CubicReader is its reusable form, for a stream of node blocks.
+CubicReader is its reusable form, for a stream of node blocks, and
+FilteredBlocks filters such a stream a chunk at a time.
 """
 
 from __future__ import annotations
@@ -94,24 +95,66 @@ def convolve_rows(values, kernel, spacing, out=None):
     samples beyond the grid count as zero, so every row must decay (DECAY_TOL)
     and be finite; that is checked for all rows before any is written.
 
-    The rows run in blocks of geometry.node_blocks(rows, 2 S), each transformed,
-    multiplied by the kernel's spectrum and written to out before the next; a
+    The rows run in blocks of geometry.node_blocks(rows, 2 S) (_filter_rows); a
     row's result does not depend on its block.  out, an array of values' shape,
     receives the result; out=values filters a stack that nothing else uses in
-    place.
+    place.  FilteredBlocks gives the same rows a chunk at a time, with no
+    filtered copy of the stack.
     """
     values = np.asarray(values, dtype=float)
     _check_decay(values)
     n = values.shape[-1]
+    out = np.empty(values.shape) if out is None else out
+    _filter_rows(values.reshape(-1, n), kernel, spacing, out.reshape(-1, n))
+    return out
+
+
+def _filter_rows(rows, kernel, spacing, out):
+    """convolve_rows of the (R, S) rows into out, (R, S), with no decay check: in
+    blocks of geometry.node_blocks(R, 2 S), each transformed, multiplied by the
+    kernel's spectrum and written to out before the next."""
+    n = rows.shape[-1]
     m, taps = _kernel_spectrum(kernel, n)
     scale = spacing**kernel.order
-    out = np.empty(values.shape) if out is None else out
-    rows, dest = values.reshape(-1, n), out.reshape(-1, n)
     for block in node_blocks(rows.shape[0], 2 * n):
         spectrum = sfft.rfft(rows[block], n=m, axis=-1)
         spectrum *= taps
-        np.divide(sfft.irfft(spectrum, n=m, axis=-1)[:, :n], scale, out=dest[block])
-    return out
+        np.divide(sfft.irfft(spectrum, n=m, axis=-1)[:, :n], scale, out=out[block])
+
+
+class FilteredBlocks:
+    """convolve_rows(values, kernel, spacing)[block] for the node blocks of
+    geometry.node_blocks(K, width), of at most `rows` rows each, taken in order,
+    with no filtered copy of the (K, S) values.
+
+    The rows are filtered a chunk at a time: a chunk is as many whole node blocks
+    as fit in a block of node_blocks(K, 2 S), and at least one, so a node block
+    never straddles two chunks and no FFT takes more rows than convolve_rows'.
+    filtered(block) filters the block's chunk when the block is the first read
+    from it.  The chunk goes to one scratch array, whose view the next chunk
+    overwrites, or, given out (an array of values' shape), to its own rows of
+    out; out=values filters a stack that nothing else uses in place.  Every
+    row's decay is checked here, once, before any row is filtered
+    (ProfileDecayError).  A row's bits are convolve_rows'.
+    """
+
+    def __init__(self, values, kernel, spacing, rows, out=None):
+        _check_decay(values)
+        self._values, self._kernel, self._spacing, self._out = values, kernel, spacing, out
+        total, count = values.shape
+        self._chunk = rows * max(1, node_blocks(total, 2 * count)[0].stop // rows)
+        self._scratch = np.empty((min(self._chunk, total), count)) if out is None else None
+        self._start = None
+
+    def __call__(self, block):
+        total = self._values.shape[0]
+        start = block.start - block.start % self._chunk
+        dest = self._scratch if self._out is None else self._out[start:]
+        if start != self._start:
+            stop = min(start + self._chunk, total)
+            _filter_rows(self._values[start:stop], self._kernel, self._spacing, dest[: stop - start])
+            self._start = start
+        return dest[block.start - start: min(block.stop, total) - start]
 
 
 def hilbert_rows(values):

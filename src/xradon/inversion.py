@@ -37,7 +37,7 @@ from . import phantom as ph_mod
 from .geometry import (
     SphereQuadrature, VolumeGrid, as_direction, as_sum_inputs, difference_sum, node_blocks, rays, sphere_sum,
 )
-from .hilbert import HILBERT, HILBERT_DERIVATIVE, SECOND_DERIVATIVE, CubicReader, convolve_rows, sample_width
+from .hilbert import HILBERT, HILBERT_DERIVATIVE, SECOND_DERIVATIVE, CubicReader, FilteredBlocks, sample_width
 
 BRANCH_XRAY = "xray"
 BRANCH_RADON = "radon"
@@ -54,6 +54,9 @@ SPHERICAL_REFERENCE_CONSTANT = 1.0 / (2.0 * np.pi**3)
 CLASSICAL_RADON_CONSTANT = -1.0 / (8.0 * np.pi**2)
 # Cylindrical-branch prefactor applied per direction.
 RADON_BRANCH_FACTOR = -2.0 * np.pi
+# The radon branch at unit normalization reconstructs this multiple of I^1 f
+# (phantom.riesz_potential), not f.
+RADON_BRANCH_RIESZ = -16.0 * np.pi**3
 
 # Fewest samples of a Radon profile: the cubic read-out's 4-point stencils need room at both ends.
 MIN_PROFILE_SAMPLES = 8
@@ -173,16 +176,22 @@ def _as_points(points):
 _BRANCH_FILTERS = {BRANCH_RADON: HILBERT_DERIVATIVE, BRANCH_CLASSICAL: SECOND_DERIVATIVE}
 
 
-def _backproject(filtered, data, quadrature, points):
-    """sum_k w_k * filtered_k(x . n_k) at every point x, in node blocks as wide as
-    the values per row of one sample_rows call (hilbert.sample_width), all read by
-    one CubicReader: each block's offsets x . n_k go straight into its scratch."""
-    width = sample_width(points.shape[0], filtered.shape[1])
+def _backproject(data, kernel, quadrature, points, out=None):
+    """sum_k w_k * filtered_k(x . n_k) at every point x, where filtered_k is row k of
+    data filtered by kernel (hilbert.convolve_rows).  The node blocks are as wide as
+    the values per row of one sample_rows call (hilbert.sample_width); one
+    FilteredBlocks filters their rows a chunk at a time, into its scratch or into
+    out (out=data.values filters a dataset that nothing else reads in place), and
+    one CubicReader reads each block, its offsets x . n_k written straight into
+    the reader's scratch."""
+    count = data.values.shape[1]
+    width = sample_width(points.shape[0], count)
     rows = min(quadrature.count, node_blocks(quadrature.count, width)[0].stop)
-    read = CubicReader(rows, filtered.shape[1], points.shape[0], data.s_min, data.s_max)
+    filtered = FilteredBlocks(data.values, kernel, data.spacing, rows, out)
+    read = CubicReader(rows, count, points.shape[0], data.s_min, data.s_max)
 
     def values(block, nodes):
-        return read(filtered[block], np.matmul(nodes, points.T, out=read.offsets(nodes.shape[0])))
+        return read(filtered(block), np.matmul(nodes, points.T, out=read.offsets(nodes.shape[0])))
 
     return sphere_sum(quadrature.nodes, quadrature.weights, points, values, width)
 
@@ -212,8 +221,7 @@ def reconstruct(data, cfg, points):
         h = cfg.diff_step
         return data(points, h, quad.nodes, quad.weights) / (2.0 * h)
     _check_dataset(data, quad)
-    filtered = convolve_rows(data.values, _BRANCH_FILTERS[cfg.branch], data.spacing)
-    acc = _backproject(filtered, data, quad, points)
+    acc = _backproject(data, _BRANCH_FILTERS[cfg.branch], quad, points)
     if cfg.branch == BRANCH_RADON:
         return RADON_BRANCH_FACTOR * acc
     return CLASSICAL_RADON_CONSTANT * acc
@@ -295,8 +303,8 @@ def lemma9_diagnostic(ph, points, quadrature, s_grid):
 
     left = sphere_sum(quadrature.nodes, quadrature.weights, points, line_values, points.shape[0])
     data = build_radon_dataset(ph, quadrature, *s_grid)
-    filtered = convolve_rows(data.values, HILBERT, data.spacing, out=data.values)
-    right = -2.0 * np.pi * _backproject(filtered, data, quadrature, points)
+    # its own dataset, which nothing else reads: filtered in place, with no scratch
+    right = -2.0 * np.pi * _backproject(data, HILBERT, quadrature, points, out=data.values)
     ratio = np.full(points.shape[0], np.nan)
     np.divide(left, right, out=ratio, where=right != 0.0)
     return Lemma9Report(left=left, right=right, ratio=ratio, difference=left - right)

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import dawsn, erfc
 
 from .geometry import as_direction, as_sum_inputs, difference_sum, node_blocks, sphere_sum
 
@@ -143,6 +143,36 @@ def evaluate(ph, x):
             out = out + prim.amplitude * np.exp(-r2 / prim.scale**2)
         else:
             out = out + np.where(r2 <= prim.scale**2, prim.amplitude, 0.0)
+    return out if out.ndim else float(out)
+
+
+def riesz_potential(ph, x):
+    """The Riesz potential I^1 f = (-Laplacian)^(-1/2) f = (1/(2 pi^2)) int f(y) / |x - y|^2 dy
+    of the density, at x a single vector or (..., 3); the radon branch reconstructs
+    -16 pi^3 times it.  Per primitive, at r = |x - c|:
+
+    * gaussian (A, a): A a^2 D(r/a) / (sqrt(pi) r), D Dawson's function, with the
+      limit A a / sqrt(pi) at r = 0;
+    * ball (A, R), a sum of spherical shells: (A / (pi r)) [r R + (R^2 - r^2) / 2
+      ln|(r + R) / (r - R)|], with the limit 2 A R / pi at r = 0 and the value
+      A R / pi at r = R.  The logarithm is taken as 2 atanh(min(r, R) / max(r, R)),
+      exact to rounding near r = 0; far outside, where the bracket tends to
+      2 R^3 / (3 r), it loses about (r / R)^2 ulps to cancellation.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape[:-1])
+    for prim in ph.primitives:
+        r = np.sqrt(_sum_squares(x[..., i] - prim.center[i] for i in range(3)))
+        a = prim.scale
+        # r = 0, and for a ball r = R, are the limits; np.where evaluates both sides
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if prim.kind == GAUSSIAN:
+                value = np.where(r > 0.0, a * a * dawsn(r / a) / (SQRT_PI * r), a / SQRT_PI)
+            else:
+                log = 2.0 * np.arctanh(np.minimum(r, a) / np.maximum(r, a))
+                value = (r * a + 0.5 * (a * a - r * r) * log) / (np.pi * r)
+                value = np.where(r == a, a / np.pi, np.where(r > 0.0, value, 2.0 * a / np.pi))
+        out = out + prim.amplitude * value
     return out if out.ndim else float(out)
 
 

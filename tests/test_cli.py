@@ -112,13 +112,38 @@ class TestInvert:
             "--nodes", "200", "--vol-dims", "9", "--outdir", str(outdir),
         ) == 0
         header, row = (outdir / "metrics.csv").read_text().splitlines()
-        assert header == "rel_l2,max_err,fitted_scale"
-        rel_l2, _, fitted = (float(v) for v in row.split(","))
+        assert header == "rel_l2,max_err,fitted_scale,target"
+        *numbers, target = row.split(",")
+        assert target == "f"
+        rel_l2, _, fitted = (float(v) for v in numbers)
         assert rel_l2 <= 0.01
         assert abs(fitted / (-1.0 / (4.0 * np.pi)) - 1.0) < 1e-3
         meta = json.loads((outdir / "volume.json").read_text())
         assert meta["dims"] == [9, 9, 9]
         assert len((outdir / "volume.raw").read_bytes()) == 9**3 * 4
+
+    @pytest.mark.parametrize(
+        "branch, target, bound", [("radon", "-16pi^3*I1f", 1e-3), ("classical_radon", "f", 2.5e-3)]
+    )
+    def test_radon_branches_name_their_target(self, tmp_path, branch, target, bound):
+        # the radon branch's unit-normalized volume approaches -16 pi^3 I^1 f, not f
+        # (rel_l2 41.55 at the CLI defaults against f).  Two-gaussians, 500 nodes, 9^3
+        # voxels: rel_l2 8.4e-4 against that target, classical_radon 1.98e-3 against f.
+        # The radon row is that of the unit-normalized values, so --normalization
+        # does not move it.
+        ph_path = tmp_path / "ph.txt"
+        assert run("phantom-gen", "--out", str(ph_path), "--preset", "two-gaussians") == 0
+        flags = ["--phantom", str(ph_path), "--branch", branch, "--nodes", "500", "--vol-dims", "9"]
+        assert run("invert", *flags, "--outdir", str(tmp_path / "a")) == 0
+        header, row = (tmp_path / "a" / "metrics.csv").read_text().splitlines()
+        assert header == "rel_l2,max_err,fitted_scale,target"
+        *numbers, name = row.split(",")
+        assert name == target
+        assert float(numbers[0]) <= bound
+        if branch == "radon":
+            assert run("invert", *flags, "--normalization", "2", "--outdir", str(tmp_path / "b")) == 0
+            other = (tmp_path / "b" / "metrics.csv").read_text().splitlines()[1].split(",")
+            assert other[:2] == numbers[:2] and other[3] == name
 
     def test_xray_ball_matches_density_off_its_surface(self, tmp_path, monkeypatch):
         # gaussian-ball at the CLI defaults (33^3 voxels, 2,000 nodes, h = 1e-4).  At

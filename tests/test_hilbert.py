@@ -12,6 +12,7 @@ from xradon.hilbert import (
     HILBERT,
     HILBERT_DERIVATIVE,
     SECOND_DERIVATIVE,
+    FilteredBlocks,
     ProfileDecayError,
     _cubic_coefficients,
     _kernel_spectrum,
@@ -470,3 +471,41 @@ class TestConvolveRowsBlocks:
         assert values.tobytes() == before.tobytes()
         if not in_place:
             assert np.all(out == 7.0)
+
+
+class TestFilteredBlocks:
+    """FilteredBlocks gives convolve_rows' rows node block by node block, a chunk of
+    whole blocks at a time, through one scratch array or into out."""
+
+    @settings(PROPERTY, max_examples=60)
+    @given(
+        total=st.integers(1, 40),
+        count=st.integers(8, 3300),
+        rows=st.integers(1, 40),
+        kernel=KERNELS,
+        in_place=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # node blocks of 3 in chunks of 9 at 801 samples, the radon_volume benchmark's layout
+    @example(total=22, count=801, rows=3, kernel=HILBERT_DERIVATIVE, in_place=False, seed=0)
+    # node blocks of 5 at 3,201 samples, each its own chunk filtered in FFT blocks of 2
+    @example(total=23, count=3201, rows=5, kernel=SECOND_DERIVATIVE, in_place=True, seed=1)
+    def test_blocks_equal_convolve_rows_bitwise(self, total, count, rows, kernel, in_place, seed):
+        values = decaying_rows(np.random.default_rng(seed), total, count)
+        expected = convolve_rows(values, kernel, 0.1)
+        filtered = FilteredBlocks(values, kernel, 0.1, rows, out=values if in_place else None)
+        for block in (slice(lo, lo + rows) for lo in range(0, total, rows)):
+            assert filtered(block).tobytes() == expected[block].tobytes()
+        if in_place:
+            assert values.tobytes() == expected.tobytes()
+        else:
+            # a chunk is at most one FFT block or one node block of rows
+            assert filtered._scratch.shape[0] <= min(total, max(rows, ROWS // (2 * count)))
+
+    def test_rejects_a_bad_row_before_filtering(self):
+        values = decaying_rows(np.random.default_rng(2), 9, 64)
+        values[8, 0] = np.nan
+        before = values.copy()
+        with pytest.raises(ValueError, match="non-finite"):
+            FilteredBlocks(values, HILBERT, 0.1, 3, out=values)
+        assert np.array_equal(values, before, equal_nan=True)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import dawsn
 
 import xradon as xr
+from xradon import hilbert
 from xradon import inversion as inv
 from xradon import phantom as phm
 from xradon.geometry import ROWS, node_blocks
@@ -410,13 +411,17 @@ class TestBatchReconstruction:
         assert inv.reconstruct(data, cfg, np.zeros((0, 3))).shape == (0,)
 
     def test_backprojection_memory_is_bounded(self, unit_gaussian):
-        # the stencils and cubic tables of a node block stay within ROWS: all
-        # 300 rows' tables at once would add about 9.8 MB.  50 points take
-        # per-query stencils; 4 S points, a volume's batch, take the tables.
+        # the profiles are filtered a chunk of node blocks at a time and the stencils
+        # and cubic tables of a node block stay within ROWS, so the peak stays below
+        # one filtered copy of the dataset: all 300 rows filtered at once would add
+        # the dataset's 2,402 KB (a peak of 3,425 KB, measured), all 300 rows'
+        # tables about 9.8 MB.  50 points take per-query stencils; 4 S points and
+        # the radon_volume benchmark's 17^3 voxels with 50 calibration points, a
+        # volume's batch, take the tables.
         quad = xr.fibonacci_sphere(300)
         data = inv.build_radon_dataset(unit_gaussian, quad, -8.0, 8.0, 1025)
         cfg = inv.ReconstructionConfig(quad, branch=inv.BRANCH_RADON)
-        for count in (50, 4 * data.values.shape[1]):
+        for count in (50, 4 * data.values.shape[1], 17**3 + 50):
             points = inv.sample_ball_points(np.random.default_rng(7), count, 1.5)
             tracemalloc.start()
             try:
@@ -424,8 +429,7 @@ class TestBatchReconstruction:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            # the filtered rows are one more copy of the dataset
-            assert peak < data.values.nbytes + 2**20, count
+            assert peak < data.values.nbytes, count
 
     @pytest.mark.parametrize(
         "nodes, weights",
@@ -447,26 +451,39 @@ class TestBatchReconstruction:
 
 
 def random_backprojection(rng, count, samples, nodes_count):
-    """Random filtered rows of `samples` samples on [-R, R] for `nodes_count` random
-    nodes and weights, and `count` points whose offsets run over the whole grid:
-    points of norm at most R include +-R n_k, whose offsets at n_k are the grid
-    ends, and +-(R - h/2) n_k, which read intervals 0 and S - 2 through their
-    ghosts.  Returns (filtered, data, quadrature, points)."""
+    """Random profiles of `samples` samples on [-R, R], each 0 at both ends so that it
+    passes the filters' decay check, for `nodes_count` random nodes and weights,
+    and `count` points whose offsets run over the whole grid: points of norm at
+    most R include +-R n_k, whose offsets at n_k are the grid ends, and
+    +-(R - h/2) n_k, which read intervals 0 and S - 2 through their ghosts.
+    Returns (data, quadrature, points)."""
     nodes = rng.normal(size=(nodes_count, 3))
     nodes /= np.linalg.norm(nodes, axis=1)[:, None]
     weights = rng.uniform(0.5, 1.5, nodes_count)
     weights *= 4.0 * np.pi / weights.sum()
     quadrature = xr.SphereQuadrature(nodes, weights)
     radius = rng.uniform(0.5, 10.0)
-    filtered = rng.normal(size=(nodes_count, samples))
-    data = inv.RadonDataset(nodes, -radius, radius, filtered)
+    values = rng.normal(size=(nodes_count, samples))
+    values[:, [0, -1]] = 0.0
+    data = inv.RadonDataset(nodes, -radius, radius, values)
     directions = rng.normal(size=(count, 3))
     directions /= np.linalg.norm(directions, axis=1)[:, None]
     points = directions * radius * rng.uniform(size=(count, 1)) ** (1.0 / 3.0)
     inside = radius * (1.0 - 1.0 / (samples - 1))
     ends = nodes[rng.integers(0, nodes_count, size=4)] * [[radius], [-radius], [inside], [-inside]]
     points[:4] = ends[:count]
-    return filtered, data, quadrature, points
+    return data, quadrature, points
+
+
+def blockwise_sum(filtered, data, quadrature, points):
+    """A fresh sample_rows call per node block of the filtered rows, summed as
+    sphere_sum sums: the backprojection of a filtered copy of the dataset."""
+    total = np.zeros(points.shape[0])
+    for block in node_blocks(quadrature.count, sample_width(points.shape[0], data.values.shape[1])):
+        values = xr.sample_rows(filtered[block], data.s_min, data.s_max, quadrature.nodes[block] @ points.T)
+        weights = quadrature.weights[block]
+        total += weights @ values if values.shape[0] > 1 else weights[0] * values[0]
+    return total
 
 
 class TestBackprojectBlocks:
@@ -485,8 +502,11 @@ class TestBackprojectBlocks:
         # 500 nodes and 2,000,000 samples
         step = max(1, ROWS // sample_width(count, samples))
         nodes_count = int(min(rng.integers(step + 1, 3 * step + 1), 500, 2_000_000 // samples))
-        filtered, data, quadrature, points = random_backprojection(rng, count, samples, nodes_count)
-        got = inv._backproject(filtered, data, quadrature, points)
+        data, quadrature, points = random_backprojection(rng, count, samples, nodes_count)
+        # the Hilbert filter passes every frequency at unit gain: the filtered rows
+        # are as rough as the random rows, with no 1 / spacing growth
+        got = inv._backproject(data, xr.HILBERT, quadrature, points)
+        filtered = xr.convolve_rows(data.values, xr.HILBERT, data.spacing)
         total = np.zeros(count)
         scale = np.zeros(count)
         for k in range(nodes_count):
@@ -519,14 +539,63 @@ class TestBackprojectBlocks:
         # one or two full blocks, then the last one
         tail = {"full": step, "short": int(rng.integers(2, step)), "one-node": 1}[last]
         nodes_count = int(rng.integers(1, 3)) * step + tail
-        filtered, data, quadrature, points = random_backprojection(rng, count, samples, nodes_count)
-        expected = np.zeros(count)
-        for block in node_blocks(nodes_count, width):
-            values = xr.sample_rows(filtered[block], data.s_min, data.s_max, quadrature.nodes[block] @ points.T)
-            weights = quadrature.weights[block]
-            expected += weights @ values if values.shape[0] > 1 else weights[0] * values[0]
-        got = inv._backproject(filtered, data, quadrature, points)
+        data, quadrature, points = random_backprojection(rng, count, samples, nodes_count)
+        filtered = xr.convolve_rows(data.values, xr.HILBERT, data.spacing)
+        expected = blockwise_sum(filtered, data, quadrature, points)
+        got = inv._backproject(data, xr.HILBERT, quadrature, points)
         assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("in_place", [False, True], ids=["scratch", "in-place"])
+    @pytest.mark.parametrize("kernel", [xr.HILBERT, xr.HILBERT_DERIVATIVE, xr.SECOND_DERIVATIVE])
+    @pytest.mark.parametrize(
+        "count, samples, nodes_count",
+        [
+            # per-query stencils (fewer queries than intervals) hold 4 Q values per row,
+            # so a chunk is one node block: blocks of 16384 // 200 = 81 rows within FFT
+            # blocks of 16384 // 128 = 128 rows, 81 + 81 + 1
+            (50, 64, 163),
+            # the same on the CLI's 801 samples: each chunk of 81 rows is filtered in
+            # FFT blocks of 16384 // 1602 = 10 rows, eight and a short one
+            (50, 801, 163),
+            # the radon_volume benchmark's batch: cubic tables in node blocks of 3,
+            # chunks of 9, 9 + 9 + 4, the last block one node
+            (4963, 801, 22),
+            # cubic tables on 3,201 samples: one-node blocks in chunks of 2, 2 + 2 + 1
+            (3300, 3201, 5),
+        ],
+        ids=["query-64", "query-801", "tables-801", "tables-3201"],
+    )
+    def test_fused_filter_matches_a_filtered_copy_bitwise(self, kernel, count, samples, nodes_count, in_place):
+        # filtering each chunk of node blocks into one scratch array, or into the
+        # dataset's own rows, gives byte for byte the backprojection of all rows
+        # filtered first (convolve_rows), a short last chunk and a one-node last
+        # block included
+        step = ROWS // sample_width(count, samples)
+        chunk = step * max(1, (ROWS // (2 * samples)) // step)
+        assert nodes_count % chunk != 0 and (nodes_count - 1) % step == 0
+        data, quadrature, points = random_backprojection(np.random.default_rng(count), count, samples, nodes_count)
+        filtered = xr.convolve_rows(data.values, kernel, data.spacing)
+        expected = blockwise_sum(filtered, data, quadrature, points)
+        got = inv._backproject(data, kernel, quadrature, points, out=data.values if in_place else None)
+        assert got.tobytes() == expected.tobytes()
+        assert (data.values.tobytes() == filtered.tobytes()) == in_place
+
+    def test_decay_is_checked_once_before_any_row_is_filtered(self, monkeypatch):
+        checked, filtered = [], []
+        check, filter_rows = hilbert._check_decay, hilbert._filter_rows
+        monkeypatch.setattr(hilbert, "_check_decay", lambda v: checked.append(v.shape) or check(v))
+        monkeypatch.setattr(hilbert, "_filter_rows", lambda *a: filtered.append(a[0].shape) or filter_rows(*a))
+        data, quadrature, points = random_backprojection(np.random.default_rng(5), 4963, 801, 22)
+        inv._backproject(data, xr.HILBERT_DERIVATIVE, quadrature, points)
+        assert checked == [(22, 801)]
+        # chunks of three node blocks of 3, each filtered once
+        assert filtered == [(9, 801), (9, 801), (4, 801)]
+        # a last row that does not decay fails before any row is filtered
+        checked.clear(), filtered.clear()
+        data.values[-1, -1] = 1.0 + np.max(np.abs(data.values[-1]))
+        with pytest.raises(hilbert.ProfileDecayError):
+            inv._backproject(data, xr.HILBERT_DERIVATIVE, quadrature, points)
+        assert checked == [(22, 801)] and filtered == []
 
 
 class TestRadonDataset:
