@@ -227,15 +227,15 @@ def ray_differences(ph, points, h, nodes, weights):
     sum over a + b + c = 2j of (2j)!/(a! b! c!) m_abc y1^a y2^b y3^c, where
     m_abc = sum_k w_k n1^a n2^b n3^c are the quadrature's moments, formed at
     most once per series order (see _moments).  So the sphere sum of the
-    j >= 1 terms is one polynomial in y per Gaussian, evaluated monomial by
-    monomial into one array; then c_0 * sum_k w_k is added and the sum is
-    multiplied by exp(-|x - c|^2/a^2).  The expansion's summands are bounded in
-    size by sum_k w_k sum_{j>=1} |c_j| |y|^2j, since
+    j >= 1 terms is one polynomial in y per Gaussian, evaluated by nested
+    Horner over its points (_moment_series); then c_0 * sum_k w_k is added and
+    the sum is multiplied by exp(-|x - c|^2/a^2).  The expansion's summands are
+    bounded in size by sum_k w_k sum_{j>=1} |c_j| |y|^2j, since
     |n1 y1| + |n2 y2| + |n3 y3| <= |y|, and the Cauchy estimate of
-    _gaussian_series puts that at e^3 t^2 / (3 (1 - t^2)) < 3.8e-3 of
-    2 h |A| sum_k w_k for t < 0.0236.  Its rounding, that of sums over K nodes
-    and at most 94 monomials of terms that small, stays far below the series'
-    share of the result.
+    _gaussian_series puts that at e^3 t^2 / (3 (1 - t^2)) < 0.113 of
+    2 h |A| sum_k w_k for t < 0.1286.  Its rounding, that of sums over K nodes
+    and of at most 524 coefficients, each rounded a few dozen times in the
+    Horner chain, stays far below the series' share of the result.
 
     A ball (radius a, amplitude A) classifies the points by |x - c|^2.  Where
     |x - c| <= a - h, every segment [x - h n, x + h n] lies in the ball and
@@ -319,18 +319,6 @@ def _looped_sum(prim, r2, columns, nodes, weights, h):
     return out
 
 
-def _monomials(order):
-    """(j, a, b, c, (2j)!/(a! b! c!)) for every monomial y1^a y2^b y3^c of
-    (n . y)^2j, j = 1 .. order."""
-    fact = math.factorial
-    return [
-        (j, a, b, 2 * j - a - b, fact(2 * j) // (fact(a) * fact(b) * fact(2 * j - a - b)))
-        for j in range(1, order + 1)
-        for a in range(2 * j + 1)
-        for b in range(2 * j - a + 1)
-    ]
-
-
 def _powers(columns, degree):
     """Powers 0 .. degree of each row of a (3, N) array, as (3, degree + 1, N),
     by repeated multiplication (a float power of a negative base is slow)."""
@@ -353,19 +341,63 @@ def _moments(nodes, weights, order):
     return np.einsum("abk,ck->abc", weighted, powers[2])
 
 
+def _series_tensor(coeffs, moments):
+    """The coefficients C[a, b, c] = coeffs[j] (2j)!/(a! b! c!) m[a, b, c] of
+    y1^a y2^b y3^c in sum_k w_k sum_{j>=1} coeffs[j] (n_k . y)^2j, a + b + c = 2j,
+    as a (2M + 1,) * 3 array that is zero at every other total degree.  moments
+    may be the table of a higher order: its corner is read."""
+    order = len(coeffs) - 1
+    n = 2 * order + 1
+    e = np.arange(n)
+    total = e[:, None, None] + e[:, None] + e
+    fact = np.array([math.factorial(k) for k in range(3 * n - 2)], dtype=float)
+    # exact up to degree 2M: (2M)! <= 16! < 2^53, and each quotient is an integer
+    multinomial = fact[total] / (fact[:n, None, None] * fact[:n, None] * fact[:n])
+    weight = np.zeros(3 * n - 2)
+    weight[2:n:2] = coeffs[1:]
+    return weight[total] * multinomial * moments[:n, :n, :n]
+
+
+def _horner(out, terms, x):
+    """sum_i t_i x^i into out by Horner's scheme, from the terms t_n, ..., t_0
+    (floats, or arrays that may be overwritten once read), highest first."""
+    terms = iter(terms)
+    out[...] = next(terms)
+    for t in terms:
+        out *= x
+        out += t
+    return out
+
+
 def _moment_series(y, coeffs, moments):
     """sum_k w_k sum_{j>=1} coeffs[j] (n_k . y)^2j at every column of y, a (3, P)
-    array of offsets x - c, from the moments of _moments.  Its temporaries are
-    the (3, 2M + 1, P) powers of y and one (P,) scratch array."""
-    powers = _powers(y, 2 * (len(coeffs) - 1))
-    out = np.zeros(y.shape[1])
-    term = np.empty_like(out)
-    for j, a, b, c, multinomial in _monomials(len(coeffs) - 1):
-        np.multiply(powers[0, a], powers[1, b], out=term)
-        term *= powers[2, c]
-        term *= coeffs[j] * multinomial * moments[a, b, c]
-        out += term
-    return out
+    array of offsets x - c, from the moments of _moments.
+
+    That is the polynomial sum C[a, b, c] y1^a y2^b y3^c of _series_tensor,
+    evaluated by nested Horner: in y1 outermost, then y2, then in y3^2, since
+    only even a + b + c occur (an odd a + b leaves one factor y3).  Its
+    temporaries are four (P,) arrays."""
+    degree = 2 * (len(coeffs) - 1)
+    tensor = _series_tensor(coeffs, moments)
+    y1, y2, y3 = y
+    y3y3 = y3 * y3
+    out, plane, column = (np.empty_like(y3y3) for _ in range(3))
+
+    def column_sum(a, b):
+        # sum_c C[a, b, c] y3^c over c = odd, odd + 2, ... up to degree - a - b
+        odd = (a + b) % 2
+        c = tensor[a, b, odd : degree - a - b + 1 : 2]
+        if len(c) == 1 and not odd:
+            return c[0]
+        _horner(column, c[::-1], y3y3)
+        if odd:
+            np.multiply(column, y3, out=column)
+        return column
+
+    def plane_sum(a):
+        return _horner(plane, (column_sum(a, b) for b in range(degree - a, -1, -1)), y2)
+
+    return _horner(out, (plane_sum(a) for a in range(degree, -1, -1)), y1)
 
 
 # Series form of a Gaussian's ray difference.  With u = p/a, delta = h/a and
@@ -381,10 +413,12 @@ def _moment_series(y, coeffs, moments):
 #   e^3 t^(2M+2) / ((2M + 3) (1 - t^2))
 # of the leading term 2 h |A| exp(-|x - c|^2/a^2).  Since |u| <= |x - c|/a,
 # t = delta * max(1, |x - c|/a) bounds every ray of a point.  A point whose bound
-# at M = SERIES_MAX_ORDER (t up to about 0.0236) exceeds SERIES_TOL takes the erfc
-# form; the others take the smallest M >= 1 that their largest t allows.
+# at M = SERIES_MAX_ORDER (t up to about 0.1286) exceeds SERIES_TOL takes the erfc
+# form; the others take the smallest M >= 1 that their largest t allows.  At
+# M = 8 the moment series has 524 coefficients, each two in-place passes over
+# the points (_moment_series), and no per-point table.
 SERIES_TOL = 1e-16
-SERIES_MAX_ORDER = 4
+SERIES_MAX_ORDER = 8
 
 
 def _series_fits(prim, r2, h, order):

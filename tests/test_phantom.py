@@ -352,8 +352,8 @@ class TestRayDifferences:
     def test_erfc_form_resolves_cancellation(self, unit_gaussian):
         # p < 0 beyond the series form's reach: erfc((p +- h)/a) are both near 2,
         # and their difference as written keeps only its absolute accuracy
-        # (4.8e-9 relative at p = -4); at |p| both arguments are >= -h/a
-        h = 1e-2
+        # (7.4e-9 relative at p = -4); at |p| both arguments are >= -h/a
+        h = 5e-2
         p = np.linspace(-0.5, -4.0, 36)
         points = np.column_stack([np.full_like(p, 0.3), np.zeros_like(p), p])
         node = np.array([[0.0, 0.0, 1.0]])
@@ -386,7 +386,7 @@ class TestRayDifferences:
         narrow = xr.Primitive(xr.GAUSSIAN, (0.5, 0.0, 0.0), 0.3, 1.2)
         wide = xr.Primitive(xr.GAUSSIAN, (-0.5, 0.2, 0.0), 1.1, -0.7)
         ph = xr.Phantom((narrow, wide), 8.0)
-        h = 2e-3
+        h = 1e-2
         near = narrow.center + 0.1 * xr.fibonacci_sphere(6).nodes
         far = 4.0 * xr.fibonacci_sphere(5).nodes
         points = np.vstack([near, far])
@@ -407,13 +407,13 @@ class TestRayDifferences:
 
     def test_batch_straddling_the_series_reach(self, monkeypatch):
         # one Gaussian, points from its centre out to 3: those within about
-        # 1.18 of it (t <= 0.0236) take the series form, the rest the erfc
+        # 1.61 of it (t <= 0.1286) take the series form, the rest the erfc
         # form, and only those reach _looped_sum.  The near points' sums are
         # the bits of a batch of the near points alone.
         rng = np.random.default_rng(23)
         prim = xr.Primitive(xr.GAUSSIAN, (0.2, -0.1, 0.3), 0.5, -1.3)
         ph = xr.Phantom((prim,), 6.0)
-        h = 5e-3
+        h = 2e-2
         points = prim.center + np.linspace(0.0, 3.0, 31)[:, None] * xr.fibonacci_sphere(31).nodes
         nodes = xr.fibonacci_sphere(50).nodes
         weights = rng.uniform(0.05, 1.0, len(nodes))
@@ -473,6 +473,48 @@ class TestRayDifferences:
         scale = np.sum(weights) * sum(r2**j for j in range(1, order + 1))  # |n . y| <= |y|
         assert np.all(np.abs(expanded - direct) <= 1e-14 * scale)
 
+    def test_moment_series_scratch_is_a_few_rows(self):
+        # order SERIES_MAX_ORDER on 36k offsets: a few (P,) scratch arrays, not
+        # a (3, 2M + 1, P) table of powers of y (51 P floats at M = 8)
+        rng = np.random.default_rng(11)
+        order = phm.SERIES_MAX_ORDER
+        quad = xr.fibonacci_sphere(200)
+        moments = phm._moments(quad.nodes, quad.weights, order)
+        coeffs = rng.uniform(-1.0, 1.0, order + 1)
+        y = rng.uniform(-1.0, 1.0, (3, 36_000))
+        tracemalloc.start()
+        try:
+            phm._moment_series(y, coeffs, moments)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * y.shape[1] * 8
+
+    @pytest.mark.parametrize("h", [1e-2, 2e-2])
+    def test_series_form_reaches_the_default_volume(self, monkeypatch, h):
+        # two-gaussians' default 33^3 volume: its farthest voxel lies 5.83 from a
+        # centre, t = 5.83 h <= 0.117, so every voxel takes the series form
+        ph = two_gaussians()
+        quad = xr.fibonacci_sphere(2000)
+        points = xr.cube_grid(3.0, 33).points()
+        widths = looped_widths(monkeypatch)
+        fused = phm.ray_differences(ph, points, h, quad.nodes, quad.weights)
+        assert widths == []
+        sample = points[::561]
+        exact = quad.weights @ gauss_legendre_differences(ph, sample, quad.nodes, h)
+        assert np.all(np.abs(fused[::561] - exact) <= series_bound(ph, h) * np.sum(quad.weights))
+        # a Gaussian of width a = h / (0.999 * 0.1286): its points within one
+        # width have t = h/a just inside the reach, at the highest order, and
+        # sums of the size of 2h|A| (at the volume's far voxels they vanish)
+        prim = xr.Primitive(xr.GAUSSIAN, (0.2, -0.1, 0.3), h / (0.999 * series_reach()), -1.3)
+        one = xr.Phantom((prim,), 6.0)
+        near = prim.center + prim.scale * np.linspace(0.0, 1.0, 20)[:, None] * xr.fibonacci_sphere(20).nodes
+        assert series_order(prim, near, h) == phm.SERIES_MAX_ORDER
+        fused = phm.ray_differences(one, near, h, quad.nodes, quad.weights)
+        assert widths == []
+        exact = quad.weights @ gauss_legendre_differences(one, near, quad.nodes, h)
+        assert np.all(np.abs(fused - exact) <= series_bound(one, h) * np.sum(quad.weights))
+
     def test_empty_batches(self, unit_gaussian):
         quad = xr.fibonacci_sphere(3)
         points = np.zeros((0, 3))
@@ -509,7 +551,7 @@ class TestRayDifferences:
         prims, h, reach = {
             # a step long enough that the series' p^2 terms exceed the bound
             "series": ((gaussian,), 5e-3, 1.5),
-            "erfc": ((gaussian,), 5e-2, 1.5),  # a longer step takes the erfc form
+            "erfc": ((gaussian,), 1e-1, 1.5),  # a longer step takes the erfc form
             "ball": ((ball,), 1e-3, 1.5),
             "mixed": ((gaussian, ball), 5e-3, 1.5),
         }[case]
@@ -671,8 +713,8 @@ def old_ray_differences(ph, points, h, nodes, weights):
     series on the transposed view of the offsets.  The primitives add their
     terms in phantom order.  Each Gaussian's points are routed one by one by
     that r2: _looped_sum where _series_fits fails at SERIES_MAX_ORDER, then the
-    series form on the rest, at the order of their largest r2, read from one
-    table of moments at SERIES_MAX_ORDER (a lower order's table is its corner).
+    series form on the rest, at the order of their largest r2, with one table
+    of moments at SERIES_MAX_ORDER (a lower order's table is its corner).
     Each ball's points are routed by that r2: -2hA sum w inside, nothing
     outside, two halfline_integral calls per node block (lift_xray_data) in the
     shell."""
@@ -701,10 +743,7 @@ def old_ray_differences(ph, points, h, nodes, weights):
         if not near.any():
             continue
         coeffs = phm._gaussian_series(prim, np.max(rr[near]), h)
-        powers = phm._powers(y[near].T, 2 * (len(coeffs) - 1))
-        acc = np.zeros(near.sum())
-        for j, a, b, c, multinomial in phm._monomials(len(coeffs) - 1):
-            acc += powers[0, a] * powers[1, b] * powers[2, c] * (coeffs[j] * multinomial * moments[a, b, c])
+        acc = phm._moment_series(y[near].T, coeffs, moments)
         acc += coeffs[0] * total
         acc *= np.exp(-rr[near] / prim.scale**2)
         out[near] += acc
@@ -785,7 +824,7 @@ class TestColumnSums:
         points=np.array([[1.2, 0.1, 0.0], [-1.6, 0.5, 0.0], [-1.6, 0.3, 0.1], [-0.3, 0.5, 0.0], [3.0, -2.0, 1.0]]),
         nodes=[np.array([0.0, 0.0, 1.0]), np.array([0.6, 0.0, 0.8]), np.array([0.0, 0.6, -0.8])],
         weights=[0.3, 0.9, 0.55, 0.3, 0.9, 0.55],
-        h=0.01,
+        h=0.02,
     )
     def test_ray_differences_equal_the_axis_sums(self, ph, points, nodes, weights, h):
         # series-form Gaussians (small h), erfc-form ones (large h) and balls
