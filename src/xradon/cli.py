@@ -353,19 +353,35 @@ def _radon_target(ph, x):
     return inversion.RADON_BRANCH_RIESZ * ph_mod.riesz_potential(ph, x)
 
 
+def _norm(v):
+    """The L2 norm of a 1-D array by a single-threaded einsum, not np.linalg.norm:
+    that calls BLAS ddot, which past 10,000 elements may run threaded, wait for a
+    busy core and round differently with the thread count."""
+    return float(np.sqrt(np.einsum("i,i", v, v)))
+
+
 def _metrics(ph, points, samples, target):
     """Relative L2 / max error of the samples at a (P, 3) point set against
-    target(ph, x), support interior only."""
-    x1, x2, x3 = np.ascontiguousarray(points.T)
+    target(ph, x), support interior only.
+
+    The target reads the points' contiguous columns (as the (P, 3) view
+    columns.T); when every point lies inside, as on every default volume, the
+    points and samples are taken whole, with no gather.
+    """
+    columns = np.ascontiguousarray(points.T)
+    x1, x2, x3 = columns
     # |x| from the columns, np.linalg.norm(points, axis=1) bit for bit
     inside = np.sqrt(x1 * x1 + x2 * x2 + x3 * x3) <= ph.support_radius
-    truth = target(ph, points[inside])
-    rec = samples[inside]
-    truth_norm = float(np.linalg.norm(truth))
+    if inside.all():
+        truth, rec = target(ph, columns.T), samples
+    else:
+        truth, rec = target(ph, columns.compress(inside, axis=1).T), samples[inside]
+    truth_norm = _norm(truth)
     if truth_norm == 0.0:
         return float("nan"), float(np.max(np.abs(rec), initial=0.0))
-    rel_l2 = float(np.linalg.norm(rec - truth)) / truth_norm
-    max_err = float(np.max(np.abs(rec - truth)))
+    err = rec - truth
+    rel_l2 = _norm(err) / truth_norm
+    max_err = float(np.max(np.abs(err, out=err)))
     return rel_l2, max_err
 
 
@@ -390,9 +406,12 @@ def cmd_invert(args):
     # too, so the check below is its only range guard
     with np.errstate(over="ignore"):
         values = cfg.normalization * unit
-    # volume.raw holds float32: a value beyond its range would be written as inf
-    bad = ~(np.abs(values) <= np.finfo(np.float32).max)
-    if np.any(bad):
+    # volume.raw holds float32: a value beyond its range would be written as inf.
+    # One max-abs reduction, in which a NaN propagates; the bad values are counted
+    # only when it fails.
+    limit = np.finfo(np.float32).max
+    if not np.max(np.abs(values), initial=0.0) <= limit:
+        bad = ~(np.abs(values) <= limit)
         raise CliError(
             f"invert: {np.count_nonzero(bad)} of {len(values)} reconstructed values are not finite "
             f"in float32 (--vol-min {cfg.vol_min:g} --vol-max {cfg.vol_max:g}, "

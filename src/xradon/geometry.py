@@ -206,12 +206,14 @@ class VolumeGrid:
         return self.origin[axis] + self.spacing[axis] * np.arange(d)
 
     def points(self):
-        """All sample positions, shape (N, 3), in storage (x-fastest) order."""
-        x = self.axis_coords(0)
-        y = self.axis_coords(1)
-        z = self.axis_coords(2)
-        zz, yy, xx = np.meshgrid(z, y, x, indexing="ij")
-        return np.column_stack((xx.ravel(), yy.ravel(), zz.ravel()))
+        """All sample positions, shape (N, 3), in storage (x-fastest) order: one
+        array, each column filled by broadcasting its axis_coords."""
+        nx, ny, nz = self.dims
+        out = np.empty((nz, ny, nx, 3))
+        out[..., 0] = self.axis_coords(0)
+        out[..., 1] = self.axis_coords(1)[:, None]
+        out[..., 2] = self.axis_coords(2)[:, None, None]
+        return out.reshape(-1, 3)
 
     def with_samples(self, samples):
         return VolumeGrid(self.origin, self.spacing, self.dims, samples)

@@ -73,12 +73,19 @@ SECOND_DERIVATIVE = Kernel(-np.pi**2 / 3.0, lambda k: np.where(k % 2 == 1, 2.0, 
 @functools.lru_cache(maxsize=16)
 def _kernel_spectrum(kernel, count):
     """FFT length m and the rfft of `kernel` for rows of `count` samples: its taps at
-    lags -(count-1)..count-1 laid out circularly on m >= 2*count - 1 points, so that
-    a zero-padded row's circular convolution with them is the linear one.  Cached per
-    kernel and row length for the blocks of a filter pass; read-only, so no caller
-    can change the cached copy."""
-    m = sfft.next_fast_len(2 * count - 1, real=True)
+    lags -(count-1)..count-1 laid out circularly on m points, so that a zero-padded
+    row's circular convolution with them is the linear one.  Cached per kernel and
+    row length for the blocks of a filter pass; read-only, so no caller can change
+    the cached copy.
+
+    m is the next fast length from 2*count - 2 where the taps at the lags +-(count-1)
+    are equal: on 2*count - 2 points those two lags share the one point count - 1,
+    and each is read only by the output sample at its own end of the row.  That
+    holds for the even kernels at every count, and for the odd HILBERT at odd count,
+    whose even lag count - 1 has a zero tap.  Elsewhere m starts from 2*count - 1."""
     k = np.arange(1, count)
+    shared = count > 1 and bool(kernel.taps(k[-1:]) == kernel.taps(-k[-1:]))
+    m = sfft.next_fast_len(2 * count - 1 - shared, real=True)
     taps = np.zeros(m)
     taps[0] = kernel.centre
     taps[1:count] = kernel.taps(k)
@@ -90,10 +97,11 @@ def _kernel_spectrum(kernel, count):
 
 def convolve_rows(values, kernel, spacing, out=None):
     """The linear convolution of each row of `values` (samples along the last axis,
-    at the given spacing) with a Kernel, by one real FFT of length >= 2S - 1 for
-    rows of S samples: exact for band-limited samples, with no wrap-around.  The
-    samples beyond the grid count as zero, so every row must decay (DECAY_TOL)
-    and be finite; that is checked for all rows before any is written.
+    at the given spacing) with a Kernel, by one real FFT of length >= 2S - 2 for
+    rows of S samples (_kernel_spectrum): exact for band-limited samples, with
+    no wrap-around.  The samples beyond the grid count as zero, so every row
+    must decay (DECAY_TOL) and be finite; that is checked for all rows before
+    any is written.
 
     The rows run in blocks of geometry.node_blocks(rows, 2 S) (_filter_rows); a
     row's result does not depend on its block.  out, an array of values' shape,

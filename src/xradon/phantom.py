@@ -250,7 +250,7 @@ def ray_differences(ph, points, h, nodes, weights):
     columns = np.ascontiguousarray(points.T)
     total = float(np.sum(weights))
     out = np.zeros(points.shape[0])
-    moments = {}  # by series order: a lower order's table is a corner of a higher one's
+    moments = {}  # by series order: a lower order's table is a higher one's corner on the entries it reads
     for prim in ph.primitives:
         y = columns - prim.center[:, None]
         r2 = _sum_squares(y)
@@ -330,15 +330,27 @@ def _powers(columns, degree):
 
 
 def _moments(nodes, weights, order):
-    """The quadrature's moments m[a, b, c] = sum_k w_k n1^a n2^b n3^c for every
-    exponent up to 2 order, as a (2 order + 1,) * 3 array.
+    """The quadrature's moments m[a, b, c] = sum_k w_k n1^a n2^b n3^c that the
+    series reads, those of even total degree a + b + c <= 2 order, in a
+    (2 order + 1,) * 3 array that is zero elsewhere.  A lower order's table
+    equals this one's corner on every entry that order reads.
 
-    Elementwise products and an einsum over the nodes, not a matrix product,
-    for the reason given at the n . x of _looped_sum.
+    One einsum per degree s = a + b: its s + 1 rows (w n1^a) n2^(s - a) against
+    the rows n3^c of c = s mod 2, ..., 2 order - s.  Elementwise products and
+    einsums over the nodes, not a matrix product, for the reason given at the
+    n . x of _looped_sum; each entry is the einsum over all exponents at once
+    bit for bit.  At order 8 and 2,000 nodes that forms 525 entries in place
+    of 4,913.
     """
-    powers = _powers(nodes.T, 2 * order)
-    weighted = weights * powers[0][:, None] * powers[1][None]
-    return np.einsum("abk,ck->abc", weighted, powers[2])
+    degree = 2 * order
+    n1, n2, n3 = _powers(nodes.T, degree)
+    weighted = weights * n1
+    out = np.zeros((degree + 1,) * 3)
+    for s in range(degree + 1):
+        a = np.arange(s + 1)
+        c = slice(s % 2, degree - s + 1, 2)
+        out[a, s - a, c] = np.einsum("ak,ck->ac", weighted[: s + 1] * n2[s::-1], n3[c])
+    return out
 
 
 def _series_tensor(coeffs, moments):

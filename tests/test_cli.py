@@ -4,6 +4,8 @@ import io
 import itertools
 import json
 import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -426,6 +428,46 @@ JSON_VALUES = st.recursive(
     max_leaves=6,
 )
 CONFIG_KEYS = st.sampled_from([f.name for f in fields(RunConfig)]) | st.text(max_size=8)
+
+
+class TestMetrics:
+    """invert's scores: the target on the points' columns, with no gather when every
+    point lies inside the support, and norms by single-threaded reductions."""
+
+    @pytest.mark.parametrize("target", [phm.evaluate, cli_mod._radon_target], ids=["f", "riesz"])
+    def test_all_inside_path_equals_the_gathered_path(self, target):
+        # two-gaussians (support radius 7) on a 9^3 volume in [-3, 3]^3, all inside;
+        # the same voxels with points outside the support appended take the gathered
+        # path, whose scores are those of the inside points alone
+        ph = phm.parse_phantom("support_radius 7\ngaussian 1 0 0 1 1\ngaussian -1 0 0 1 1\n")
+        grid = VolumeGrid((-3.0, -3.0, -3.0), (0.75, 0.75, 0.75), (9, 9, 9))
+        points = grid.points()
+        samples = target(ph, points) * (1.0 + 1e-6 * np.cos(np.arange(len(points))))
+        whole = cli_mod._metrics(ph, points, samples, target)
+        outside = np.array([[8.0, 0.0, 0.0], [0.0, -5.0, 5.0], [4.1, 4.1, 4.1]])
+        gathered = cli_mod._metrics(
+            ph, np.vstack([outside[:1], points, outside[1:]]), np.concatenate([[1e3], samples, [-2.0, np.nan]]), target
+        )
+        assert np.array_equal(np.array(whole).view(np.uint64), np.array(gathered).view(np.uint64))
+        assert np.isfinite(whole).all()
+
+    def test_metrics_independent_of_blas_threads(self, tmp_path):
+        # 23^3 = 12,167 voxels, above the 10,000 elements where OpenBLAS threads ddot:
+        # a norm through BLAS could round differently with 1 and 2 threads
+        ph_path = tmp_path / "ph.txt"
+        assert run("phantom-gen", "--out", str(ph_path), "--preset", "two-gaussians") == 0
+        src = os.path.dirname(os.path.dirname(cli_mod.__file__))
+        rows = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            outdir = tmp_path / f"t{threads}"
+            subprocess.run(
+                [sys.executable, "-c", "import sys; from xradon.cli import main; sys.exit(main(sys.argv[1:]))",
+                 "invert", "--phantom", str(ph_path), "--vol-dims", "23", "--nodes", "40", "--outdir", str(outdir)],
+                env=env, check=True, capture_output=True,
+            )
+            rows.append((outdir / "metrics.csv").read_bytes())
+        assert rows[0] == rows[1]
 
 
 class TestConfigValidation:

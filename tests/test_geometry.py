@@ -120,6 +120,19 @@ class TestVolumeGrid:
         assert np.array_equal(pts[2], [0, 1, 0])
         assert np.array_equal(pts[4], [0, 0, 1])
 
+    @pytest.mark.parametrize(
+        "dims", [(1, 1, 1), (1, 4, 1), (5, 1, 3), (2, 3, 4), (7, 2, 1), (33, 33, 33)]
+    )
+    def test_points_equal_meshgrid_column_stack(self, dims):
+        # the points fill one array by broadcasting the axis coordinates; bit for
+        # bit the meshgrid + column_stack construction, on non-cubic dims and dims of 1
+        g = xr.VolumeGrid(origin=(-1.3, 0.2, 7.0), spacing=(0.1, 0.37, 1e-3), dims=dims)
+        zz, yy, xx = np.meshgrid(g.axis_coords(2), g.axis_coords(1), g.axis_coords(0), indexing="ij")
+        expected = np.column_stack((xx.ravel(), yy.ravel(), zz.ravel()))
+        pts = g.points()
+        assert pts.shape == expected.shape and pts.flags.c_contiguous
+        assert np.array_equal(pts.view(np.uint64), expected.view(np.uint64))
+
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
             xr.VolumeGrid((0, 0, 0), (1, 1, 1), (0, 2, 2))

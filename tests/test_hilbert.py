@@ -374,7 +374,42 @@ class TestRows:
         assert _query_coefficients(values, index).tobytes() == np.moveaxis(expected, -1, 0).tobytes()
 
 
+# Each kernel's taps at unit spacing, tabled independently: lag 0 and lag k != 0.
+KERNEL_TABLES = {
+    HILBERT: (0.0, lambda k: np.where(k % 2 == 1, 2.0 / (np.pi * k), 0.0)),
+    HILBERT_DERIVATIVE: (np.pi / 2.0, lambda k: np.where(k % 2 == 1, -2.0 / (np.pi * k**2), 0.0)),
+    SECOND_DERIVATIVE: (-(np.pi**2) / 3.0, lambda k: -2.0 * (-1.0) ** k / k**2),
+}
+KERNEL_IDS = ["hilbert", "d-hilbert", "d2"]
+
+
 class TestKernelSpectrum:
+    @pytest.mark.parametrize(
+        "count, lengths",
+        [(2, (3, 2, 2)), (9, (16, 16, 16)), (10, (20, 18, 18)), (801, (1600,) * 3), (1025, (2048,) * 3),
+         (3201, (6400,) * 3)],
+    )
+    def test_shortest_alias_free_length(self, count, lengths):
+        # next_fast_len(2S - 2) where the taps at lags +-(S - 1) agree: the even
+        # kernels always, Hilbert at odd S; Hilbert at even S keeps 2S - 1
+        got = tuple(_kernel_spectrum(kernel, count)[0] for kernel in KERNEL_TABLES)
+        assert got == lengths
+
+    @pytest.mark.parametrize("count", [8, 9, 10, 400, 401, 801, 1025])
+    @pytest.mark.parametrize("kernel", list(KERNEL_TABLES), ids=KERNEL_IDS)
+    def test_equals_direct_convolution_at_every_length(self, kernel, count):
+        # small but nonzero ends, within DECAY_TOL, so that the lags +-(S - 1),
+        # which share a point of an FFT of length 2S - 2, both count.  At S = 10
+        # that length, 18, is itself fast: Hilbert's odd lag 9 would wrap there.
+        rng = np.random.default_rng(count)
+        values = rng.normal(size=(2, count))
+        interior = np.max(np.abs(values[:, 1:-1]), axis=1, keepdims=True)
+        values[:, [0, -1]] = 1e-4 * interior * rng.uniform(-1.0, 1.0, size=(2, 2))
+        lag0, taps = KERNEL_TABLES[kernel]
+        expected = np.array([direct_convolution(row, lag0, taps) for row in values])
+        err = np.max(np.abs(convolve_rows(values, kernel, 1.0) - expected))
+        assert err <= 1e-13 * np.max(np.abs(expected))
+
     def test_cached_spectrum_is_read_only(self):
         m, spectrum = _kernel_spectrum(HILBERT, 801)
         assert _kernel_spectrum(HILBERT, 801)[1] is spectrum
