@@ -3,7 +3,6 @@
 from .geometry import (
     SphereQuadrature,
     VolumeGrid,
-    cube_grid,
     fibonacci_sphere,
 )
 from .phantom import (
@@ -29,7 +28,6 @@ from .hilbert import (
     SECOND_DERIVATIVE,
     convolve_rows,
     hilbert_pv_direct,
-    hilbert_rows,
     sample_rows,
 )
 from .inversion import (
@@ -42,6 +40,7 @@ from .inversion import (
     XRAY_BRANCH_CONSTANT,
     CalibrationResult,
     Lemma9Report,
+    PhantomProfiles,
     RadonDataset,
     ReconstructionConfig,
     build_radon_dataset,

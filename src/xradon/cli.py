@@ -324,8 +324,9 @@ def _check_offsets(cfg, corners, nodes, what):
 
 def _reconstruct_with_calibration(ph, cfg, voxels, corners):
     """invert's one pass: the voxels and the seeded calibration points (seed + 1)
-    reconstructed in one call, on one dataset on the config's s-grid.  corners
-    are the 8 corners of the voxels' bounding box (unused without voxels).
+    reconstructed in one call, on the phantom's data (inversion.phantom_data)
+    on the config's s-grid.  corners are the 8 corners of the voxels'
+    bounding box (unused without voxels).
 
     Returns the unit-normalized values of the voxels and of the points
     (inversion.reconstruct), with the density at the points.  The volume's
@@ -386,8 +387,8 @@ def _metrics(ph, points, samples, target):
 
 
 def cmd_invert(args):
-    """Reconstruct the volume and the seeded calibration points in one pass over one
-    dataset; fitted_scale fits the points' unit-normalized values to the density."""
+    """Reconstruct the volume and the seeded calibration points in one pass over the
+    phantom's data; fitted_scale fits the points' unit-normalized values to the density."""
     cfg = load_config(args)
     ph = _load_phantom(cfg)
     # The classical branch has its constant built in: it takes no normalization, records 1.0.

@@ -218,15 +218,3 @@ class VolumeGrid:
     def with_samples(self, samples):
         return VolumeGrid(self.origin, self.spacing, self.dims, samples)
 
-
-def cube_grid(half_extent, dims_per_axis):
-    """Convenience constructor: cubic grid on [-half_extent, half_extent]^3."""
-    d = int(dims_per_axis)
-    if d < 2:
-        raise ValueError("need at least 2 samples per axis")
-    spacing = 2.0 * half_extent / (d - 1)
-    return VolumeGrid(
-        origin=(-half_extent, -half_extent, -half_extent),
-        spacing=(spacing, spacing, spacing),
-        dims=(d, d, d),
-    )

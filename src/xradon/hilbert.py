@@ -7,7 +7,8 @@ Every filter of a row (H, d/ds H, d^2/ds^2) is one linear convolution with a
 band-limited kernel by FFT; a direct singularity-subtracted quadrature of H
 validates the first.  sample_rows reads filtered rows by cubic interpolation;
 CubicReader is its reusable form, for a stream of node blocks, and
-FilteredBlocks filters such a stream a chunk at a time.
+FilteredBlocks filters such a stream a chunk at a time, fetching each chunk
+from a Radon row source.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy import fft as sfft
 
-from .geometry import node_blocks
+from .geometry import ROWS, node_blocks
 
 # Relative endpoint magnitude above which a profile is considered
 # non-decaying; the samples beyond the grid, taken as zero, would then
@@ -106,8 +107,8 @@ def convolve_rows(values, kernel, spacing, out=None):
     The rows run in blocks of geometry.node_blocks(rows, 2 S) (_filter_rows); a
     row's result does not depend on its block.  out, an array of values' shape,
     receives the result; out=values filters a stack that nothing else uses in
-    place.  FilteredBlocks gives the same rows a chunk at a time, with no
-    filtered copy of the stack.
+    place.  FilteredBlocks gives the same rows of a row source a chunk at a
+    time, with no (K, S) array.
     """
     values = np.asarray(values, dtype=float)
     _check_decay(values)
@@ -130,44 +131,52 @@ def _filter_rows(rows, kernel, spacing, out):
         np.divide(sfft.irfft(spectrum, n=m, axis=-1)[:, :n], scale, out=out[block])
 
 
-class FilteredBlocks:
-    """convolve_rows(values, kernel, spacing)[block] for the node blocks of
-    geometry.node_blocks(K, width), of at most `rows` rows each, taken in order,
-    with no filtered copy of the (K, S) values.
+# The rows of one FilteredBlocks chunk: as many whole node blocks as fit in
+# CHUNK_SAMPLES samples (512 KB of float64, about eight FFT blocks of
+# node_blocks(K, 2 S)), and at least one.  Each chunk pays one fetch and one
+# decay check of its source's rows: on the radon_volume benchmark's two invert
+# ops (300 nodes, 801 samples, node blocks of 3), chunks of one FFT block
+# (9 rows) took 14% longer than one chunk of all 300 rows, and chunks of
+# 4 ROWS samples (81 rows) were within 2% of it, inside the spread of the
+# measurement (BENCH_29.json).
+CHUNK_SAMPLES = 4 * ROWS
 
-    The rows are filtered a chunk at a time: a chunk is as many whole node blocks
-    as fit in a block of node_blocks(K, 2 S), and at least one, so a node block
-    never straddles two chunks and no FFT takes more rows than convolve_rows'.
-    filtered(block) filters the block's chunk when the block is the first read
-    from it.  The chunk goes to one scratch array, whose view the next chunk
-    overwrites, or, given out (an array of values' shape), to its own rows of
-    out; out=values filters a stack that nothing else uses in place.  Every
-    row's decay is checked here, once, before any row is filtered
-    (ProfileDecayError).  A row's bits are convolve_rows'.
+
+class FilteredBlocks:
+    """The rows of a Radon row source `data` filtered by kernel, bitwise
+    convolve_rows(all K rows, kernel, data.spacing)[block], for the node blocks
+    of geometry.node_blocks(K, width), of at most `rows` rows each, taken in
+    order, with no (K, S) array.
+
+    data is a row source (inversion.RadonDataset, inversion.PhantomProfiles):
+    data.count rows of data.samples samples at data.spacing, and
+    data.rows(start, stop, scratch), rows start..stop as an array, either a
+    view of the source's own or the (stop - start, S) scratch filled.  A chunk
+    is as many whole node blocks as fit in CHUNK_SAMPLES, and at least one, so
+    a node block never straddles two chunks.  filtered(block) fetches the
+    block's chunk into one scratch array when the block is the first read
+    from it, checks its rows (ProfileDecayError, before any of them is
+    filtered) and filters them into that scratch, in place when the source
+    filled it; the next chunk overwrites the view.
     """
 
-    def __init__(self, values, kernel, spacing, rows, out=None):
-        _check_decay(values)
-        self._values, self._kernel, self._spacing, self._out = values, kernel, spacing, out
-        total, count = values.shape
-        self._chunk = rows * max(1, node_blocks(total, 2 * count)[0].stop // rows)
-        self._scratch = np.empty((min(self._chunk, total), count)) if out is None else None
+    def __init__(self, data, kernel, rows):
+        self._data, self._kernel = data, kernel
+        self._chunk = rows * max(1, CHUNK_SAMPLES // data.samples // rows)
+        self._scratch = np.empty((min(self._chunk, data.count), data.samples))
         self._start = None
 
     def __call__(self, block):
-        total = self._values.shape[0]
+        total = self._data.count
         start = block.start - block.start % self._chunk
-        dest = self._scratch if self._out is None else self._out[start:]
         if start != self._start:
             stop = min(start + self._chunk, total)
-            _filter_rows(self._values[start:stop], self._kernel, self._spacing, dest[: stop - start])
+            dest = self._scratch[: stop - start]
+            values = self._data.rows(start, stop, dest)
+            _check_decay(values)
+            _filter_rows(values, self._kernel, self._data.spacing, dest)
             self._start = start
-        return dest[block.start - start: min(block.stop, total) - start]
-
-
-def hilbert_rows(values):
-    """Hilbert transform of each row of `values`: convolve_rows with HILBERT, at any spacing."""
-    return convolve_rows(values, HILBERT, 1.0)
+        return self._scratch[block.start - start: min(block.stop, total) - start]
 
 
 def hilbert_pv_direct(values, s_min, s_max):

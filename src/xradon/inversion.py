@@ -77,12 +77,39 @@ class ReconstructionConfig:
             raise ValueError(f"unknown branch {self.branch!r}")
 
 
+def _check_grid(nodes, s_min, s_max, samples):
+    """The checks of a Radon row source's (K, 3) nodes and s-grid of `samples`
+    samples on [s_min, s_max]."""
+    if nodes.ndim != 2 or nodes.shape[1] != 3 or nodes.shape[0] == 0:
+        raise ValueError("dataset nodes must have shape (K, 3) with K >= 1")
+    if samples < MIN_PROFILE_SAMPLES:
+        raise ValueError(f"dataset profiles require at least {MIN_PROFILE_SAMPLES} samples")
+    if not (np.isfinite(s_min) and np.isfinite(s_max) and s_max > s_min):
+        raise ValueError(f"require finite s_min < s_max, got {s_min!r}, {s_max!r}")
+    if not np.all(np.abs(np.linalg.norm(nodes, axis=1) - 1.0) <= 1e-9):  # NaN fails
+        raise ValueError("dataset nodes must be unit vectors")
+
+
+class _RadonRows:
+    """What the two Radon row sources share: one row per node, on one grid of
+    `samples` samples from s_min to s_max."""
+
+    @property
+    def count(self):
+        return self.nodes.shape[0]
+
+    @property
+    def spacing(self):
+        return (self.s_max - self.s_min) / (self.samples - 1)
+
+
 @dataclass(frozen=True)
-class RadonDataset:
+class RadonDataset(_RadonRows):
     """Plane-integral profiles Rf(n_k, s) for K unit normals on one uniform s-grid.
 
     nodes has shape (K, 3); values has shape (K, S), row k sampled at
-    S equally spaced offsets from s_min to s_max.
+    S equally spaced offsets from s_min to s_max.  A Radon row source
+    (hilbert.FilteredBlocks) whose rows are views of values.
     """
 
     nodes: np.ndarray
@@ -93,42 +120,62 @@ class RadonDataset:
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
         values = np.asarray(self.values, dtype=float)
-        if nodes.ndim != 2 or nodes.shape[1] != 3 or nodes.shape[0] == 0:
-            raise ValueError("dataset nodes must have shape (K, 3) with K >= 1")
-        if values.ndim != 2 or values.shape[0] != nodes.shape[0]:
+        if values.ndim != 2 or values.shape[:1] != nodes.shape[:1]:
             raise ValueError("dataset values must have shape (K, S), one row per node")
-        if values.shape[1] < MIN_PROFILE_SAMPLES:
-            raise ValueError(f"dataset profiles require at least {MIN_PROFILE_SAMPLES} samples")
-        if not (np.isfinite(self.s_min) and np.isfinite(self.s_max) and self.s_max > self.s_min):
-            raise ValueError(f"require finite s_min < s_max, got {self.s_min!r}, {self.s_max!r}")
+        _check_grid(nodes, self.s_min, self.s_max, values.shape[1])
         if not np.all(np.isfinite(values)):
             raise ValueError("dataset values must be finite")
-        if not np.all(np.abs(np.linalg.norm(nodes, axis=1) - 1.0) <= 1e-9):  # NaN fails
-            raise ValueError("dataset nodes must be unit vectors")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "s_min", float(self.s_min))
         object.__setattr__(self, "s_max", float(self.s_max))
         object.__setattr__(self, "values", values)
 
     @property
-    def count(self):
-        return self.values.shape[0]
+    def samples(self):
+        return self.values.shape[1]
+
+    def rows(self, start, stop, scratch):
+        """Rows start..stop of values, as a view; scratch is not used."""
+        return self.values[start:stop]
+
+
+class PhantomProfiles(_RadonRows):
+    """The analytic plane-integral profiles of a phantom for the nodes of a
+    quadrature on s_grid = (s_min, s_max, count): a Radon row source
+    (hilbert.FilteredBlocks) that computes the rows it is asked for and holds
+    none.  rows(start, stop, scratch) fills the (stop - start, S) scratch (a
+    new array for scratch None) with phantom.plane_integral_rows of nodes
+    start..stop, whose rows do not depend on the rows they are computed with.
+    The rows are checked where they are filtered (hilbert.ProfileDecayError).
+    """
+
+    def __init__(self, ph, quadrature, s_grid):
+        s_min, s_max, count = s_grid
+        self.phantom, self.nodes = ph, quadrature.nodes
+        _check_grid(self.nodes, s_min, s_max, int(count))
+        self.s_min, self.s_max = float(s_min), float(s_max)
+        self._s = np.linspace(s_min, s_max, int(count))
 
     @property
-    def spacing(self):
-        return (self.s_max - self.s_min) / (self.values.shape[1] - 1)
+    def samples(self):
+        return self._s.size
+
+    def rows(self, start, stop, scratch):
+        return ph_mod.plane_integral_rows(self.phantom, self.nodes[start:stop], self._s, out=scratch)
 
 
 def build_radon_dataset(ph, quadrature, s_min, s_max, count):
-    """Analytic plane-integral profiles for every quadrature node (phantom.plane_integral_rows)."""
-    s = np.linspace(s_min, s_max, int(count))
-    values = ph_mod.plane_integral_rows(ph, quadrature.nodes, s)
-    return RadonDataset(quadrature.nodes, s_min, s_max, values)
+    """Analytic plane-integral profiles for every quadrature node, as one (K, S)
+    array: every row of PhantomProfiles at once."""
+    profiles = PhantomProfiles(ph, quadrature, (s_min, s_max, count))
+    return RadonDataset(profiles.nodes, s_min, s_max, profiles.rows(0, profiles.count, None))
 
 
 def _check_dataset(data, quadrature):
-    if not isinstance(data, RadonDataset):
-        raise ValueError(f"the radon branches need a RadonDataset, got {type(data).__name__}")
+    if not isinstance(data, _RadonRows):
+        raise ValueError(
+            f"the radon branches need a RadonDataset or PhantomProfiles, got {type(data).__name__}"
+        )
     if data.count != quadrature.count:
         raise ValueError(
             f"dataset has {data.count} profiles but quadrature has {quadrature.count} nodes"
@@ -159,10 +206,10 @@ def lift_xray_data(xdata):
 
 def phantom_data(ph, cfg, s_grid):
     """The analytic input of cfg.branch: closed-form ray differences
-    (phantom.ray_differences), or a RadonDataset on s_grid = (s_min, s_max, count)."""
+    (phantom.ray_differences), or the PhantomProfiles on s_grid = (s_min, s_max, count)."""
     if cfg.branch == BRANCH_XRAY:
         return functools.partial(ph_mod.ray_differences, ph)
-    return build_radon_dataset(ph, cfg.quadrature, *s_grid)
+    return PhantomProfiles(ph, cfg.quadrature, s_grid)
 
 
 def _as_points(points):
@@ -176,18 +223,17 @@ def _as_points(points):
 _BRANCH_FILTERS = {BRANCH_RADON: HILBERT_DERIVATIVE, BRANCH_CLASSICAL: SECOND_DERIVATIVE}
 
 
-def _backproject(data, kernel, quadrature, points, out=None):
+def _backproject(data, kernel, quadrature, points):
     """sum_k w_k * filtered_k(x . n_k) at every point x, where filtered_k is row k of
-    data filtered by kernel (hilbert.convolve_rows).  The node blocks are as wide as
-    the values per row of one sample_rows call (hilbert.sample_width); one
-    FilteredBlocks filters their rows a chunk at a time, into its scratch or into
-    out (out=data.values filters a dataset that nothing else reads in place), and
-    one CubicReader reads each block, its offsets x . n_k written straight into
-    the reader's scratch."""
-    count = data.values.shape[1]
+    the Radon row source data filtered by kernel (hilbert.convolve_rows).  The node
+    blocks are as wide as the values per row of one sample_rows call
+    (hilbert.sample_width); one FilteredBlocks fetches, checks and filters their
+    rows a chunk at a time, and one CubicReader reads each block, its offsets
+    x . n_k written straight into the reader's scratch."""
+    count = data.samples
     width = sample_width(points.shape[0], count)
     rows = min(quadrature.count, node_blocks(quadrature.count, width)[0].stop)
-    filtered = FilteredBlocks(data.values, kernel, data.spacing, rows, out)
+    filtered = FilteredBlocks(data, kernel, rows)
     read = CubicReader(rows, count, points.shape[0], data.s_min, data.s_max)
 
     def values(block, nodes):
@@ -208,7 +254,8 @@ def reconstruct(data, cfg, points):
     (see phantom_data, and lift_xray_data for (x, n) data); the result is
     that sum over 2h, sum_k w_k * n_k . grad_x Xf(x, n_k) by the central
     difference.  Times XRAY_BRANCH_CONSTANT it is the density.  radon:
-    `data` is a RadonDataset on the quadrature nodes; the result is
+    `data` is a RadonDataset or the PhantomProfiles on the quadrature nodes,
+    read a chunk of rows at a time (hilbert.FilteredBlocks); the result is
     sum_k w_k * (-2*pi) * d/ds (H Rf)(n_k, s) at s = x . n_k, by cubic
     interpolation in s.  classical_radon: the textbook inversion
     -(1/(8*pi^2)) * sum_k w_k * d^2/ds^2 Rf(n_k, x . n_k), constant built in.
@@ -288,8 +335,9 @@ def lemma9_diagnostic(ph, points, quadrature, s_grid):
     right = -2*pi times the integral over directions of the
             Hilbert-filtered plane-integral profile at s = x . n.
 
-    points has shape (P, 3).  The profiles, on s_grid = (s_min, s_max,
-    count), are built and filtered once for all points.  The ratio
+    points has shape (P, 3).  The profiles, PhantomProfiles on s_grid =
+    (s_min, s_max, count), are built and filtered a chunk at a time, once
+    for all points.  The ratio
     left/right is reported (NaN where the right side vanishes); the
     scalar-offset Hilbert transform stands in for the componentwise sum,
     which is not constructively defined.
@@ -302,9 +350,7 @@ def lemma9_diagnostic(ph, points, quadrature, s_grid):
         return ph_mod.line_integral(ph, *rays(points, nodes)).reshape(nodes.shape[0], -1)
 
     left = sphere_sum(quadrature.nodes, quadrature.weights, points, line_values, points.shape[0])
-    data = build_radon_dataset(ph, quadrature, *s_grid)
-    # its own dataset, which nothing else reads: filtered in place, with no scratch
-    right = -2.0 * np.pi * _backproject(data, HILBERT, quadrature, points, out=data.values)
+    right = -2.0 * np.pi * _backproject(PhantomProfiles(ph, quadrature, s_grid), HILBERT, quadrature, points)
     ratio = np.full(points.shape[0], np.nan)
     np.divide(left, right, out=ratio, where=right != 0.0)
     return Lemma9Report(left=left, right=right, ratio=ratio, difference=left - right)

@@ -512,23 +512,28 @@ def plane_integral_derivative(ph, n, s):
     return out if out.ndim else float(out)
 
 
-def plane_integral_rows(ph, nodes, s):
+def plane_integral_rows(ph, nodes, s, out=None):
     """plane_integral for K normals on one offset grid: the (K, S) array of
-    Rf(nodes[k], s[j]), for nodes of shape (K, 3) and s of shape (S,).
+    Rf(nodes[k], s[j]), for nodes of shape (K, 3) and s of shape (S,), into
+    out (a (K, S) array) when given.
 
     Runs over blocks of node_blocks(K, S) rows: every primitive is added to a
     block while it is in cache, through one scratch buffer of a block's rows.
     n.c is np.vecdot(nodes, c), the same per-row dot as np.dot(n, c), so
-    every row is the same arithmetic as the one-normal case.  (nodes @ c
-    and einsum round about 2/3 of the values differently.)  out starts at
-    zeros and every term is added to it: written straight into out, a
-    negative amplitude's first term would keep a -0.0 that the sum makes +0.0.
+    every row is the same arithmetic as the one-normal case, whatever rows
+    it is computed with.  (nodes @ c and einsum round about 2/3 of the
+    values differently.)  out starts at zeros and every term is added to
+    it: written straight into out, a negative amplitude's first term would
+    keep a -0.0 that the sum makes +0.0.
     """
     nodes = np.asarray(nodes, dtype=float)
     s = np.asarray(s, dtype=float)
     if nodes.ndim != 2 or nodes.shape[1] != 3 or s.ndim != 1:
         raise ValueError("plane_integral_rows needs nodes (K, 3) and offsets (S,)")
-    out = np.zeros((nodes.shape[0], s.size))
+    if out is None:
+        out = np.zeros((nodes.shape[0], s.size))
+    else:
+        out.fill(0.0)
     blocks = node_blocks(nodes.shape[0], s.size)
     buf = np.empty((min(nodes.shape[0], blocks[0].stop) if blocks else 0, s.size))
     nc = [np.vecdot(nodes, prim.center)[:, None] for prim in ph.primitives]

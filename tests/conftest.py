@@ -24,6 +24,29 @@ def gauss_dataset(unit_gaussian, quad2000):
 S_GRID = (-8.0, 8.0, 1025)
 
 
+def cube_grid(half_extent, dims_per_axis):
+    """The cubic VolumeGrid on [-half_extent, half_extent]^3, dims_per_axis samples per axis."""
+    spacing = 2.0 * half_extent / (dims_per_axis - 1)
+    return xr.VolumeGrid((-half_extent,) * 3, (spacing,) * 3, (dims_per_axis,) * 3)
+
+
+class ArrayRows:
+    """A Radon row source (hilbert.FilteredBlocks) over a (K, S) array on a grid
+    over [s_min, s_max]: its rows are views of values or, filled, copies in the
+    scratch it is given, as inversion.PhantomProfiles fills it."""
+
+    def __init__(self, values, s_min, s_max, filled=False):
+        self.values, self.s_min, self.s_max, self.filled = values, s_min, s_max, filled
+        self.count, self.samples = values.shape
+        self.spacing = (s_max - s_min) / (self.samples - 1)
+
+    def rows(self, start, stop, scratch):
+        if not self.filled:
+            return self.values[start:stop]
+        np.copyto(scratch, self.values[start:stop])
+        return scratch
+
+
 def calibrate(ph, cfg, data):
     """The calibration fit: the branch (at unit normalization, as reconstruct returns it)
     at the seeded calibration points (radius support_radius / 4, seed 20260824), fitted

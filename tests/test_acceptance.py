@@ -14,8 +14,8 @@ import pytest
 import xradon as xr
 from xradon import inversion as inv
 from xradon.cli import main as cli_main
-from xradon.hilbert import hilbert_pv_direct, hilbert_rows, sample_rows
-from conftest import S_GRID, calibrate, plane_march_density, ray_march_density
+from xradon.hilbert import HILBERT, convolve_rows, hilbert_pv_direct, sample_rows
+from conftest import S_GRID, calibrate, cube_grid, plane_march_density, ray_march_density
 
 
 def report(num, ok, detail):
@@ -62,7 +62,7 @@ def test_criterion_2_transport_identity(unit_gaussian):
 
 def test_criterion_3_xray_branch_reconstruction(unit_gaussian, quad2000):
     start = time.time()
-    grid = xr.cube_grid(3.0, 33)
+    grid = cube_grid(3.0, 33)
     cfg = inv.ReconstructionConfig(quad2000, diff_step=1e-4)
     data = inv.phantom_data(unit_gaussian, cfg, S_GRID)
     vol = grid.with_samples(inv.XRAY_BRANCH_CONSTANT * inv.reconstruct(data, cfg, grid.points()))
@@ -119,20 +119,20 @@ def test_criterion_6_hilbert_module():
     h = 80.0 / 4096
     lorentz = 1.0 / (1.0 + s**2)
     at_one = np.array([[1.0]])
-    err_spec = abs(sample_rows(hilbert_rows(lorentz)[None], -40.0, 40.0, at_one)[0, 0] - 0.5)
+    err_spec = abs(sample_rows(convolve_rows(lorentz, HILBERT, 1.0)[None], -40.0, 40.0, at_one)[0, 0] - 0.5)
     # the direct route gives the interior grid, -40 + h .. 40 - h
     direct = hilbert_pv_direct(lorentz, -40.0, 40.0)
     err_direct = abs(sample_rows(direct[None], -40.0 + h, 40.0 - h, at_one)[0, 0] - 0.5)
 
     gauss = np.exp(-(s**2))
     agreement = float(
-        np.max(np.abs(hilbert_pv_direct(gauss, -40.0, 40.0) - hilbert_rows(gauss)[1:-1]))
+        np.max(np.abs(hilbert_pv_direct(gauss, -40.0, 40.0) - convolve_rows(gauss, HILBERT, 1.0)[1:-1]))
     )
 
     extent = 40000.0
     nw = int(round(2 * extent / 0.25)) + 1
     wide = np.exp(-(np.linspace(-extent, extent, nw) ** 2))
-    involution = float(np.max(np.abs(hilbert_rows(hilbert_rows(wide)) + wide)))
+    involution = float(np.max(np.abs(convolve_rows(convolve_rows(wide, HILBERT, 1.0), HILBERT, 1.0) + wide)))
     elapsed = time.time() - start
     ok = (
         err_spec < 1e-4
@@ -152,7 +152,7 @@ def test_criterion_6_hilbert_module():
 
 def test_criterion_7_classical_radon_oracle(unit_gaussian, quad2000, gauss_dataset):
     start = time.time()
-    grid = xr.cube_grid(3.0, 33)
+    grid = cube_grid(3.0, 33)
     cfg = inv.ReconstructionConfig(quad2000, branch=inv.BRANCH_CLASSICAL)
     vol = grid.with_samples(inv.reconstruct(gauss_dataset, cfg, grid.points()))
     truth = xr.evaluate(unit_gaussian, grid.points())

@@ -772,6 +772,20 @@ class TestErrorHandling:
         assert "Traceback" not in err
         assert not outdir.exists()
 
+    def test_decay_failure_in_a_middle_chunk_named(self, tmp_path, capsys):
+        # the profiles of a Gaussian 6.5 off centre decay on rows 0..437 of 2,000 on
+        # [-8, 8] and not on some of rows 438..1552: the backprojection reads the
+        # chunks before row 438, then the decay check of a later one fails
+        ph = tmp_path / "ph.txt"
+        ph.write_text("support_radius 13\ngaussian 6.5 0 0 1.0 1.0\n")
+        outdir = tmp_path / "o"
+        argv = ["invert", "--phantom", str(ph), "--branch", "radon", "--nodes", "2000", "--vol-dims", "9"]
+        assert run(*argv, "--outdir", str(outdir)) == 1
+        err = capsys.readouterr().err
+        assert "the s-grid --s-min -8 --s-max 8 is too narrow" in err and "does not decay" in err
+        assert "Traceback" not in err
+        assert not outdir.exists()
+
     @pytest.mark.parametrize("command", ["invert", "check", "forward"])
     def test_single_node_named(self, tmp_path, phantom_file, capsys, command):
         outdir = tmp_path / "o"

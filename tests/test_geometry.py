@@ -3,7 +3,8 @@ import pytest
 
 import xradon as xr
 from xradon import geometry
-from xradon.geometry import FULL_SPHERE, as_direction, cube_grid
+from xradon.geometry import FULL_SPHERE, as_direction
+from conftest import cube_grid
 
 
 class TestFibonacciSphere:

@@ -6,9 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import dawsn
 
-from xradon import geometry
+from xradon import geometry, hilbert
 from xradon.geometry import ROWS
 from xradon.hilbert import (
+    CHUNK_SAMPLES,
     HILBERT,
     HILBERT_DERIVATIVE,
     SECOND_DERIVATIVE,
@@ -19,10 +20,10 @@ from xradon.hilbert import (
     _query_coefficients,
     convolve_rows,
     hilbert_pv_direct,
-    hilbert_rows,
     sample_rows,
     sample_width,
 )
+from conftest import ArrayRows
 
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -56,7 +57,7 @@ def direct_convolution(row, lag0, taps):
 
 
 def hilbert_direct(row):
-    """Reference for hilbert_rows: the linear convolution with h[k] = 2/(pi k), k odd."""
+    """Reference for convolve_rows with HILBERT: the linear convolution with h[k] = 2/(pi k), k odd."""
     return direct_convolution(row, 0.0, lambda k: np.where(k % 2 == 1, 2.0 / (np.pi * k), 0.0))
 
 
@@ -80,29 +81,29 @@ SPACING = 80.0 / 4096
 
 
 class TestHilbertSpectral:
-    """hilbert_rows, the band-limited kernel applied by FFT."""
+    """convolve_rows with HILBERT, the band-limited kernel applied by FFT."""
 
     def test_lorentzian_pair(self):
         # H[1/(1+s^2)] = s/(1+s^2)
-        h = hilbert_rows(lorentzian_profile())
+        h = convolve_rows(lorentzian_profile(), HILBERT, 1.0)
         assert abs(sample_at(h, -40.0, 40.0, [1.0])[0] - 0.5) < 1e-4
 
     def test_even_input_vanishes_at_origin(self):
-        h = hilbert_rows(gaussian_profile(count=4097, extent=10.0))
+        h = convolve_rows(gaussian_profile(count=4097, extent=10.0), HILBERT, 1.0)
         assert abs(h[2048]) < 1e-8
 
     def test_zero_profile(self):
-        assert np.all(hilbert_rows(np.zeros(64)) == 0.0)
+        assert np.all(convolve_rows(np.zeros(64), HILBERT, 1.0) == 0.0)
 
     def test_rejects_non_decaying(self):
         with pytest.raises(ValueError):
-            hilbert_rows(np.ones(64))
+            convolve_rows(np.ones(64), HILBERT, 1.0)
 
     def test_linearity(self):
         a = gaussian_profile()
         b = lorentzian_profile()
-        lhs = hilbert_rows(2.0 * a + 3.0 * b)
-        rhs = 2.0 * hilbert_rows(a) + 3.0 * hilbert_rows(b)
+        lhs = convolve_rows(2.0 * a + 3.0 * b, HILBERT, 1.0)
+        rhs = 2.0 * convolve_rows(a, HILBERT, 1.0) + 3.0 * convolve_rows(b, HILBERT, 1.0)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_anti_involution(self):
@@ -112,7 +113,7 @@ class TestHilbertSpectral:
         extent = 40000.0
         n = int(round(2 * extent / 0.25)) + 1
         p = gaussian_profile(count=n, extent=extent)
-        hh = hilbert_rows(hilbert_rows(p))
+        hh = convolve_rows(convolve_rows(p, HILBERT, 1.0), HILBERT, 1.0)
         assert np.max(np.abs(hh + p)) < 1e-4
 
 
@@ -120,7 +121,7 @@ class TestBandLimitedKernel:
     def test_gaussian_gives_dawson(self):
         # H[exp(-s^2)] = (2/sqrt(pi)) D(s), D the Dawson function
         s = np.linspace(-8.0, 8.0, 801)
-        err = np.max(np.abs(hilbert_rows(np.exp(-(s**2))) - 2.0 / np.sqrt(np.pi) * dawsn(s)))
+        err = np.max(np.abs(convolve_rows(np.exp(-(s**2)), HILBERT, 1.0) - 2.0 / np.sqrt(np.pi) * dawsn(s)))
         assert err <= 1e-13
 
     @PROPERTY
@@ -140,7 +141,7 @@ class TestBandLimitedKernel:
         interior = np.max(np.abs(values[:, 1:-1]), axis=1, keepdims=True)
         values[:, [0, -1]] = 1e-4 * interior * rng.uniform(-1.0, 1.0, size=(rows, 2))
         expected = np.array([hilbert_direct(row) for row in values])
-        err = np.max(np.abs(hilbert_rows(values) - expected))
+        err = np.max(np.abs(convolve_rows(values, HILBERT, 1.0) - expected))
         assert err <= 1e-13 * np.max(np.abs(expected))
 
     @PROPERTY
@@ -160,7 +161,7 @@ class TestBandLimitedKernel:
         x = np.array([np.convolve(row, [1.0, 0.0, -2.0, 0.0, 1.0]) for row in y])
         pad = 256
         values = np.pad(x, ((0, 0), (pad, pad)))
-        hh = hilbert_rows(hilbert_rows(values))
+        hh = convolve_rows(convolve_rows(values, HILBERT, 1.0), HILBERT, 1.0)
         err = np.max(np.abs(hh + values) / np.max(np.abs(values), axis=1, keepdims=True))
         assert err <= 1e-5
 
@@ -175,7 +176,7 @@ class TestHilbertPvDirect:
     def test_agreement_with_spectral(self):
         p = gaussian_profile()
         direct = hilbert_pv_direct(p, -40.0, 40.0)
-        spectral = hilbert_rows(p)
+        spectral = convolve_rows(p, HILBERT, 1.0)
         assert np.max(np.abs(direct - spectral[1:-1])) < 1e-3
 
     def test_odd_input_even_output(self):
@@ -277,7 +278,7 @@ class TestDerivativeKernels:
 
     def test_hilbert_is_the_spacing_free_kernel(self):
         p = gaussian_profile()
-        assert convolve_rows(p, HILBERT, SPACING).tobytes() == hilbert_rows(p).tobytes()
+        assert convolve_rows(p, HILBERT, SPACING).tobytes() == convolve_rows(p, HILBERT, 1.0).tobytes()
 
 
 class TestSampleCubic:
@@ -305,7 +306,7 @@ class TestRows:
         bad = stack.copy()
         bad[1, -1] = 1.0
         with pytest.raises(ProfileDecayError, match="does not decay"):
-            hilbert_rows(bad)
+            convolve_rows(bad, HILBERT, 1.0)
 
     @pytest.mark.parametrize("queries, width", [(0, 0), (99, 396), (100, 404), (500, 500)])
     def test_sample_width_at_the_switch(self, queries, width):
@@ -422,7 +423,8 @@ class TestKernelSpectrum:
         with pytest.raises(ValueError):
             spectrum[0] = 1.0
         # the transform still reads it
-        assert np.max(np.abs(hilbert_rows(gaussian_profile()) - hilbert_direct(gaussian_profile()))) < 1e-12
+        p = gaussian_profile()
+        assert np.max(np.abs(convolve_rows(p, HILBERT, 1.0) - hilbert_direct(p))) < 1e-12
 
 
 class TestNonFinite:
@@ -433,10 +435,10 @@ class TestNonFinite:
         "transform",
         [
             lambda v: convolve_rows(v, HILBERT_DERIVATIVE, 0.1),
-            hilbert_rows,
+            lambda v: convolve_rows(v, HILBERT, 1.0),
             lambda v: hilbert_pv_direct(v, -10.0, 10.0),
         ],
-        ids=["convolve_rows", "hilbert_rows", "hilbert_pv_direct"],
+        ids=["convolve_rows", "convolve_rows-hilbert", "hilbert_pv_direct"],
     )
     def test_rejected(self, transform, bad):
         row = gaussian_profile(count=101, extent=10.0)
@@ -448,7 +450,7 @@ class TestNonFinite:
         stack = np.tile(gaussian_profile(count=101, extent=10.0), (3, 1))
         stack[2, [7, 9]] = np.nan
         with pytest.raises(ValueError, match=r"2 non-finite .* index \(2, 7\)") as info:
-            hilbert_rows(stack)
+            convolve_rows(stack, HILBERT, 1.0)
         assert not isinstance(info.value, ProfileDecayError)
 
 
@@ -509,38 +511,42 @@ class TestConvolveRowsBlocks:
 
 
 class TestFilteredBlocks:
-    """FilteredBlocks gives convolve_rows' rows node block by node block, a chunk of
-    whole blocks at a time, through one scratch array or into out."""
+    """FilteredBlocks gives convolve_rows' rows of a row source node block by node
+    block, a chunk of whole blocks at a time, through one scratch array."""
 
     @settings(PROPERTY, max_examples=60)
     @given(
-        total=st.integers(1, 40),
+        total=st.integers(1, 200),
         count=st.integers(8, 3300),
         rows=st.integers(1, 40),
         kernel=KERNELS,
-        in_place=st.booleans(),
+        filled=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    # node blocks of 3 in chunks of 9 at 801 samples, the radon_volume benchmark's layout
-    @example(total=22, count=801, rows=3, kernel=HILBERT_DERIVATIVE, in_place=False, seed=0)
-    # node blocks of 5 at 3,201 samples, each its own chunk filtered in FFT blocks of 2
-    @example(total=23, count=3201, rows=5, kernel=SECOND_DERIVATIVE, in_place=True, seed=1)
-    def test_blocks_equal_convolve_rows_bitwise(self, total, count, rows, kernel, in_place, seed):
+    # node blocks of 3 at 801 samples, the radon_volume benchmark's layout: chunks of
+    # 81 rows, 81 + 81 + 8, the last block short
+    @example(total=170, count=801, rows=3, kernel=HILBERT_DERIVATIVE, filled=True, seed=0)
+    # node blocks of 5 at 3,201 samples in chunks of 20, 20 + 3, each filtered in FFT blocks of 2
+    @example(total=23, count=3201, rows=5, kernel=SECOND_DERIVATIVE, filled=False, seed=1)
+    def test_blocks_equal_convolve_rows_bitwise(self, total, count, rows, kernel, filled, seed):
         values = decaying_rows(np.random.default_rng(seed), total, count)
-        expected = convolve_rows(values, kernel, 0.1)
-        filtered = FilteredBlocks(values, kernel, 0.1, rows, out=values if in_place else None)
+        before = values.copy()
+        source = ArrayRows(values, 0.0, 0.1 * (count - 1), filled)
+        expected = convolve_rows(values, kernel, source.spacing)
+        filtered = FilteredBlocks(source, kernel, rows)
         for block in (slice(lo, lo + rows) for lo in range(0, total, rows)):
             assert filtered(block).tobytes() == expected[block].tobytes()
-        if in_place:
-            assert values.tobytes() == expected.tobytes()
-        else:
-            # a chunk is at most one FFT block or one node block of rows
-            assert filtered._scratch.shape[0] <= min(total, max(rows, ROWS // (2 * count)))
+        # the source's rows are read, never written, whether viewed or copied
+        assert values.tobytes() == before.tobytes()
+        # a chunk is one node block, or whole node blocks within CHUNK_SAMPLES
+        assert filtered._scratch.shape[0] <= min(total, max(rows, CHUNK_SAMPLES // count))
 
-    def test_rejects_a_bad_row_before_filtering(self):
+    def test_rejects_a_bad_row_before_filtering(self, monkeypatch):
         values = decaying_rows(np.random.default_rng(2), 9, 64)
         values[8, 0] = np.nan
-        before = values.copy()
+        filtered, filter_rows = [], hilbert._filter_rows
+        monkeypatch.setattr(hilbert, "_filter_rows", lambda *a: filtered.append(a[0].shape) or filter_rows(*a))
+        blocks = FilteredBlocks(ArrayRows(values, -1.0, 1.0, filled=True), HILBERT, 3)
         with pytest.raises(ValueError, match="non-finite"):
-            FilteredBlocks(values, HILBERT, 0.1, 3, out=values)
-        assert np.array_equal(values, before, equal_nan=True)
+            blocks(slice(0, 3))
+        assert filtered == []

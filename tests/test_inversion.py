@@ -12,8 +12,8 @@ from xradon import hilbert
 from xradon import inversion as inv
 from xradon import phantom as phm
 from xradon.geometry import ROWS, node_blocks
-from xradon.hilbert import sample_width
-from conftest import S_GRID, calibrate
+from xradon.hilbert import CHUNK_SAMPLES, sample_width
+from conftest import S_GRID, ArrayRows, calibrate
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -607,57 +607,145 @@ class TestBackprojectBlocks:
         got = inv._backproject(data, xr.HILBERT, quadrature, points)
         assert got.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("in_place", [False, True], ids=["scratch", "in-place"])
+    @pytest.mark.parametrize("filled", [False, True], ids=["view", "filled"])
     @pytest.mark.parametrize("kernel", [xr.HILBERT, xr.HILBERT_DERIVATIVE, xr.SECOND_DERIVATIVE])
     @pytest.mark.parametrize(
         "count, samples, nodes_count",
         [
-            # per-query stencils (fewer queries than intervals) hold 4 Q values per row,
-            # so a chunk is one node block: blocks of 16384 // 200 = 81 rows within FFT
-            # blocks of 16384 // 128 = 128 rows, 81 + 81 + 1
-            (50, 64, 163),
-            # the same on the CLI's 801 samples: each chunk of 81 rows is filtered in
-            # FFT blocks of 16384 // 1602 = 10 rows, eight and a short one
+            # per-query stencils (fewer queries than intervals) hold 4 Q values per row:
+            # node blocks of 16384 // 200 = 81 rows, twelve to a chunk of 972 within
+            # CHUNK_SAMPLES // 64 = 1024 rows, 972 + 972 + 82, the last block one node
+            (50, 64, 2026),
+            # the same on the CLI's 801 samples: a chunk is one node block of 81 rows
+            # (CHUNK_SAMPLES // 801 = 81), filtered in FFT blocks of 16384 // 1602 = 10
+            # rows, eight and a short one; 81 + 81 + 1
             (50, 801, 163),
             # the radon_volume benchmark's batch: cubic tables in node blocks of 3,
-            # chunks of 9, 9 + 9 + 4, the last block one node
-            (4963, 801, 22),
-            # cubic tables on 3,201 samples: one-node blocks in chunks of 2, 2 + 2 + 1
-            (3300, 3201, 5),
+            # chunks of 81, 81 + 81 + 1, the last block one node
+            (4963, 801, 163),
+            # cubic tables on 3,201 samples: one-node blocks in chunks of 20, 20 + 20 + 1
+            (3300, 3201, 41),
         ],
         ids=["query-64", "query-801", "tables-801", "tables-3201"],
     )
-    def test_fused_filter_matches_a_filtered_copy_bitwise(self, kernel, count, samples, nodes_count, in_place):
-        # filtering each chunk of node blocks into one scratch array, or into the
-        # dataset's own rows, gives byte for byte the backprojection of all rows
-        # filtered first (convolve_rows), a short last chunk and a one-node last
-        # block included
+    def test_fused_filter_matches_a_filtered_copy_bitwise(self, kernel, count, samples, nodes_count, filled):
+        # fetching and filtering each chunk of node blocks into one scratch array,
+        # from a source whose rows are views or one that fills the scratch, gives
+        # byte for byte the backprojection of all rows filtered first
+        # (convolve_rows), a short last chunk and a one-node last block included
         step = ROWS // sample_width(count, samples)
-        chunk = step * max(1, (ROWS // (2 * samples)) // step)
-        assert nodes_count % chunk != 0 and (nodes_count - 1) % step == 0
+        chunk = step * max(1, CHUNK_SAMPLES // samples // step)
+        assert nodes_count > 2 * chunk and nodes_count % chunk != 0 and (nodes_count - 1) % step == 0
         data, quadrature, points = random_backprojection(np.random.default_rng(count), count, samples, nodes_count)
+        before = data.values.copy()
         filtered = xr.convolve_rows(data.values, kernel, data.spacing)
         expected = blockwise_sum(filtered, data, quadrature, points)
-        got = inv._backproject(data, kernel, quadrature, points, out=data.values if in_place else None)
+        source = ArrayRows(data.values, data.s_min, data.s_max, filled=True) if filled else data
+        got = inv._backproject(source, kernel, quadrature, points)
         assert got.tobytes() == expected.tobytes()
-        assert (data.values.tobytes() == filtered.tobytes()) == in_place
+        assert data.values.tobytes() == before.tobytes()
 
-    def test_decay_is_checked_once_before_any_row_is_filtered(self, monkeypatch):
-        checked, filtered = [], []
+    def test_decay_is_checked_per_chunk_before_it_is_filtered(self, monkeypatch):
+        events = []
         check, filter_rows = hilbert._check_decay, hilbert._filter_rows
-        monkeypatch.setattr(hilbert, "_check_decay", lambda v: checked.append(v.shape) or check(v))
-        monkeypatch.setattr(hilbert, "_filter_rows", lambda *a: filtered.append(a[0].shape) or filter_rows(*a))
-        data, quadrature, points = random_backprojection(np.random.default_rng(5), 4963, 801, 22)
+        monkeypatch.setattr(hilbert, "_check_decay", lambda v: events.append(("check", v.shape)) or check(v))
+        monkeypatch.setattr(
+            hilbert, "_filter_rows", lambda *a: events.append(("filter", a[0].shape)) or filter_rows(*a)
+        )
+        data, quadrature, points = random_backprojection(np.random.default_rng(5), 4963, 801, 163)
         inv._backproject(data, xr.HILBERT_DERIVATIVE, quadrature, points)
-        assert checked == [(22, 801)]
-        # chunks of three node blocks of 3, each filtered once
-        assert filtered == [(9, 801), (9, 801), (4, 801)]
-        # a last row that does not decay fails before any row is filtered
-        checked.clear(), filtered.clear()
+        # chunks of 27 node blocks of 3, 81 + 81 + 1: each checked, then filtered, once
+        chunks = [(81, 801), (81, 801), (1, 801)]
+        assert events == [(step, shape) for shape in chunks for step in ("check", "filter")]
+        # a last row that does not decay fails its own chunk's check, before that
+        # chunk is filtered and after the earlier chunks were
+        events.clear()
         data.values[-1, -1] = 1.0 + np.max(np.abs(data.values[-1]))
         with pytest.raises(hilbert.ProfileDecayError):
             inv._backproject(data, xr.HILBERT_DERIVATIVE, quadrature, points)
-        assert checked == [(22, 801)] and filtered == []
+        assert events == [(step, shape) for shape in chunks[:2] for step in ("check", "filter")] + [
+            ("check", (1, 801))
+        ]
+
+
+class TestPhantomProfiles:
+    """phantom_data's analytic source for the radon branches: build_radon_dataset's
+    rows, computed a chunk at a time where they are filtered."""
+
+    # 203 nodes: no multiple of any chunk below (81, 80, 63 and 20 rows)
+    NODES = 203
+
+    @pytest.fixture(scope="class")
+    def quad(self):
+        return xr.fibonacci_sphere(self.NODES)
+
+    def test_rows_equal_the_dataset_bitwise(self, unit_gaussian, quad):
+        grid = (-8.0, 8.0, 801)
+        profiles = inv.PhantomProfiles(unit_gaussian, quad, grid)
+        values = inv.build_radon_dataset(unit_gaussian, quad, *grid).values
+        assert (profiles.count, profiles.samples, profiles.spacing) == (self.NODES, 801, 0.02)
+        for start, stop in [(0, 1), (0, 81), (80, 203), (202, 203), (0, 203)]:
+            scratch = np.full((stop - start, 801), np.nan)
+            assert profiles.rows(start, stop, scratch) is scratch
+            assert scratch.tobytes() == values[start:stop].tobytes()
+
+    @pytest.mark.parametrize("samples", [801, 1025, 3201])
+    @pytest.mark.parametrize("batch", ["points", "volume"])
+    @pytest.mark.parametrize("branch", [inv.BRANCH_RADON, inv.BRANCH_CLASSICAL])
+    def test_reconstruct_equals_the_dataset_bitwise(self, unit_gaussian, quad, branch, batch, samples):
+        # 50 points take per-query stencils; 15^3 + 50 = 3,425 points, past the
+        # S - 1 intervals of every grid here, take the cubic tables
+        count = 50 if batch == "points" else 15**3 + 50
+        width = sample_width(count, samples)
+        assert (width == 4 * count) == (batch == "points")
+        step = ROWS // width
+        assert self.NODES % (step * max(1, CHUNK_SAMPLES // samples // step)) != 0
+        cfg = inv.ReconstructionConfig(quad, branch=branch)
+        points = inv.sample_ball_points(np.random.default_rng(samples), count, 1.5)
+        grid = (-8.0, 8.0, samples)
+        streamed = inv.reconstruct(inv.phantom_data(unit_gaussian, cfg, grid), cfg, points)
+        stacked = inv.reconstruct(inv.build_radon_dataset(unit_gaussian, quad, *grid), cfg, points)
+        assert streamed.tobytes() == stacked.tobytes()
+
+    def test_lemma9_right_equals_the_dataset_bitwise(self, unit_gaussian, quad):
+        points = point_set(20)
+        rep = inv.lemma9_diagnostic(unit_gaussian, points, quad, S_GRID)
+        data = inv.build_radon_dataset(unit_gaussian, quad, *S_GRID)
+        right = -2.0 * np.pi * inv._backproject(data, xr.HILBERT, quad, points)
+        assert rep.right.tobytes() == right.tobytes()
+
+    @pytest.mark.parametrize("count", [50, 17**3 + 50], ids=["points", "volume"])
+    def test_memory_stays_below_one_stack(self, unit_gaussian, count):
+        # the analytic rows are computed a chunk at a time, so no (K, S) array is
+        # held: the peak stays below one stack of 300 rows of 1,025 samples
+        quad = xr.fibonacci_sphere(300)
+        cfg = inv.ReconstructionConfig(quad, branch=inv.BRANCH_RADON)
+        points = inv.sample_ball_points(np.random.default_rng(7), count, 1.5)
+        tracemalloc.start()
+        try:
+            inv.reconstruct(inv.phantom_data(unit_gaussian, cfg, (-8.0, 8.0, 1025)), cfg, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < quad.count * 1025 * 8
+
+    def test_decay_failure_in_a_middle_chunk(self, monkeypatch):
+        # a Gaussian 6.5 off centre reaches within 1.5 of the grid end s = 8 along
+        # some normals: of 2,000 rows on [-8, 8], rows 438..1552 alone include
+        # rows that do not decay, so the five chunks of 81 rows before row 438
+        # pass their checks and are filtered before the sixth fails
+        ph = xr.Phantom((xr.Primitive(xr.GAUSSIAN, (6.5, 0.0, 0.0), 1.0, 1.0),), 13.0)
+        quad = xr.fibonacci_sphere(2000)
+        values = inv.build_radon_dataset(ph, quad, -8.0, 8.0, 801).values
+        edge = np.maximum(np.abs(values[:, 0]), np.abs(values[:, -1]))
+        bad = np.flatnonzero(edge > hilbert.DECAY_TOL * np.max(np.abs(values), axis=1))
+        assert (bad[0], bad[-1]) == (438, 1552)
+        filtered, filter_rows = [], hilbert._filter_rows
+        monkeypatch.setattr(hilbert, "_filter_rows", lambda *a: filtered.append(len(a[0])) or filter_rows(*a))
+        cfg = inv.ReconstructionConfig(quad, branch=inv.BRANCH_RADON)
+        with pytest.raises(hilbert.ProfileDecayError, match="does not decay"):
+            inv.reconstruct(inv.phantom_data(ph, cfg, (-8.0, 8.0, 801)), cfg, point_set(50))
+        assert filtered == [81] * 5
 
 
 class TestRadonDataset:

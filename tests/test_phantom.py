@@ -10,7 +10,7 @@ from scipy.special import erfc
 
 import xradon as xr
 from xradon import phantom as phm
-from conftest import ray_differences_per_node, ray_march_density
+from conftest import cube_grid, ray_differences_per_node, ray_march_density
 
 SQRT_PI = np.sqrt(np.pi)
 
@@ -541,7 +541,7 @@ class TestRayDifferences:
         # centre, t = 5.83 h <= 0.117, so every voxel takes the series form
         ph = two_gaussians()
         quad = xr.fibonacci_sphere(2000)
-        points = xr.cube_grid(3.0, 33).points()
+        points = cube_grid(3.0, 33).points()
         widths = looped_widths(monkeypatch)
         fused = phm.ray_differences(ph, points, h, quad.nodes, quad.weights)
         assert widths == []
@@ -715,7 +715,7 @@ class TestBallRayDifferences:
             6.0,
         )
         ball = ph.primitives[1]
-        points = xr.cube_grid(3.0, 33).points()
+        points = cube_grid(3.0, 33).points()
         quad = xr.fibonacci_sphere(2000)
         h = 1e-4
         shell = points[np.abs(np.linalg.norm(points - ball.center, axis=1) - ball.scale) < h]
