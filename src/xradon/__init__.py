@@ -27,7 +27,6 @@ from .hilbert import (
     HILBERT_DERIVATIVE,
     SECOND_DERIVATIVE,
     convolve_rows,
-    hilbert_pv_direct,
     sample_rows,
 )
 from .inversion import (

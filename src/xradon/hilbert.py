@@ -4,8 +4,9 @@ Sign convention: Hf(s) = (1/pi) P.V. integral f(sigma) / (s - sigma) d sigma,
 so that H[1/(1+s^2)] = s/(1+s^2), H[cos] = sin, and H(H f) = -f.
 
 Every filter of a row (H, d/ds H, d^2/ds^2) is one linear convolution with a
-band-limited kernel by FFT; a direct singularity-subtracted quadrature of H
-validates the first.  sample_rows reads filtered rows by cubic interpolation;
+band-limited kernel by FFT, over the whole row or over a window of its
+samples; the tests hold the first to a direct singularity-subtracted
+quadrature of H.  sample_rows reads filtered rows by cubic interpolation;
 CubicReader is its reusable form, for a stream of node blocks, and
 FilteredBlocks filters such a stream a chunk at a time, fetching each chunk
 from a Radon row source.
@@ -72,26 +73,33 @@ SECOND_DERIVATIVE = Kernel(-np.pi**2 / 3.0, lambda k: np.where(k % 2 == 1, 2.0, 
 
 
 @functools.lru_cache(maxsize=16)
-def _kernel_spectrum(kernel, count):
-    """FFT length m and the rfft of `kernel` for rows of `count` samples: its taps at
-    lags -(count-1)..count-1 laid out circularly on m points, so that a zero-padded
-    row's circular convolution with them is the linear one.  Cached per kernel and
-    row length for the blocks of a filter pass; read-only, so no caller can change
-    the cached copy.
+def _kernel_spectrum(kernel, count, start, width):
+    """FFT length m and the rfft of `kernel` for the output samples start..start +
+    width - 1 of rows of `count` samples: its taps at the lags start - (count - 1)
+    .. start + width - 1, lag start + q at point q mod m, so that a zero-padded
+    row's circular convolution with them is, at points 0..width - 1, the linear
+    one at those samples.  Cached per kernel, row length and window for the
+    blocks of a filter pass; read-only, so no caller can change the cached copy.
+    The whole row, start 0 and width count, is convolve_rows' spectrum.
 
-    m is the next fast length from 2*count - 2 where the taps at the lags +-(count-1)
-    are equal: on 2*count - 2 points those two lags share the one point count - 1,
-    and each is read only by the output sample at its own end of the row.  That
-    holds for the even kernels at every count, and for the odd HILBERT at odd count,
-    whose even lag count - 1 has a zero tap.  Elsewhere m starts from 2*count - 1."""
-    k = np.arange(1, count)
-    shared = count > 1 and bool(kernel.taps(k[-1:]) == kernel.taps(-k[-1:]))
-    m = sfft.next_fast_len(2 * count - 1 - shared, real=True)
-    taps = np.zeros(m)
-    taps[0] = kernel.centre
-    taps[1:count] = kernel.taps(k)
-    taps[m - count + 1:] = kernel.taps(-k[::-1])
-    spectrum = sfft.rfft(taps)
+    m is the next fast length from count + width - 2 where the window is wider
+    than one sample and the taps at the two extreme lags are equal: on that many
+    points those two lags share one point, and each is read only by the output
+    sample at its own end of the window (the lag start - (count - 1) by sample
+    start, from the row's last sample; the lag start + width - 1 by the last
+    sample, from the row's first).  On the whole row that holds for the even
+    kernels at every count, and for the odd HILBERT at odd count, whose even lag
+    count - 1 has a zero tap.  Elsewhere m starts from count + width - 1."""
+    lags = np.arange(start - count + 1, start + width)
+    taps = np.full(lags.size, kernel.centre)
+    nonzero = lags != 0
+    taps[nonzero] = kernel.taps(lags[nonzero])
+    shared = width > 1 and bool(taps[0] == taps[-1])
+    m = sfft.next_fast_len(count + width - 1 - shared, real=True)
+    circular = np.zeros(m)
+    circular[:width] = taps[count - 1:]
+    circular[m - count + 1:] = taps[:count - 1]
+    spectrum = sfft.rfft(circular)
     spectrum.flags.writeable = False
     return m, spectrum
 
@@ -108,27 +116,31 @@ def convolve_rows(values, kernel, spacing, out=None):
     row's result does not depend on its block.  out, an array of values' shape,
     receives the result; out=values filters a stack that nothing else uses in
     place.  FilteredBlocks gives the same rows of a row source a chunk at a
-    time, with no (K, S) array.
+    time, with no (K, S) array, or any window of their samples.
     """
     values = np.asarray(values, dtype=float)
     _check_decay(values)
     n = values.shape[-1]
     out = np.empty(values.shape) if out is None else out
-    _filter_rows(values.reshape(-1, n), kernel, spacing, out.reshape(-1, n))
+    _filter_rows(values.reshape(-1, n), kernel, spacing, out.reshape(-1, n), 0)
     return out
 
 
-def _filter_rows(rows, kernel, spacing, out):
-    """convolve_rows of the (R, S) rows into out, (R, S), with no decay check: in
-    blocks of geometry.node_blocks(R, 2 S), each transformed, multiplied by the
-    kernel's spectrum and written to out before the next."""
+def _filter_rows(rows, kernel, spacing, out, start):
+    """The samples start..start + W - 1 of convolve_rows of the (R, S) rows into
+    out, (R, W), with no decay check: in blocks of geometry.node_blocks(R, 2 S),
+    each transformed, multiplied by the spectrum of the kernel's window and
+    written to out before the next.  out may be the first R W values of the
+    rows' own array: a block's samples then end no further on than its own
+    rows, which it has read."""
     n = rows.shape[-1]
-    m, taps = _kernel_spectrum(kernel, n)
+    width = out.shape[-1]
+    m, taps = _kernel_spectrum(kernel, n, start, width)
     scale = spacing**kernel.order
     for block in node_blocks(rows.shape[0], 2 * n):
         spectrum = sfft.rfft(rows[block], n=m, axis=-1)
         spectrum *= taps
-        np.divide(sfft.irfft(spectrum, n=m, axis=-1)[:, :n], scale, out=out[block])
+        np.divide(sfft.irfft(spectrum, n=m, axis=-1)[:, :width], scale, out=out[block])
 
 
 # The rows of one FilteredBlocks chunk: as many whole node blocks as fit in
@@ -143,27 +155,34 @@ CHUNK_SAMPLES = 4 * ROWS
 
 
 class FilteredBlocks:
-    """The rows of a Radon row source `data` filtered by kernel, bitwise
-    convolve_rows(all K rows, kernel, data.spacing)[block], for the node blocks
-    of geometry.node_blocks(K, width), of at most `rows` rows each, taken in
-    order, with no (K, S) array.
+    """The samples `window` of the rows of a Radon row source `data` filtered by
+    kernel, convolve_rows(all K rows, kernel, data.spacing)[block, window] (bitwise
+    for the whole row), for the node blocks of geometry.node_blocks(K, width), of
+    at most `rows` rows each, taken in order, with no (K, S) array.
 
     data is a row source (inversion.RadonDataset, inversion.PhantomProfiles):
     data.count rows of data.samples samples at data.spacing, and
     data.rows(start, stop, scratch), rows start..stop as an array, either a
-    view of the source's own or the (stop - start, S) scratch filled.  A chunk
-    is as many whole node blocks as fit in CHUNK_SAMPLES, and at least one, so
-    a node block never straddles two chunks.  filtered(block) fetches the
-    block's chunk into one scratch array when the block is the first read
+    view of the source's own or the (stop - start, S) scratch filled.  window,
+    a slice of the S sample indices (all of them for None), is the W samples
+    of each filtered row that filtered(block) gives; each row is still fetched
+    and checked whole, since each of its filtered samples reads all of it.  A
+    chunk is as many whole node blocks as fit in CHUNK_SAMPLES, and at least
+    one, so a node block never straddles two chunks.  filtered(block) fetches
+    the block's chunk into one scratch array when the block is the first read
     from it, checks its rows (ProfileDecayError, before any of them is
-    filtered) and filters them into that scratch, in place when the source
-    filled it; the next chunk overwrites the view.
+    filtered) and filters their windows into the first W values per row of
+    that scratch, in place when the source filled it; the next chunk
+    overwrites the view.
     """
 
-    def __init__(self, data, kernel, rows):
+    def __init__(self, data, kernel, rows, window=None):
         self._data, self._kernel = data, kernel
+        self._window = slice(0, data.samples) if window is None else window
         self._chunk = rows * max(1, CHUNK_SAMPLES // data.samples // rows)
         self._scratch = np.empty((min(self._chunk, data.count), data.samples))
+        width = self._window.stop - self._window.start
+        self._filtered = self._scratch.reshape(-1)[: self._scratch.shape[0] * width].reshape(-1, width)
         self._start = None
 
     def __call__(self, block):
@@ -171,48 +190,11 @@ class FilteredBlocks:
         start = block.start - block.start % self._chunk
         if start != self._start:
             stop = min(start + self._chunk, total)
-            dest = self._scratch[: stop - start]
-            values = self._data.rows(start, stop, dest)
+            values = self._data.rows(start, stop, self._scratch[: stop - start])
             _check_decay(values)
-            _filter_rows(values, self._kernel, self._data.spacing, dest)
+            _filter_rows(values, self._kernel, self._data.spacing, self._filtered[: stop - start], self._window.start)
             self._start = start
-        return self._scratch[block.start - start: min(block.stop, total) - start]
-
-
-def hilbert_pv_direct(values, s_min, s_max):
-    """Hilbert transform of one row by direct singularity-subtracted quadrature.
-
-    `values` holds S samples on a uniform grid over [s_min, s_max].  Uses
-    the decomposition
-        pi * Hf(s) = int (f(sigma) - f(s)) / (s - sigma) d sigma
-                     + f(s) * ln((s - s_min) / (s_max - s)),
-    with the first term regular (its value at sigma = s is -f'(s)) and
-    evaluated by the trapezoid rule.  The logarithmic end-correction
-    diverges at the grid endpoints, so the result is the S - 2 samples
-    on the interior grid, s_min + h .. s_max - h for the grid spacing h.
-    The targets run in blocks of node_blocks(S - 2, S); a target's sum is over
-    its own row of the integrand, so its bits do not depend on its block.
-    """
-    f = np.asarray(values, dtype=float).reshape(-1)
-    _check_decay(f)
-    s = np.linspace(s_min, s_max, f.size)
-    h = (s_max - s_min) / (f.size - 1)
-    targets = s[1:-1]
-    ft = f[1:-1]
-    # removable singularity at sigma = s: limit is -f'(s)
-    fprime = (f[2:] - f[:-2]) / (2.0 * h)
-    trap = np.empty(targets.size)
-    for block in node_blocks(targets.size, f.size):
-        # integrand g(sigma) = (f(sigma) - f(s)) / (s - sigma), rows = targets
-        diff = f[None, :] - ft[block, None]
-        denom = targets[block, None] - s[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = diff / denom
-        idx = np.arange(g.shape[0])
-        g[idx, idx + block.start + 1] = -fprime[block]
-        trap[block] = h * (np.sum(g, axis=1) - 0.5 * (g[:, 0] + g[:, -1]))
-    correction = ft * np.log((targets - s_min) / (s_max - targets))
-    return (trap + correction) / np.pi
+        return self._filtered[block.start - start: min(block.stop, total) - start]
 
 
 # Rows: the stencil values v[j-1], v[j], v[j+1], v[j+2] of interval j;
@@ -331,25 +313,32 @@ def _horner(c, w, out):
 
 
 class CubicReader:
-    """sample_rows for a stream of blocks of at most `rows` rows, each of `count`
-    samples on one uniform grid over [s_min, s_max], read at `queries` offsets
-    per row.
+    """sample_rows for a stream of blocks of at most `rows` rows, each the samples
+    `window` (a slice; all of them for None) of a row of `count` samples on one
+    uniform grid over [s_min, s_max], read at `queries` offsets per row.
 
     reader(values, s) is sample_rows(values, s_min, s_max, s) for a (B, S)
-    block and its (B, Q) offsets, bitwise.  On the tables' path (Q >= S - 1)
-    every array a block needs is a slice of scratch allocated here, once:
-    the offsets in grid steps, the ghost-extended rows, the (B, S - 1, 4)
-    interval tables, the cells and their indices, the (B Q, 4) coefficients
-    that one gather per query takes from the tables, and the result.  The
-    result is then a view of that scratch, overwritten by the next call.
-    The per-query path (Q < S - 1) forms its stencils per call.
-    offsets(B) is the scratch of a block's offsets: a caller may write them
-    there, and the call reads them in place.
+    block and its (B, Q) offsets, bitwise, for the whole-row window.  A window
+    of W samples j0..j1 is read as rows of their own on [s_min + j0 h,
+    s_min + j1 h], h the grid's spacing, through ghosts at its two ends; the
+    offsets are still checked against the whole grid (offsets_on_grid).  On
+    the tables' path (Q >= W - 1) every array a block needs is a slice of
+    scratch allocated here, once: the offsets in grid steps, the
+    ghost-extended rows, the (B, W - 1, 4) interval tables, the cells and
+    their indices, the (B Q, 4) coefficients that one gather per query takes
+    from the tables, and the result.  The result is then a view of that
+    scratch, overwritten by the next call.  The per-query path (Q < W - 1)
+    forms its stencils per call.  offsets(B) is the scratch of a block's
+    offsets: a caller may write them there, and the call reads them in place.
     """
 
-    def __init__(self, rows, count, queries, s_min, s_max):
+    def __init__(self, rows, count, queries, s_min, s_max, window=None):
         self._s_min, self._s_max = s_min, s_max
         self._spacing = (s_max - s_min) / (count - 1)
+        start, stop = (0, count) if window is None else (window.start, window.stop)
+        # s_min itself for the whole row: s_min + 0 h may differ from it in the sign of a zero
+        self._origin = s_min + start * self._spacing if start else s_min
+        count = stop - start
         self._steps = np.empty((rows, queries))
         if _per_query(queries, count):
             self._tables = None
@@ -370,10 +359,10 @@ class CubicReader:
         rows, count = values.shape
         if s.size and not offsets_on_grid(s.min(), s.max(), self._s_min, self._s_max):
             raise ValueError("query offset outside the profile range")
-        w = np.subtract(s, self._s_min, out=self._steps[:rows])
+        w = np.subtract(s, self._origin, out=self._steps[:rows])
         w /= self._spacing
-        # the cell of each offset, clamped to the intervals 0..S - 2 (w may lie
-        # beyond either end by the grid's slack, more than a step on a fine grid);
+        # the cell of each offset, clamped to the intervals 0..W - 2 (w may lie
+        # beyond either end of the grid by its slack, more than a step on a fine grid);
         # maximum(-0.0, 0.0) is +0.0, so w - cell keeps w's bits there
         cell = np.trunc(w, out=None if self._tables is None else self._cells[:rows])
         np.maximum(cell, 0.0, out=cell)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,9 @@ from . import phantom as ph_mod
 from .geometry import (
     SphereQuadrature, VolumeGrid, as_direction, as_sum_inputs, difference_sum, node_blocks, rays, sphere_sum,
 )
-from .hilbert import HILBERT, HILBERT_DERIVATIVE, SECOND_DERIVATIVE, CubicReader, FilteredBlocks, sample_width
+from .hilbert import (
+    HILBERT, HILBERT_DERIVATIVE, SECOND_DERIVATIVE, CubicReader, FilteredBlocks, grid_slack, sample_width,
+)
 
 BRANCH_XRAY = "xray"
 BRANCH_RADON = "radon"
@@ -60,6 +63,15 @@ RADON_BRANCH_RIESZ = -16.0 * np.pi**3
 
 # Fewest samples of a Radon profile: the cubic read-out's 4-point stencils need room at both ends.
 MIN_PROFILE_SAMPLES = 8
+# How far a Radon row source's node norms may deviate from 1.
+NODE_TOL = 1e-9
+# Whole intervals by which the backprojection's filtered window reaches past the
+# intervals its points' offsets can fall in, on each side: the cubic read-out's
+# stencil reads one sample past each end of a query's interval, so no query reads
+# a window-end interval through its ghost where the window ends short of the grid.
+# The offsets' reach carries the grid's slack, far above the rounding of an
+# offset's place in grid steps, so none lands on the window's end intervals.
+WINDOW_MARGIN = 1
 
 
 @dataclass(frozen=True)
@@ -86,7 +98,7 @@ def _check_grid(nodes, s_min, s_max, samples):
         raise ValueError(f"dataset profiles require at least {MIN_PROFILE_SAMPLES} samples")
     if not (np.isfinite(s_min) and np.isfinite(s_max) and s_max > s_min):
         raise ValueError(f"require finite s_min < s_max, got {s_min!r}, {s_max!r}")
-    if not np.all(np.abs(np.linalg.norm(nodes, axis=1) - 1.0) <= 1e-9):  # NaN fails
+    if not np.all(np.abs(np.linalg.norm(nodes, axis=1) - 1.0) <= NODE_TOL):  # NaN fails
         raise ValueError("dataset nodes must be unit vectors")
 
 
@@ -223,18 +235,45 @@ def _as_points(points):
 _BRANCH_FILTERS = {BRANCH_RADON: HILBERT_DERIVATIVE, BRANCH_CLASSICAL: SECOND_DERIVATIVE}
 
 
+def _window(data, kernel, points):
+    """The slice j0..j1 of data's sample indices whose values filtered by kernel
+    the offsets x . n_k of points can read: |x . n_k| <= r, r = max |x|, widened
+    by NODE_TOL of r and by the grid's slack (hilbert.grid_slack), then by
+    WINDOW_MARGIN whole intervals on each side, and clipped to the grid; at
+    least four samples, the cubic read-out's stencil.  The whole grid where r
+    is not finite, so that the reader rejects those offsets as it rejects any
+    off the grid.  SECOND_DERIVATIVE reads whole rows: its gain (pi / h)^2 lifts
+    the FFT's rounding, so that its windowed samples differ from the whole
+    row's by up to 2e-12 of their maximum at 801 samples, and a point's
+    classical value would depend on the batch it is read with, by 4e-13 (401
+    samples) to 9e-12 (3,201) against 3e-15 to 3e-14 for HILBERT_DERIVATIVE."""
+    if kernel is SECOND_DERIVATIVE:
+        return slice(0, data.samples)
+    count = data.samples
+    radius = float(np.max(np.hypot(np.hypot(points[:, 0], points[:, 1]), points[:, 2]), initial=0.0))
+    reach = radius * (1.0 + NODE_TOL) + grid_slack(data.s_min, data.s_max)
+    low, high = (-reach - data.s_min) / data.spacing, (reach - data.s_min) / data.spacing
+    if not (math.isfinite(low) and math.isfinite(high)):
+        return slice(0, count)
+    start = min(max(math.floor(low) - WINDOW_MARGIN, 0), count - 4)
+    stop = max(min(math.ceil(high) + WINDOW_MARGIN, count - 1), start + 3) + 1
+    return slice(start, stop)
+
+
 def _backproject(data, kernel, quadrature, points):
     """sum_k w_k * filtered_k(x . n_k) at every point x, where filtered_k is row k of
-    the Radon row source data filtered by kernel (hilbert.convolve_rows).  The node
-    blocks are as wide as the values per row of one sample_rows call
-    (hilbert.sample_width); one FilteredBlocks fetches, checks and filters their
-    rows a chunk at a time, and one CubicReader reads each block, its offsets
-    x . n_k written straight into the reader's scratch."""
-    count = data.samples
-    width = sample_width(points.shape[0], count)
+    the Radon row source data filtered by kernel (hilbert.convolve_rows), filtered
+    and read only over the window of samples the points can reach (_window).
+    The node blocks are as wide as the values per row of one sample_rows call on
+    the window (hilbert.sample_width); one FilteredBlocks fetches and checks
+    their rows a chunk at a time and filters their windows, and one CubicReader
+    reads each block, its offsets x . n_k written straight into the reader's
+    scratch."""
+    window = _window(data, kernel, points)
+    width = sample_width(points.shape[0], window.stop - window.start)
     rows = min(quadrature.count, node_blocks(quadrature.count, width)[0].stop)
-    filtered = FilteredBlocks(data, kernel, rows)
-    read = CubicReader(rows, count, points.shape[0], data.s_min, data.s_max)
+    filtered = FilteredBlocks(data, kernel, rows, window)
+    read = CubicReader(rows, data.samples, points.shape[0], data.s_min, data.s_max, window)
 
     def values(block, nodes):
         return read(filtered(block), np.matmul(nodes, points.T, out=read.offsets(nodes.shape[0])))

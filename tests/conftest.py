@@ -3,6 +3,8 @@ import pytest
 
 import xradon as xr
 from xradon import inversion as inv
+from xradon.geometry import node_blocks
+from xradon.hilbert import _check_decay
 
 
 @pytest.fixture(scope="session")
@@ -93,3 +95,42 @@ def plane_march_density(ph, n, s, half_width=6.0, step=2e-2):
     )
     cell = (2.0 * half_width / m) ** 2
     return float(np.sum(xr.evaluate(ph, pts)) * cell)
+
+
+def hilbert_pv_direct(values, s_min, s_max):
+    """Hilbert transform of one row by direct singularity-subtracted quadrature: the
+    independent reference for the HILBERT filter (hilbert.convolve_rows).
+
+    `values` holds S samples on a uniform grid over [s_min, s_max].  Uses
+    the decomposition
+        pi * Hf(s) = int (f(sigma) - f(s)) / (s - sigma) d sigma
+                     + f(s) * ln((s - s_min) / (s_max - s)),
+    with the first term regular (its value at sigma = s is -f'(s)) and
+    evaluated by the trapezoid rule.  The logarithmic end-correction
+    diverges at the grid endpoints, so the result is the S - 2 samples
+    on the interior grid, s_min + h .. s_max - h for the grid spacing h.
+    The row is checked as the filters check it (a NaN or an inf sample, or no
+    decay, is a ValueError).  The targets run in blocks of
+    geometry.node_blocks(S - 2, S); a target's sum is over its own row of the
+    integrand, so its bits do not depend on its block.
+    """
+    f = np.asarray(values, dtype=float).reshape(-1)
+    _check_decay(f)
+    s = np.linspace(s_min, s_max, f.size)
+    h = (s_max - s_min) / (f.size - 1)
+    targets = s[1:-1]
+    ft = f[1:-1]
+    # removable singularity at sigma = s: limit is -f'(s)
+    fprime = (f[2:] - f[:-2]) / (2.0 * h)
+    trap = np.empty(targets.size)
+    for block in node_blocks(targets.size, f.size):
+        # integrand g(sigma) = (f(sigma) - f(s)) / (s - sigma), rows = targets
+        diff = f[None, :] - ft[block, None]
+        denom = targets[block, None] - s[None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = diff / denom
+        idx = np.arange(g.shape[0])
+        g[idx, idx + block.start + 1] = -fprime[block]
+        trap[block] = h * (np.sum(g, axis=1) - 0.5 * (g[:, 0] + g[:, -1]))
+    correction = ft * np.log((targets - s_min) / (s_max - targets))
+    return (trap + correction) / np.pi

@@ -14,8 +14,8 @@ import pytest
 import xradon as xr
 from xradon import inversion as inv
 from xradon.cli import main as cli_main
-from xradon.hilbert import HILBERT, convolve_rows, hilbert_pv_direct, sample_rows
-from conftest import S_GRID, calibrate, cube_grid, plane_march_density, ray_march_density
+from xradon.hilbert import HILBERT, convolve_rows, sample_rows
+from conftest import S_GRID, calibrate, cube_grid, hilbert_pv_direct, plane_march_density, ray_march_density
 
 
 def report(num, ok, detail):

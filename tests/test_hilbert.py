@@ -19,11 +19,10 @@ from xradon.hilbert import (
     _kernel_spectrum,
     _query_coefficients,
     convolve_rows,
-    hilbert_pv_direct,
     sample_rows,
     sample_width,
 )
-from conftest import ArrayRows
+from conftest import ArrayRows, hilbert_pv_direct
 
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -386,14 +385,39 @@ KERNEL_IDS = ["hilbert", "d-hilbert", "d2"]
 
 class TestKernelSpectrum:
     @pytest.mark.parametrize(
-        "count, lengths",
-        [(2, (3, 2, 2)), (9, (16, 16, 16)), (10, (20, 18, 18)), (801, (1600,) * 3), (1025, (2048,) * 3),
-         (3201, (6400,) * 3)],
+        "count, window, lengths",
+        [
+            (2, None, (3, 2, 2)),
+            (9, None, (16, 16, 16)),
+            (10, None, (20, 18, 18)),
+            (801, None, (1600,) * 3),
+            (1025, None, (2048,) * 3),
+            (3201, None, (6400,) * 3),
+            # the windows of a ball of radius 1.75 and of the [-3, 3]^3 volume on 801
+            # samples over [-8, 8]: lags -489..489 and -661..661, odd, where only the
+            # even kernels' taps agree; both lengths are fast either way
+            (801, (311, 179), (1000,) * 3),
+            (801, (139, 523), (1350,) * 3),
+            # lags -6..4, both even: the odd kernels' taps are 0 at both and shared,
+            # d^2's differ (-1/18 and -1/8)
+            (9, (2, 3), (10, 10, 12)),
+            # one interval, lags -5..5: Hilbert's taps there differ in sign, the even
+            # kernels' agree
+            (10, (4, 2), (12, 10, 10)),
+            # one sample reads both extreme lags -4 and 4, so they share no point
+            (9, (4, 1), (9, 9, 9)),
+            # from the first sample (lags -9..2) and to the last (lags -2..9)
+            (10, (0, 3), (12, 12, 12)),
+            (10, (7, 3), (12, 12, 12)),
+        ],
     )
-    def test_shortest_alias_free_length(self, count, lengths):
-        # next_fast_len(2S - 2) where the taps at lags +-(S - 1) agree: the even
-        # kernels always, Hilbert at odd S; Hilbert at even S keeps 2S - 1
-        got = tuple(_kernel_spectrum(kernel, count)[0] for kernel in KERNEL_TABLES)
+    def test_shortest_alias_free_length(self, count, window, lengths):
+        # next_fast_len(S + W - 2) for the W samples from j0 where the taps at the
+        # extreme lags j0 - (S - 1) and j0 + W - 1 agree and W > 1, else S + W - 1.
+        # On the whole row (None: j0 = 0, W = S) that is 2S - 2 for the even kernels
+        # always and Hilbert at odd S; Hilbert at even S keeps 2S - 1
+        start, width = (0, count) if window is None else window
+        got = tuple(_kernel_spectrum(kernel, count, start, width)[0] for kernel in KERNEL_TABLES)
         assert got == lengths
 
     @pytest.mark.parametrize("count", [8, 9, 10, 400, 401, 801, 1025])
@@ -412,14 +436,14 @@ class TestKernelSpectrum:
         assert err <= 1e-13 * np.max(np.abs(expected))
 
     def test_cached_spectrum_is_read_only(self):
-        m, spectrum = _kernel_spectrum(HILBERT, 801)
-        assert _kernel_spectrum(HILBERT, 801)[1] is spectrum
+        m, spectrum = _kernel_spectrum(HILBERT, 801, 0, 801)
+        assert _kernel_spectrum(HILBERT, 801, 0, 801)[1] is spectrum
         # keyed on the kernel as well as the row length
         for kernel in (HILBERT_DERIVATIVE, SECOND_DERIVATIVE):
-            other = _kernel_spectrum(kernel, 801)[1]
+            other = _kernel_spectrum(kernel, 801, 0, 801)[1]
             assert other is not spectrum and not np.array_equal(other, spectrum)
-            assert _kernel_spectrum(kernel, 801)[1] is other
-        assert _kernel_spectrum(HILBERT, 401)[1] is not spectrum
+            assert _kernel_spectrum(kernel, 801, 0, 801)[1] is other
+        assert _kernel_spectrum(HILBERT, 401, 0, 401)[1] is not spectrum
         with pytest.raises(ValueError):
             spectrum[0] = 1.0
         # the transform still reads it
@@ -550,3 +574,89 @@ class TestFilteredBlocks:
         with pytest.raises(ValueError, match="non-finite"):
             blocks(slice(0, 3))
         assert filtered == []
+
+
+def windows(count):
+    """Windows (j0, j1) of rows of `count` samples: interior and symmetric about the
+    centre, interior and asymmetric, from the first sample, to the last, one
+    interval wide and one sample wide; and three samples from S - 7 (at S = 9
+    the lags -6..4, whose extreme taps the odd kernels share: TestKernelSpectrum)."""
+    return [
+        (count // 4, count - 1 - count // 4),
+        (count // 5, count // 2 + 1),
+        (0, count // 3),
+        (count - 1 - count // 3, count - 1),
+        (count // 2, count // 2 + 1),
+        (count // 2, count // 2),
+        (count - 7, count - 5),
+    ]
+
+
+def window_noise(values, kernel, spacing):
+    """The scale of the FFT's rounding in a filtered row: max|row| times the
+    kernel's peak gain, (pi / spacing)**order."""
+    return np.max(np.abs(values), axis=-1, keepdims=True) * (np.pi / spacing) ** kernel.order
+
+
+# A windowed sample's largest distance from the whole row's, in window_noise:
+# measured 7.1e-16 over windows() of three random rows and two Gaussian profiles
+# on [-8, 8], at S from 8 to 3,201, for all three kernels.
+WINDOW_TOL = 1e-14
+
+
+class TestWindowedFilter:
+    """FilteredBlocks over a window of samples j0..j1: each row fetched and checked
+    whole, and its W samples filtered by one FFT of length S + W - 1 (or one less),
+    into the chunk's own scratch."""
+
+    @pytest.mark.parametrize("count", [8, 9, 10, 400, 401, 801, 1025])
+    @pytest.mark.parametrize("kernel", list(KERNEL_TABLES), ids=KERNEL_IDS)
+    def test_matches_the_whole_row_filter(self, kernel, count):
+        rng = np.random.default_rng(count)
+        s = np.linspace(-8.0, 8.0, count)
+        values = np.concatenate([decaying_rows(rng, 3, count), [np.exp(-(s**2)), np.exp(-((s - 0.3) ** 2) / 0.36)]])
+        source = ArrayRows(values, -8.0, 8.0)
+        full = convolve_rows(values, kernel, source.spacing)
+        tol = WINDOW_TOL * window_noise(values, kernel, source.spacing)
+        for j0, j1 in windows(count):
+            filtered = FilteredBlocks(source, kernel, len(values), slice(j0, j1 + 1))
+            got = filtered(slice(0, len(values)))
+            assert got.shape == (len(values), j1 - j0 + 1)
+            assert np.all(np.abs(got - full[:, j0:j1 + 1]) <= tol), (j0, j1)
+            # the first W values per row of the chunk's scratch, not a buffer of their own
+            assert np.shares_memory(got, filtered._scratch)
+
+    @pytest.mark.parametrize("count", [8, 9, 10, 400, 401, 801, 1025])
+    @pytest.mark.parametrize("kernel", list(KERNEL_TABLES), ids=KERNEL_IDS)
+    def test_whole_row_window_is_convolve_rows_bitwise(self, kernel, count):
+        values = decaying_rows(np.random.default_rng(count), 4, count)
+        source = ArrayRows(values, -8.0, 8.0, filled=True)
+        filtered = FilteredBlocks(source, kernel, 4, slice(0, count))
+        assert filtered(slice(0, 4)).tobytes() == convolve_rows(values, kernel, source.spacing).tobytes()
+
+    @settings(PROPERTY, max_examples=40)
+    @given(
+        total=st.integers(1, 200),
+        count=st.integers(8, 1100),
+        rows=st.integers(1, 40),
+        kernel=KERNELS,
+        filled=st.booleans(),
+        ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # node blocks of 3 at 801 samples in chunks of 81 rows, 81 + 81 + 8, each filtered
+    # in place in FFT blocks of 10 rows, on the calibration ball's window
+    @example(total=170, count=801, rows=3, kernel=HILBERT_DERIVATIVE, filled=True, ends=(311 / 800, 489 / 800), seed=0)
+    def test_blocks_match_the_whole_row_filter(self, total, count, rows, kernel, filled, ends, seed):
+        # a chunk's windows are written over the rows it fetched, block by block: no
+        # block's window overwrites a row that a later block still reads
+        j0, j1 = sorted(int(round(e * (count - 1))) for e in ends)
+        values = decaying_rows(np.random.default_rng(seed), total, count)
+        before = values.copy()
+        source = ArrayRows(values, 0.0, 0.1 * (count - 1), filled)
+        full = convolve_rows(values, kernel, source.spacing)
+        tol = WINDOW_TOL * window_noise(values, kernel, source.spacing)
+        filtered = FilteredBlocks(source, kernel, rows, slice(j0, j1 + 1))
+        for block in (slice(lo, lo + rows) for lo in range(0, total, rows)):
+            assert np.all(np.abs(filtered(block) - full[block, j0:j1 + 1]) <= tol[block])
+        assert values.tobytes() == before.tobytes()
