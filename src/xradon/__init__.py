@@ -25,7 +25,7 @@ from .xform import RadonProfile
 from .hilbert import (
     HILBERT,
     HILBERT_DERIVATIVE,
-    SECOND_DERIVATIVE,
+    SECOND_DIFFERENCE,
     convolve_rows,
     sample_rows,
 )

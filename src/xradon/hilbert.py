@@ -1,15 +1,17 @@
-"""Band-limited filters and cubic resampling of sampled profiles.
+"""Filters and cubic resampling of sampled profiles.
 
 Sign convention: Hf(s) = (1/pi) P.V. integral f(sigma) / (s - sigma) d sigma,
 so that H[1/(1+s^2)] = s/(1+s^2), H[cos] = sin, and H(H f) = -f.
 
-Every filter of a row (H, d/ds H, d^2/ds^2) is one linear convolution with a
-band-limited kernel by FFT, over the whole row or over a window of its
-samples; the tests hold the first to a direct singularity-subtracted
-quadrature of H.  sample_rows reads filtered rows by cubic interpolation;
-CubicReader is its reusable form, for a stream of node blocks, and
-FilteredBlocks filters such a stream a chunk at a time, fetching each chunk
-from a Radon row source.
+Every filter of a row is one linear convolution, over the whole row or over a
+window of its samples: H and d/ds H with a band-limited Kernel by FFT, whose
+every filtered sample reads the whole row, and d^2/ds^2 with the local
+7-point Stencil SECOND_DIFFERENCE, whose sample j reads samples j - 3..j + 3
+alone, summed in one order, so that a window's samples are the whole row's
+bitwise.  The tests hold H to a direct singularity-subtracted quadrature.
+sample_rows reads filtered rows by cubic interpolation; CubicReader is its
+reusable form, for a stream of node blocks, and FilteredBlocks filters such a
+stream a chunk at a time, fetching each chunk from a Radon row source.
 """
 
 from __future__ import annotations
@@ -64,12 +66,26 @@ class Kernel(NamedTuple):
     order: int
 
 
-# H (odd), d/ds H (even, the ramp |w|) and d^2/ds^2 (even, -w^2): the inverse transform
-# of each multiplier over |w| <= pi / tau at the lags k tau, times tau (Kak & Slaney,
-# Principles of Computerized Tomographic Imaging, 1988, ch. 3).
+# H (odd) and d/ds H (even, the ramp |w|): the inverse transform of each multiplier
+# over |w| <= pi / tau at the lags k tau, times tau (Kak & Slaney, Principles of
+# Computerized Tomographic Imaging, 1988, ch. 3).
 HILBERT = Kernel(0.0, lambda k: np.where(k % 2 == 1, 2.0 / (np.pi * k), 0.0), 0)
 HILBERT_DERIVATIVE = Kernel(np.pi / 2.0, lambda k: np.where(k % 2 == 1, -2.0 / (np.pi * k * k), 0.0), 1)
-SECOND_DERIVATIVE = Kernel(-np.pi**2 / 3.0, lambda k: np.where(k % 2 == 1, 2.0, -2.0) / (k * k), 2)
+
+
+class Stencil(NamedTuple):
+    """A local kernel at unit spacing: its taps at the lags -r..r, an odd count;
+    at spacing tau each tap is over tau**order."""
+
+    taps: tuple
+    order: int
+
+
+# d^2/ds^2 by the 7-point central second difference, of order 6 in the spacing.  The
+# classical inversion is local in s in three dimensions (Natterer, The Mathematics of
+# Computerized Tomography, 1986, ch. II), and the cubic read-out's order-4 error
+# dominates this one's on the profiles here.
+SECOND_DIFFERENCE = Stencil((1 / 90, -3 / 20, 3 / 2, -49 / 18, 3 / 2, -3 / 20, 1 / 90), 2)
 
 
 @functools.lru_cache(maxsize=16)
@@ -88,8 +104,9 @@ def _kernel_spectrum(kernel, count, start, width):
     sample at its own end of the window (the lag start - (count - 1) by sample
     start, from the row's last sample; the lag start + width - 1 by the last
     sample, from the row's first).  On the whole row that holds for the even
-    kernels at every count, and for the odd HILBERT at odd count, whose even lag
-    count - 1 has a zero tap.  Elsewhere m starts from count + width - 1."""
+    HILBERT_DERIVATIVE at every count, and for the odd HILBERT at odd count,
+    whose even lag count - 1 has a zero tap.  Elsewhere m starts from count +
+    width - 1."""
     lags = np.arange(start - count + 1, start + width)
     taps = np.full(lags.size, kernel.centre)
     nonzero = lags != 0
@@ -108,9 +125,9 @@ def convolve_rows(values, kernel, spacing, out=None):
     """The linear convolution of each row of `values` (samples along the last axis,
     at the given spacing) with a Kernel, by one real FFT of length >= 2S - 2 for
     rows of S samples (_kernel_spectrum): exact for band-limited samples, with
-    no wrap-around.  The samples beyond the grid count as zero, so every row
-    must decay (DECAY_TOL) and be finite; that is checked for all rows before
-    any is written.
+    no wrap-around; or with a Stencil, by shift-and-add.  The samples beyond
+    the grid count as zero, so every row must decay (DECAY_TOL) and be finite;
+    that is checked for all rows before any is written.
 
     The rows run in blocks of geometry.node_blocks(rows, 2 S) (_filter_rows); a
     row's result does not depend on its block.  out, an array of values' shape,
@@ -129,15 +146,35 @@ def convolve_rows(values, kernel, spacing, out=None):
 def _filter_rows(rows, kernel, spacing, out, start):
     """The samples start..start + W - 1 of convolve_rows of the (R, S) rows into
     out, (R, W), with no decay check: in blocks of geometry.node_blocks(R, 2 S),
-    each transformed, multiplied by the spectrum of the kernel's window and
-    written to out before the next.  out may be the first R W values of the
-    rows' own array: a block's samples then end no further on than its own
-    rows, which it has read."""
+    each read whole before its samples are written to out.  out may be the
+    first R W values of the rows' own array: a block's samples then end no
+    further on than its own rows, which it has read.
+
+    A Kernel's block is transformed, multiplied by the spectrum of the kernel's
+    window and transformed back.  A Stencil's block is copied into a
+    zero-padded scratch, allocated once per call, and each output sample sums
+    its taps' products lag by lag, in the order of the taps, into out: the same
+    operations on the same inputs for any window that holds it."""
     n = rows.shape[-1]
     width = out.shape[-1]
-    m, taps = _kernel_spectrum(kernel, n, start, width)
     scale = spacing**kernel.order
-    for block in node_blocks(rows.shape[0], 2 * n):
+    blocks = node_blocks(rows.shape[0], 2 * n)
+    if isinstance(kernel, Stencil):
+        height = rows[blocks[0]].shape[0] if blocks else 0
+        reach = len(kernel.taps) // 2
+        padded = np.zeros((height, n + 2 * reach))
+        term = np.empty((height, width))
+        for block in blocks:
+            ext = padded[: rows[block].shape[0]]
+            ext[:, reach:reach + n] = rows[block]
+            acc, product = out[block], term[: ext.shape[0]]
+            np.multiply(ext[:, start:start + width], kernel.taps[0], out=acc)
+            for lag, tap in enumerate(kernel.taps[1:], 1):
+                acc += np.multiply(ext[:, start + lag:start + lag + width], tap, out=product)
+            acc /= scale
+        return
+    m, taps = _kernel_spectrum(kernel, n, start, width)
+    for block in blocks:
         spectrum = sfft.rfft(rows[block], n=m, axis=-1)
         spectrum *= taps
         np.divide(sfft.irfft(spectrum, n=m, axis=-1)[:, :width], scale, out=out[block])
@@ -157,16 +194,18 @@ CHUNK_SAMPLES = 4 * ROWS
 class FilteredBlocks:
     """The samples `window` of the rows of a Radon row source `data` filtered by
     kernel, convolve_rows(all K rows, kernel, data.spacing)[block, window] (bitwise
-    for the whole row), for the node blocks of geometry.node_blocks(K, width), of
-    at most `rows` rows each, taken in order, with no (K, S) array.
+    for the whole row, and for any window of a Stencil), for the node blocks of
+    geometry.node_blocks(K, width), of at most `rows` rows each, taken in order,
+    with no (K, S) array.
 
     data is a row source (inversion.RadonDataset, inversion.PhantomProfiles):
     data.count rows of data.samples samples at data.spacing, and
     data.rows(start, stop, scratch), rows start..stop as an array, either a
     view of the source's own or the (stop - start, S) scratch filled.  window,
     a slice of the S sample indices (all of them for None), is the W samples
-    of each filtered row that filtered(block) gives; each row is still fetched
-    and checked whole, since each of its filtered samples reads all of it.  A
+    of each filtered row that filtered(block) gives.  Each row is still fetched
+    and checked whole: each sample filtered by a Kernel reads all of it, and a
+    Stencil's samples near the grid's ends read the zeros beyond it.  A
     chunk is as many whole node blocks as fit in CHUNK_SAMPLES, and at least
     one, so a node block never straddles two chunks.  filtered(block) fetches
     the block's chunk into one scratch array when the block is the first read

@@ -17,8 +17,9 @@ Three branches are implemented:
   I^1 = (-Laplacian)^(-1/2) is the Riesz potential, not f itself; the
   tests assert that target pointwise.
 * ``classical_radon``: the textbook second-derivative inversion
-  f(x) = -(1/(8*pi^2)) * integral_{S^2} d^2/ds^2 Rf(n, s)|_{s = x.n} dn
-  (hilbert.SECOND_DERIVATIVE), the independent oracle for the other branches.
+  f(x) = -(1/(8*pi^2)) * integral_{S^2} d^2/ds^2 Rf(n, s)|_{s = x.n} dn,
+  local in s, by the 7-point central second difference
+  (hilbert.SECOND_DIFFERENCE), the independent oracle for the other branches.
 
 Also here: Grangeat's conversion of x-ray data into the derivative of
 Radon data, by a central difference across great circles, and the
@@ -39,7 +40,7 @@ from .geometry import (
     SphereQuadrature, VolumeGrid, as_direction, as_sum_inputs, difference_sum, node_blocks, rays, sphere_sum,
 )
 from .hilbert import (
-    HILBERT, HILBERT_DERIVATIVE, SECOND_DERIVATIVE, CubicReader, FilteredBlocks, grid_slack, sample_width,
+    HILBERT, HILBERT_DERIVATIVE, SECOND_DIFFERENCE, CubicReader, FilteredBlocks, grid_slack, sample_width,
 )
 
 BRANCH_XRAY = "xray"
@@ -232,23 +233,19 @@ def _as_points(points):
 
 
 # The kernel of each radon branch's backprojected integrand: d/ds H Rf and d^2/ds^2 Rf.
-_BRANCH_FILTERS = {BRANCH_RADON: HILBERT_DERIVATIVE, BRANCH_CLASSICAL: SECOND_DERIVATIVE}
+_BRANCH_FILTERS = {BRANCH_RADON: HILBERT_DERIVATIVE, BRANCH_CLASSICAL: SECOND_DIFFERENCE}
 
 
-def _window(data, kernel, points):
-    """The slice j0..j1 of data's sample indices whose values filtered by kernel
-    the offsets x . n_k of points can read: |x . n_k| <= r, r = max |x|, widened
-    by NODE_TOL of r and by the grid's slack (hilbert.grid_slack), then by
-    WINDOW_MARGIN whole intervals on each side, and clipped to the grid; at
-    least four samples, the cubic read-out's stencil.  The whole grid where r
-    is not finite, so that the reader rejects those offsets as it rejects any
-    off the grid.  SECOND_DERIVATIVE reads whole rows: its gain (pi / h)^2 lifts
-    the FFT's rounding, so that its windowed samples differ from the whole
-    row's by up to 2e-12 of their maximum at 801 samples, and a point's
-    classical value would depend on the batch it is read with, by 4e-13 (401
-    samples) to 9e-12 (3,201) against 3e-15 to 3e-14 for HILBERT_DERIVATIVE."""
-    if kernel is SECOND_DERIVATIVE:
-        return slice(0, data.samples)
+def _window(data, points):
+    """The slice j0..j1 of data's sample indices whose filtered values the offsets
+    x . n_k of points can read: |x . n_k| <= r, r = max |x|, widened by NODE_TOL
+    of r and by the grid's slack (hilbert.grid_slack), then by WINDOW_MARGIN
+    whole intervals on each side, and clipped to the grid; at least four
+    samples, the cubic read-out's stencil.  The whole grid where r is not
+    finite, so that the reader rejects those offsets as it rejects any off the
+    grid.  One rule for every kernel: a window's filtered samples are the whole
+    row's, bitwise for the classical branch's local stencil and within the
+    FFT's rounding for the Hilbert kernels (hilbert.FilteredBlocks)."""
     count = data.samples
     radius = float(np.max(np.hypot(np.hypot(points[:, 0], points[:, 1]), points[:, 2]), initial=0.0))
     reach = radius * (1.0 + NODE_TOL) + grid_slack(data.s_min, data.s_max)
@@ -269,7 +266,7 @@ def _backproject(data, kernel, quadrature, points):
     their rows a chunk at a time and filters their windows, and one CubicReader
     reads each block, its offsets x . n_k written straight into the reader's
     scratch."""
-    window = _window(data, kernel, points)
+    window = _window(data, points)
     width = sample_width(points.shape[0], window.stop - window.start)
     rows = min(quadrature.count, node_blocks(quadrature.count, width)[0].stop)
     filtered = FilteredBlocks(data, kernel, rows, window)

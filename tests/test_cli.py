@@ -176,8 +176,10 @@ class TestInvert:
         assert np.max(np.abs(rec - phm.evaluate(ph, points))[off]) <= 1.02 * cfg.diff_step**2 / 3.0
 
     def test_classical_ball_ringing_is_bounded(self, tmp_path):
-        # gaussian-ball at the CLI defaults reads rel_l2 0.3696: the band-limited
-        # second derivative rings at the kinks of the ball's profiles.  It may only improve.
+        # gaussian-ball at the CLI defaults reads rel_l2 0.3441 with the 7-point
+        # stencil (0.3696 with the band-limited kernel it replaced): the error sits at
+        # the kinks of the ball's profiles, where d^2/ds^2 Rf holds a delta.  It may
+        # only improve.
         ph_path = tmp_path / "gb.txt"
         assert run("phantom-gen", "--out", str(ph_path), "--preset", "gaussian-ball") == 0
         outdir = tmp_path / "inv"

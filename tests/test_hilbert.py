@@ -12,7 +12,7 @@ from xradon.hilbert import (
     CHUNK_SAMPLES,
     HILBERT,
     HILBERT_DERIVATIVE,
-    SECOND_DERIVATIVE,
+    SECOND_DIFFERENCE,
     FilteredBlocks,
     ProfileDecayError,
     _cubic_coefficients,
@@ -225,8 +225,15 @@ def gaussian_radon_row(amplitude, scale, count):
     return x, np.pi * amplitude * scale**2 * np.exp(-(x**2)), 16.0 / (count - 1)
 
 
+def second_difference_taps(k):
+    """The 7-point central second difference's taps at the lags k != 0, unit spacing:
+    3/2, -3/20 and 1/90 at |k| = 1, 2 and 3, and 0 beyond."""
+    table = {1: 3 / 2, 2: -3 / 20, 3: 1 / 90}
+    return np.array([table.get(abs(int(lag)), 0.0) for lag in np.ravel(k)])
+
+
 class TestDerivativeKernels:
-    """convolve_rows with HILBERT_DERIVATIVE (d/ds H) and SECOND_DERIVATIVE (d^2/ds^2)."""
+    """convolve_rows with HILBERT_DERIVATIVE (d/ds H) and SECOND_DIFFERENCE (d^2/ds^2)."""
 
     @pytest.mark.parametrize("count", [401, 801, 1025])
     @pytest.mark.parametrize("scale", [0.6, 1.0])
@@ -238,15 +245,20 @@ class TestDerivativeKernels:
         err = np.max(np.abs(convolve_rows(row, HILBERT_DERIVATIVE, spacing) - expected))
         assert err <= 1e-12 * np.max(np.abs(expected))
 
-    @pytest.mark.parametrize("count", [401, 801, 1025])
-    @pytest.mark.parametrize("scale", [0.6, 1.0])
-    def test_second_derivative_of_gaussian(self, scale, count):
-        # d^2/ds^2 Rf = pi A e^(-x^2) (4 x^2 - 2)
+    def test_second_difference_has_order_six(self):
+        # d^2/ds^2 Rf = pi A e^(-s^2) (4 s^2 - 2) for a Gaussian (A, 1) at the origin.
+        # Each halving of the spacing on [-8, 8] divides the error by 2^6: the observed
+        # order reads 5.98 and 6.00 from S = 201 to 801.  At S = 1,601 rounding, about
+        # eps max|row| / h^2, takes over (2.8), so the band [5.9, 6.1] is asserted up
+        # to S = 801 only.
         amplitude = 1.3
-        x, row, spacing = gaussian_radon_row(amplitude, scale, count)
-        expected = np.pi * amplitude * np.exp(-(x**2)) * (4.0 * x**2 - 2.0)
-        err = np.max(np.abs(convolve_rows(row, SECOND_DERIVATIVE, spacing) - expected))
-        assert err <= 1e-11 * np.max(np.abs(expected))
+        errors = []
+        for count in (201, 401, 801):
+            x, row, spacing = gaussian_radon_row(amplitude, 1.0, count)
+            expected = np.pi * amplitude * np.exp(-(x**2)) * (4.0 * x**2 - 2.0)
+            errors.append(np.max(np.abs(convolve_rows(row, SECOND_DIFFERENCE, spacing) - expected)))
+        orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+        assert np.all((orders >= 5.9) & (orders <= 6.1)), orders
 
     @PROPERTY
     @given(
@@ -263,14 +275,14 @@ class TestDerivativeKernels:
         tau = spacing
         kernels = [
             (HILBERT_DERIVATIVE, np.pi / (2 * tau), lambda k: np.where(k % 2 == 1, -2 / (np.pi * k**2 * tau), 0)),
-            (SECOND_DERIVATIVE, -(np.pi**2) / (3 * tau**2), lambda k: -2 * (-1.0) ** k / (k**2 * tau**2)),
+            (SECOND_DIFFERENCE, -49 / (18 * tau**2), lambda k: second_difference_taps(k) / tau**2),
         ]
         for kernel, lag0, taps in kernels:
             expected = direct_convolution(row, lag0, taps)
             err = np.max(np.abs(convolve_rows(row, kernel, spacing) - expected))
             assert err <= 1e-12 * np.max(np.abs(expected))
 
-    @pytest.mark.parametrize("kernel", [HILBERT_DERIVATIVE, SECOND_DERIVATIVE], ids=["d-hilbert", "d2"])
+    @pytest.mark.parametrize("kernel", [HILBERT_DERIVATIVE, SECOND_DIFFERENCE], ids=["d-hilbert", "d2"])
     def test_rejects_non_decaying(self, kernel):
         with pytest.raises(ProfileDecayError):
             convolve_rows(np.ones(64), kernel, 0.1)
@@ -378,7 +390,7 @@ class TestRows:
 KERNEL_TABLES = {
     HILBERT: (0.0, lambda k: np.where(k % 2 == 1, 2.0 / (np.pi * k), 0.0)),
     HILBERT_DERIVATIVE: (np.pi / 2.0, lambda k: np.where(k % 2 == 1, -2.0 / (np.pi * k**2), 0.0)),
-    SECOND_DERIVATIVE: (-(np.pi**2) / 3.0, lambda k: -2.0 * (-1.0) ** k / k**2),
+    SECOND_DIFFERENCE: (-49 / 18, second_difference_taps),
 }
 KERNEL_IDS = ["hilbert", "d-hilbert", "d2"]
 
@@ -387,37 +399,36 @@ class TestKernelSpectrum:
     @pytest.mark.parametrize(
         "count, window, lengths",
         [
-            (2, None, (3, 2, 2)),
-            (9, None, (16, 16, 16)),
-            (10, None, (20, 18, 18)),
-            (801, None, (1600,) * 3),
-            (1025, None, (2048,) * 3),
-            (3201, None, (6400,) * 3),
+            (2, None, (3, 2)),
+            (9, None, (16, 16)),
+            (10, None, (20, 18)),
+            (801, None, (1600,) * 2),
+            (1025, None, (2048,) * 2),
+            (3201, None, (6400,) * 2),
             # the windows of a ball of radius 1.75 and of the [-3, 3]^3 volume on 801
             # samples over [-8, 8]: lags -489..489 and -661..661, odd, where only the
-            # even kernels' taps agree; both lengths are fast either way
-            (801, (311, 179), (1000,) * 3),
-            (801, (139, 523), (1350,) * 3),
-            # lags -6..4, both even: the odd kernels' taps are 0 at both and shared,
-            # d^2's differ (-1/18 and -1/8)
-            (9, (2, 3), (10, 10, 12)),
+            # even kernel's taps agree; both lengths are fast either way
+            (801, (311, 179), (1000,) * 2),
+            (801, (139, 523), (1350,) * 2),
+            # lags -6..4, both even: both kernels' taps are 0 at both and shared
+            (9, (2, 3), (10, 10)),
             # one interval, lags -5..5: Hilbert's taps there differ in sign, the even
-            # kernels' agree
-            (10, (4, 2), (12, 10, 10)),
+            # kernel's agree
+            (10, (4, 2), (12, 10)),
             # one sample reads both extreme lags -4 and 4, so they share no point
-            (9, (4, 1), (9, 9, 9)),
+            (9, (4, 1), (9, 9)),
             # from the first sample (lags -9..2) and to the last (lags -2..9)
-            (10, (0, 3), (12, 12, 12)),
-            (10, (7, 3), (12, 12, 12)),
+            (10, (0, 3), (12, 12)),
+            (10, (7, 3), (12, 12)),
         ],
     )
     def test_shortest_alias_free_length(self, count, window, lengths):
         # next_fast_len(S + W - 2) for the W samples from j0 where the taps at the
         # extreme lags j0 - (S - 1) and j0 + W - 1 agree and W > 1, else S + W - 1.
-        # On the whole row (None: j0 = 0, W = S) that is 2S - 2 for the even kernels
+        # On the whole row (None: j0 = 0, W = S) that is 2S - 2 for the even kernel
         # always and Hilbert at odd S; Hilbert at even S keeps 2S - 1
         start, width = (0, count) if window is None else window
-        got = tuple(_kernel_spectrum(kernel, count, start, width)[0] for kernel in KERNEL_TABLES)
+        got = tuple(_kernel_spectrum(kernel, count, start, width)[0] for kernel in (HILBERT, HILBERT_DERIVATIVE))
         assert got == lengths
 
     @pytest.mark.parametrize("count", [8, 9, 10, 400, 401, 801, 1025])
@@ -439,10 +450,9 @@ class TestKernelSpectrum:
         m, spectrum = _kernel_spectrum(HILBERT, 801, 0, 801)
         assert _kernel_spectrum(HILBERT, 801, 0, 801)[1] is spectrum
         # keyed on the kernel as well as the row length
-        for kernel in (HILBERT_DERIVATIVE, SECOND_DERIVATIVE):
-            other = _kernel_spectrum(kernel, 801, 0, 801)[1]
-            assert other is not spectrum and not np.array_equal(other, spectrum)
-            assert _kernel_spectrum(kernel, 801, 0, 801)[1] is other
+        other = _kernel_spectrum(HILBERT_DERIVATIVE, 801, 0, 801)[1]
+        assert other is not spectrum and not np.array_equal(other, spectrum)
+        assert _kernel_spectrum(HILBERT_DERIVATIVE, 801, 0, 801)[1] is other
         assert _kernel_spectrum(HILBERT, 401, 0, 401)[1] is not spectrum
         with pytest.raises(ValueError):
             spectrum[0] = 1.0
@@ -486,7 +496,7 @@ def decaying_rows(rng, rows, count):
     return values
 
 
-KERNELS = st.sampled_from((HILBERT, HILBERT_DERIVATIVE, SECOND_DERIVATIVE))
+KERNELS = st.sampled_from((HILBERT, HILBERT_DERIVATIVE, SECOND_DIFFERENCE))
 
 
 class TestConvolveRowsBlocks:
@@ -502,7 +512,7 @@ class TestConvolveRowsBlocks:
     )
     @example(count=8, blocks=1, kernel=HILBERT, spacing=1.0, seed=0)
     @example(count=101, blocks=2, kernel=HILBERT_DERIVATIVE, spacing=0.16, seed=1)
-    @example(count=801, blocks=2, kernel=SECOND_DERIVATIVE, spacing=0.02, seed=2)
+    @example(count=801, blocks=2, kernel=SECOND_DIFFERENCE, spacing=0.02, seed=2)
     @example(count=1025, blocks=2, kernel=HILBERT_DERIVATIVE, spacing=0.015625, seed=3)
     def test_blocks_equal_row_by_row(self, count, blocks, kernel, spacing, seed):
         # whole blocks and a short last one
@@ -528,7 +538,7 @@ class TestConvolveRowsBlocks:
         before = values.copy()
         out = values if in_place else np.full(values.shape, 7.0)
         with pytest.raises(ProfileDecayError):
-            convolve_rows(values, SECOND_DERIVATIVE, 0.1, out=out)
+            convolve_rows(values, SECOND_DIFFERENCE, 0.1, out=out)
         assert values.tobytes() == before.tobytes()
         if not in_place:
             assert np.all(out == 7.0)
@@ -551,7 +561,7 @@ class TestFilteredBlocks:
     # 81 rows, 81 + 81 + 8, the last block short
     @example(total=170, count=801, rows=3, kernel=HILBERT_DERIVATIVE, filled=True, seed=0)
     # node blocks of 5 at 3,201 samples in chunks of 20, 20 + 3, each filtered in FFT blocks of 2
-    @example(total=23, count=3201, rows=5, kernel=SECOND_DERIVATIVE, filled=False, seed=1)
+    @example(total=23, count=3201, rows=5, kernel=SECOND_DIFFERENCE, filled=False, seed=1)
     def test_blocks_equal_convolve_rows_bitwise(self, total, count, rows, kernel, filled, seed):
         values = decaying_rows(np.random.default_rng(seed), total, count)
         before = values.copy()
@@ -600,14 +610,34 @@ def window_noise(values, kernel, spacing):
 
 # A windowed sample's largest distance from the whole row's, in window_noise:
 # measured 7.1e-16 over windows() of three random rows and two Gaussian profiles
-# on [-8, 8], at S from 8 to 3,201, for all three kernels.
+# on [-8, 8], at S from 8 to 3,201, for the two FFT kernels (the stencil's is 0).
 WINDOW_TOL = 1e-14
 
 
 class TestWindowedFilter:
     """FilteredBlocks over a window of samples j0..j1: each row fetched and checked
     whole, and its W samples filtered by one FFT of length S + W - 1 (or one less),
-    into the chunk's own scratch."""
+    or by the stencil's shift-and-add, into the chunk's own scratch."""
+
+    @pytest.mark.parametrize("filled", [False, True], ids=["view", "filled"])
+    @pytest.mark.parametrize("count", [8, 9, 10, 801, 3201])
+    def test_stencil_window_is_the_whole_row_bitwise(self, count, filled):
+        # each sample sums its seven taps in one order, so a window's samples are
+        # the whole row's bits: windows(), and three windows of four samples, from
+        # the first sample, mid-row and to the last, the ends reading the zeros
+        # beyond the grid.  At 3,201 samples the five rows are filtered in blocks
+        # of two, each written over the chunk's scratch that the filled source
+        # fetched them into
+        rng = np.random.default_rng(count)
+        s = np.linspace(-8.0, 8.0, count)
+        values = np.concatenate([decaying_rows(rng, 3, count), [np.exp(-(s**2)), np.exp(-((s - 0.3) ** 2) / 0.36)]])
+        source = ArrayRows(values, -8.0, 8.0, filled)
+        full = convolve_rows(values, SECOND_DIFFERENCE, source.spacing)
+        fours = [(0, 3), (count // 2 - 2, count // 2 + 1), (count - 4, count - 1)]
+        for j0, j1 in windows(count) + fours:
+            filtered = FilteredBlocks(source, SECOND_DIFFERENCE, 2, slice(j0, j1 + 1))
+            for block in (slice(0, 2), slice(2, 4), slice(4, 6)):
+                assert filtered(block).tobytes() == full[block, j0:j1 + 1].tobytes(), (j0, j1)
 
     @pytest.mark.parametrize("count", [8, 9, 10, 400, 401, 801, 1025])
     @pytest.mark.parametrize("kernel", list(KERNEL_TABLES), ids=KERNEL_IDS)

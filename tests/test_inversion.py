@@ -390,7 +390,7 @@ class TestBatchReconstruction:
                 if branch == inv.BRANCH_XRAY:
                     total += weight * ray(x[None, :], h, node[None, :], np.ones(1))[0] / (2.0 * h)
                     continue
-                kernel = xr.HILBERT_DERIVATIVE if branch == inv.BRANCH_RADON else xr.SECOND_DERIVATIVE
+                kernel = xr.HILBERT_DERIVATIVE if branch == inv.BRANCH_RADON else xr.SECOND_DIFFERENCE
                 filtered = xr.convolve_rows(dataset.values[k], kernel, dataset.spacing)
                 offset = np.array([[np.dot(node, x)]])
                 total += weight * xr.sample_rows(filtered[None], dataset.s_min, dataset.s_max, offset)[0, 0]
@@ -608,7 +608,7 @@ class TestBackprojectBlocks:
         assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("filled", [False, True], ids=["view", "filled"])
-    @pytest.mark.parametrize("kernel", [xr.HILBERT, xr.HILBERT_DERIVATIVE, xr.SECOND_DERIVATIVE])
+    @pytest.mark.parametrize("kernel", [xr.HILBERT, xr.HILBERT_DERIVATIVE, xr.SECOND_DIFFERENCE])
     @pytest.mark.parametrize(
         "count, samples, nodes_count",
         [
@@ -707,7 +707,7 @@ class TestBackprojectWindow:
         fraction=st.floats(0.0, 1.0),
         tables=st.booleans(),
         filled=st.booleans(),
-        kernel=st.sampled_from((xr.HILBERT, xr.HILBERT_DERIVATIVE, xr.SECOND_DERIVATIVE)),
+        kernel=st.sampled_from((xr.HILBERT, xr.HILBERT_DERIVATIVE, xr.SECOND_DIFFERENCE)),
         seed=st.integers(0, 2**32 - 1),
     )
     # the calibration ball's window on 801 samples, per-query stencils and cubic tables
@@ -720,12 +720,11 @@ class TestBackprojectWindow:
     def test_matches_whole_rows(self, samples, fraction, tables, filled, kernel, seed):
         # against the backprojection of all rows filtered whole (convolve_rows), from
         # a RadonDataset's views or a source that fills the scratch; the window is
-        # partial unless the points reach both grid ends, and d^2/ds^2 always reads
-        # whole rows, both bitwise
+        # partial unless the points reach both grid ends, where it is bitwise
         rng = np.random.default_rng(seed)
         data, quadrature, _ = random_backprojection(rng, 1, samples, min(300, 2_000_000 // samples))
         radius = fraction * data.s_max
-        window = inv._window(data, kernel, np.array([[radius, 0.0, 0.0]]))
+        window = inv._window(data, np.array([[radius, 0.0, 0.0]]))
         width = window.stop - window.start
         count = width - 1 + int(rng.integers(0, 200)) if tables else max(1, width - 2)
         # two or three node blocks, most often with a short last one
@@ -735,7 +734,7 @@ class TestBackprojectWindow:
         quadrature = xr.SphereQuadrature(quadrature.nodes[:keep], weights)
         data = inv.RadonDataset(data.nodes[:keep], data.s_min, data.s_max, data.values[:keep])
         points = window_points(rng, data, quadrature, count, radius)
-        assert inv._window(data, kernel, points) == window
+        assert inv._window(data, points) == window
         filtered = xr.convolve_rows(data.values, kernel, data.spacing)
         expected = blockwise_sum(filtered, data, quadrature, points)
         source = ArrayRows(data.values, data.s_min, data.s_max, filled=True) if filled else data
@@ -743,7 +742,6 @@ class TestBackprojectWindow:
         if width == samples:
             assert got.tobytes() == expected.tobytes()
             return
-        assert kernel is not xr.SECOND_DERIVATIVE
         noise = quadrature.weights @ np.max(np.abs(data.values), axis=1) * (np.pi / data.spacing) ** kernel.order
         assert np.max(np.abs(got - expected)) <= BACKPROJECT_WINDOW_TOL * samples * noise
 
