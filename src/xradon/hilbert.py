@@ -5,13 +5,15 @@ so that H[1/(1+s^2)] = s/(1+s^2), H[cos] = sin, and H(H f) = -f.
 
 Every filter of a row is one linear convolution, over the whole row or over a
 window of its samples: H and d/ds H with a band-limited Kernel by FFT, whose
-every filtered sample reads the whole row, and d^2/ds^2 with the local
-7-point Stencil SECOND_DIFFERENCE, whose sample j reads samples j - 3..j + 3
-alone, summed in one order, so that a window's samples are the whole row's
-bitwise.  The tests hold H to a direct singularity-subtracted quadrature.
-sample_rows reads filtered rows by cubic interpolation; CubicReader is its
-reusable form, for a stream of node blocks, and FilteredBlocks filters such a
-stream a chunk at a time, fetching each chunk from a Radon row source.
+every filtered sample reads the whole row, and d^2/ds^2 with the local 7-point
+Stencil SECOND_DIFFERENCE, whose sample j reads samples j - 3..j + 3 alone,
+summed in one order, so that a window's samples are the whole row's bitwise.
+scipy.fft is imported where a Kernel is applied, so the Stencil and the cubic
+read-out never load it.  The tests hold H to a direct singularity-subtracted
+quadrature.  sample_rows reads filtered rows by cubic interpolation;
+CubicReader is its reusable form, for a stream of node blocks, and
+FilteredBlocks filters such a stream a chunk at a time, fetching each chunk
+from a Radon row source.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy import fft as sfft
 
 from .geometry import ROWS, node_blocks
 
@@ -107,16 +108,18 @@ def _kernel_spectrum(kernel, count, start, width):
     HILBERT_DERIVATIVE at every count, and for the odd HILBERT at odd count,
     whose even lag count - 1 has a zero tap.  Elsewhere m starts from count +
     width - 1."""
+    from scipy import fft
+
     lags = np.arange(start - count + 1, start + width)
     taps = np.full(lags.size, kernel.centre)
     nonzero = lags != 0
     taps[nonzero] = kernel.taps(lags[nonzero])
     shared = width > 1 and bool(taps[0] == taps[-1])
-    m = sfft.next_fast_len(count + width - 1 - shared, real=True)
+    m = fft.next_fast_len(count + width - 1 - shared, real=True)
     circular = np.zeros(m)
     circular[:width] = taps[count - 1:]
     circular[m - count + 1:] = taps[:count - 1]
-    spectrum = sfft.rfft(circular)
+    spectrum = fft.rfft(circular)
     spectrum.flags.writeable = False
     return m, spectrum
 
@@ -173,11 +176,13 @@ def _filter_rows(rows, kernel, spacing, out, start):
                 acc += np.multiply(ext[:, start + lag:start + lag + width], tap, out=product)
             acc /= scale
         return
+    from scipy import fft
+
     m, taps = _kernel_spectrum(kernel, n, start, width)
     for block in blocks:
-        spectrum = sfft.rfft(rows[block], n=m, axis=-1)
+        spectrum = fft.rfft(rows[block], n=m, axis=-1)
         spectrum *= taps
-        np.divide(sfft.irfft(spectrum, n=m, axis=-1)[:, :width], scale, out=out[block])
+        np.divide(fft.irfft(spectrum, n=m, axis=-1)[:, :width], scale, out=out[block])
 
 
 # The rows of one FilteredBlocks chunk: as many whole node blocks as fit in

@@ -7,6 +7,10 @@ Two primitive kinds are supported:
   supported (tails below 1e-15 of the amplitude outside the support ball).
 * ``ball``: A inside the sphere of radius R around c, 0 outside.
   Discontinuous; kept for geometric sanity checks only.
+
+scipy.special is imported at the first erfc or dawsn call: by halfline_integral,
+the erfc form of ray_differences and riesz_potential.  Parsing and writing a
+phantom, its plane integrals and the series form of ray_differences never load it.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import dawsn, erfc
 
 from .geometry import as_direction, as_sum_inputs, difference_sum, node_blocks, sphere_sum
 
@@ -25,6 +28,20 @@ BALL = "ball"
 _KINDS = (GAUSSIAN, BALL)
 
 SQRT_PI = np.sqrt(np.pi)
+
+
+def erfc(x, out=None):
+    """scipy.special.erfc(x, out=out), with scipy.special imported at the first call."""
+    from scipy import special
+
+    return special.erfc(x, out=out)
+
+
+def dawsn(x, out=None):
+    """scipy.special.dawsn(x, out=out), with scipy.special imported at the first call."""
+    from scipy import special
+
+    return special.dawsn(x, out=out)
 
 
 @dataclass(frozen=True)

@@ -972,3 +972,82 @@ class TestCommandFuzz:
             assert not outdir.exists()
         elif command == "invert":
             assert np.all(np.isfinite(np.fromfile(outdir / "volume.raw", dtype="<f4")))
+
+
+# Run in a fresh interpreter: import xradon, then xradon.cli, then cli.main on each
+# argv of sys.argv[1] (JSON) in turn; print whether scipy.special and scipy.fft
+# are loaded after each step, as JSON.
+SCIPY_LOADS_SCRIPT = """
+import json, sys
+
+def loaded():
+    return [name in sys.modules for name in ("scipy.special", "scipy.fft")]
+
+import xradon
+steps = [loaded()]
+from xradon.cli import main
+steps.append(loaded())
+for argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        sys.exit(f"{argv} failed")
+    steps.append(loaded())
+print(json.dumps(steps))
+"""
+
+
+class TestScipyLoads:
+    """Which scipy modules each command loads: scipy.special for erfc and dawsn
+    (phantom), scipy.fft for the Hilbert kernels (hilbert), which itself loads
+    scipy.special.  Each group runs in one fresh interpreter, and every command
+    in it is held to the group's state, so a group's first command is held to
+    both columns alone and each later one to its "no" columns."""
+
+    @pytest.mark.parametrize(
+        "commands, special, fft",
+        [
+            pytest.param(
+                [
+                    ("phantom-gen", "--out", "{out}.txt", "--preset", "gaussian-ball"),
+                    ("invert", "--branch", "xray", "--nodes", "40", "--vol-dims", "5"),
+                    ("calibrate", "--branch", "xray", "--nodes", "40"),
+                    ("invert", "--branch", "classical_radon", "--nodes", "40", "--vol-dims", "5"),
+                    ("calibrate", "--branch", "classical_radon", "--nodes", "40"),
+                    ("forward", "--branch", "radon", "--nodes", "40", "--s-count", "101"),
+                ],
+                False, False, id="closed-form-and-stencil",
+            ),
+            pytest.param(
+                [
+                    ("invert", "--branch", "xray", "--nodes", "40", "--vol-dims", "5", "--diff-step", "0.05"),
+                    ("forward", "--branch", "xray", "--nodes", "40", "--points", "4"),
+                ],
+                True, False, id="erfc",
+            ),
+            pytest.param(
+                [
+                    ("invert", "--branch", "radon", "--nodes", "40", "--vol-dims", "5"),
+                    ("calibrate", "--branch", "radon", "--nodes", "40"),
+                    ("check", "--nodes", "40"),
+                ],
+                True, True, id="fft",
+            ),
+        ],
+    )
+    def test_modules_loaded(self, tmp_path, commands, special, fft):
+        ph_path = tmp_path / "ph.txt"
+        assert run("phantom-gen", "--out", str(ph_path), "--preset", "two-gaussians") == 0
+        argvs = []
+        for i, command in enumerate(commands):
+            out = str(tmp_path / f"out{i}")
+            argv = [arg.format(out=out) for arg in command]
+            if command[0] != "phantom-gen":
+                argv += ["--phantom", str(ph_path), "--outdir", out]
+            argvs.append(argv)
+        src = os.path.dirname(os.path.dirname(cli_mod.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", SCIPY_LOADS_SCRIPT, json.dumps(argvs)],
+            env=dict(os.environ, PYTHONPATH=src), check=True, capture_output=True, text=True,
+        )
+        steps = json.loads(done.stdout.splitlines()[-1])
+        assert steps[:2] == [[False, False]] * 2  # import xradon, import xradon.cli
+        assert steps[2:] == [[special, fft]] * len(commands)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy import special
 from scipy.special import erfc
 
 import xradon as xr
@@ -245,6 +246,35 @@ def looped_widths(monkeypatch):
 
     monkeypatch.setattr(phm, "_looped_sum", recording)
     return widths
+
+
+# Zeros of both signs, infinities, NaN, subnormals, the smallest normal, arguments
+# where erfc underflows (past 26.55) or nears 2, and large ones.
+SPECIAL_ARGS = np.array(
+    [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+     0.5, -3.7, 26.5, 27.3, -27.3, 1e10, -1e10, 1e300, -1e300, np.finfo(float).max]
+)
+
+
+class TestScipyWrappers:
+    """phantom.erfc and phantom.dawsn are scipy.special's, bitwise."""
+
+    @pytest.mark.parametrize("name", ["erfc", "dawsn"])
+    def test_bitwise(self, name):
+        wrapper, ref = getattr(phm, name), getattr(special, name)
+        expected = ref(SPECIAL_ARGS).view(np.uint64)
+        assert np.array_equal(wrapper(SPECIAL_ARGS).view(np.uint64), expected)
+        out = np.full_like(SPECIAL_ARGS, 7.0)
+        assert wrapper(SPECIAL_ARGS, out=out) is out
+        assert np.array_equal(out.view(np.uint64), expected)
+        # in place, as _looped_sum calls erfc
+        inplace = SPECIAL_ARGS.copy()
+        assert wrapper(inplace, out=inplace) is inplace
+        assert np.array_equal(inplace.view(np.uint64), expected)
+        for x in SPECIAL_ARGS:
+            got, want = wrapper(x), ref(x)
+            assert type(got) is type(want)
+            assert np.array_equal(np.float64(got).view(np.uint64), np.float64(want).view(np.uint64))
 
 
 def erfc_calls(monkeypatch):
