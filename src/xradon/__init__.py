@@ -12,6 +12,7 @@ from .phantom import (
     Primitive,
     evaluate,
     gaussian_phantom,
+    gaussian_sphere_mean,
     halfline_integral,
     line_integral,
     load_phantom,
@@ -20,6 +21,7 @@ from .phantom import (
     ray_differences,
     riesz_potential,
     save_phantom,
+    xray_step_target,
 )
 from .xform import RadonProfile
 from .hilbert import (

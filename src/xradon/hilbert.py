@@ -365,7 +365,12 @@ class CubicReader:
     block and its (B, Q) offsets, bitwise, for the whole-row window.  A window
     of W samples j0..j1 is read as rows of their own on [s_min + j0 h,
     s_min + j1 h], h the grid's spacing, through ghosts at its two ends; the
-    offsets are still checked against the whole grid (offsets_on_grid).  On
+    offsets are checked against the whole grid (offsets_on_grid), and each
+    cell is clamped to the intervals 0..W - 2.  in_range=True is the caller's
+    proof that every offset of every call lies on the grid and that its place
+    (s - s_min - j0 h) / h truncates into the intervals 1..W - 3: then neither
+    the check nor the clamps could change a bit, and the reader skips both
+    (inversion._backproject proves it once per call).  On
     the tables' path (Q >= W - 1) every array a block needs is a slice of
     scratch allocated here, once: the offsets in grid steps, the
     ghost-extended rows, the (B, W - 1, 4) interval tables, the cells and
@@ -376,8 +381,9 @@ class CubicReader:
     offsets: a caller may write them there, and the call reads them in place.
     """
 
-    def __init__(self, rows, count, queries, s_min, s_max, window=None):
+    def __init__(self, rows, count, queries, s_min, s_max, window=None, in_range=False):
         self._s_min, self._s_max = s_min, s_max
+        self._checked = not in_range
         self._spacing = (s_max - s_min) / (count - 1)
         start, stop = (0, count) if window is None else (window.start, window.stop)
         # s_min itself for the whole row: s_min + 0 h may differ from it in the sign of a zero
@@ -401,16 +407,17 @@ class CubicReader:
 
     def __call__(self, values, s):
         rows, count = values.shape
-        if s.size and not offsets_on_grid(s.min(), s.max(), self._s_min, self._s_max):
+        if self._checked and s.size and not offsets_on_grid(s.min(), s.max(), self._s_min, self._s_max):
             raise ValueError("query offset outside the profile range")
         w = np.subtract(s, self._origin, out=self._steps[:rows])
         w /= self._spacing
-        # the cell of each offset, clamped to the intervals 0..W - 2 (w may lie
-        # beyond either end of the grid by its slack, more than a step on a fine grid);
-        # maximum(-0.0, 0.0) is +0.0, so w - cell keeps w's bits there
         cell = np.trunc(w, out=None if self._tables is None else self._cells[:rows])
-        np.maximum(cell, 0.0, out=cell)
-        np.minimum(cell, count - 2, out=cell)
+        if self._checked:
+            # the cell of each offset, clamped to the intervals 0..W - 2 (w may lie
+            # beyond either end of the grid by its slack, more than a step on a fine grid);
+            # maximum(-0.0, 0.0) is +0.0, so w - cell keeps w's bits there
+            np.maximum(cell, 0.0, out=cell)
+            np.minimum(cell, count - 2, out=cell)
         w -= cell
         if self._tables is None:
             c = _query_coefficients(values, cell.astype(np.intp))

@@ -40,7 +40,8 @@ from .geometry import (
     SphereQuadrature, VolumeGrid, as_direction, as_sum_inputs, difference_sum, node_blocks, rays, sphere_sum,
 )
 from .hilbert import (
-    HILBERT, HILBERT_DERIVATIVE, SECOND_DIFFERENCE, CubicReader, FilteredBlocks, grid_slack, sample_width,
+    HILBERT, HILBERT_DERIVATIVE, SECOND_DIFFERENCE, CubicReader, FilteredBlocks, grid_slack, offsets_on_grid,
+    sample_width,
 )
 
 BRANCH_XRAY = "xray"
@@ -238,23 +239,25 @@ _BRANCH_FILTERS = {BRANCH_RADON: HILBERT_DERIVATIVE, BRANCH_CLASSICAL: SECOND_DI
 
 def _window(data, points):
     """The slice j0..j1 of data's sample indices whose filtered values the offsets
-    x . n_k of points can read: |x . n_k| <= r, r = max |x|, widened by NODE_TOL
-    of r and by the grid's slack (hilbert.grid_slack), then by WINDOW_MARGIN
-    whole intervals on each side, and clipped to the grid; at least four
-    samples, the cubic read-out's stencil.  The whole grid where r is not
-    finite, so that the reader rejects those offsets as it rejects any off the
-    grid.  One rule for every kernel: a window's filtered samples are the whole
-    row's, bitwise for the classical branch's local stencil and within the
-    FFT's rounding for the Hilbert kernels (hilbert.FilteredBlocks)."""
+    x . n_k of points can read, and the reach that bounds every |x . n_k|:
+    r = max |x|, widened by NODE_TOL of r and by the grid's slack
+    (hilbert.grid_slack), so NaN or inf where a point is.  The slice is the
+    reach widened by WINDOW_MARGIN whole intervals on each side and clipped to
+    the grid; at least four samples, the cubic read-out's stencil.  The whole
+    grid where the reach is not finite, so that the reader rejects those
+    offsets as it rejects any off the grid.  One rule for every kernel: a
+    window's filtered samples are the whole row's, bitwise for the classical
+    branch's local stencil and within the FFT's rounding for the Hilbert
+    kernels (hilbert.FilteredBlocks)."""
     count = data.samples
     radius = float(np.max(np.hypot(np.hypot(points[:, 0], points[:, 1]), points[:, 2]), initial=0.0))
     reach = radius * (1.0 + NODE_TOL) + grid_slack(data.s_min, data.s_max)
     low, high = (-reach - data.s_min) / data.spacing, (reach - data.s_min) / data.spacing
     if not (math.isfinite(low) and math.isfinite(high)):
-        return slice(0, count)
+        return slice(0, count), reach
     start = min(max(math.floor(low) - WINDOW_MARGIN, 0), count - 4)
     stop = max(min(math.ceil(high) + WINDOW_MARGIN, count - 1), start + 3) + 1
-    return slice(start, stop)
+    return slice(start, stop), reach
 
 
 def _backproject(data, kernel, quadrature, points):
@@ -265,12 +268,26 @@ def _backproject(data, kernel, quadrature, points):
     the window (hilbert.sample_width); one FilteredBlocks fetches and checks
     their rows a chunk at a time and filters their windows, and one CubicReader
     reads each block, its offsets x . n_k written straight into the reader's
-    scratch."""
-    window = _window(data, points)
+    scratch.
+
+    The offsets are proven on the grid once per call, not per block, where
+    the reach is on the grid and the window stops short of both grid ends:
+    every offset then lies inside the reach less the grid's slack, so its
+    place in the window's grid steps, rounded, truncates into the intervals
+    1..W - 3 (WINDOW_MARGIN), and the reader skips its range check and its
+    clamps, which could change no bit (hilbert.CubicReader's in_range).  A
+    window that touches a grid end, or a reach that is not finite or runs off
+    the grid, keeps both."""
+    window, reach = _window(data, points)
+    in_range = (
+        0 < window.start
+        and window.stop < data.samples
+        and offsets_on_grid(-reach, reach, data.s_min, data.s_max)
+    )
     width = sample_width(points.shape[0], window.stop - window.start)
     rows = min(quadrature.count, node_blocks(quadrature.count, width)[0].stop)
     filtered = FilteredBlocks(data, kernel, rows, window)
-    read = CubicReader(rows, data.samples, points.shape[0], data.s_min, data.s_max, window)
+    read = CubicReader(rows, data.samples, points.shape[0], data.s_min, data.s_max, window, in_range=in_range)
 
     def values(block, nodes):
         return read(filtered(block), np.matmul(nodes, points.T, out=read.offsets(nodes.shape[0])))

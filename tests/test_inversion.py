@@ -1,5 +1,6 @@
 import functools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -305,32 +306,9 @@ class TestDiffStepOrder:
         assert np.all(np.abs(orders - 2.0) <= 0.1), (errors, orders)
 
 
-def gaussian_sphere_mean(ph, x, t):
-    """M_t f(x), the mean of a Gaussian phantom over the sphere of radius t about x:
-    A a^2 / (4 r t) [e^(-(r - t)^2/a^2) - e^(-(r + t)^2/a^2)] per primitive, r = |x - c|,
-    written as A e^(-(r^2 + t^2)/a^2) sinh(u) / u, u = 2 r t / a^2, with the limit
-    A e^(-t^2/a^2) at r = 0.  x is (..., 3) and t broadcasts against x[..., 0]."""
-    out = 0.0
-    for prim in ph.primitives:
-        a2 = prim.scale**2
-        r = np.linalg.norm(x - prim.center, axis=-1)
-        u = 2.0 * r * t / a2
-        ratio = np.where(u > 0.0, np.sinh(u) / np.where(u > 0.0, u, 1.0), 1.0)
-        out = out + prim.amplitude * np.exp(-(r * r + t * t) / a2) * ratio
-    return out
-
-
-def xray_step_target(ph, points, h):
-    """T_h f(x) = (1/h) int_0^h M_t f(x) dt by 64-point Gauss-Legendre in t: the x-ray
-    branch's exact limit at step h, since each ray's central difference is
-    -int_{-h}^{h} f(x + t n) dt."""
-    z, w = np.polynomial.legendre.leggauss(64)
-    t = 0.5 * h * (z + 1.0)
-    return 0.5 * np.sum(w * gaussian_sphere_mean(ph, points[:, None, :], t), axis=1)
-
-
 class TestXrayStepTarget:
-    """The x-ray branch against its exact target T_h at a finite step h, not against f."""
+    """The x-ray branch against its exact target T_h at a finite step h
+    (phantom.xray_step_target), not against f."""
 
     @pytest.mark.parametrize("h", [0.01, 0.05, 0.2])
     def test_gauss_rule_reaches_the_step_target(self, h):
@@ -340,7 +318,7 @@ class TestXrayStepTarget:
         ph, pts = two_gaussians(), point_set(200)
         cfg = inv.ReconstructionConfig(gauss_sphere(16), diff_step=h)
         rec = inv.XRAY_BRANCH_CONSTANT * inv.reconstruct(inv.phantom_data(ph, cfg, S_GRID), cfg, pts)
-        target = xray_step_target(ph, pts, h)
+        target = phm.xray_step_target(ph, pts, h)
         scale = np.max(np.abs(target))
         assert np.max(np.abs(rec - target)) <= 1e-13 * scale
         assert np.max(np.abs(target - xr.evaluate(ph, pts))) >= 1e-6 * scale
@@ -724,7 +702,7 @@ class TestBackprojectWindow:
         rng = np.random.default_rng(seed)
         data, quadrature, _ = random_backprojection(rng, 1, samples, min(300, 2_000_000 // samples))
         radius = fraction * data.s_max
-        window = inv._window(data, np.array([[radius, 0.0, 0.0]]))
+        window = inv._window(data, np.array([[radius, 0.0, 0.0]]))[0]
         width = window.stop - window.start
         count = width - 1 + int(rng.integers(0, 200)) if tables else max(1, width - 2)
         # two or three node blocks, most often with a short last one
@@ -734,7 +712,7 @@ class TestBackprojectWindow:
         quadrature = xr.SphereQuadrature(quadrature.nodes[:keep], weights)
         data = inv.RadonDataset(data.nodes[:keep], data.s_min, data.s_max, data.values[:keep])
         points = window_points(rng, data, quadrature, count, radius)
-        assert inv._window(data, points) == window
+        assert inv._window(data, points)[0] == window
         filtered = xr.convolve_rows(data.values, kernel, data.spacing)
         expected = blockwise_sum(filtered, data, quadrature, points)
         source = ArrayRows(data.values, data.s_min, data.s_max, filled=True) if filled else data
@@ -744,6 +722,154 @@ class TestBackprojectWindow:
             return
         noise = quadrature.weights @ np.max(np.abs(data.values), axis=1) * (np.pi / data.spacing) ** kernel.order
         assert np.max(np.abs(got - expected)) <= BACKPROJECT_WINDOW_TOL * samples * noise
+
+
+def checked_read(rows, s, data, window):
+    """The read-out of the filtered window rows at the offsets s with every guard on:
+    the offsets checked against the whole grid, each cell truncated and clamped to
+    the window's intervals 0..W - 2, then its interval's coefficients, gathered from
+    the window's cubic tables (Q >= W - 1) or formed per query, and the Horner chain."""
+    if s.size and not hilbert.offsets_on_grid(s.min(), s.max(), data.s_min, data.s_max):
+        raise ValueError("query offset outside the profile range")
+    width = window.stop - window.start
+    origin = data.s_min + window.start * data.spacing if window.start else data.s_min
+    w = (s - origin) / data.spacing
+    cell = np.trunc(w)
+    np.maximum(cell, 0.0, out=cell)
+    np.minimum(cell, width - 2, out=cell)
+    w -= cell
+    index = cell.astype(np.intp)
+    if s.shape[1] < width - 1:
+        c = hilbert._query_coefficients(rows, index)
+    else:
+        c = hilbert._cubic_coefficients(rows)[np.arange(rows.shape[0])[:, None], index].transpose(2, 0, 1)
+    return hilbert._horner(c, w, out=np.empty(w.shape))
+
+
+def checked_backprojection(data, kernel, quadrature, points):
+    """_backproject's sum, node block by node block over the same filtered windows
+    (hilbert.FilteredBlocks), each block read by checked_read."""
+    window = inv._window(data, points)[0]
+    width = sample_width(points.shape[0], window.stop - window.start)
+    blocks = node_blocks(quadrature.count, width)
+    filtered = hilbert.FilteredBlocks(data, kernel, min(quadrature.count, blocks[0].stop), window)
+    total = np.zeros(points.shape[0])
+    for block in blocks:
+        values = checked_read(filtered(block), quadrature.nodes[block] @ points.T, data, window)
+        weights = quadrature.weights[block]
+        total += weights @ values if values.shape[0] > 1 else weights[0] * values[0]
+    return total
+
+
+def backproject_spied(data, kernel, quadrature, points):
+    """_backproject's result and whether it took the proof that its offsets are on
+    the grid (the in_range of its CubicReader)."""
+    with mock.patch.object(inv, "CubicReader", wraps=hilbert.CubicReader) as reader:
+        got = inv._backproject(data, kernel, quadrature, points)
+    assert reader.call_count == 1
+    return got, reader.call_args.kwargs["in_range"]
+
+
+class TestReadoutProof:
+    """_backproject proves its offsets on the grid once per call where its window stops
+    short of both grid ends; its reader then skips the per-block range check and the
+    clamps of the cells, and no bit changes."""
+
+    @PROPERTY
+    @given(
+        samples=st.integers(20, 1025),
+        fraction=st.floats(0.0, 0.75),
+        tables=st.booleans(),
+        filled=st.booleans(),
+        kernel=st.sampled_from((xr.HILBERT, xr.HILBERT_DERIVATIVE, xr.SECOND_DIFFERENCE)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # the calibration ball's window on 801 samples, per-query stencils and cubic tables
+    @example(samples=801, fraction=0.21875, tables=False, filled=True, kernel=xr.HILBERT_DERIVATIVE, seed=1)
+    @example(samples=801, fraction=0.21875, tables=True, filled=False, kernel=xr.SECOND_DIFFERENCE, seed=2)
+    # points at the origin, mid-interval on 100 samples: the window is the fewest
+    # samples, four, 48..51, and every cell is its one inner interval
+    @example(samples=100, fraction=0.0, tables=False, filled=False, kernel=xr.HILBERT, seed=3)
+    @example(samples=100, fraction=0.0, tables=True, filled=True, kernel=xr.SECOND_DIFFERENCE, seed=4)
+    def test_proof_changes_no_bit(self, samples, fraction, tables, filled, kernel, seed):
+        # on [-R, R] with S >= 20 samples, a reach of at most 3R/4 leaves the window
+        # short of both grid ends; window_points' offsets include +-radius, the reach
+        # less its slack, and samples of the grid, on the boundary of two intervals
+        rng = np.random.default_rng(seed)
+        data, quadrature, _ = random_backprojection(rng, 1, samples, min(300, 2_000_000 // samples))
+        radius = fraction * data.s_max
+        window = inv._window(data, np.array([[radius, 0.0, 0.0]]))[0]
+        width = window.stop - window.start
+        assert 0 < window.start and window.stop < samples
+        count = width - 1 + int(rng.integers(0, 200)) if tables else int(rng.integers(1, width - 1))
+        # two or three node blocks, most often with a short last one
+        step = max(1, ROWS // sample_width(count, width))
+        keep = int(min(rng.integers(step + 1, 3 * step + 1), data.count))
+        weights = quadrature.weights[:keep] * (4.0 * np.pi / quadrature.weights[:keep].sum())
+        quadrature = xr.SphereQuadrature(quadrature.nodes[:keep], weights)
+        data = inv.RadonDataset(data.nodes[:keep], data.s_min, data.s_max, data.values[:keep])
+        points = window_points(rng, data, quadrature, count, radius)
+        assert inv._window(data, points)[0] == window
+        source = ArrayRows(data.values, data.s_min, data.s_max, filled=True) if filled else data
+        got, in_range = backproject_spied(source, kernel, quadrature, points)
+        assert in_range
+        expected = checked_backprojection(data, kernel, quadrature, points)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("case", ["low-end", "high-end", "whole-grid", "reach-past-grid", "nan"])
+    @pytest.mark.parametrize("tables", [False, True], ids=["query", "tables"])
+    def test_proof_not_taken_at_a_grid_end(self, case, tables):
+        # a window that touches either grid end, a reach past the grid while every
+        # offset fits (all nodes near +-z, a point far out along x) and a NaN point
+        # keep the per-block check and clamps: the same values, or the same error.
+        # A point at s_min n_0 or s_max n_0 has its offset at node 0 on a grid end: at
+        # the high end, where (s - s_min) / h truncates to S - 1, the clamp moves it
+        # into the last interval
+        rng = np.random.default_rng(7)
+        s_min, s_max = {"low-end": (-5.22, 8.0), "high-end": (-8.0, 5.22)}.get(case, (-8.0, 8.0))
+        nodes = rng.normal(size=(40, 3))
+        if case == "reach-past-grid":
+            nodes[:, :2] *= 1e-3
+        nodes /= np.linalg.norm(nodes, axis=1)[:, None]
+        quadrature = xr.SphereQuadrature(nodes, np.full(40, np.pi / 10.0))
+        values = rng.normal(size=(40, 801))
+        values[:, [0, -1]] = 0.0
+        data = inv.RadonDataset(nodes, s_min, s_max, values)
+        points = rng.uniform(-3.0, 3.0, size=(900 if tables else 50, 3))
+        points[0] = (s_min if case == "low-end" else s_max) * nodes[0]
+        points[1] = {"reach-past-grid": [20.0, 0.0, 0.0], "nan": [np.nan, 0.0, 0.0]}.get(case, points[1])
+        window = inv._window(data, points)[0]
+        assert (window.start == 0, window.stop == 801) == {"low-end": (True, False), "high-end": (False, True)}.get(
+            case, (True, True)
+        )
+        assert (window.stop - window.start - 1 <= points.shape[0]) == tables
+        if case == "nan":
+            with mock.patch.object(inv, "CubicReader", wraps=hilbert.CubicReader) as reader:
+                with pytest.raises(ValueError, match="outside the profile range"):
+                    inv._backproject(data, xr.HILBERT_DERIVATIVE, quadrature, points)
+            assert reader.call_args.kwargs["in_range"] is False
+            return
+        got, in_range = backproject_spied(data, xr.HILBERT_DERIVATIVE, quadrature, points)
+        assert in_range is False
+        assert got.tobytes() == checked_backprojection(data, xr.HILBERT_DERIVATIVE, quadrature, points).tobytes()
+
+
+class TestOffGridBatches:
+    """A point beyond the s-grid, or a NaN point, fails reconstruct on both Radon
+    branches, on the tables' path as on the per-query one."""
+
+    @pytest.mark.parametrize("bad", [(20.0, 0.0, 0.0), (np.nan, 0.0, 0.0)], ids=["beyond", "nan"])
+    @pytest.mark.parametrize("count", [1, 1700], ids=["query", "tables"])
+    @pytest.mark.parametrize("branch", [inv.BRANCH_RADON, inv.BRANCH_CLASSICAL])
+    def test_rejected(self, quad2000, gauss_dataset, branch, count, bad):
+        # 1,700 points are past the 1,600 intervals of the whole 1,601-sample grid that
+        # the bad point's window spans: the cubic tables' path
+        points = point_set(count)
+        points[-1] = bad
+        assert (count >= gauss_dataset.samples - 1) == (count == 1700)
+        cfg = inv.ReconstructionConfig(quad2000, branch=branch)
+        with pytest.raises(ValueError, match="outside the profile range"):
+            inv.reconstruct(gauss_dataset, cfg, points)
 
 
 class TestPhantomProfiles:

@@ -1344,3 +1344,89 @@ class TestRieszPotential:
         parts = [phm.riesz_potential(xr.Phantom((p,), 8.0), x) for p in self.PRIMITIVES]
         assert np.array_equal(got, (0.0 + parts[0]) + parts[1])
         assert np.array_equal(phm.riesz_potential(xr.Phantom((), 1.0), x), np.zeros((3, 5)))
+
+
+def sphere_rule(m):
+    """Gauss-Legendre in cos(theta) with m nodes times a 2m-point trapezoid rule in phi:
+    (2 m^2, 3) unit nodes and weights summing to 1, exact for spherical harmonics of
+    degree below 2m."""
+    z, wz = np.polynomial.legendre.leggauss(m)
+    phi = (np.arange(2 * m) + 0.5) * np.pi / m
+    r = np.sqrt(1.0 - z * z)[:, None]
+    nodes = np.stack(np.broadcast_arrays(r * np.cos(phi), r * np.sin(phi), z[:, None]), axis=-1)
+    return nodes.reshape(-1, 3), np.repeat(wz / (4.0 * m), 2 * m)
+
+
+class TestSphereMean:
+    """phantom.gaussian_sphere_mean (M_t f) and phantom.xray_step_target (T_h f)."""
+
+    PRIMITIVES = (
+        xr.Primitive(xr.GAUSSIAN, (0.3, -0.2, 0.5), 0.8, 1.3),
+        xr.Primitive(xr.GAUSSIAN, (-0.6, 0.4, 0.0), 0.5, -0.7),
+    )
+
+    @pytest.mark.parametrize("t", [0.0, 1e-3, 0.2, 0.9, 2.0])
+    @pytest.mark.parametrize("r", [0.0, 1e-3, 0.4, 1.5])
+    def test_matches_direct_sphere_quadrature(self, r, t):
+        # the mean of evaluate over the sphere of radius t about x on a product rule
+        # of 3,200 nodes, exact to degree 79: e^(-|x + t n - c|^2/a^2) is
+        # e^(2 t n . (c - x)/a^2) times a constant, whose Taylor terms past that
+        # degree are far below rounding at 2 t |x - c| / a^2 <= 14
+        ph = xr.Phantom(self.PRIMITIVES, 8.0)
+        x = self.PRIMITIVES[0].center + r * np.array([0.6, 0.0, 0.8])
+        nodes, weights = sphere_rule(40)
+        expected = weights @ xr.evaluate(ph, x + t * nodes)
+        got = phm.gaussian_sphere_mean(ph, x, t)
+        assert isinstance(got, float)
+        # measured at most 1.3e-15
+        assert abs(got - expected) <= 1e-14 * np.max(np.abs(xr.evaluate(ph, x + t * nodes)))
+
+    def test_limits_and_shapes(self):
+        ph = xr.Phantom(self.PRIMITIVES, 8.0)
+        x = np.random.default_rng(6).uniform(-2.0, 2.0, size=(3, 5, 3))
+        # t = 0 is the density itself, up to the rounding of r = sqrt(r^2), in units of
+        # sum |A| = 2: measured 1.1e-16
+        assert np.max(np.abs(phm.gaussian_sphere_mean(ph, x, 0.0) - xr.evaluate(ph, x))) <= 2e-15
+        t = np.linspace(0.0, 1.0, 5)
+        assert phm.gaussian_sphere_mean(ph, x, t).shape == (3, 5)
+        assert phm.xray_step_target(ph, x, 0.1).shape == (3, 5)
+        assert isinstance(phm.xray_step_target(ph, x[0, 0], 0.1), float)
+        assert np.array_equal(phm.gaussian_sphere_mean(xr.Phantom((), 1.0), x, 0.5), np.zeros((3, 5)))
+        # a sphere of radius 299 about a point 300 from the centre passes near it:
+        # u = 2 r t / a^2 is about 2.8e5, where sinh(u) would overflow, and the mean is
+        # A a^2 / (4 r t) e^(-(r - t)^2/a^2), its second exponential below the smallest double
+        prim = self.PRIMITIVES[0]
+        x, t = np.array([300.0, 0.0, 0.0]), 299.0
+        r = np.linalg.norm(x - prim.center)
+        expected = 1.3 * 0.64 / (4.0 * r * t) * np.exp(-((r - t) ** 2) / 0.64)
+        got = phm.gaussian_sphere_mean(xr.Phantom((prim,), 8.0), x, t)
+        assert abs(got - expected) <= 1e-13 * expected
+
+    def test_step_target_is_the_mean_over_the_step(self):
+        # T_h f = (1/h) int_0^h M_t f dt, here against a 2,000-point midpoint rule in t,
+        # and T_h f - f = (h^2 / 18) Laplacian f + O(h^4); at the centre of a lone
+        # Gaussian Laplacian f = -6 A / a^2
+        ph = xr.Phantom(self.PRIMITIVES, 8.0)
+        x = np.array([[0.1, 0.2, 0.3], [-1.0, 0.5, 0.2]])
+        h = 0.3
+        t = (np.arange(2000) + 0.5) * h / 2000
+        midpoint = np.mean(phm.gaussian_sphere_mean(ph, x[:, None, :], t), axis=1)
+        # measured 2.0e-9, the midpoint rule's own error
+        assert np.max(np.abs(phm.xray_step_target(ph, x, h) - midpoint)) <= 1e-8
+        lone = xr.Phantom(self.PRIMITIVES[:1], 8.0)
+        centre = self.PRIMITIVES[0].center
+        # measured 1.9e-4 and 4.7e-5 off, the O(h^2) relative term
+        for h in (0.02, 0.01):
+            excess = phm.xray_step_target(lone, centre, h) - 1.3
+            assert abs(excess / (h * h / 18.0 * -6.0 * 1.3 / 0.64) - 1.0) <= 2e-3
+
+    def test_rejects_a_ball_and_a_bad_step(self):
+        ball = xr.Phantom((xr.Primitive(xr.BALL, (0.0, 0.0, 0.0), 1.0, 1.0),), 6.0)
+        with pytest.raises(ValueError, match="ball"):
+            phm.gaussian_sphere_mean(ball, [0.0, 0.0, 0.0], 0.5)
+        with pytest.raises(ValueError, match="ball"):
+            phm.xray_step_target(ball, [0.0, 0.0, 0.0], 0.1)
+        ph = xr.Phantom(self.PRIMITIVES, 8.0)
+        for h in (0.0, -0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="h must be"):
+                phm.xray_step_target(ph, [0.0, 0.0, 0.0], h)
