@@ -8,12 +8,11 @@ window of its samples: H and d/ds H with a band-limited Kernel by FFT, whose
 every filtered sample reads the whole row, and d^2/ds^2 with the local 7-point
 Stencil SECOND_DIFFERENCE, whose sample j reads samples j - 3..j + 3 alone,
 summed in one order, so that a window's samples are the whole row's bitwise.
-scipy.fft is imported where a Kernel is applied, so the Stencil and the cubic
-read-out never load it.  The tests hold H to a direct singularity-subtracted
-quadrature.  sample_rows reads filtered rows by cubic interpolation;
-CubicReader is its reusable form, for a stream of node blocks, and
-FilteredBlocks filters such a stream a chunk at a time, fetching each chunk
-from a Radon row source.
+The FFT is numpy.fft's, so no filter loads scipy.  The tests hold H to a
+direct singularity-subtracted quadrature.  sample_rows reads filtered rows
+by cubic interpolation; CubicReader is its reusable form, for a stream of
+node blocks, and FilteredBlocks filters such a stream a chunk at a time,
+fetching each chunk from a Radon row source.
 """
 
 from __future__ import annotations
@@ -89,6 +88,21 @@ class Stencil(NamedTuple):
 SECOND_DIFFERENCE = Stencil((1 / 90, -3 / 20, 3 / 2, -49 / 18, 3 / 2, -3 / 20, 1 / 90), 2)
 
 
+def _next_fast_len(n):
+    """The smallest 2-3-5-smooth integer >= n (n >= 1), a length pocketfft
+    transforms fast: the rule of scipy's next_fast_len(n, real=True)."""
+    best = 2 * n
+    five = 1
+    while five < best:
+        odd = five
+        while odd < best:
+            # odd 3^b 5^c times the least power of two that takes it to n or past
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        five *= 5
+    return best
+
+
 @functools.lru_cache(maxsize=16)
 def _kernel_spectrum(kernel, count, start, width):
     """FFT length m and the rfft of `kernel` for the output samples start..start +
@@ -107,19 +121,18 @@ def _kernel_spectrum(kernel, count, start, width):
     sample, from the row's first).  On the whole row that holds for the even
     HILBERT_DERIVATIVE at every count, and for the odd HILBERT at odd count,
     whose even lag count - 1 has a zero tap.  Elsewhere m starts from count +
-    width - 1."""
-    from scipy import fft
-
+    width - 1.  The next fast length is _next_fast_len's, and the transform
+    numpy.fft.rfft."""
     lags = np.arange(start - count + 1, start + width)
     taps = np.full(lags.size, kernel.centre)
     nonzero = lags != 0
     taps[nonzero] = kernel.taps(lags[nonzero])
     shared = width > 1 and bool(taps[0] == taps[-1])
-    m = fft.next_fast_len(count + width - 1 - shared, real=True)
+    m = _next_fast_len(count + width - 1 - shared)
     circular = np.zeros(m)
     circular[:width] = taps[count - 1:]
     circular[m - count + 1:] = taps[:count - 1]
-    spectrum = fft.rfft(circular)
+    spectrum = np.fft.rfft(circular)
     spectrum.flags.writeable = False
     return m, spectrum
 
@@ -153,8 +166,12 @@ def _filter_rows(rows, kernel, spacing, out, start):
     first R W values of the rows' own array: a block's samples then end no
     further on than its own rows, which it has read.
 
-    A Kernel's block is transformed, multiplied by the spectrum of the kernel's
-    window and transformed back.  A Stencil's block is copied into a
+    A Kernel's block is copied into a (B, m) real scratch and zero-padded
+    there, transformed by numpy.fft.rfft into a (B, m // 2 + 1) complex
+    scratch, multiplied there by the spectrum of the kernel's window, and
+    transformed back by numpy.fft.irfft over the real scratch, whose first W
+    samples per row, over the spacing**order, go to out; both scratch arrays
+    are allocated once per call.  A Stencil's block is copied into a
     zero-padded scratch, allocated once per call, and each output sample sums
     its taps' products lag by lag, in the order of the taps, into out: the same
     operations on the same inputs for any window that holds it."""
@@ -162,8 +179,8 @@ def _filter_rows(rows, kernel, spacing, out, start):
     width = out.shape[-1]
     scale = spacing**kernel.order
     blocks = node_blocks(rows.shape[0], 2 * n)
+    height = rows[blocks[0]].shape[0] if blocks else 0
     if isinstance(kernel, Stencil):
-        height = rows[blocks[0]].shape[0] if blocks else 0
         reach = len(kernel.taps) // 2
         padded = np.zeros((height, n + 2 * reach))
         term = np.empty((height, width))
@@ -176,13 +193,18 @@ def _filter_rows(rows, kernel, spacing, out, start):
                 acc += np.multiply(ext[:, start + lag:start + lag + width], tap, out=product)
             acc /= scale
         return
-    from scipy import fft
-
     m, taps = _kernel_spectrum(kernel, n, start, width)
+    padded = np.empty((height, m))
+    spectra = np.empty((height, taps.size), dtype=complex)
     for block in blocks:
-        spectrum = fft.rfft(rows[block], n=m, axis=-1)
+        # padded here, not by rfft's n=m: numpy pads a short row by a slower path
+        ext = padded[: rows[block].shape[0]]
+        ext[:, :n] = rows[block]
+        ext[:, n:] = 0.0
+        spectrum = np.fft.rfft(ext, out=spectra[: ext.shape[0]])
         spectrum *= taps
-        np.divide(fft.irfft(spectrum, n=m, axis=-1)[:, :width], scale, out=out[block])
+        np.fft.irfft(spectrum, n=m, out=ext)
+        np.divide(ext[:, :width], scale, out=out[block])
 
 
 # The rows of one FilteredBlocks chunk: as many whole node blocks as fit in
@@ -294,7 +316,7 @@ def _cubic_coefficients(v):
     return np.matmul(_stencils(_ghost_rows(v)), _STENCIL)
 
 
-def _query_coefficients(v, index):
+def _query_coefficients(v, index, inner=False):
     """The coefficients of _cubic_coefficients at the intervals index[k] of row k only.
 
     index has shape (K, Q); returns c of shape (4, K, Q).  The (K, 4, Q)
@@ -302,20 +324,25 @@ def _query_coefficients(v, index):
     rows themselves at indices clipped to the row.  Only where a stencil
     runs off the row, at intervals 0 and S - 2, is the clipped sample
     replaced by the row's ghost, so no (K, S + 2) ghost-extended copy is
-    made.  The stencils are multiplied as a (K, Q, 4) view.  numpy hands
-    neither that view nor the tables' overlapping stencils to BLAS: both
-    run its own loop, so every coefficient is bitwise the table's.
+    made.  inner=True is the caller's proof that every interval lies in
+    1..S - 3: no stencil then runs off the row, and both the clip and the
+    ghosts are skipped, which could change no bit.  The stencils are
+    multiplied as a (K, Q, 4) view.  numpy hands neither that view nor the
+    tables' overlapping stencils to BLAS: both run its own loop, so every
+    coefficient is bitwise the table's.
     """
     rows, count = v.shape
     at = index[:, None, :] + np.arange(-1, 3)[:, None]
-    np.clip(at, 0, count - 1, out=at)
+    if not inner:
+        np.clip(at, 0, count - 1, out=at)
     at += count * np.arange(rows)[:, None, None]
     stencils = np.take(v, at)
-    # the ghosts of every row, as _ghost_rows forms them: a row's dot depends on its strides
-    k, q = np.nonzero(index == 0)
-    stencils[k, 0, q] = np.vecdot(v[:, :4], _GHOST)[k]
-    k, q = np.nonzero(index == count - 2)
-    stencils[k, 3, q] = np.vecdot(v[:, :-5:-1], _GHOST)[k]
+    if not inner:
+        # the ghosts of every row, as _ghost_rows forms them: a row's dot depends on its strides
+        k, q = np.nonzero(index == 0)
+        stencils[k, 0, q] = np.vecdot(v[:, :4], _GHOST)[k]
+        k, q = np.nonzero(index == count - 2)
+        stencils[k, 3, q] = np.vecdot(v[:, :-5:-1], _GHOST)[k]
     c = np.empty((4,) + index.shape)
     np.matmul(stencils.transpose(0, 2, 1), _STENCIL, out=c.transpose(1, 2, 0))
     return c
@@ -369,9 +396,10 @@ class CubicReader:
     cell is clamped to the intervals 0..W - 2.  in_range=True is the caller's
     proof that every offset of every call lies on the grid and that its place
     (s - s_min - j0 h) / h truncates into the intervals 1..W - 3: then neither
-    the check nor the clamps could change a bit, and the reader skips both
-    (inversion._backproject proves it once per call).  On
-    the tables' path (Q >= W - 1) every array a block needs is a slice of
+    the check nor the clamps could change a bit, and the reader skips both,
+    and on the per-query path the clip and the ghosts of its stencils too
+    (_query_coefficients' inner; inversion._backproject proves it once per
+    call).  On the tables' path (Q >= W - 1) every array a block needs is a slice of
     scratch allocated here, once: the offsets in grid steps, the
     ghost-extended rows, the (B, W - 1, 4) interval tables, the cells and
     their indices, the (B Q, 4) coefficients that one gather per query takes
@@ -420,7 +448,7 @@ class CubicReader:
             np.minimum(cell, count - 2, out=cell)
         w -= cell
         if self._tables is None:
-            c = _query_coefficients(values, cell.astype(np.intp))
+            c = _query_coefficients(values, cell.astype(np.intp), inner=not self._checked)
             return _horner(c, w, out=c[3])
         _ghost_rows(values, self._ext[:rows])
         tables = np.matmul(self._stencils[:rows], _STENCIL, out=self._tables[:rows])

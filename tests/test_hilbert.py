@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import fft as scipy_fft
 from scipy.special import dawsn
 
 from xradon import geometry, hilbert
@@ -16,7 +17,9 @@ from xradon.hilbert import (
     FilteredBlocks,
     ProfileDecayError,
     _cubic_coefficients,
+    _filter_rows,
     _kernel_spectrum,
+    _next_fast_len,
     _query_coefficients,
     convolve_rows,
     sample_rows,
@@ -542,6 +545,63 @@ class TestConvolveRowsBlocks:
         assert values.tobytes() == before.tobytes()
         if not in_place:
             assert np.all(out == 7.0)
+
+
+def scipy_filter(rows, kernel, spacing, start, width):
+    """Reference for _filter_rows with an FFT kernel: the samples start..start +
+    width - 1 of each row's linear convolution with the kernel, by scipy.fft's
+    rfft and irfft at scipy.fft.next_fast_len of the same alias-free length."""
+    count = rows.shape[-1]
+    lags = np.arange(start - count + 1, start + width)
+    taps = np.full(lags.size, kernel.centre)
+    taps[lags != 0] = kernel.taps(lags[lags != 0])
+    m = scipy_fft.next_fast_len(count + width - 1 - (width > 1 and bool(taps[0] == taps[-1])), real=True)
+    circular = np.zeros(m)
+    circular[:width] = taps[count - 1:]
+    circular[m - count + 1:] = taps[:count - 1]
+    spectrum = scipy_fft.rfft(rows, n=m, axis=-1) * scipy_fft.rfft(circular)
+    return scipy_fft.irfft(spectrum, n=m, axis=-1)[:, :width] / spacing**kernel.order
+
+
+FFT_KERNELS = st.sampled_from((HILBERT, HILBERT_DERIVATIVE))
+
+
+class TestNumpyFft:
+    """The FFT kernels filter by numpy.fft at _next_fast_len, as scipy.fft's transforms
+    at its next_fast_len would: scipy is the tests' reference only."""
+
+    def test_next_fast_len_is_scipys(self):
+        got = [_next_fast_len(n) for n in range(1, 20_001)]
+        assert got == [scipy_fft.next_fast_len(n, real=True) for n in range(1, 20_001)]
+
+    @settings(PROPERTY, max_examples=60)
+    @given(
+        total=st.integers(1, 40),
+        count=st.integers(8, 1700),
+        kernel=FFT_KERNELS,
+        spacing=st.floats(1e-2, 10.0),
+        ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # whole rows at both parities of 2S - 2 against 2S - 1, and the calibration ball's window
+    @example(total=9, count=801, kernel=HILBERT_DERIVATIVE, spacing=0.02, ends=(0.0, 1.0), seed=0)
+    @example(total=3, count=10, kernel=HILBERT, spacing=1.0, ends=(0.0, 1.0), seed=1)
+    @example(total=40, count=801, kernel=HILBERT_DERIVATIVE, spacing=0.02, ends=(311 / 800, 489 / 800), seed=2)
+    def test_matches_scipy_fft(self, total, count, kernel, spacing, ends, seed):
+        # convolve_rows over whole rows, and _filter_rows over a window, several node
+        # blocks with a short last one at the larger S: within 1e-15 of each
+        # reference row's max (bitwise where numpy and scipy share one pocketfft)
+        j0, j1 = sorted(int(round(e * (count - 1))) for e in ends)
+        values = decaying_rows(np.random.default_rng(seed), total, count)
+        for start, width in ((0, count), (j0, j1 - j0 + 1)):
+            expected = scipy_filter(values, kernel, spacing, start, width)
+            if width == count:
+                got = convolve_rows(values, kernel, spacing)
+            else:
+                got = np.full((total, width), np.nan)
+                _filter_rows(values, kernel, spacing, got, start)
+            tol = 1e-15 * np.max(np.abs(expected), axis=1, keepdims=True)
+            assert np.all(np.abs(got - expected) <= tol), (start, width)
 
 
 class TestFilteredBlocks:

@@ -762,18 +762,23 @@ def checked_backprojection(data, kernel, quadrature, points):
 
 
 def backproject_spied(data, kernel, quadrature, points):
-    """_backproject's result and whether it took the proof that its offsets are on
-    the grid (the in_range of its CubicReader)."""
-    with mock.patch.object(inv, "CubicReader", wraps=hilbert.CubicReader) as reader:
+    """_backproject's result, whether it took the proof that its offsets are on
+    the grid (the in_range of its CubicReader), and the set of inner flags its
+    per-query coefficients took (empty on the tables' path)."""
+    with (
+        mock.patch.object(inv, "CubicReader", wraps=hilbert.CubicReader) as reader,
+        mock.patch.object(hilbert, "_query_coefficients", wraps=hilbert._query_coefficients) as query,
+    ):
         got = inv._backproject(data, kernel, quadrature, points)
     assert reader.call_count == 1
-    return got, reader.call_args.kwargs["in_range"]
+    return got, reader.call_args.kwargs["in_range"], {call.kwargs["inner"] for call in query.call_args_list}
 
 
 class TestReadoutProof:
     """_backproject proves its offsets on the grid once per call where its window stops
-    short of both grid ends; its reader then skips the per-block range check and the
-    clamps of the cells, and no bit changes."""
+    short of both grid ends; its reader then skips the per-block range check, the
+    clamps of the cells and, per query, the clip and ghosts of the stencils, and no
+    bit changes."""
 
     @PROPERTY
     @given(
@@ -811,8 +816,10 @@ class TestReadoutProof:
         points = window_points(rng, data, quadrature, count, radius)
         assert inv._window(data, points)[0] == window
         source = ArrayRows(data.values, data.s_min, data.s_max, filled=True) if filled else data
-        got, in_range = backproject_spied(source, kernel, quadrature, points)
+        got, in_range, inner = backproject_spied(source, kernel, quadrature, points)
         assert in_range
+        # the per-query path skips its clip and ghosts; the reference runs both
+        assert inner == (set() if tables else {True})
         expected = checked_backprojection(data, kernel, quadrature, points)
         assert got.tobytes() == expected.tobytes()
 
@@ -849,8 +856,9 @@ class TestReadoutProof:
                     inv._backproject(data, xr.HILBERT_DERIVATIVE, quadrature, points)
             assert reader.call_args.kwargs["in_range"] is False
             return
-        got, in_range = backproject_spied(data, xr.HILBERT_DERIVATIVE, quadrature, points)
+        got, in_range, inner = backproject_spied(data, xr.HILBERT_DERIVATIVE, quadrature, points)
         assert in_range is False
+        assert inner == (set() if tables else {False})
         assert got.tobytes() == checked_backprojection(data, xr.HILBERT_DERIVATIVE, quadrature, points).tobytes()
 
 
