@@ -272,9 +272,12 @@ def _check_s_grid(ph, cfg):
 
 def _filtering(cfg, compute, *args):
     """compute(*args), which filters Radon profiles on the config's s-grid; a profile
-    that does not decay at the grid ends (hilbert.ProfileDecayError) is reported by flag."""
+    that does not decay at the grid ends (hilbert.ProfileDecayError) is reported by flag.
+    It runs with numpy's overflow and invalid-value warnings off: an overflow leaves
+    non-finite values, which each caller names."""
     try:
-        return compute(*args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return compute(*args)
     except ProfileDecayError as exc:
         raise CliError(
             f"the s-grid --s-min {cfg.s_min:g} --s-max {cfg.s_max:g} is too narrow for the phantom: "
@@ -463,6 +466,8 @@ def cmd_check(args):
         with open(out.path("lemma9.csv"), "w", encoding="utf-8", newline="\n") as fh:
             fh.write("x1,x2,x3,left,right,ratio,difference\n")
             rep = _filtering(cfg, inversion.lemma9_diagnostic, ph, pts, quad, (cfg.s_min, cfg.s_max, cfg.s_count))
+            if not np.all(np.isfinite(rep.left) & np.isfinite(rep.right)):
+                raise CliError("check: lemma9's two sides must be finite; scale the phantom's amplitudes down")
             for row in np.column_stack((pts, rep.left, rep.right, rep.ratio, rep.difference)):
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
     print(f"wrote checks to {cfg.outdir}")
@@ -474,7 +479,10 @@ def cmd_calibrate(args):
     cfg = load_config(args)
     ph = _load_phantom(cfg)
     _, raw, truth = _reconstruct_with_calibration(ph, cfg, np.zeros((0, 3)), None)
-    cal = inversion.fit_scale(raw, truth)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite fit is named below
+        cal = inversion.fit_scale(raw, truth)
+    if not (math.isfinite(cal.scale) and math.isfinite(cal.residual)):
+        raise CliError(f"calibrate: the fitted scale {cal.scale!r} and residual {cal.residual!r} must be finite")
     with _OutputSet(cfg.outdir) as out:
         result = {
             "branch": cfg.branch,

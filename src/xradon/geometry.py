@@ -15,7 +15,8 @@ import numpy as np
 FULL_SPHERE = 4.0 * np.pi
 GOLDEN_RATIO = (1.0 + np.sqrt(5.0)) / 2.0
 
-_UNIT_TOL = 1e-9
+# How far the norm of a direction or a quadrature or dataset node may deviate from 1.
+UNIT_TOL = 1e-9
 
 # Rows of work per block, for every module that sums over a quadrature: a
 # block holds max(1, ROWS // width) items, where the width is the number of
@@ -91,13 +92,13 @@ def as_sum_inputs(points, nodes, weights, caller):
 
 def as_direction(v):
     """v as a unit 3-vector; a ValueError if its shape is not (3,) or its norm
-    deviates from 1 by more than _UNIT_TOL."""
+    deviates from 1 by more than UNIT_TOL."""
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"direction must have shape (3,), got {v.shape}")
     nrm = np.linalg.norm(v)
-    if not abs(nrm - 1.0) <= _UNIT_TOL:  # False for NaN too
-        raise ValueError(f"direction norm {nrm!r} deviates from 1 by more than {_UNIT_TOL}")
+    if not abs(nrm - 1.0) <= UNIT_TOL:  # False for NaN too
+        raise ValueError(f"direction norm {nrm!r} deviates from 1 by more than {UNIT_TOL}")
     return v
 
 
@@ -129,7 +130,7 @@ class SphereQuadrature:
         if not abs(weights.sum() - FULL_SPHERE) <= 1e-6:
             raise ValueError("quadrature weights must sum to 4*pi")
         norms = np.linalg.norm(nodes, axis=1)
-        if not np.all(np.abs(norms - 1.0) <= _UNIT_TOL):
+        if not np.all(np.abs(norms - 1.0) <= UNIT_TOL):
             raise ValueError("all quadrature nodes must be unit vectors")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)

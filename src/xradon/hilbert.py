@@ -113,22 +113,13 @@ def _kernel_spectrum(kernel, count, start, width):
     blocks of a filter pass; read-only, so no caller can change the cached copy.
     The whole row, start 0 and width count, is convolve_rows' spectrum.
 
-    m is the next fast length from count + width - 2 where the window is wider
-    than one sample and the taps at the two extreme lags are equal: on that many
-    points those two lags share one point, and each is read only by the output
-    sample at its own end of the window (the lag start - (count - 1) by sample
-    start, from the row's last sample; the lag start + width - 1 by the last
-    sample, from the row's first).  On the whole row that holds for the even
-    HILBERT_DERIVATIVE at every count, and for the odd HILBERT at odd count,
-    whose even lag count - 1 has a zero tap.  Elsewhere m starts from count +
-    width - 1.  The next fast length is _next_fast_len's, and the transform
-    numpy.fft.rfft."""
+    The count + width - 1 lags see no wrap-around on that many points, so m is
+    _next_fast_len(count + width - 1), and the transform numpy.fft.rfft."""
     lags = np.arange(start - count + 1, start + width)
     taps = np.full(lags.size, kernel.centre)
     nonzero = lags != 0
     taps[nonzero] = kernel.taps(lags[nonzero])
-    shared = width > 1 and bool(taps[0] == taps[-1])
-    m = _next_fast_len(count + width - 1 - shared)
+    m = _next_fast_len(count + width - 1)
     circular = np.zeros(m)
     circular[:width] = taps[count - 1:]
     circular[m - count + 1:] = taps[:count - 1]
@@ -137,24 +128,23 @@ def _kernel_spectrum(kernel, count, start, width):
     return m, spectrum
 
 
-def convolve_rows(values, kernel, spacing, out=None):
+def convolve_rows(values, kernel, spacing):
     """The linear convolution of each row of `values` (samples along the last axis,
-    at the given spacing) with a Kernel, by one real FFT of length >= 2S - 2 for
+    at the given spacing) with a Kernel, by one real FFT of length >= 2S - 1 for
     rows of S samples (_kernel_spectrum): exact for band-limited samples, with
     no wrap-around; or with a Stencil, by shift-and-add.  The samples beyond
     the grid count as zero, so every row must decay (DECAY_TOL) and be finite;
-    that is checked for all rows before any is written.
+    that is checked for all rows before any is filtered.
 
     The rows run in blocks of geometry.node_blocks(rows, 2 S) (_filter_rows); a
-    row's result does not depend on its block.  out, an array of values' shape,
-    receives the result; out=values filters a stack that nothing else uses in
-    place.  FilteredBlocks gives the same rows of a row source a chunk at a
-    time, with no (K, S) array, or any window of their samples.
+    row's result does not depend on its block.  FilteredBlocks gives the same
+    rows of a row source a chunk at a time, with no (K, S) array, or any
+    window of their samples.
     """
     values = np.asarray(values, dtype=float)
     _check_decay(values)
     n = values.shape[-1]
-    out = np.empty(values.shape) if out is None else out
+    out = np.empty(values.shape)
     _filter_rows(values.reshape(-1, n), kernel, spacing, out.reshape(-1, n), 0)
     return out
 
@@ -220,17 +210,17 @@ CHUNK_SAMPLES = 4 * ROWS
 
 class FilteredBlocks:
     """The samples `window` of the rows of a Radon row source `data` filtered by
-    kernel, convolve_rows(all K rows, kernel, data.spacing)[block, window] (bitwise
-    for the whole row, and for any window of a Stencil), for the node blocks of
-    geometry.node_blocks(K, width), of at most `rows` rows each, taken in order,
-    with no (K, S) array.
+    kernel, convolve_rows(all K rows, kernel, data.spacing)[block, window]
+    (bitwise for the whole row, slice(0, S), and for any window of a Stencil),
+    for the node blocks of geometry.node_blocks(K, width), of at most `rows`
+    rows each, taken in order, with no (K, S) array.
 
     data is a row source (inversion.RadonDataset, inversion.PhantomProfiles):
     data.count rows of data.samples samples at data.spacing, and
     data.rows(start, stop, scratch), rows start..stop as an array, either a
     view of the source's own or the (stop - start, S) scratch filled.  window,
-    a slice of the S sample indices (all of them for None), is the W samples
-    of each filtered row that filtered(block) gives.  Each row is still fetched
+    a slice j0..j1 + 1 of the S sample indices, is the W samples of each
+    filtered row that filtered(block) gives.  Each row is still fetched
     and checked whole: each sample filtered by a Kernel reads all of it, and a
     Stencil's samples near the grid's ends read the zeros beyond it.  A
     chunk is as many whole node blocks as fit in CHUNK_SAMPLES, and at least
@@ -242,9 +232,8 @@ class FilteredBlocks:
     overwrites the view.
     """
 
-    def __init__(self, data, kernel, rows, window=None):
-        self._data, self._kernel = data, kernel
-        self._window = slice(0, data.samples) if window is None else window
+    def __init__(self, data, kernel, rows, window):
+        self._data, self._kernel, self._window = data, kernel, window
         self._chunk = rows * max(1, CHUNK_SAMPLES // data.samples // rows)
         self._scratch = np.empty((min(self._chunk, data.count), data.samples))
         width = self._window.stop - self._window.start
@@ -385,7 +374,7 @@ def _horner(c, w, out):
 
 class CubicReader:
     """sample_rows for a stream of blocks of at most `rows` rows, each the samples
-    `window` (a slice; all of them for None) of a row of `count` samples on one
+    `window` (a slice j0..j1 + 1) of a row of `count` samples on one
     uniform grid over [s_min, s_max], read at `queries` offsets per row.
 
     reader(values, s) is sample_rows(values, s_min, s_max, s) for a (B, S)
@@ -409,11 +398,11 @@ class CubicReader:
     offsets: a caller may write them there, and the call reads them in place.
     """
 
-    def __init__(self, rows, count, queries, s_min, s_max, window=None, in_range=False):
+    def __init__(self, rows, count, queries, s_min, s_max, window, in_range=False):
         self._s_min, self._s_max = s_min, s_max
         self._checked = not in_range
         self._spacing = (s_max - s_min) / (count - 1)
-        start, stop = (0, count) if window is None else (window.start, window.stop)
+        start, stop = window.start, window.stop
         # s_min itself for the whole row: s_min + 0 h may differ from it in the sign of a zero
         self._origin = s_min + start * self._spacing if start else s_min
         count = stop - start
@@ -479,4 +468,4 @@ def sample_rows(values, s_min, s_max, s):
     values = np.asarray(values, dtype=float)
     s = np.asarray(s, dtype=float)
     rows, count = values.shape
-    return CubicReader(rows, count, s.shape[-1], s_min, s_max)(values, s)
+    return CubicReader(rows, count, s.shape[-1], s_min, s_max, slice(0, count))(values, s)

@@ -37,7 +37,8 @@ import numpy as np
 
 from . import phantom as ph_mod
 from .geometry import (
-    SphereQuadrature, VolumeGrid, as_direction, as_sum_inputs, difference_sum, node_blocks, rays, sphere_sum,
+    UNIT_TOL, SphereQuadrature, VolumeGrid, as_direction, as_sum_inputs, difference_sum, node_blocks, rays,
+    sphere_sum,
 )
 from .hilbert import (
     HILBERT, HILBERT_DERIVATIVE, SECOND_DIFFERENCE, CubicReader, FilteredBlocks, grid_slack, offsets_on_grid,
@@ -65,8 +66,6 @@ RADON_BRANCH_RIESZ = -16.0 * np.pi**3
 
 # Fewest samples of a Radon profile: the cubic read-out's 4-point stencils need room at both ends.
 MIN_PROFILE_SAMPLES = 8
-# How far a Radon row source's node norms may deviate from 1.
-NODE_TOL = 1e-9
 # Whole intervals by which the backprojection's filtered window reaches past the
 # intervals its points' offsets can fall in, on each side: the cubic read-out's
 # stencil reads one sample past each end of a query's interval, so no query reads
@@ -100,7 +99,7 @@ def _check_grid(nodes, s_min, s_max, samples):
         raise ValueError(f"dataset profiles require at least {MIN_PROFILE_SAMPLES} samples")
     if not (np.isfinite(s_min) and np.isfinite(s_max) and s_max > s_min):
         raise ValueError(f"require finite s_min < s_max, got {s_min!r}, {s_max!r}")
-    if not np.all(np.abs(np.linalg.norm(nodes, axis=1) - 1.0) <= NODE_TOL):  # NaN fails
+    if not np.all(np.abs(np.linalg.norm(nodes, axis=1) - 1.0) <= UNIT_TOL):  # NaN fails
         raise ValueError("dataset nodes must be unit vectors")
 
 
@@ -240,7 +239,7 @@ _BRANCH_FILTERS = {BRANCH_RADON: HILBERT_DERIVATIVE, BRANCH_CLASSICAL: SECOND_DI
 def _window(data, points):
     """The slice j0..j1 of data's sample indices whose filtered values the offsets
     x . n_k of points can read, and the reach that bounds every |x . n_k|:
-    r = max |x|, widened by NODE_TOL of r and by the grid's slack
+    r = max |x|, widened by UNIT_TOL of r and by the grid's slack
     (hilbert.grid_slack), so NaN or inf where a point is.  The slice is the
     reach widened by WINDOW_MARGIN whole intervals on each side and clipped to
     the grid; at least four samples, the cubic read-out's stencil.  The whole
@@ -251,7 +250,7 @@ def _window(data, points):
     kernels (hilbert.FilteredBlocks)."""
     count = data.samples
     radius = float(np.max(np.hypot(np.hypot(points[:, 0], points[:, 1]), points[:, 2]), initial=0.0))
-    reach = radius * (1.0 + NODE_TOL) + grid_slack(data.s_min, data.s_max)
+    reach = radius * (1.0 + UNIT_TOL) + grid_slack(data.s_min, data.s_max)
     low, high = (-reach - data.s_min) / data.spacing, (reach - data.s_min) / data.spacing
     if not (math.isfinite(low) and math.isfinite(high)):
         return slice(0, count), reach
@@ -365,7 +364,7 @@ def grangeat_convert(xdata, x, n, band):
     circle = np.sqrt(1.0 - band * band) * (np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * np.cross(n, e1))
     # point-major rays (rays with the roles swapped), so each point's values are one row
     n_rows, x_rows = rays(np.concatenate((band * n + circle, circle - band * n)), points)
-    values = np.asarray(xdata(x_rows, n_rows), dtype=float).reshape(points.shape[0], 2, -1)
+    values = np.asarray(xdata(x_rows, n_rows), dtype=float).reshape(points.shape[0], 2, GRANGEAT_CIRCLE_POINTS)
     out = -np.pi / (GRANGEAT_CIRCLE_POINTS * band) * np.sum(values[:, 0] - values[:, 1], axis=1)
     return float(out[0]) if x.shape == (3,) else out
 

@@ -57,6 +57,24 @@ def read_tree(root):
     return out
 
 
+# A Gaussian of amplitude 1e307: its reconstructions, the calibration fit's dot
+# products and lemma9's Hilbert-filtered profiles overflow float64.
+OVERFLOWING_PHANTOM = "support_radius 7\ngaussian 0 0 0 1.0 1e307\n"
+
+
+def overflow_failure(tmp_path, capsys, *argv):
+    """Run a command on OVERFLOWING_PHANTOM: it must exit 1 with no outdir left.
+    Returns its stderr."""
+    ph = tmp_path / "big.txt"
+    ph.write_text(OVERFLOWING_PHANTOM)
+    outdir = tmp_path / "o"
+    assert run(*argv, "--phantom", str(ph), "--nodes", "40", "--outdir", str(outdir)) == 1
+    assert not outdir.exists()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err
+
+
 class TestPhantomGen:
     def test_presets(self, tmp_path):
         for preset in ("unit-gaussian", "two-gaussians", "gaussian-ball"):
@@ -681,6 +699,21 @@ class TestCheck:
         assert "Traceback" not in err
         assert not outdir.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_lemma9_named(self, tmp_path, capsys):
+        # the left side is finite and the right side's FFT overflows to NaN
+        err = overflow_failure(tmp_path, capsys, "check")
+        assert "check: lemma9's two sides must be finite; scale the phantom's amplitudes down" in err
+
+    def test_zero_right_side_keeps_nan_ratio(self, tmp_path):
+        # a phantom with no primitives: both sides are 0, and the ratio is NaN by its definition
+        ph = tmp_path / "empty.txt"
+        ph.write_text("support_radius 7\n")
+        outdir = tmp_path / "o"
+        assert run("check", "--phantom", str(ph), "--nodes", "40", "--outdir", str(outdir)) == 0
+        rows = np.loadtxt(outdir / "lemma9.csv", delimiter=",", skiprows=1)
+        assert np.all(rows[:, 3:5] == 0.0) and np.all(np.isnan(rows[:, 5])) and np.all(rows[:, 6] == 0.0)
+
     def test_rejects_overwide_band(self, tmp_path, phantom_file, capsys):
         outdir = tmp_path / "o"
         assert run(
@@ -714,6 +747,14 @@ class TestCalibrate:
             assert abs(fitted - scale) <= 1e-12 * abs(scale)
             scales.append(scale)
         assert scales[0] != scales[1]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("branch", BRANCHES)
+    def test_overflowing_fit_named(self, tmp_path, capsys, branch):
+        # the fit's dot products overflow, and the radon branches' reconstructions
+        # too: no NaN is written to calibration.json, which JSON cannot hold
+        err = overflow_failure(tmp_path, capsys, "calibrate", "--branch", branch)
+        assert "calibrate: the fitted scale nan and residual nan must be finite" in err
 
     def test_s_grid_without_origin_rejected(self, tmp_path, phantom_file, capsys):
         outdir = tmp_path / "cal"
@@ -787,6 +828,13 @@ class TestErrorHandling:
         assert "the s-grid --s-min -8 --s-max 8 is too narrow" in err and "does not decay" in err
         assert "Traceback" not in err
         assert not outdir.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("branch", BRANCHES)
+    def test_overflowing_reconstruction_named(self, tmp_path, capsys, branch):
+        # each branch's overflow leaves non-finite values, named by the float32 check
+        err = overflow_failure(tmp_path, capsys, "invert", "--branch", branch, "--vol-dims", "3")
+        assert "reconstructed values are not finite in float32" in err
 
     @pytest.mark.parametrize("command", ["invert", "check", "forward"])
     def test_single_node_named(self, tmp_path, phantom_file, capsys, command):

@@ -402,23 +402,21 @@ class TestKernelSpectrum:
     @pytest.mark.parametrize(
         "count, window, lengths",
         [
-            (2, None, (3, 2)),
-            (9, None, (16, 16)),
-            (10, None, (20, 18)),
-            (801, None, (1600,) * 2),
-            (1025, None, (2048,) * 2),
-            (3201, None, (6400,) * 2),
+            (2, None, (3, 3)),
+            (9, None, (18, 18)),
+            (10, None, (20, 20)),
+            (801, None, (1620,) * 2),
+            (1025, None, (2160,) * 2),
+            (3201, None, (6480,) * 2),
             # the windows of a ball of radius 1.75 and of the [-3, 3]^3 volume on 801
-            # samples over [-8, 8]: lags -489..489 and -661..661, odd, where only the
-            # even kernel's taps agree; both lengths are fast either way
+            # samples over [-8, 8]: lags -489..489 and -661..661
             (801, (311, 179), (1000,) * 2),
             (801, (139, 523), (1350,) * 2),
-            # lags -6..4, both even: both kernels' taps are 0 at both and shared
-            (9, (2, 3), (10, 10)),
-            # one interval, lags -5..5: Hilbert's taps there differ in sign, the even
-            # kernel's agree
-            (10, (4, 2), (12, 10)),
-            # one sample reads both extreme lags -4 and 4, so they share no point
+            # lags -6..4, both even, where both kernels' taps are 0
+            (9, (2, 3), (12, 12)),
+            # one interval, lags -5..5
+            (10, (4, 2), (12, 12)),
+            # one sample, lags -4..4
             (9, (4, 1), (9, 9)),
             # from the first sample (lags -9..2) and to the last (lags -2..9)
             (10, (0, 3), (12, 12)),
@@ -426,10 +424,9 @@ class TestKernelSpectrum:
         ],
     )
     def test_shortest_alias_free_length(self, count, window, lengths):
-        # next_fast_len(S + W - 2) for the W samples from j0 where the taps at the
-        # extreme lags j0 - (S - 1) and j0 + W - 1 agree and W > 1, else S + W - 1.
-        # On the whole row (None: j0 = 0, W = S) that is 2S - 2 for the even kernel
-        # always and Hilbert at odd S; Hilbert at even S keeps 2S - 1
+        # next_fast_len(S + W - 1) for the W samples from j0, the count of the lags
+        # j0 - (S - 1)..j0 + W - 1, for every kernel, whatever its taps there; on
+        # the whole row (None: j0 = 0, W = S) that is next_fast_len(2S - 1)
         start, width = (0, count) if window is None else window
         got = tuple(_kernel_spectrum(kernel, count, start, width)[0] for kernel in (HILBERT, HILBERT_DERIVATIVE))
         assert got == lengths
@@ -437,9 +434,8 @@ class TestKernelSpectrum:
     @pytest.mark.parametrize("count", [8, 9, 10, 400, 401, 801, 1025])
     @pytest.mark.parametrize("kernel", list(KERNEL_TABLES), ids=KERNEL_IDS)
     def test_equals_direct_convolution_at_every_length(self, kernel, count):
-        # small but nonzero ends, within DECAY_TOL, so that the lags +-(S - 1),
-        # which share a point of an FFT of length 2S - 2, both count.  At S = 10
-        # that length, 18, is itself fast: Hilbert's odd lag 9 would wrap there.
+        # small but nonzero ends, within DECAY_TOL, so that the extreme lags
+        # +-(S - 1) both count: each is read from one end sample alone
         rng = np.random.default_rng(count)
         values = rng.normal(size=(2, count))
         interior = np.max(np.abs(values[:, 1:-1]), axis=1, keepdims=True)
@@ -528,23 +524,21 @@ class TestConvolveRowsBlocks:
     @settings(PROPERTY, max_examples=40)
     @given(rows=st.integers(1, 40), count=st.integers(8, 1100), kernel=KERNELS, seed=st.integers(0, 2**32 - 1))
     def test_in_place_equals_out_of_place(self, rows, count, kernel, seed):
+        # _filter_rows over the rows' own array, as FilteredBlocks filters a chunk
+        # its source filled
         values = decaying_rows(np.random.default_rng(seed), rows, count)
         expected = convolve_rows(values, kernel, 0.1)
-        assert convolve_rows(values, kernel, 0.1, out=values) is values
+        _filter_rows(values, kernel, 0.1, values, 0)
         assert values.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("in_place", [False, True], ids=["out", "in-place"])
-    def test_bad_last_block_writes_nothing(self, in_place):
+    def test_bad_last_block_writes_nothing(self):
         # 1025 samples: blocks of 7 rows, so rows 0..13 fill two and row 16 is in the third
         values = decaying_rows(np.random.default_rng(5), 17, 1025)
         values[16, -1] = np.max(np.abs(values[16]))
         before = values.copy()
-        out = values if in_place else np.full(values.shape, 7.0)
         with pytest.raises(ProfileDecayError):
-            convolve_rows(values, SECOND_DIFFERENCE, 0.1, out=out)
+            convolve_rows(values, SECOND_DIFFERENCE, 0.1)
         assert values.tobytes() == before.tobytes()
-        if not in_place:
-            assert np.all(out == 7.0)
 
 
 def scipy_filter(rows, kernel, spacing, start, width):
@@ -555,7 +549,7 @@ def scipy_filter(rows, kernel, spacing, start, width):
     lags = np.arange(start - count + 1, start + width)
     taps = np.full(lags.size, kernel.centre)
     taps[lags != 0] = kernel.taps(lags[lags != 0])
-    m = scipy_fft.next_fast_len(count + width - 1 - (width > 1 and bool(taps[0] == taps[-1])), real=True)
+    m = scipy_fft.next_fast_len(count + width - 1, real=True)
     circular = np.zeros(m)
     circular[:width] = taps[count - 1:]
     circular[m - count + 1:] = taps[:count - 1]
@@ -583,7 +577,7 @@ class TestNumpyFft:
         ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
         seed=st.integers(0, 2**32 - 1),
     )
-    # whole rows at both parities of 2S - 2 against 2S - 1, and the calibration ball's window
+    # whole rows of both kernels, at odd and even S, and the calibration ball's window
     @example(total=9, count=801, kernel=HILBERT_DERIVATIVE, spacing=0.02, ends=(0.0, 1.0), seed=0)
     @example(total=3, count=10, kernel=HILBERT, spacing=1.0, ends=(0.0, 1.0), seed=1)
     @example(total=40, count=801, kernel=HILBERT_DERIVATIVE, spacing=0.02, ends=(311 / 800, 489 / 800), seed=2)
@@ -627,7 +621,7 @@ class TestFilteredBlocks:
         before = values.copy()
         source = ArrayRows(values, 0.0, 0.1 * (count - 1), filled)
         expected = convolve_rows(values, kernel, source.spacing)
-        filtered = FilteredBlocks(source, kernel, rows)
+        filtered = FilteredBlocks(source, kernel, rows, slice(0, count))
         for block in (slice(lo, lo + rows) for lo in range(0, total, rows)):
             assert filtered(block).tobytes() == expected[block].tobytes()
         # the source's rows are read, never written, whether viewed or copied
@@ -640,7 +634,7 @@ class TestFilteredBlocks:
         values[8, 0] = np.nan
         filtered, filter_rows = [], hilbert._filter_rows
         monkeypatch.setattr(hilbert, "_filter_rows", lambda *a: filtered.append(a[0].shape) or filter_rows(*a))
-        blocks = FilteredBlocks(ArrayRows(values, -1.0, 1.0, filled=True), HILBERT, 3)
+        blocks = FilteredBlocks(ArrayRows(values, -1.0, 1.0, filled=True), HILBERT, 3, slice(0, 64))
         with pytest.raises(ValueError, match="non-finite"):
             blocks(slice(0, 3))
         assert filtered == []
@@ -650,7 +644,7 @@ def windows(count):
     """Windows (j0, j1) of rows of `count` samples: interior and symmetric about the
     centre, interior and asymmetric, from the first sample, to the last, one
     interval wide and one sample wide; and three samples from S - 7 (at S = 9
-    the lags -6..4, whose extreme taps the odd kernels share: TestKernelSpectrum)."""
+    the lags -6..4 of TestKernelSpectrum)."""
     return [
         (count // 4, count - 1 - count // 4),
         (count // 5, count // 2 + 1),
@@ -669,15 +663,16 @@ def window_noise(values, kernel, spacing):
 
 
 # A windowed sample's largest distance from the whole row's, in window_noise:
-# measured 7.1e-16 over windows() of three random rows and two Gaussian profiles
-# on [-8, 8], at S from 8 to 3,201, for the two FFT kernels (the stencil's is 0).
+# measured 9.7e-16 over windows() of three random rows and two Gaussian profiles
+# on [-8, 8], at S from 8 to 40 and at 400, 401, 801, 1,025 and 3,201, for the two
+# FFT kernels (the stencil's is 0).
 WINDOW_TOL = 1e-14
 
 
 class TestWindowedFilter:
     """FilteredBlocks over a window of samples j0..j1: each row fetched and checked
-    whole, and its W samples filtered by one FFT of length S + W - 1 (or one less),
-    or by the stencil's shift-and-add, into the chunk's own scratch."""
+    whole, and its W samples filtered by one FFT of next_fast_len(S + W - 1)
+    points, or by the stencil's shift-and-add, into the chunk's own scratch."""
 
     @pytest.mark.parametrize("filled", [False, True], ids=["view", "filled"])
     @pytest.mark.parametrize("count", [8, 9, 10, 801, 3201])

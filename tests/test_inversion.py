@@ -1026,6 +1026,11 @@ class TestGrangeatConvert:
         assert all(isinstance(v, float) for v in loop)
         assert batch.tobytes() == np.array(loop).tobytes()
 
+    def test_empty_batch(self, unit_gaussian):
+        # a (0, 3) batch is a (P, 3) batch: it gives (0,)
+        got = inv.grangeat_convert(ray_data(unit_gaussian), np.zeros((0, 3)), np.array([1.0, 0.0, 0.0]), 0.05)
+        assert got.shape == (0,) and got.dtype == float
+
     def test_refinement_reduces_error(self, unit_gaussian):
         # the central difference in u is O(band^2): halving the band quarters the error
         data = ray_data(unit_gaussian)
